@@ -208,7 +208,13 @@ class LockedCacheMutationRule(LintRule):
     def applies_to(self, path: Path) -> bool:
         return _in_scope(
             path,
-            ("src/repro/engine/", "src/repro/serving/", "src/repro/relational/cache.py"),
+            (
+                "src/repro/engine/",
+                "src/repro/serving/",
+                "src/repro/relational/cache.py",
+                "src/repro/ir/registry.py",
+                "src/repro/strategy/executor.py",
+            ),
         )
 
     def check(self, tree: ast.Module, source: str, path: Path) -> list[LintViolation]:

@@ -86,7 +86,7 @@ from repro.engine.executors import (
     gather_table,
     gather_triples,
 )
-from repro.engine.plan_cache import PlanCache, PlanCacheStatistics
+from repro.engine.plan_cache import DEFAULT_MAX_ENTRIES, PlanCache, PlanCacheStatistics
 from repro.engine.query import (
     Query,
     RankedQuery,
@@ -98,6 +98,7 @@ from repro.engine.query import (
     as_probabilistic,
     scan_tables,
 )
+from repro.ir.registry import StatisticsRegistry
 from repro.pra.evaluator import PRAEvaluator
 from repro.pra.optimizer import optimize_pra
 from repro.pra.plan import PraParam, PraPlan, PraScan
@@ -171,7 +172,7 @@ class Engine:
         storage: Any | None = None,
         triples_table: str = "triples",
         language: str = "english",
-        plan_cache_size: int | None = None,
+        plan_cache_size: int | None = None,  # None: the plan cache's default bound
         result_cache_size: int | None = 256,
         workload_log_capacity: int = 2048,
         cost_model: CostModel | None = None,
@@ -181,7 +182,9 @@ class Engine:
         self.triples_table = triples_table
         self.language = language
         self.analyzer = StandardAnalyzer(language)
-        self.plan_cache = PlanCache(max_entries=plan_cache_size)
+        self.plan_cache = PlanCache(
+            max_entries=plan_cache_size if plan_cache_size is not None else DEFAULT_MAX_ENTRIES
+        )
         # the workload subsystem: every execution is logged, repeated plan
         # evaluations may be answered from the result cache, and the cost
         # model (calibratable from the log) steers optimizer choices
@@ -191,7 +194,11 @@ class Engine:
         )
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self._evaluator = PRAEvaluator(self.database)
-        self._executor: StrategyExecutor | None = None
+        # what survives a request (see "What is reused" in the README): the
+        # statistics registry of keyword search and rank(), and the strategy
+        # executor with what it keeps per live graph
+        self.statistics_registry = StatisticsRegistry()
+        self.executor = StrategyExecutor(self.store)
         self._search_engines: dict[tuple, Any] = {}
         self._rank_blocks: dict[tuple, Any] = {}
         self._plan_executor: PlanExecutor = LocalExecutor(self)
@@ -237,6 +244,21 @@ class Engine:
                 else None
             ),
             "workload_log": self.workload_log.statistics(),
+            "reuse": self.reuse_statistics(),
+        }
+
+    def reuse_statistics(self) -> dict[str, dict[str, int]]:
+        """Counters of everything kept between requests and across writes.
+
+        ``block_memo``: request-independent strategy blocks served from the
+        executor's memo, run, and memos retired by a data or graph change;
+        ``statistics_registry``: collection statistics served as they were
+        (``hits``), extended by the appended rows only (``extends``), built in
+        full (``rebuilds``) or evicted.
+        """
+        return {
+            "block_memo": self.executor.counters(),
+            "statistics_registry": self.statistics_registry.counters(),
         }
 
     # -- data loading ----------------------------------------------------------------
@@ -286,10 +308,8 @@ class Engine:
             self.result_cache.clear()
         self.database.clear_cache()
         self._invalidate_search_statistics()
-        with self._registry_lock:
-            blocks = list(self._rank_blocks.values())
-        for block in blocks:
-            block.clear_statistics()
+        self.executor.clear()
+        self.statistics_registry.clear()
 
     # -- lifecycle --------------------------------------------------------------------
 
@@ -338,6 +358,8 @@ class Engine:
             with self._registry_lock:
                 self._search_engines.clear()
                 self._rank_blocks.clear()
+            self.executor.clear()
+            self.statistics_registry.clear()
             self.database.clear_cache()
             self.database.catalog.release()
             self.store._triples_list = []
@@ -752,7 +774,11 @@ class Engine:
         """A lazy strategy execution; ``graph`` is a graph or a prebuilt name.
 
         Known names: ``toy``, ``auction``, ``expanded-auction``, ``experts``;
-        ``builder_kwargs`` are forwarded to the prebuilt builder.
+        ``builder_kwargs`` are forwarded to the prebuilt builder.  A name is
+        built into a fresh graph on every call; the executor keeps block
+        outputs and indexes per live graph, so to reuse them across requests
+        build the graph once (``repro.strategy.prebuilt.build_*_strategy()``)
+        and pass it.
         """
         name: str | None = None
         if isinstance(graph, str):
@@ -853,13 +879,6 @@ class Engine:
         return query.execute_many(param_batches, max_workers=max_workers)
 
     # -- shared pipeline ---------------------------------------------------------------
-
-    @property
-    def executor(self) -> StrategyExecutor:
-        """The strategy executor bound to this engine's triple store."""
-        if self._executor is None:
-            self._executor = StrategyExecutor(self.store)
-        return self._executor
 
     def _compile_spinql(self, source: str, parameters: frozenset[str]) -> CompiledProgram:
         key = f"spinql::{self.triples_table}::{','.join(sorted(parameters))}::{source}"
@@ -1296,6 +1315,7 @@ class Engine:
                 id_column=id_column,
                 text_column=text_column,
                 expander=expander,
+                registry=self.statistics_registry,
             )
             with self._registry_lock:
                 # a concurrent builder may have won the race; keep its searcher
@@ -1327,7 +1347,9 @@ class Engine:
         if (id_name, text_name) != ("docID", "data"):
             relation = relation.rename({id_name: "docID", text_name: "data"})
             docs = ProbabilisticRelation(relation, validate=False)
-        context = StrategyContext(store=self.store, query=query)
+        context = StrategyContext(
+            store=self.store, query=query, statistics=self.statistics_registry
+        )
         terms = self.analyzer.analyze_query(query)
         ranked = block.execute(context, {"documents": docs, "query": terms})
         return ranked.sorted_by_probability()

@@ -27,6 +27,14 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
+#: what an engine bounds its plan cache to unless told otherwise.  Every
+#: distinct SpinQL source and every top-k variant of a plan is one entry, so
+#: an unbounded cache grows for the life of a server; E14's mixed workload
+#: (2,000 request templates) peaks below 400 live entries, which this keeps
+#: resident while a one-off-query stream can no longer grow without limit.
+DEFAULT_MAX_ENTRIES = 512
+
+
 @dataclass
 class PlanCacheStatistics:
     """Counters describing plan-cache effectiveness."""

@@ -812,6 +812,20 @@ class StrategyQuery(Query):
         return run
 
     def explain(self) -> str:
+        """The strategy diagram plus what of it the next request reuses."""
+        from repro.strategy.executor import request_independent_blocks
         from repro.strategy.render import render_ascii
 
-        return render_ascii(self.graph)
+        executor = self._engine.executor
+        independent = request_independent_blocks(self.graph)
+        memoized = set(executor.memoized_blocks(self.graph))
+        lines = [render_ascii(self.graph), "", "reuse across requests:"]
+        for name in self.graph.execution_order():
+            if name in memoized:
+                state = "request-independent, served from the memo"
+            elif name in independent:
+                state = "request-independent, memoized on its next run"
+            else:
+                state = "runs per request"
+            lines.append(f"  {name}: {state}")
+        return "\n".join(lines)

@@ -29,10 +29,11 @@ from repro.errors import IndexingError, RankingError
 from repro.ir.query_expansion import QueryExpander
 from repro.ir.ranking import BM25Model, RankingModel
 from repro.ir.ranking.base import RankedList
+from repro.ir.registry import StatisticsRegistry
 from repro.ir.statistics import (
     CollectionStatistics,
     RelationalStatisticsBuilder,
-    statistics_from_relation,
+    docs_columns,
 )
 from repro.relational.column import Column, DataType
 from repro.relational.database import Database
@@ -78,6 +79,7 @@ class KeywordSearchEngine:
         text_column: str = "data",
         expander: QueryExpander | None = None,
         statistics_prefix: str = "",
+        registry: StatisticsRegistry | None = None,
     ):
         if pipeline not in ("direct", "relational"):
             raise RankingError(
@@ -93,6 +95,9 @@ class KeywordSearchEngine:
         self.text_column = text_column
         self.expander = expander
         self.statistics_prefix = statistics_prefix or f"{docs_source}_"
+        # where direct-pipeline statistics come from; an engine passes its own
+        # so searchers and rank() over the same documents share one index
+        self.registry = registry if registry is not None else StatisticsRegistry()
         self._statistics: CollectionStatistics | None = None
         self._statistics_loader: Callable[[], CollectionStatistics] | None = None
 
@@ -154,12 +159,8 @@ class KeywordSearchEngine:
                 prefix=self.statistics_prefix,
             )
             return builder.materialize()
-        return statistics_from_relation(
-            docs,
-            self.analyzer,
-            id_column=self.id_column,
-            text_column=self.text_column,
-        )
+        ids, texts = docs_columns(docs, self.id_column, self.text_column)
+        return self.registry.get(ids, texts, self.analyzer)
 
     # -- querying ---------------------------------------------------------------------
 

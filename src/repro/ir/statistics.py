@@ -427,39 +427,88 @@ def build_statistics(
     analyzer: Analyzer | None = None,
 ) -> CollectionStatistics:
     """Compute collection statistics in one pass over ``(docID, text)`` pairs."""
+    empty = CollectionStatistics(
+        doc_ids=[],
+        doc_lengths=np.empty(0, dtype=np.int64),
+        term_ids={},
+        postings={},
+        document_frequency={},
+        total_terms=0,
+    )
+    return extend_statistics(empty, documents, analyzer)
+
+
+def extend_statistics(
+    base: CollectionStatistics,
+    documents: Sequence[tuple[Any, str]],
+    analyzer: Analyzer | None = None,
+) -> CollectionStatistics:
+    """Statistics of ``base``'s documents followed by ``documents``.
+
+    Only the appended documents are analyzed.  Term ids continue in
+    first-seen order, document/collection frequencies and lengths are exact
+    integer updates, and posting arrays stay sorted by document index, so the
+    result equals what :func:`build_statistics` computes over the whole
+    collection — bit for bit, dict order included (the bulk builder *is* this
+    function applied to an empty base).  ``base`` is left untouched: posting
+    arrays of terms the new documents do not mention are shared, everything
+    the append changes is copied, so a reader still ranking against ``base``
+    is never disturbed.
+    """
     analyzer = analyzer if analyzer is not None else StandardAnalyzer()
-    doc_ids: list[Any] = []
-    doc_lengths: list[int] = []
-    term_ids: dict[str, int] = {}
+    offset = base.num_docs
+    doc_ids: list[Any] = list(base.doc_ids)
+    tail_lengths: list[int] = []
+    term_ids: dict[str, int] = dict(base.term_ids)
     # per-term dict of doc_index -> frequency, converted to arrays at the end
     term_postings: dict[int, dict[int, int]] = {}
 
-    for doc_index, (doc_id, text) in enumerate(documents):
+    for doc_index, (doc_id, text) in enumerate(documents, start=offset):
         terms = analyzer.analyze(text)
         doc_ids.append(doc_id)
-        doc_lengths.append(len(terms))
+        tail_lengths.append(len(terms))
         for term in terms:
             term_id = term_ids.setdefault(term, len(term_ids) + 1)
             postings = term_postings.setdefault(term_id, {})
             postings[doc_index] = postings.get(doc_index, 0) + 1
 
-    postings_arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    document_frequency: dict[int, int] = {}
+    postings_arrays: dict[int, tuple[np.ndarray, np.ndarray]] = dict(base.postings)
+    document_frequency: dict[int, int] = dict(base.document_frequency)
     for term_id, doc_map in term_postings.items():
         doc_indices = np.fromiter(doc_map.keys(), dtype=np.int64, count=len(doc_map))
         frequencies = np.fromiter(doc_map.values(), dtype=np.int64, count=len(doc_map))
         order = np.argsort(doc_indices, kind="stable")
-        postings_arrays[term_id] = (doc_indices[order], frequencies[order])
-        document_frequency[term_id] = len(doc_map)
+        doc_indices, frequencies = doc_indices[order], frequencies[order]
+        known = postings_arrays.get(term_id)
+        if known is not None:
+            # appended documents index past every document of ``base``
+            doc_indices = np.concatenate([known[0], doc_indices])
+            frequencies = np.concatenate([known[1], frequencies])
+        postings_arrays[term_id] = (doc_indices, frequencies)
+        document_frequency[term_id] = document_frequency.get(term_id, 0) + len(doc_map)
 
     return CollectionStatistics(
         doc_ids=doc_ids,
-        doc_lengths=np.asarray(doc_lengths, dtype=np.int64),
+        doc_lengths=np.concatenate(
+            [base.doc_lengths, np.asarray(tail_lengths, dtype=np.int64)]
+        ),
         term_ids=term_ids,
         postings=postings_arrays,
         document_frequency=document_frequency,
-        total_terms=int(sum(doc_lengths)),
+        total_terms=base.total_terms + int(sum(tail_lengths)),
     )
+
+
+def docs_columns(
+    docs: Relation, id_column: str = "docID", text_column: str = "data"
+) -> tuple[Column, Column]:
+    """The id and text columns of a ``docs(docID, data)`` relation."""
+    if id_column not in docs.schema or text_column not in docs.schema:
+        raise IndexingError(
+            f"docs relation must have columns {id_column!r} and {text_column!r}, "
+            f"got {docs.schema.names}"
+        )
+    return docs.column(id_column), docs.column(text_column)
 
 
 def statistics_from_relation(
@@ -470,14 +519,8 @@ def statistics_from_relation(
     text_column: str = "data",
 ) -> CollectionStatistics:
     """Build statistics from a ``docs(docID, data)`` relation."""
-    if id_column not in docs.schema or text_column not in docs.schema:
-        raise IndexingError(
-            f"docs relation must have columns {id_column!r} and {text_column!r}, "
-            f"got {docs.schema.names}"
-        )
-    ids = docs.column(id_column).to_list()
-    texts = docs.column(text_column).to_list()
-    return build_statistics(list(zip(ids, texts)), analyzer)
+    ids, texts = docs_columns(docs, id_column, text_column)
+    return build_statistics(list(zip(ids.to_list(), texts.to_list())), analyzer)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ queries are "hot".
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.relational.algebra import LogicalPlan
@@ -92,6 +93,8 @@ class MaterializationCache:
         plan: LogicalPlan,
         relation: Relation,
         dependencies: frozenset[str] | None = None,
+        *,
+        still_valid: Callable[[], bool] | None = None,
     ) -> None:
         """Store the materialised ``relation`` for ``plan``.
 
@@ -99,11 +102,18 @@ class MaterializationCache:
         tables scanned directly by the plan); the database passes the
         transitive closure through views so that updating a base table also
         invalidates results cached for views defined over it.
+
+        ``still_valid`` is asked under the cache lock, and a ``False`` drops
+        the result instead of storing it: a result computed while a table
+        was being replaced must not be inserted *after* that table's
+        invalidation ran, or it would be served forever.
         """
         fingerprint = plan.fingerprint()
         if dependencies is None:
             dependencies = frozenset(_scan_dependencies(plan))
         with self._lock:
+            if still_valid is not None and not still_valid():
+                return
             if fingerprint not in self._entries:
                 self._order.append(fingerprint)
             self._entries[fingerprint] = _CacheEntry(

@@ -32,6 +32,11 @@ class Catalog:
         # guards lazy hydration: concurrent first scans of the same table
         # (execute_many workers) must run the loader exactly once
         self._hydration_lock = threading.Lock()
+        #: bumped by every definition change (create/replace/drop of a table
+        #: or view, release); hydrating a lazy table changes no content and
+        #: does not count.  Lets callers that keep results derived from the
+        #: catalog's contents tell that they are stale.
+        self.version = 0
 
     # -- tables -----------------------------------------------------------------
 
@@ -43,6 +48,7 @@ class Catalog:
         self._lazy.pop(name, None)
         self._lazy_schemas.pop(name, None)
         self._tables[name] = relation
+        self.version += 1
 
     def create_lazy_table(
         self,
@@ -67,16 +73,18 @@ class Catalog:
             self._lazy_schemas[name] = schema
         else:
             self._lazy_schemas.pop(name, None)
+        self.version += 1
 
     def drop_table(self, name: str) -> None:
         """Remove the base table called ``name``."""
         if name in self._lazy:
             del self._lazy[name]
             self._lazy_schemas.pop(name, None)
-            return
-        if name not in self._tables:
+        elif name in self._tables:
+            del self._tables[name]
+        else:
             raise CatalogError(f"unknown table {name!r}")
-        del self._tables[name]
+        self.version += 1
 
     def has_table(self, name: str) -> bool:
         return name in self._tables or name in self._lazy
@@ -126,11 +134,13 @@ class Catalog:
             raise CatalogError(f"table or view {name!r} already exists")
         self._tables.pop(name, None)
         self._views[name] = plan
+        self.version += 1
 
     def drop_view(self, name: str) -> None:
         if name not in self._views:
             raise CatalogError(f"unknown view {name!r}")
         del self._views[name]
+        self.version += 1
 
     def has_view(self, name: str) -> bool:
         return name in self._views
@@ -168,6 +178,7 @@ class Catalog:
         self._lazy.clear()
         self._lazy_schemas.clear()
         self._views.clear()
+        self.version += 1
 
     def table_names_set(self) -> set[str]:
         """The names of every base table, hydrated or lazy."""

@@ -105,9 +105,18 @@ class Database:
             cached = self.cache.get(plan)
             if cached is not None:
                 return cached
+        # a definition change bumps the catalog version and then invalidates
+        # the cache; a result that may predate the change is only stored while
+        # the version read before computing it still stands
+        version = self.catalog.version
         result = self._executor.execute(plan)
         if caching:
-            self.cache.put(plan, result, dependencies=self._plan_dependencies(plan))
+            self.cache.put(
+                plan,
+                result,
+                dependencies=self._plan_dependencies(plan),
+                still_valid=lambda: self.catalog.version == version,
+            )
         return result
 
     def _plan_dependencies(self, plan: LogicalPlan) -> frozenset[str]:

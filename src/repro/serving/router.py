@@ -155,6 +155,7 @@ class Router:
             "degraded": bool(executor.get("replication", {}).get("degraded", False)),
             "replication": executor.get("replication"),
             "batching": executor.get("batching"),
+            "reuse": self.engine.reuse_statistics(),
         }
 
     # -- request handling ---------------------------------------------------------

@@ -80,7 +80,7 @@ def save_engine(engine: "Engine", path: str | Path) -> Path:
     """Snapshot the whole engine state under the directory ``path``."""
     directory = Path(path)
     ensure_directory(directory)
-    engine.store._ensure_loaded()
+    engine.store.ensure_loaded()
     save_triple_store(engine.store, directory / "store")
     save_database(engine.database, directory / "database")
     write_manifest(

@@ -239,7 +239,7 @@ def save_sharded_engine(
     partitioner = HashRangePartitioner(shards)
     shard_keys = dict(shard_keys or {})
 
-    engine.store._ensure_loaded()
+    engine.store.ensure_loaded()
     database = engine.database
 
     # per-table hash-range partitions (ascending original-row indices)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import BlockError, PortError
+from repro.ir.registry import StatisticsRegistry
 from repro.pra.relation import ProbabilisticRelation
 from repro.relational.database import Database
 from repro.triples.triple_store import TripleStore
@@ -62,6 +63,9 @@ class StrategyContext:
     store: TripleStore
     query: str = ""
     parameters: dict[str, Any] = field(default_factory=dict)
+    #: where ranking blocks get collection statistics; the executor passes
+    #: the registry it keeps for the graph, so indexes outlive the request
+    statistics: StatisticsRegistry = field(default_factory=StatisticsRegistry)
 
     @property
     def database(self) -> Database:
@@ -78,6 +82,18 @@ class Block:
 
     #: human-readable label shown in rendered diagrams
     label = "Block"
+
+    #: True when :meth:`execute` reads nothing of the request — neither
+    #: ``context.query`` nor ``context.parameters`` — so its output depends
+    #: only on its inputs and the stored data.  The executor reuses the output
+    #: of such a block across requests while all its ancestors are
+    #: request-independent too and the data is unchanged.  The default is
+    #: *dependent*: a block that does not say otherwise is run every time,
+    #: and a subclass that overrides :meth:`execute` has to say it again — the
+    #: declaration covers the ``execute`` of the class that made it.  Whatever
+    #: configures the block must show in :meth:`describe`, which the executor
+    #: compares to tell a reconfigured block from the one it memoized.
+    request_independent = False
 
     def input_ports(self) -> Sequence[Port]:
         """The block's input ports, in display order (left to right)."""

@@ -5,17 +5,42 @@ order, passing each block the payloads produced by its connected inputs, and
 returns the payload of the requested result block (by default the graph's
 single sink).  Per-block timings are recorded so the benchmarks can report
 where time is spent (ranking vs. traversal vs. mixing).
+
+**Request-independent blocks run once per data version.**  A block that
+declares :attr:`~repro.strategy.blocks.Block.request_independent`, and whose
+ancestors all do, computes the same output for every request until the data
+changes (in the auction strategy: selecting the lots, extracting their
+descriptions, traversing to the auctions).  The executor keeps those outputs
+in a per-graph memo and serves later requests from it.  A memo is valid for
+one triple *(graph structural version, catalog version of the store's
+database, configuration of the memoized blocks)*: adding a block or a
+connection, creating, replacing or dropping any table, or changing what a
+memoized block's ``describe()`` reports starts a fresh one.  Blocks are
+*dependent* by default, and a subclass that overrides ``execute`` has to
+declare independence again, so a block that reads ``context.query`` is never
+cached by accident.
+
+**What is kept is kept per graph, for as long as the graph lives.**  Beside the
+memo the executor holds one :class:`~repro.ir.registry.StatisticsRegistry`
+per graph, the on-demand indexes of its ranking blocks; it outlives the memo,
+so after an append the next request extends the index instead of rebuilding
+it.  Both are keyed weakly on the graph: a caller that keeps a graph and runs
+it again gets the reuse, a graph built for a single request takes its outputs
+and its indexes with it when it is collected.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import StrategyError
+from repro.ir.registry import StatisticsRegistry
 from repro.pra.relation import ProbabilisticRelation
-from repro.strategy.blocks import StrategyContext
+from repro.strategy.blocks import Block, StrategyContext
 from repro.strategy.graph import StrategyGraph
 from repro.triples.triple_store import TripleStore
 
@@ -29,6 +54,8 @@ class StrategyRun:
     block_outputs: dict[str, Any] = field(default_factory=dict)
     block_timings: dict[str, float] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
+    #: blocks whose output came from the executor's memo instead of running
+    memoized_blocks: list[str] = field(default_factory=list)
 
     def top(self, k: int) -> list[tuple[str, float]]:
         """Return the top-k ``(node, probability)`` pairs of the result."""
@@ -38,11 +65,71 @@ class StrategyRun:
         return [(node, float(p)) for node, p in zip(nodes, probabilities)]
 
 
+#: what a memo is valid for: graph version, catalog version, block configuration
+_MemoVersion = tuple[int, int, tuple[str, ...]]
+
+
+@dataclass
+class _GraphMemo:
+    """Outputs of one graph's request-independent blocks at one version."""
+
+    version: _MemoVersion
+    independent: frozenset[str]
+    outputs: dict[str, Any] = field(default_factory=dict)
+
+
+@dataclass
+class _Kept:
+    """What the executor keeps for one live graph."""
+
+    memo: _GraphMemo
+    #: statistics of the graph's ranking blocks; survives a change of memo
+    statistics: StatisticsRegistry = field(default_factory=StatisticsRegistry)
+
+
+def _declares_independence(block: Block) -> bool:
+    """Whether the ``execute`` that will run is covered by a declaration.
+
+    Walking the class hierarchy from the block's own class up, a
+    ``request_independent`` declaration must come no later than the class
+    that defines ``execute``: a subclass of a library block that overrides
+    ``execute`` without declaring again does not inherit the promise its
+    parent made about different code.
+    """
+    for cls in type(block).__mro__:
+        declared = vars(cls).get("request_independent")
+        if declared is not None:
+            return bool(declared)
+        if "execute" in vars(cls):
+            return False
+    return False
+
+
+def request_independent_blocks(graph: StrategyGraph) -> list[str]:
+    """Blocks whose output no request can change, in execution order: they and
+    all their ancestors declare :attr:`~repro.strategy.blocks.Block.request_independent`."""
+    independent: list[str] = []
+    for name in graph.execution_order():
+        if _declares_independence(graph.block(name)) and all(
+            source in independent for source in graph.inputs_of(name).values()
+        ):
+            independent.append(name)
+    return independent
+
+
 class StrategyExecutor:
     """Executes strategy graphs against a triple store."""
 
     def __init__(self, store: TripleStore):
         self.store = store
+        self._memo_lock = threading.Lock()
+        # keyed weakly: one entry per live graph, none for a dead one
+        self._kept: weakref.WeakKeyDictionary[StrategyGraph, _Kept] = (
+            weakref.WeakKeyDictionary()
+        )
+        self._memo_hits = 0
+        self._memo_misses = 0
+        self._memo_invalidations = 0
 
     def run(
         self,
@@ -63,19 +150,42 @@ class StrategyExecutor:
                 )
             result_block = sinks[0]
 
-        context = StrategyContext(store=self.store, query=query, parameters=parameters or {})
+        # buffered triples are materialised first (a block that runs would do
+        # it anyway; a memoized one would not), then the versions are read
+        # before any block runs: outputs computed while the data changes
+        # underneath land in a memo the change has already retired
+        self.store.ensure_loaded()
+        kept, available = self._kept_for(graph)
+        memo = kept.memo
+        context = StrategyContext(
+            store=self.store,
+            query=query,
+            parameters=parameters or {},
+            statistics=kept.statistics,
+        )
         outputs: dict[str, Any] = {}
         timings: dict[str, float] = {}
+        memoized: list[str] = []
+        computed: dict[str, Any] = {}
         started = time.perf_counter()
         for name in graph.execution_order():
-            block = graph.block(name)
-            inputs = {
-                port: outputs[source] for port, source in graph.inputs_of(name).items()
-            }
             block_started = time.perf_counter()
-            outputs[name] = block.execute(context, inputs)
+            if name in available:
+                outputs[name] = available[name]
+                memoized.append(name)
+            else:
+                inputs = {
+                    port: outputs[source] for port, source in graph.inputs_of(name).items()
+                }
+                outputs[name] = graph.block(name).execute(context, inputs)
+                if name in memo.independent:
+                    computed[name] = outputs[name]
             timings[name] = time.perf_counter() - block_started
         elapsed = time.perf_counter() - started
+        with self._memo_lock:
+            memo.outputs.update(computed)
+            self._memo_hits += len(memoized)
+            self._memo_misses += len(computed)
 
         result = outputs[result_block]
         if not isinstance(result, ProbabilisticRelation):
@@ -89,4 +199,60 @@ class StrategyExecutor:
             block_outputs=outputs,
             block_timings=timings,
             elapsed_seconds=elapsed,
+            memoized_blocks=memoized,
         )
+
+    # -- the block memo ----------------------------------------------------------------
+
+    def _version(self, graph: StrategyGraph, independent: list[str]) -> _MemoVersion:
+        """What a memo is valid for: the graph's shape, the catalog's contents
+        and the configuration of the blocks whose outputs it holds."""
+        configuration = tuple(repr(graph.block(name).describe()) for name in independent)
+        return (graph.version, self.store.database.catalog.version, configuration)
+
+    def _kept_for(self, graph: StrategyGraph) -> tuple[_Kept, dict[str, Any]]:
+        """What is kept for ``graph``, its memo at the current versions
+        (replacing a stale one), and a snapshot of the outputs the memo holds."""
+        independent = request_independent_blocks(graph)
+        version = self._version(graph, independent)
+        with self._memo_lock:
+            kept = self._kept.get(graph)
+            if kept is None:
+                kept = _Kept(_GraphMemo(version, frozenset(independent)))
+                self._kept[graph] = kept
+            elif kept.memo.version != version:
+                if kept.memo.outputs:
+                    self._memo_invalidations += 1
+                kept.memo = _GraphMemo(version, frozenset(independent))
+            return kept, dict(kept.memo.outputs)
+
+    def memoized_blocks(self, graph: StrategyGraph) -> list[str]:
+        """Blocks of ``graph`` the next request would be served from the memo."""
+        version = self._version(graph, request_independent_blocks(graph))
+        with self._memo_lock:
+            kept = self._kept.get(graph)
+            if kept is None or kept.memo.version != version:
+                return []
+            return list(kept.memo.outputs)
+
+    def statistics_for(self, graph: StrategyGraph) -> StatisticsRegistry | None:
+        """The registry holding the indexes of ``graph``'s ranking blocks
+        (None before its first run)."""
+        with self._memo_lock:
+            kept = self._kept.get(graph)
+            return kept.statistics if kept is not None else None
+
+    def clear(self) -> None:
+        """Forget every memoized block output and every index (cold-start state)."""
+        with self._memo_lock:
+            self._kept.clear()
+
+    def counters(self) -> dict[str, int]:
+        """Memo hits, misses (independent blocks that had to run) and invalidations."""
+        with self._memo_lock:
+            return {
+                "hits": self._memo_hits,
+                "misses": self._memo_misses,
+                "invalidations": self._memo_invalidations,
+                "graphs": len(self._kept),
+            }

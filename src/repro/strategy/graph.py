@@ -32,6 +32,9 @@ class StrategyGraph:
         self.name = name
         self._blocks: dict[str, Block] = {}
         self._connections: list[Connection] = []
+        #: bumped by every structural change, so anything derived from the
+        #: graph's shape (the executor's block memo) can tell it is stale
+        self.version = 0
 
     # -- construction -----------------------------------------------------------------
 
@@ -40,6 +43,7 @@ class StrategyGraph:
         if name in self._blocks:
             raise StrategyError(f"a block named {name!r} already exists")
         self._blocks[name] = block
+        self.version += 1
         return name
 
     def connect(self, source: str, target: str, *, port: str | None = None) -> None:
@@ -80,6 +84,7 @@ class StrategyGraph:
         if duplicate:
             raise StrategyError(f"input port {target!r}.{port} is already connected")
         self._connections.append(Connection(source=source, target=target, target_port=port))
+        self.version += 1
 
     # -- accessors ----------------------------------------------------------------------
 

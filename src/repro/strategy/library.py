@@ -24,7 +24,6 @@ from repro.errors import BlockError
 from repro.ir.query_expansion import QueryExpander
 from repro.ir.ranking import RankingModel
 from repro.ir.ranking.base import RankedList
-from repro.ir.statistics import build_statistics
 from repro.pra import operators as pra_operators
 from repro.pra.assumptions import Assumption
 from repro.pra.relation import PROBABILITY_COLUMN, ProbabilisticRelation
@@ -64,6 +63,7 @@ class SelectByTypeBlock(Block):
     """Select graph resources of a given type (``(?, type, <type>)`` triples)."""
 
     label = "Select by type"
+    request_independent = True
 
     def __init__(self, type_name: str):
         self.type_name = type_name
@@ -84,6 +84,7 @@ class SelectByPropertyBlock(Block):
     """Select resources whose ``property`` equals ``value`` (the category=toy filter)."""
 
     label = "Select by property"
+    request_independent = True
 
     def __init__(self, property_name: str, value: str):
         self.property_name = property_name
@@ -110,6 +111,7 @@ class IntersectBlock(Block):
     """Keep resources present in both inputs (probabilities multiplied)."""
 
     label = "Intersect"
+    request_independent = True
 
     def input_ports(self) -> Sequence[Port]:
         return [
@@ -133,6 +135,7 @@ class TraversePropertyBlock(Block):
     """Traverse one property edge, forward or backward, propagating probabilities."""
 
     label = "Traverse property"
+    request_independent = True
 
     def __init__(self, property_name: str, *, backward: bool = False, merge: str = "independent"):
         self.property_name = property_name
@@ -171,6 +174,7 @@ class ExtractTextBlock(Block):
     """
 
     label = "Extract text"
+    request_independent = True
 
     def __init__(self, text_property: str = "description"):
         self.text_property = text_property
@@ -205,12 +209,13 @@ class ExtractTextBlock(Block):
 class RankByTextBlock(Block):
     """Rank a document collection against the query (the *Rank by Text BM25* block).
 
-    The block builds collection statistics for the sub-collection it receives
-    (two distinct inputs create two distinct on-demand indexes, as in
-    Section 3), ranks with the configured model, normalises the scores into
-    probabilities and multiplies them with the documents' prior probabilities.
-    Statistics are cached per collection fingerprint, so repeated queries over
-    the same sub-collection reuse the index (hot vs. cold).
+    The block ranks the sub-collection it receives against on-demand
+    collection statistics (two distinct inputs are two distinct indexes, as
+    in Section 3), normalises the scores into probabilities and multiplies
+    them with the documents' prior probabilities.  Statistics come from the
+    context's :class:`~repro.ir.registry.StatisticsRegistry`, keyed on the
+    content of the id and text columns: repeated queries over the same
+    sub-collection reuse the index (hot vs. cold), an edited text never does.
     """
 
     label = "Rank by Text"
@@ -230,7 +235,6 @@ class RankByTextBlock(Block):
         self.top_k = top_k
         self.expander = expander
         self.analyzer = StandardAnalyzer(language)
-        self._statistics_cache: dict[str, Any] = {}
 
     def input_ports(self) -> Sequence[Port]:
         return [
@@ -240,14 +244,6 @@ class RankByTextBlock(Block):
 
     def output_port(self) -> Port:
         return Port("ranked", PortKind.RANKED, f"documents ranked by {self.model.name}")
-
-    def _collection_fingerprint(self, docs: ProbabilisticRelation) -> str:
-        ids = docs.relation.column("docID").to_list()
-        return f"{len(ids)}:{hash(tuple(ids))}"
-
-    def clear_statistics(self) -> None:
-        """Drop the cached per-collection statistics (cold-start state)."""
-        self._statistics_cache.clear()
 
     def execute(self, context: StrategyContext, inputs: dict[str, Any]) -> ProbabilisticRelation:
         docs = self._require_resources(self._require_input(inputs, "documents"), port="documents")
@@ -271,36 +267,22 @@ class RankByTextBlock(Block):
                 term for term in dict.fromkeys(additions) if term not in query_terms
             ]
 
-        fingerprint = self._collection_fingerprint(docs)
-        cached = self._statistics_cache.get(fingerprint)
-        if cached is None:
-            ids = docs.relation.column("docID").to_list()
-            texts = docs.relation.column("data").to_list()
-            cached = build_statistics(list(zip(ids, texts)), self.analyzer)
-            self._statistics_cache[fingerprint] = cached
-
-        ranked: RankedList = self.model.rank(cached, query_terms, top_k=self.top_k)
-        probabilities = ranked.to_probabilities().scores
-        prior = {
-            doc_id: probability
-            for doc_id, probability in zip(
-                docs.relation.column("docID").to_list(), docs.probabilities()
-            )
-        }
-        combined = np.asarray(
-            [
-                probability * prior.get(doc_id, 1.0)
-                for doc_id, probability in zip(ranked.doc_ids, probabilities)
-            ],
-            dtype=np.float64,
+        doc_ids = docs.relation.column("docID")
+        statistics = context.statistics.get(
+            doc_ids, docs.relation.column("data"), self.analyzer
         )
+        ranked: RankedList = self.model.rank(statistics, query_terms, top_k=self.top_k)
+        # the statistics index documents in the collection's row order, so a
+        # ranked docID maps back to its row (its prior, its node) by position
+        positions = statistics.doc_positions()
+        rows = np.fromiter(
+            (positions[doc_id] for doc_id in ranked.doc_ids), dtype=np.int64, count=len(ranked)
+        )
+        combined = ranked.to_probabilities().scores * docs.probabilities()[rows]
         schema = Schema([Field("node", DataType.STRING), Field(PROBABILITY_COLUMN, DataType.FLOAT)])
         relation = Relation(
             schema,
-            [
-                Column([str(doc_id) for doc_id in ranked.doc_ids], DataType.STRING),
-                Column(combined, DataType.FLOAT),
-            ],
+            [doc_ids.take(rows).cast(DataType.STRING), Column(combined, DataType.FLOAT)],
         )
         return ProbabilisticRelation(relation, validate=False)
 
@@ -317,6 +299,7 @@ class MixBlock(Block):
     """Mix several ranked lists via a weighted linear combination (Figure 3, step 4)."""
 
     label = "Mix"
+    request_independent = True
 
     def __init__(self, weights: Sequence[float], *, normalize: bool = True):
         if not weights:
@@ -359,6 +342,7 @@ class LimitBlock(Block):
     """Keep only the top-k results of a ranked list."""
 
     label = "Limit"
+    request_independent = True
 
     def __init__(self, count: int):
         if count < 1:

@@ -70,6 +70,9 @@ class TripleStore:
         self._triples_list: list[Triple] | None = []
         self._triples_loader: Callable[[], list[Triple]] | None = None
         self._triples_lock = threading.Lock()
+        # one materialisation at a time: a load a reader triggered must not
+        # finish after, and so overwrite, a later load over more triples
+        self._load_lock = threading.Lock()
         self._loaded = False
 
     @property
@@ -129,10 +132,12 @@ class TripleStore:
 
     def load(self) -> None:
         """Materialise the buffered triples into the storage strategy's tables."""
-        self.storage.load(self.database, self._triples)
-        self._loaded = True
+        with self._load_lock:
+            self.storage.load(self.database, self._triples)
+            self._loaded = True
 
-    def _ensure_loaded(self) -> None:
+    def ensure_loaded(self) -> None:
+        """Materialise the buffered triples unless the tables are current."""
         if not self._loaded:
             self.load()
 
@@ -158,7 +163,7 @@ class TripleStore:
         obj: Any | None = None,
     ) -> ProbabilisticRelation:
         """Return all triples matching the given (possibly wildcarded) pattern."""
-        self._ensure_loaded()
+        self.ensure_loaded()
         return self.storage.match(self.database, subject, property_name, obj)
 
     def select_property(self, property_name: str) -> ProbabilisticRelation:
@@ -188,7 +193,7 @@ class TripleStore:
         """
         from repro.storage.snapshot import save_triple_store
 
-        self._ensure_loaded()
+        self.ensure_loaded()
         return save_triple_store(self, path)
 
     @classmethod
@@ -221,7 +226,7 @@ class TripleStore:
         their ``text_property``, with probabilities multiplied (independent
         join), producing ``(docID, data, p)``.
         """
-        self._ensure_loaded()
+        self.ensure_loaded()
         filtered = self.match(property_name=filter_property, obj=filter_value)
         described = self.match(property_name=text_property)
         # probabilistic self-join on subject, then project (docID, data)

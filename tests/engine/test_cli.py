@@ -1,6 +1,12 @@
 """CLI smoke tests: every subcommand, text and JSON output."""
 
 import json
+import os
+import select
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +209,41 @@ class TestShardingCommands:
         code = main(["serve", "--port", "0"])
         assert code == 1
         assert "from-snapshot" in capsys.readouterr().err
+
+    def test_serve_json_banner_reaches_a_pipe_reader(self, tmp_path):
+        """Regression (E14 FINDINGS 1): the banner sat in the block buffer of a
+        piped stdout until exit, so a parent waiting for the endpoint hung."""
+        from repro.engine import Engine
+        from repro.workloads import generate_auction_triples
+
+        snapshot = tmp_path / "snapshot"
+        with Engine.from_triples(generate_auction_triples(30, seed=3).triples) as engine:
+            engine.save(snapshot, shards=2)
+        source = Path(__file__).resolve().parents[2] / "src"
+        # neither -u nor PYTHONUNBUFFERED: stdout is an ordinary block-buffered pipe
+        environment = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--from-snapshot", str(snapshot),
+             "--workers", "0", "--port", "0", "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env={**environment, "PYTHONPATH": str(source)},
+        )
+        try:
+            banner = b""
+            deadline = time.monotonic() + 60.0
+            while not banner.rstrip().endswith(b"\n}"):
+                remaining = deadline - time.monotonic()
+                ready, _, _ = select.select([server.stdout], [], [], max(remaining, 0.0))
+                assert ready, f"no banner on the pipe within 60 s (got {banner!r})"
+                chunk = os.read(server.stdout.fileno(), 65536)
+                assert chunk, f"server exited before its banner (got {banner!r})"
+                banner += chunk
+            info = json.loads(banner)
+            assert info["command"] == "serve"
+            assert info["endpoint"].startswith("http://")
+        finally:
+            server.kill()
+            server.wait(timeout=30)
+            server.stdout.close()
+        assert server.returncode is not None

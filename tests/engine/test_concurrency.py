@@ -15,10 +15,12 @@ contract under test:
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro.engine import Engine
+from repro.strategy.prebuilt import build_auction_strategy
 
 TRIPLES = [
     ("lot1", "type", "lot"),
@@ -269,3 +271,114 @@ class TestConcurrentBatches:
         )
         # _prepare() compiled serially before the pool spun up
         assert stats.misses == misses_before + 1
+
+
+class TestStrategyReuseStress:
+    """8 threads run one auction graph while a writer keeps loading lots.
+
+    What the executor keeps for the graph between requests (the block memo,
+    the ranking blocks' statistics) is shared by all of them.  A request that
+    overlaps a load may see either side of it; the contract under test is
+    that nothing of that is *kept*: once the writer is done every answer is
+    bit-identical to an engine bulk-built over the final data, and every
+    counter accounts for exactly the work that was asked for.
+    """
+
+    THREADS = 8
+    LOADS = 12
+    QUERIES = ["oak table", "bronze statue", "antique clock", "silver spoon"]
+
+    @staticmethod
+    def _base():
+        triples = [("auction1", "description", "antique furniture and clocks"),
+                   ("auction2", "description", "silver bronze and statues")]
+        for lot in range(12):
+            name = f"lot{lot}"
+            triples += [
+                (name, "type", "lot"),
+                (name, "hasAuction", f"auction{1 + lot % 2}"),
+                (name, "description", ["oak table", "bronze statue", "silver spoon"][lot % 3]),
+            ]
+        return triples
+
+    @staticmethod
+    def _batch(index: int):
+        name = f"new{index}"
+        return [
+            (name, "type", "lot"),
+            (name, "hasAuction", f"auction{1 + index % 2}"),
+            (name, "description", f"antique oak clock number {index}"),
+        ]
+
+    def test_nothing_torn_is_kept_and_counters_add_up(self):
+        import sys
+
+        engine = Engine.from_triples(self._base())
+        graph = build_auction_strategy()  # one graph, shared by every thread
+        stop = threading.Event()
+        barrier = threading.Barrier(self.THREADS + 1)
+        runs = [0] * self.THREADS
+        errors: list = []
+
+        def reader(worker: int):
+            try:
+                barrier.wait(timeout=30)
+                while not stop.is_set():
+                    query = self.QUERIES[(worker + runs[worker]) % len(self.QUERIES)]
+                    engine.strategy(graph, query=query).execute()
+                    runs[worker] += 1
+            except Exception as error:  # pragma: no cover - failure reporting
+                errors.append(error)
+
+        def wait_for_runs(count: int):
+            # paced by the readers, so every load lands among running requests
+            deadline = time.monotonic() + 60
+            while sum(runs) < count and time.monotonic() < deadline and not errors:
+                time.sleep(0.001)
+
+        def writer():
+            try:
+                barrier.wait(timeout=30)
+                for index in range(self.LOADS):
+                    wait_for_runs(self.THREADS * (index + 1))
+                    engine.load_triples(self._batch(index))
+                wait_for_runs(sum(runs) + self.THREADS)
+            except Exception as error:  # pragma: no cover - failure reporting
+                errors.append(error)
+            finally:
+                stop.set()
+
+        threads = [threading.Thread(target=reader, args=(w,)) for w in range(self.THREADS)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+
+        total_runs = sum(runs)
+        assert total_runs >= self.THREADS * (self.LOADS + 1)
+        # four store-only blocks per run, each served from the memo or run
+        memo = engine.reuse_statistics()["block_memo"]
+        assert memo["hits"] + memo["misses"] == 4 * total_runs and memo["graphs"] == 1
+        # two rank blocks per run, each one lookup in the graph's registry
+        registry = engine.executor.statistics_for(graph).counters()
+        assert registry["hits"] + registry["extends"] + registry["rebuilds"] == 2 * total_runs
+
+        final = self._base() + [t for i in range(self.LOADS) for t in self._batch(i)]
+        oracle = Engine.from_triples(final)
+        for _ in range(2):  # the second pass is served from the memo
+            for query in self.QUERIES:
+                served = engine.strategy(graph, query=query).execute()
+                expected = oracle.strategy("auction", query=query).execute()
+                assert list(served.result.rows()) == list(expected.result.rows())
+        assert sorted(served.memoized_blocks) == sorted(
+            ["select_lots", "lot_descriptions", "to_auctions", "auction_descriptions"]
+        )

@@ -159,6 +159,17 @@ class TestExplain:
         diagram = engine.strategy("toy").explain()
         assert "Rank by Text" in diagram
 
+    def test_strategy_explain_reports_what_is_reused(self, engine):
+        query = engine.strategy("toy", query="train")
+        cold = query.explain()
+        assert "select_category: request-independent, memoized on its next run" in cold
+        assert "rank_bm25: runs per request" in cold
+        query.execute()
+        warm = query.explain()
+        assert "select_category: request-independent, served from the memo" in warm
+        assert "extract_description: request-independent, served from the memo" in warm
+        assert "query: runs per request" in warm
+
     def test_search_explain_reports_statistics_state(self, engine):
         engine.store.register_docs_view(
             "docs",
@@ -278,3 +289,53 @@ class TestEngineSession:
         assert len(engine.plan_cache) > 0
         engine.clear_caches()
         assert len(engine.plan_cache) == 0
+
+    def test_reuse_lives_and_dies_with_the_graph(self, engine):
+        from repro.strategy.prebuilt import build_toy_strategy
+
+        # a name is built per call: a fresh graph, nothing kept between calls
+        first = engine.strategy("toy", query="train")
+        assert engine.strategy("toy", query="car").graph is not first.graph
+        assert first.execute().memoized_blocks == []
+        assert engine.strategy("toy", query="train").execute().memoized_blocks == []
+        # a graph the caller keeps is served from what the executor kept for it
+        graph = build_toy_strategy()
+        engine.strategy(graph, query="train").execute()
+        again = engine.strategy(graph, query="car").execute()
+        assert again.memoized_blocks == ["select_category", "extract_description"]
+        assert engine.executor.statistics_for(graph).counters()["hits"] == 1
+
+    def test_reuse_statistics_counts_memo_and_registry(self, engine):
+        from repro.strategy.prebuilt import build_toy_strategy
+
+        graph = build_toy_strategy()
+        for query in ("wooden train", "remote control", "history"):
+            engine.strategy(graph, query=query).execute()
+        reuse = engine.reuse_statistics()
+        assert reuse["block_memo"] == {"hits": 4, "misses": 2, "invalidations": 0, "graphs": 1}
+        assert engine.executor.statistics_for(graph).counters() == {
+            "hits": 2, "extends": 0, "rebuilds": 1, "evictions": 0, "entries": 1
+        }
+        assert engine.connect_info()["reuse"] == reuse
+        engine.load_triples([("product4", "type", "product")])
+        engine.strategy(graph, query="train").execute()
+        assert engine.reuse_statistics()["block_memo"]["invalidations"] == 1
+        engine.clear_caches()
+        assert engine.executor.statistics_for(graph) is None
+
+    def test_search_and_rank_share_one_index(self, engine):
+        engine.store.register_docs_view(
+            "docs", filter_property="category", filter_value="toy", text_property="description"
+        )
+        engine.search("docs", "train").execute()
+        engine.table("docs").rank("train").execute()
+        registry = engine.reuse_statistics()["statistics_registry"]
+        assert (registry["rebuilds"], registry["hits"], registry["entries"]) == (1, 1, 1)
+
+    def test_plan_cache_is_bounded_by_default(self):
+        from repro.engine.plan_cache import DEFAULT_MAX_ENTRIES
+
+        engine = connect(plan_cache_size=None).load_triples(TRIPLES)
+        for value in range(DEFAULT_MAX_ENTRIES + 40):
+            engine.spinql(f'a = SELECT [$3="{value}"] (triples);').execute()
+        assert len(engine.plan_cache) == DEFAULT_MAX_ENTRIES

@@ -148,6 +148,61 @@ class TestUnite:
         with pytest.raises(PRAError):
             ops.unite(left, right)
 
+    def test_first_occurrence_order_and_left_schema(self):
+        left = prob_relation([("node", DataType.STRING)], [("b", 0.5), ("a", 0.25), ("b", 0.5)])
+        right = prob_relation([("other", DataType.STRING)], [("c", 0.5), ("a", 0.5), ("c", 0.25)])
+        result = ops.unite(left, right, Assumption.DISJOINT)
+        assert result.schema.names == ["node", "p"]
+        assert list(result.rows()) == [("b", 1.0), ("a", 0.75), ("c", 0.75)]
+
+    @pytest.mark.parametrize("assumption", list(Assumption))
+    def test_two_key_columns_agree_with_reference(self, assumption):
+        fields = [("node", DataType.STRING), ("rank", DataType.INT)]
+        left = prob_relation(
+            fields, [("b", 1, 0.5), ("a", 1, 0.25), ("b", 1, 0.125), ("b", 2, 0.5)]
+        )
+        right = prob_relation(
+            fields, [("a", 1, 0.5), ("c", 3, 0.5), ("b", 1, 0.25), ("a", 1, 0.125)]
+        )
+        result = ops.unite(left, right, assumption)
+        reference = ops._unite_rows(left, right, assumption)
+        assert repr(list(result.rows())) == repr(list(reference.rows()))
+        assert [row[:2] for row in result.rows()] == [("b", 1), ("a", 1), ("b", 2), ("c", 3)]
+
+    @pytest.mark.parametrize(
+        "left_rows, right_rows, dtypes",
+        [
+            # the sides disagree on the column type: only rows can compare them
+            ([(1, 0.5), (2, 0.25)], [(1.0, 0.5), (3.0, 0.5)], (DataType.INT, DataType.FLOAT)),
+            # NaN keys cannot be factorized and never equal each other
+            (
+                [(float("nan"), 0.5), (1.0, 0.25)],
+                [(float("nan"), 0.5), (1.0, 0.5)],
+                (DataType.FLOAT, DataType.FLOAT),
+            ),
+        ],
+    )
+    def test_row_fallback_agrees_with_reference(self, left_rows, right_rows, dtypes):
+        # a second key column, so the NaN case reaches the factorizing kernel
+        left = prob_relation(
+            [("k", dtypes[0]), ("tag", DataType.STRING)],
+            [(key, "t", p) for key, p in left_rows],
+        )
+        right = prob_relation(
+            [("k", dtypes[1]), ("tag", DataType.STRING)],
+            [(key, "t", p) for key, p in right_rows],
+        )
+        result = ops.unite(left, right, Assumption.INDEPENDENT)
+        reference = ops._unite_rows(left, right, Assumption.INDEPENDENT)
+        assert repr(list(result.rows())) == repr(list(reference.rows()))
+
+    def test_empty_sides(self):
+        empty = prob_relation([("node", DataType.STRING)], [])
+        full = prob_relation([("node", DataType.STRING)], [("a", 0.5)])
+        assert ops.unite(empty, empty).num_rows == 0
+        assert list(ops.unite(empty, full).rows()) == [("a", 0.5)]
+        assert list(ops.unite(full, empty).rows()) == [("a", 0.5)]
+
 
 class TestSubtract:
     def test_complement_weighting(self):

@@ -8,7 +8,10 @@ asserts the two contracts the rank-aware engine work rests on:
   unoptimized plan (rows, probabilities, row identity);
 * ``TOP k`` — unoptimized *and* after pushdown — equals the full
   deterministic sort (probability descending, value columns ascending)
-  followed by a ``k``-row slice.
+  followed by a ``k``-row slice;
+* the vectorized ``unite`` kernel equals its row-at-a-time reference bit for
+  bit — rows, order, probabilities — under all three assumptions, with
+  duplicate keys on both sides and arbitrary (non-dyadic) probabilities.
 
 Probabilities and weight factors are drawn from dyadic rationals so every
 product the operators compute is exact in binary floating point: equivalence
@@ -27,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.pra import operators as pra_operators
 from repro.pra.assumptions import Assumption
 from repro.pra.evaluator import PRAEvaluator
 from repro.pra.expressions import PositionalRef
@@ -57,6 +61,8 @@ NODES = ["a", "b", "c", "d", "e"]
 DYADIC_P = st.sampled_from([i / 16 for i in range(17)])
 #: weight factors that keep products exactly representable
 WEIGHTS = st.sampled_from([0.25, 0.5, 0.75, 1.0])
+#: any probability: combination order shows in the last bit, which is the point
+ANY_P = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 ASSUMPTIONS = st.sampled_from(list(Assumption))
 UNITE_ASSUMPTIONS = ASSUMPTIONS  # all three, so pushdown-blocking merges are generated
 
@@ -72,12 +78,12 @@ def _values_leaf(rows: list[tuple], arity: int) -> PraValues:
     return PraValues(ProbabilisticRelation(relation), label=f"fixture{arity}")
 
 
-def _draw_leaf(draw, arity: int) -> PraValues:
+def _draw_leaf(draw, arity: int, probabilities=DYADIC_P, max_size: int = 8) -> PraValues:
     rows = draw(
         st.lists(
-            st.tuples(*([st.sampled_from(NODES)] * arity + [DYADIC_P])),
+            st.tuples(*([st.sampled_from(NODES)] * arity + [probabilities])),
             min_size=0,
-            max_size=8,
+            max_size=max_size,
         )
     )
     return _values_leaf(rows, arity)
@@ -208,3 +214,19 @@ class TestTopEquivalence:
         for actual_row, expected_row in zip(result.rows(), expected.rows()):
             assert tuple(actual_row[:-1]) == tuple(expected_row[:-1])
             assert float(actual_row[-1]) == pytest.approx(float(expected_row[-1]), abs=1e-9)
+
+
+class TestUniteKernel:
+    @SETTINGS
+    @given(st.data())
+    def test_vectorized_unite_equals_row_reference(self, data):
+        arity = data.draw(st.integers(1, 2))
+        # five node names in up to 16 rows a side: duplicate keys on both sides
+        left = _draw_leaf(data.draw, arity, ANY_P, max_size=16).relation
+        right = _draw_leaf(data.draw, arity, ANY_P, max_size=16).relation
+        assumption = data.draw(ASSUMPTIONS)
+        vectorized = pra_operators.unite(left, right, assumption)
+        reference = pra_operators._unite_rows(left, right, assumption)
+        assert vectorized.schema == reference.schema
+        # exact equality: first-occurrence order and the last bit of every fold
+        assert list(vectorized.rows()) == list(reference.rows())

@@ -189,3 +189,34 @@ class TestDatabase:
         schema = Schema.of(a=DataType.INT)
         db.create_table_from_dicts("t", schema, [{"a": 1}, {"a": 2}])
         assert db.table("t").num_rows == 2
+
+    def test_result_computed_across_a_table_replace_is_not_cached(self):
+        """Regression: a result computed on the old table was inserted after the
+        replace had invalidated the cache, and then served forever."""
+        db = Database()
+        db.create_table("t", small_relation())
+        replacement = small_relation(((7, "x"),))
+        execute = db._executor.execute
+
+        def execute_while_a_writer_replaces_the_table(plan):
+            result = execute(plan)
+            db.create_table("t", replacement, replace=True)
+            return result
+
+        db._executor.execute = execute_while_a_writer_replaces_the_table
+        assert db.query("t").num_rows == 2  # the racing reader may see the old table
+        db._executor.execute = execute
+        assert list(db.query("t").rows()) == [(7, "x")]
+
+    def test_catalog_version_counts_definition_changes_only(self):
+        catalog = Catalog()
+        catalog.create_lazy_table("lazy", small_relation)
+        after_create = catalog.version
+        catalog.table("lazy")  # hydration changes no content
+        assert catalog.version == after_create
+        catalog.create_table("t", small_relation())
+        catalog.create_view("v", Scan("t"))
+        catalog.drop_view("v")
+        catalog.drop_table("t")
+        catalog.release()
+        assert catalog.version == after_create + 5

@@ -88,9 +88,35 @@ class TestBlockExecution:
         docs = ExtractTextBlock().execute(context, {"resources": resources})
         block = RankByTextBlock()
         block.execute(context, {"documents": docs, "query": ["wooden"]})
-        assert len(block._statistics_cache) == 1
         block.execute(context, {"documents": docs, "query": ["train"]})
-        assert len(block._statistics_cache) == 1
+        # a second block over the same documents shares the one index
+        RankByTextBlock().execute(context, {"documents": docs, "query": ["train"]})
+        counters = context.statistics.counters()
+        assert (counters["rebuilds"], counters["hits"], counters["entries"]) == (1, 2, 1)
+
+    def test_rank_by_text_sees_edited_text_under_same_ids(self):
+        """Regression: statistics were keyed on doc ids only, so a collection
+        whose texts changed under the same ids ranked against the old index."""
+        from repro.pra.relation import ProbabilisticRelation
+        from repro.relational.column import DataType
+        from repro.triples.triple_store import TripleStore
+
+        def docs(second_text):
+            return ProbabilisticRelation.from_rows(
+                ["docID", "data"],
+                [DataType.STRING, DataType.STRING],
+                [("d1", "wooden train set", 1.0), ("d2", second_text, 1.0)],
+            )
+
+        context = StrategyContext(store=TripleStore())
+        block = RankByTextBlock()
+        before = block.execute(context, {"documents": docs("plastic car"), "query": ["train"]})
+        after = block.execute(
+            context, {"documents": docs("train train train"), "query": ["train"]}
+        )
+        assert before.relation.column("node").to_list() == ["d1"]
+        assert sorted(after.relation.column("node").to_list()) == ["d1", "d2"]
+        assert context.statistics.counters()["rebuilds"] == 2
 
     def test_rank_by_text_rejects_non_list_query(self, toy_store):
         context = StrategyContext(store=toy_store)

@@ -1,9 +1,12 @@
 """Unit tests for strategy execution, the pre-built strategies and rendering."""
 
+import gc
+
 import pytest
 
 from repro.errors import StrategyError
 from repro.ir.query_expansion import SynonymExpander
+from repro.strategy.blocks import Block, Port, PortKind
 from repro.strategy.executor import StrategyExecutor
 from repro.strategy.graph import StrategyGraph
 from repro.strategy.library import (
@@ -61,6 +64,138 @@ class TestExecutor:
         graph.add_block("extract", ExtractTextBlock())
         with pytest.raises(StrategyError):
             StrategyExecutor(toy_store).run(graph, query="x")
+
+
+#: the auction blocks that read the store only, never the request
+STORE_ONLY = ["select_lots", "lot_descriptions", "to_auctions", "auction_descriptions"]
+
+
+class TestBlockMemo:
+    """Request-independent blocks run once per data and graph version."""
+
+    def test_store_only_blocks_are_served_from_the_memo(self, auction_store):
+        executor = StrategyExecutor(auction_store)
+        graph = build_auction_strategy()
+        cold = executor.run(graph, query="wooden table")
+        warm = executor.run(graph, query="bronze statue")
+        assert cold.memoized_blocks == []
+        assert sorted(warm.memoized_blocks) == sorted(STORE_ONLY)
+        # the ladder indexes every block: memoized ones keep a (near-zero) timing
+        assert set(warm.block_timings) == set(graph.block_names())
+        for name in STORE_ONLY:
+            assert warm.block_outputs[name] is cold.block_outputs[name]
+        assert executor.counters() == {
+            "hits": 4, "misses": 4, "invalidations": 0, "graphs": 1
+        }
+        fresh = StrategyExecutor(auction_store).run(build_auction_strategy(), "bronze statue")
+        assert list(warm.result.rows()) == list(fresh.result.rows())
+
+    def test_a_block_that_does_not_declare_independence_is_never_memoized(self, toy_store):
+        calls = []
+
+        class QueryTaggedSelect(Block):
+            """Reads the request like an unknown user block would: default-dependent."""
+
+            def input_ports(self):
+                return [Port("resources", PortKind.RESOURCES)]
+
+            def output_port(self):
+                return Port("resources", PortKind.RESOURCES)
+
+            def execute(self, context, inputs):
+                calls.append(context.query)
+                return inputs["resources"]
+
+        graph = StrategyGraph()
+        graph.add_block("select", SelectByTypeBlock("product"))
+        graph.add_block("custom", QueryTaggedSelect())
+        graph.add_block("texts", ExtractTextBlock())  # independent, but below a dependent block
+        graph.connect("select", "custom")
+        graph.connect("custom", "texts")
+        executor = StrategyExecutor(toy_store)
+        for query in ("first", "second", "third"):
+            run = executor.run(graph, query=query)
+        assert calls == ["first", "second", "third"]
+        assert run.memoized_blocks == ["select"]
+
+    def test_an_execute_override_does_not_inherit_the_library_declaration(self, toy_store):
+        calls = []
+
+        class QueryFilteredSelect(SelectByTypeBlock):
+            """Overrides ``execute`` of an independent library block and reads the request."""
+
+            def execute(self, context, inputs):
+                calls.append(context.query)
+                return super().execute(context, inputs)
+
+        class RenamedSelect(SelectByTypeBlock):
+            """Runs the library's own ``execute``: the declaration still covers it."""
+
+        class DeclaredSelect(QueryFilteredSelect):
+            request_independent = True
+
+        graph = StrategyGraph()
+        graph.add_block("override", QueryFilteredSelect("product"))
+        graph.add_block("plain", RenamedSelect("product"))
+        graph.add_block("declared", DeclaredSelect("product"))
+        executor = StrategyExecutor(toy_store)
+        for query in ("first", "second"):
+            run = executor.run(graph, query=query, result_block="override")
+        # the override ran for every request, the redeclared subclass once
+        assert calls == ["first", "first", "second"]
+        assert sorted(run.memoized_blocks) == ["declared", "plain"]
+
+    def test_reconfiguring_a_memoized_block_retires_the_memo(self, toy_store):
+        graph = StrategyGraph()
+        graph.add_block("select", SelectByPropertyBlock("category", "toy"))
+        executor = StrategyExecutor(toy_store)
+        assert executor.run(graph).result.num_rows == 3
+        assert executor.run(graph).memoized_blocks == ["select"]
+        graph.block("select").value = "book"
+        fresh = StrategyGraph()
+        fresh.add_block("select", SelectByPropertyBlock("category", "book"))
+        run = executor.run(graph)
+        assert run.memoized_blocks == []
+        assert list(run.result.rows()) == list(StrategyExecutor(toy_store).run(fresh).result.rows())
+
+    def test_a_memo_dies_with_its_graph(self, toy_store):
+        executor = StrategyExecutor(toy_store)
+        kept = StrategyGraph()
+        kept.add_block("select", SelectByTypeBlock("product"))
+        executor.run(kept)
+        for _ in range(20):
+            throwaway = StrategyGraph()
+            throwaway.add_block("select", SelectByTypeBlock("product"))
+            executor.run(throwaway)
+        del throwaway
+        gc.collect()
+        assert executor.counters()["graphs"] == 1
+        assert executor.run(kept).memoized_blocks == ["select"]
+
+    def test_structural_change_retires_the_memo(self, toy_store):
+        graph = StrategyGraph()
+        graph.add_block("select", SelectByTypeBlock("product"))
+        executor = StrategyExecutor(toy_store)
+        executor.run(graph)
+        assert executor.run(graph).memoized_blocks == ["select"]
+        graph.add_block("toys", SelectByPropertyBlock("category", "toy"))
+        run = executor.run(graph, result_block="toys")
+        assert run.memoized_blocks == []
+        assert executor.counters()["invalidations"] == 1
+
+    def test_data_change_retires_the_memo(self, toy_store):
+        graph = StrategyGraph()
+        graph.add_block("select", SelectByTypeBlock("product"))
+        executor = StrategyExecutor(toy_store)
+        assert executor.run(graph).result.num_rows == 4
+        assert executor.run(graph).memoized_blocks == ["select"]
+        # buffered, not yet loaded: the run materialises it and must see it
+        toy_store.add("product5", "type", "product")
+        run = executor.run(graph)
+        assert run.memoized_blocks == [] and run.result.num_rows == 5
+        assert executor.run(graph).memoized_blocks == ["select"]
+        executor.clear()
+        assert executor.run(graph).memoized_blocks == []
 
 
 class TestToyStrategy:
