@@ -2,11 +2,10 @@
 
 Every benchmark's output — the :class:`~repro.bench.reporting.ResultTable`
 sweeps it prints and any headline metrics it reports — lands in
-``$BENCH_ARTIFACT_DIR`` (default: the current directory, i.e. the repo
-root under pytest) as ``BENCH_E10.json``, ``BENCH_A2.json``, … so the
-performance trajectory of the repository is a set of machine-readable
-files that live next to the code, get committed as they change, and can be
-archived and diffed by CI.
+``$BENCH_ARTIFACT_DIR`` (default: ``bench-artifacts/`` under the current
+directory, which is git-ignored) as ``BENCH_E10.json``, ``BENCH_A2.json``,
+… so every run's numbers are machine-readable files CI can archive and
+diff, without a test run ever rewriting tracked files.
 
 Tables are collected automatically: the autouse fixture in
 ``benchmarks/conftest.py`` records every ``ResultTable.print()`` call and
@@ -32,7 +31,7 @@ _fresh: set[str] = set()
 
 
 def artifact_dir() -> Path:
-    return Path(os.environ.get("BENCH_ARTIFACT_DIR", "."))
+    return Path(os.environ.get("BENCH_ARTIFACT_DIR", "bench-artifacts"))
 
 
 def benchmark_id(module_name: str) -> str | None:

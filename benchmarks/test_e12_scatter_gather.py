@@ -13,7 +13,8 @@ The partition-aware engine's two acceptance claims:
   1-core CI container the measurement still runs and is reported, but the
   assertion is skipped.
 
-Results land in ``BENCH_E12.json`` through the shared artifact writer.
+Results land in ``BENCH_E12.json`` through the shared artifact writer
+(under ``$BENCH_ARTIFACT_DIR``, default ``bench-artifacts/``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.engine import Engine
 from repro.relational.column import Column, DataType
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
-from repro.serving import ServingConfig
 from repro.workloads import generate_auction_triples
 
 LOTS = 800
@@ -129,7 +129,7 @@ def _throughput(engine: Engine, queries, *, concurrency: int) -> tuple[float, li
     return len(queries) / (time.perf_counter() - started), latencies
 
 
-def _batched_throughput(engine: Engine, queries) -> tuple[float, list[float]]:
+def _search_many_throughput(engine: Engine, queries) -> tuple[float, list[float]]:
     """(queries/second, amortized per-query latencies) via ``search_many``."""
     started = time.perf_counter()
     engine.search_many("docs", queries, top_k=TOP_K)
@@ -142,25 +142,15 @@ def test_e12_pool_throughput_scaling(benchmark, sharded_setup):
     """Worker-pool throughput vs the single-process engine (core-gated)."""
     engine, path, queries = sharded_setup
     pooled = Engine.open_sharded(path, executor="pool")
-    batched = Engine.open_sharded(
-        path, executor="pool", config=ServingConfig(max_batch_size=16)
-    )
-    inline = Engine.open_sharded(
-        path, executor="pool", config=ServingConfig(transport="inline")
-    )
     try:
-        # warm all paths (statistics merge, worker spin-up)
+        # warm both paths (statistics merge, worker spin-up)
         engine.search("docs", queries[0]).top(TOP_K)
-        for opened in (pooled, batched, inline):
-            opened.search("docs", queries[0]).top(TOP_K)
-        # bit-identity across every data-plane mode: batched / unbatched,
-        # default (shm where available) / inline transports, vectorized
-        # multi-query kernel — all against the in-process engine
+        pooled.search("docs", queries[0]).top(TOP_K)
+        # bit-identity of the pooled single-query and vectorized multi-query
+        # paths against the in-process engine
         expected = engine.search("docs", queries[1]).top(TOP_K)
         assert pooled.search("docs", queries[1]).top(TOP_K) == expected
-        assert batched.search("docs", queries[1]).top(TOP_K) == expected
-        assert inline.search("docs", queries[1]).top(TOP_K) == expected
-        many = batched.search_many("docs", queries, top_k=TOP_K)
+        many = pooled.search_many("docs", queries, top_k=TOP_K)
         for query, result in zip(queries, many):
             assert result.top(TOP_K) == engine.search("docs", query).top(TOP_K)
 
@@ -169,13 +159,7 @@ def test_e12_pool_throughput_scaling(benchmark, sharded_setup):
         pool_concurrent, pool_concurrent_lat = _throughput(
             pooled, queries, concurrency=SHARDS
         )
-        pool_batched, pool_batched_lat = _batched_throughput(batched, queries)
-        # concurrent per-query load on the batched pool: co-arriving scatters
-        # share connections, so this leg exercises real wire coalescing
-        batched_concurrent, batched_concurrent_lat = _throughput(
-            batched, queries, concurrency=SHARDS
-        )
-        batching = batched._plan_executor._pool.batching()
+        pool_many, pool_many_lat = _search_many_throughput(pooled, queries)
         cores = _usable_cores()
 
         table = ResultTable(
@@ -187,8 +171,7 @@ def test_e12_pool_throughput_scaling(benchmark, sharded_setup):
             ("single process", single, single_lat),
             ("pool, 1 client", pool_serial, pool_serial_lat),
             (f"pool, {SHARDS} clients", pool_concurrent, pool_concurrent_lat),
-            ("pool, batched search_many", pool_batched, pool_batched_lat),
-            (f"batched pool, {SHARDS} clients", batched_concurrent, batched_concurrent_lat),
+            ("pool, search_many", pool_many, pool_many_lat),
         ):
             summary = artifacts.latency_summary(latencies)
             table.add_row(
@@ -201,26 +184,23 @@ def test_e12_pool_throughput_scaling(benchmark, sharded_setup):
             )
         table.print()
 
-        best_pool = max(pool_serial, pool_concurrent, pool_batched, batched_concurrent)
+        best_pool = max(pool_serial, pool_concurrent, pool_many)
         artifacts.write_metrics(
             "E12",
             {
                 "cores": cores,
-                "transport": pooled.executor_info().get("transport"),
+                "shm_threshold": pooled.executor_info().get("shm_threshold"),
                 "single_process_qps": round(single, 2),
                 "pool_serial_qps": round(pool_serial, 2),
                 "pool_concurrent_qps": round(pool_concurrent, 2),
-                "pool_batched_qps": round(pool_batched, 2),
-                "pool_batched_concurrent_qps": round(batched_concurrent, 2),
-                "mean_batch_occupancy": round(batching["mean_occupancy"], 3),
-                "batch_occupancy_histogram": batching["occupancy_histogram"],
+                "pool_search_many_qps": round(pool_many, 2),
                 # the IPC-gap headline: best pool mode over the in-process
                 # engine (1.0 would mean the pool costs nothing)
                 "pool_vs_single_ratio": round(best_pool / single, 4),
                 "single_process_latency": artifacts.latency_summary(single_lat),
                 "pool_serial_latency": artifacts.latency_summary(pool_serial_lat),
                 "pool_concurrent_latency": artifacts.latency_summary(pool_concurrent_lat),
-                "pool_batched_latency": artifacts.latency_summary(pool_batched_lat),
+                "pool_search_many_latency": artifacts.latency_summary(pool_many_lat),
             },
         )
         benchmark(lambda: pooled.search("docs", queries[0]).top(TOP_K))
@@ -232,6 +212,4 @@ def test_e12_pool_throughput_scaling(benchmark, sharded_setup):
             )
         assert pool_concurrent > single
     finally:
-        inline.close()
-        batched.close()
         pooled.close()

@@ -1,19 +1,18 @@
 """Gate on the E12 IPC gap: the pool must not regress toward the old ratio.
 
-The committed ``BENCH_E12.json`` baseline predating the pipelined
-shared-memory transport put the worker pool at ~0.014x the in-process
-engine (a ~70x IPC penalty per query).  This check reads a freshly written
-``BENCH_E12.json`` and asserts the best pool mode now clears a floor well
-above that baseline, so a transport regression cannot land silently.
+The E12 artifact predating the pipelined shared-memory transport put the
+worker pool at ~0.014x the in-process engine (a ~70x IPC penalty per
+query).  This check reads a freshly written ``BENCH_E12.json`` and asserts
+the best pool mode now clears a floor well above that baseline, so a
+transport regression cannot land silently.
 
-The floor is deliberately loose (default 12x the old baseline — ratcheted
-up when the micro-batched data plane landed): CI boxes are small and
-noisy, and the point is to catch "the optimization fell off", not to
-benchmark precisely.
+The floor is deliberately loose (default 12x the old baseline): CI boxes
+are small and noisy, and the point is to catch "the optimization fell
+off", not to benchmark precisely.
 
 Usage::
 
-    python scripts/check_e12_ratio.py [--artifact BENCH_E12.json]
+    python scripts/check_e12_ratio.py [--artifact bench-artifacts/BENCH_E12.json]
                                       [--baseline 0.0142] [--min-gain 12.0]
 """
 
@@ -33,7 +32,7 @@ def main() -> int:
     parser.add_argument(
         "--artifact",
         type=Path,
-        default=Path("BENCH_E12.json"),
+        default=Path("bench-artifacts/BENCH_E12.json"),
         help="E12 artifact to check (written by benchmarks/test_e12_scatter_gather.py)",
     )
     parser.add_argument("--baseline", type=float, default=OLD_RATIO)
@@ -56,7 +55,6 @@ def main() -> int:
         best = max(
             metrics.get("pool_serial_qps", 0.0),
             metrics.get("pool_concurrent_qps", 0.0),
-            metrics.get("pool_batched_qps", 0.0),
         )
         ratio = best / single if single else 0.0
 
@@ -64,9 +62,7 @@ def main() -> int:
     print(
         f"E12 pool/in-process ratio: {ratio:.4f} "
         f"(baseline {args.baseline:.4f}, required >= {floor:.4f}, "
-        f"transport={metrics.get('transport')!r}, cores={metrics.get('cores')}, "
-        f"batched_qps={metrics.get('pool_batched_qps')}, "
-        f"mean_batch_occupancy={metrics.get('mean_batch_occupancy')})"
+        f"shm_threshold={metrics.get('shm_threshold')!r}, cores={metrics.get('cores')})"
     )
     if ratio < floor:
         print(

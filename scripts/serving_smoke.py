@@ -8,13 +8,17 @@ on any mismatch, so CI can gate on it.
 With ``--replicas 2 --kill-worker`` the check also exercises failover:
 one worker is SIGKILLed halfway through the query stream and every
 subsequent answer must still come back correct (re-routed to the
-surviving replica) with zero client-visible errors.
+surviving replica) with zero client-visible errors.  ``--shm-threshold 0``
+sends every worker reply through shared memory; ``--collapse-burst`` ends
+with 32 identical concurrent requests that must collapse onto shared
+executions.
 
 Usage::
 
     python scripts/serving_smoke.py [--shards 2] [--workers 2] [--lots 200]
-                                    [--transport auto|shm|inline]
+                                    [--shm-threshold BYTES]
                                     [--replicas 2] [--kill-worker]
+                                    [--collapse-burst]
 """
 
 from __future__ import annotations
@@ -35,10 +39,11 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--lots", type=int, default=200)
     parser.add_argument(
-        "--transport",
-        choices=("auto", "shm", "inline"),
-        default="auto",
-        help="worker reply transport (shm forces every reply through shared memory)",
+        "--shm-threshold",
+        type=int,
+        default=None,
+        help="reply bytes at/above which replies use shared memory "
+             "(0 sends every reply that way; default: the library's)",
     )
     parser.add_argument(
         "--replicas",
@@ -52,10 +57,10 @@ def main() -> int:
         help="SIGKILL one worker mid-run; requires --replicas >= 2",
     )
     parser.add_argument(
-        "--batching",
+        "--collapse-burst",
         action="store_true",
-        help="serve with write coalescing enabled and finish with a burst of "
-             "identical concurrent requests (asserts collapse + bit-identity)",
+        help="finish with a burst of identical concurrent requests "
+             "(asserts collapse + bit-identity)",
     )
     args = parser.parse_args()
     if args.kill_worker and args.replicas < 2:
@@ -91,15 +96,11 @@ def main() -> int:
     source.save(snapshot, shards=args.shards)
     print(f"sharded snapshot: {snapshot} ({args.shards} shards)")
 
-    # --transport shm drops the threshold to zero so even the small smoke
-    # replies actually exercise the shared-memory path
     config = ServingConfig(
         workers=args.workers,
         replicas=args.replicas,
-        transport=args.transport,
-        shm_threshold=0 if args.transport == "shm" else None,
+        shm_threshold=args.shm_threshold,
         max_concurrent=args.workers,
-        max_batch_size=8 if args.batching else 1,
     )
     engine = Engine.open_sharded(snapshot, executor="pool", config=config)
     router = Router(engine)
@@ -160,7 +161,7 @@ def main() -> int:
         print(f"router statistics: {stats}")
         assert stats["served"] == len(queries) + 1
 
-        if args.batching:
+        if args.collapse_burst:
             from concurrent.futures import ThreadPoolExecutor
 
             burst_query = queries[0]
@@ -175,12 +176,9 @@ def main() -> int:
                     failures += 1
                     print(f"MISMATCH in burst:\n  served   {reply}\n  expected {expected}")
             stats = router.statistics()
-            batching = engine._plan_executor._pool.batching()
             print(
                 f"burst of 32 identical requests: collapse_hits={stats['collapse_hits']} "
-                f"collapse_leaders={stats['collapse_leaders']} "
-                f"mean_batch_occupancy={batching['mean_occupancy']:.2f} "
-                f"occupancy_histogram={batching['occupancy_histogram']}"
+                f"collapse_leaders={stats['collapse_leaders']}"
             )
             if stats["collapse_hits"] < 1:
                 failures += 1

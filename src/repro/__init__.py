@@ -52,15 +52,14 @@ The package is organised along the paper's sections:
   admission-controlled HTTP router (``python -m repro serve``); 1.7 adds
   shard replicas with transparent failover, a self-healing worker
   supervisor, online re-sharding (``python -m repro reshard``), and the
-  unified :class:`~repro.serving.ServingConfig`; 1.8 adds the
-  micro-batching data plane — coalesced wire frames, vectorized
-  multi-query search, and in-flight request collapsing, all
-  result-invisible by construction;
+  unified :class:`~repro.serving.ServingConfig`; 1.8 adds vectorized
+  multi-query search (``search_many``) and in-flight request collapsing,
+  both result-invisible by construction;
 * :mod:`repro.workload` — workload awareness, new in 1.5: a bounded query
   log with a JSONL sink (``Engine.workload_log``, ``GET /statz``), a
   deterministic replay/load generator (verbatim or Zipf-synthesized,
-  closed- or open-loop), a calibrated per-operator cost model consulted by
-  the optimizer and the scatter-gather executor, and an adaptive
+  closed- or open-loop), a calibrated per-operator cost model whose
+  estimates surface in ``explain`` and the log, and an adaptive
   result cache (``Engine.result_cache``) whose answers are bit-identical
   to recomputation by construction;
 * :mod:`repro.workloads` — synthetic data generators standing in for the
@@ -127,23 +126,26 @@ Version 1.7 unifies serving configuration under one frozen dataclass,
 :class:`repro.serving.ServingConfig`: every serving entry point
 (:class:`~repro.serving.WorkerPool`, ``Engine.open_sharded``,
 :class:`~repro.serving.Router`, the ``serve``/``reshard`` CLI) accepts
-``config=ServingConfig(...)``.  The superseded per-call keyword arguments
-(``workers=``, ``mmap=``, ``transport=``, ``shm_threshold=``,
-``max_concurrent=``, ``max_queue=``) keep working **unchanged** through a
-shim that emits one :class:`DeprecationWarning` per entry point per
-process; per the policy above the shim stays for at least two minor
-versions (i.e. through 1.9), and passing both ``config=`` and a legacy
-keyword is an error rather than a silent merge.
+``config=ServingConfig(...)``.  The 1.7 shim for the superseded per-call
+keyword arguments (``workers=``, ``mmap=``, ``transport=``,
+``shm_threshold=``, ``max_concurrent=``, ``max_queue=``) was removed in
+2.0 as announced: pass ``config=ServingConfig(...)``.
 
-Version 1.8 adds the micro-batching data plane (coalesced wire frames,
-vectorized multi-query search, in-flight request collapsing), all of it
-**result-invisible by contract**: a batch of one is byte-identical to an
-unbatched frame, batched execution is bit-identical to request-at-a-time
-execution, and collapsing returns the leader's exact reply — behavior
-differences are bugs, not configuration surprises.  The workload-record
+Version 1.8 adds vectorized multi-query search and in-flight request
+collapsing, both **result-invisible by contract**: batched execution is
+bit-identical to request-at-a-time execution, and collapsing returns the
+leader's exact reply — behavior differences are bugs, not configuration
+surprises.  The workload-record
 schema moves to ``v`` = 2 by appending one field (``collapsed``:
 ``"leader"``/``"follower"``/absent), which v1 readers ignore per the
 append-only rule above.
+
+Version 2.0 removes serving and optimizer options no default deployment
+used: opt-in write-coalescing of wire frames (with its batch frame
+kind), the reply-transport name (``shm_threshold`` is the one
+reply-transport setting), and the cost model's two decision thresholds
+(the optimizer always pushes ``TOP`` and partitioned tables always
+scatter).  ``CHANGES.md`` names every removed field, flag and keyword.
 """
 
 from repro.errors import EngineError, ReproError
@@ -168,7 +170,7 @@ from repro.strategy import (
     build_toy_strategy,
 )
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # the public facade

@@ -374,9 +374,9 @@ class LengthPrefixedWriteRule(LintRule):
     length + payload); the pool transport additionally prefixes frames with
     a request id (``encode_tagged``).  A raw ``stream.write`` of unframed
     bytes desyncs the peer's ``read_frame`` loop permanently; a
-    ``send_bytes`` of anything but an ``encode_message``/``encode_tagged``/
-    ``encode_batch`` frame breaks the pool transport the same way.  The only
-    raw-write site allowed is ``write_frame`` itself.
+    ``send_bytes`` of anything but an ``encode_message``/``encode_tagged``
+    frame breaks the pool transport the same way.  The only raw-write site
+    allowed is ``write_frame`` itself.
 
     Regression note: clean at introduction — ``codec.write_frame`` is the
     single raw write, and every ``send_bytes`` in the pool/worker transport
@@ -418,9 +418,9 @@ class LengthPrefixedWriteRule(LintRule):
                         self.violation(
                             path,
                             node,
-                            ".send_bytes() payload must be encode_message(...), "
-                            "encode_tagged(...) or encode_batch(...) so the frame "
-                            "stays length-prefixed",
+                            ".send_bytes() payload must be encode_message(...) "
+                            "or encode_tagged(...) so the frame stays "
+                            "length-prefixed",
                         )
                     )
             for child in ast.iter_child_nodes(node):
@@ -437,7 +437,7 @@ class LengthPrefixedWriteRule(LintRule):
         return (
             isinstance(argument, ast.Call)
             and isinstance(argument.func, ast.Name)
-            and argument.func.id in ("encode_message", "encode_tagged", "encode_batch")
+            and argument.func.id in ("encode_message", "encode_tagged")
         )
 
 

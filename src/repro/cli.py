@@ -633,28 +633,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="requests executing at once (admission control)")
     serve.add_argument("--max-queue", type=int, default=64,
                        help="requests allowed to wait before load is shed (HTTP 503)")
-    serve.add_argument(
-        "--transport",
-        choices=("auto", "shm", "inline"),
-        default="auto",
-        help="worker reply transport: shared memory for large results "
-             "('auto'/'shm', platform permitting) or the pipe codec only ('inline')",
-    )
     serve.add_argument("--shm-threshold", dest="shm_threshold", type=int, default=None,
-                       help="reply bytes at/above which results travel via shared memory")
+                       help="reply bytes at/above which results travel via shared memory "
+                            "(platform permitting; 0 sends every reply that way)")
     serve.add_argument("--health-interval", dest="health_interval_seconds", type=float,
                        default=None,
                        help="seconds between supervisor health checks of the workers")
     serve.add_argument("--retry-budget", dest="retry_budget", type=int, default=None,
                        help="failover re-routes allowed per request beyond the first try")
-    serve.add_argument("--max-batch-size", dest="max_batch_size", type=int, default=None,
-                       help="co-arriving requests coalesced into one wire frame per "
-                            "worker pipe (1 disables batching; a lone request is "
-                            "never delayed)")
-    serve.add_argument("--max-batch-delay-ms", dest="max_batch_delay_ms", type=float,
-                       default=None,
-                       help="longest a queued frame may wait for stragglers before "
-                            "the batch is flushed")
     serve.add_argument("--no-collapse", dest="collapse_requests", action="store_false",
                        default=None,
                        help="disable in-flight collapsing of identical concurrent "

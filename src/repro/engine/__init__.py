@@ -130,12 +130,6 @@ __all__ = [
 ]
 
 
-#: local "not passed" marker for open_sharded's deprecated keyword arguments
-#: (translated to repro.serving.config.UNSET inside the method — the serving
-#: package is imported lazily to keep engine import free of serving imports)
-_UNSET: Any = object()
-
-
 @dataclass
 class CompiledProgram:
     """A compiled SpinQL program plus its optimized final plan."""
@@ -187,7 +181,7 @@ class Engine:
         )
         # the workload subsystem: every execution is logged, repeated plan
         # evaluations may be answered from the result cache, and the cost
-        # model (calibratable from the log) steers optimizer choices
+        # model (calibratable from the log) estimates plans for explain
         self.workload_log = WorkloadLog(capacity=workload_log_capacity)
         self.result_cache = (
             ResultCache(max_entries=result_cache_size) if result_cache_size else None
@@ -590,10 +584,6 @@ class Engine:
         *,
         executor: str = "sharded",
         config: Any | None = None,
-        workers: int | None = _UNSET,
-        mmap: bool = _UNSET,
-        transport: str = _UNSET,
-        shm_threshold: int | None = _UNSET,
         **engine_kwargs: Any,
     ) -> "Engine":
         """Open a partitioned snapshot behind a scatter-gather executor.
@@ -601,14 +591,12 @@ class Engine:
         ``executor="sharded"`` memmaps every shard in this process;
         ``executor="pool"`` boots persistent worker processes fed over
         pipelined pipes, with replication, failover and self-healing
-        restarts governed by ``config`` — a
-        :class:`~repro.serving.config.ServingConfig` (the ``workers``,
-        ``mmap``, ``transport`` and ``shm_threshold`` keyword arguments are
-        the deprecated spelling of the same fields).  Worker replies at or
-        above ``config.shm_threshold`` bytes travel through shared memory
-        when ``config.transport`` is ``"auto"``/``"shm"`` and the platform
-        supports it; ``"inline"`` keeps everything on the pipe codec.
-        Either way the returned engine answers every query bit-identically
+        restarts governed by ``config``, a
+        :class:`~repro.serving.config.ServingConfig` (``None``: the
+        defaults).  Worker replies at or above ``config.shm_threshold``
+        bytes travel through shared memory where the platform supports it,
+        and on the pipe codec otherwise.  Either way the returned engine
+        answers every query bit-identically
         to the unsharded engine: row-local plan segments (select/weight
         chains, rank-aware TOP) and keyword ranking scatter to the shards;
         everything else runs on the coordinator over gather-reconstructed
@@ -616,23 +604,13 @@ class Engine:
         :meth:`reshard`.  Raises :class:`~repro.errors.StorageError` for a
         missing or corrupt shard map.
         """
-        from repro.serving.config import UNSET, resolve_config
+        from repro.serving.config import ServingConfig
         from repro.storage.format import read_manifest
         from repro.storage.shards import read_shard_map
         from repro.storage.snapshot import read_table_schemas
         from repro.triples.partitioning import make_storage
 
-        legacy = {
-            "workers": workers,
-            "mmap": mmap,
-            "transport": transport,
-            "shm_threshold": shm_threshold,
-        }
-        resolved = resolve_config(
-            config,
-            {name: (UNSET if value is _UNSET else value) for name, value in legacy.items()},
-            "Engine.open_sharded",
-        )
+        resolved = config if config is not None else ServingConfig()
         shard_map = read_shard_map(path)
         manifest = read_manifest(shard_map.shard_directory(0), "engine")
         engine = cls(
@@ -893,7 +871,7 @@ class Engine:
             source=source,
             compiled=compiled,
             plan=plan,
-            optimized=optimize_pra(plan, top_gate=self._top_pushdown_gate()),
+            optimized=optimize_pra(plan),
         )
         dependencies = frozenset().union(
             *(scan_tables(statement) for statement in compiled.plans.values())
@@ -906,7 +884,7 @@ class Engine:
         cached = self.plan_cache.get(key)
         if cached is not None:
             return cached
-        optimized = optimize_pra(plan, top_gate=self._top_pushdown_gate())
+        optimized = optimize_pra(plan)
         self.plan_cache.put(key, optimized, dependencies=scan_tables(plan))
         return optimized
 
@@ -926,18 +904,6 @@ class Engine:
             return None
         return None
 
-    def _top_pushdown_gate(self) -> Any | None:
-        """The cost-model predicate gating TOP pushdown, or ``None`` (always push)."""
-        model = self.cost_model
-        if model is None or model.top_pushdown_threshold <= 0:
-            return None
-
-        def gate(child: PraPlan) -> bool:
-            estimate = model.estimate(child, self._table_rows)
-            return model.should_push_top(estimate.output_rows)
-
-        return gate
-
     def estimate_cost(self, plan: PraPlan):
         """The cost model's estimate for ``plan`` against this catalog."""
         return self.cost_model.estimate(plan, self._table_rows)
@@ -946,9 +912,8 @@ class Engine:
         """Fit the cost model's coefficients from this engine's workload log.
 
         Returns True when enough logged executions carried unit vectors to
-        solve the fit.  Coefficients only affect *estimates* (and, with
-        nonzero thresholds, which result-identical plan variant runs) —
-        never results.
+        solve the fit.  Coefficients only affect *estimates* — never which
+        plan runs, and never results.
         """
         return self.cost_model.calibrate(
             self.workload_log.snapshot(), min_samples=min_samples

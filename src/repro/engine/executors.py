@@ -491,29 +491,13 @@ class ScatterGatherExecutor(PlanExecutor):
 
     # -- plans ------------------------------------------------------------------
 
-    def _scatter_allowed(self, table: str) -> bool:
-        """Whether a segment over ``table`` scatters or runs on the coordinator.
-
-        Partitioning is the hard requirement; on top of it the engine's cost
-        model may veto scattering tiny (hydrated) tables, where per-shard
-        overhead exceeds the work saved.  Either way the result is
-        bit-identical — the coordinator path evaluates the same plan over the
-        gathered table.
-        """
-        if not self.shard_map.is_partitioned(table):
-            return False
-        model = getattr(self._engine, "cost_model", None)
-        if model is None:
-            return True
-        return model.should_scatter(self._engine._table_rows(table))
-
     def execute_plan(
         self,
         plan: PraPlan,
         bindings: Mapping[str, ProbabilisticRelation] | None = None,
     ) -> ProbabilisticRelation:
         segments: list[tuple[str, ScatterSegment]] = []
-        rewritten = extract_segments(plan, self._scatter_allowed, segments)
+        rewritten = extract_segments(plan, self.shard_map.is_partitioned, segments)
         self.last_scatter = {
             "segments": len(segments),
             "tables": [segment.table for _name, segment in segments],
@@ -678,7 +662,7 @@ class PoolExecutor(ScatterGatherExecutor):
     def describe(self) -> dict[str, Any]:
         description = super().describe()
         description["workers"] = self._pool.num_workers
-        description["transport"] = self._pool.transport
+        description["shm_threshold"] = self._pool.shm_threshold
         description["replicas"] = self._pool.replicas
         return description
 
@@ -687,7 +671,6 @@ class PoolExecutor(ScatterGatherExecutor):
         description = self.describe()
         description["worker_liveness"] = self._pool.liveness()
         description["replication"] = self._pool.replication()
-        description["batching"] = self._pool.batching()
         return description
 
     def close(self) -> None:

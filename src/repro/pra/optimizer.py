@@ -54,19 +54,9 @@ probabilities combine across sides).
 
 Rules are applied bottom-up to a fixpoint, mirroring the relational
 optimizer's driver loop.
-
-**Cost-model steering.**  ``optimize_pra`` accepts an optional ``top_gate``
-— a predicate over the subtree a ``TOP`` would be pushed towards.  When the
-gate answers ``False`` (e.g. the engine's calibrated cost model estimates
-the child is already tiny, so pruning buys nothing) the TOP-pushdown
-rewrites are skipped for that node.  Both outcomes are result-identical by
-the soundness arguments above: the gate steers *where work happens*, never
-*what is computed* — the plan-equivalence property suite enforces this.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
 
 from repro.pra.assumptions import Assumption
 from repro.pra.expressions import PositionalRef
@@ -89,52 +79,44 @@ from repro.relational.expressions import (
     UnaryOp,
 )
 
-
-#: a predicate over the subtree a TOP would be pushed towards; False skips
-#: the (result-identical) pushdown for that node
-TopGate = Callable[[PraPlan], bool]
-
-
-def optimize_pra(plan: PraPlan, *, top_gate: TopGate | None = None) -> PraPlan:
+def optimize_pra(plan: PraPlan) -> PraPlan:
     """Apply all rewrite rules bottom-up until the plan stops changing."""
     previous_fingerprint = None
     current = plan
     while current.fingerprint() != previous_fingerprint:
         previous_fingerprint = current.fingerprint()
-        current = _rewrite(current, top_gate)
+        current = _rewrite(current)
     return current
 
 
-def _rewrite(plan: PraPlan, gate: TopGate | None) -> PraPlan:
-    plan = _rewrite_children(plan, gate)
+def _rewrite(plan: PraPlan) -> PraPlan:
+    plan = _rewrite_children(plan)
     plan = _fold_weights(plan)
     plan = _push_select_past_weight(plan)
     plan = _push_select_into_unite(plan)
     plan = _fuse_selections(plan)
     plan = _absorb_tops(plan)
-    plan = _push_top_past_weight(plan, gate)
-    plan = _push_top_into_unite(plan, gate)
+    plan = _push_top_past_weight(plan)
+    plan = _push_top_into_unite(plan)
     return plan
 
 
-def _rewrite_children(plan: PraPlan, gate: TopGate | None) -> PraPlan:
+def _rewrite_children(plan: PraPlan) -> PraPlan:
     """Rebuild ``plan`` with rewritten children (PRA nodes are immutable)."""
     if isinstance(plan, PraSelect):
-        return PraSelect(_rewrite(plan.child, gate), plan.predicate)
+        return PraSelect(_rewrite(plan.child), plan.predicate)
     if isinstance(plan, PraWeight):
-        return PraWeight(_rewrite(plan.child, gate), plan.factor)
+        return PraWeight(_rewrite(plan.child), plan.factor)
     if isinstance(plan, PraTop):
-        return PraTop(_rewrite(plan.child, gate), plan.k)
+        return PraTop(_rewrite(plan.child), plan.k)
     if isinstance(plan, PraUnite):
-        return PraUnite(
-            _rewrite(plan.left, gate), _rewrite(plan.right, gate), plan.assumption
-        )
+        return PraUnite(_rewrite(plan.left), _rewrite(plan.right), plan.assumption)
     if isinstance(plan, PraSubtract):
-        return PraSubtract(_rewrite(plan.left, gate), _rewrite(plan.right, gate))
+        return PraSubtract(_rewrite(plan.left), _rewrite(plan.right))
     if isinstance(plan, PraJoin):
         return PraJoin(
-            _rewrite(plan.left, gate),
-            _rewrite(plan.right, gate),
+            _rewrite(plan.left),
+            _rewrite(plan.right),
             plan.conditions,
             plan.assumption,
         )
@@ -143,10 +125,10 @@ def _rewrite_children(plan: PraPlan, gate: TopGate | None) -> PraPlan:
     # but the node itself is never reordered.
     if isinstance(plan, PraProject):
         return PraProject(
-            _rewrite(plan.child, gate), plan.positions, plan.assumption, plan.output_names
+            _rewrite(plan.child), plan.positions, plan.assumption, plan.output_names
         )
     if isinstance(plan, PraBayes):
-        return PraBayes(_rewrite(plan.child, gate), plan.evidence_positions)
+        return PraBayes(_rewrite(plan.child), plan.evidence_positions)
     return plan
 
 
@@ -227,14 +209,14 @@ def _absorb_tops(plan: PraPlan) -> PraPlan:
     return plan
 
 
-def _push_top_past_weight(plan: PraPlan, gate: TopGate | None = None) -> PraPlan:
+def _push_top_past_weight(plan: PraPlan) -> PraPlan:
     # scaling by f > 0 is strictly monotone and leaves values untouched, so
     # the (probability, value-key) order — ties included — is preserved
     # exactly; f = 0 maps every probability to zero and would change which
     # tuples the top-k keeps
     if isinstance(plan, PraTop) and isinstance(plan.child, PraWeight):
         weight = plan.child
-        if weight.factor > 0 and (gate is None or gate(weight.child)):
+        if weight.factor > 0:
             return PraWeight(PraTop(weight.child, plan.k), weight.factor)
     return plan
 
@@ -265,7 +247,7 @@ def _already_pruned(side: PraPlan, k: int) -> bool:
     return isinstance(node, PraTop) and node.k <= k
 
 
-def _push_top_into_unite(plan: PraPlan, gate: TopGate | None = None) -> PraPlan:
+def _push_top_into_unite(plan: PraPlan) -> PraPlan:
     # sound only under the SUBSUMED (max) merge — the merged probability is
     # then attained by one of the inputs — and only for duplicate-free sides;
     # see the module docstring for the counterexamples that stop the rewrite
@@ -280,8 +262,6 @@ def _push_top_into_unite(plan: PraPlan, gate: TopGate | None = None) -> PraPlan:
 
     def prune(side: PraPlan) -> PraPlan:
         if _already_pruned(side, plan.k):
-            return side
-        if gate is not None and not gate(side):
             return side
         return PraTop(side, plan.k)
 

@@ -28,16 +28,11 @@ pipes), while the worker pool sends *tagged* frames over a
 The request id lets one connection carry many requests in flight (the pool
 pipelines per worker and matches replies to futures by id); the kind byte
 selects the body transport: ``I`` means the body is the message frame
-itself, ``S`` means the body is a tiny control frame naming a shared-memory
-segment holding the real frame (:mod:`repro.serving.shm`), and ``B`` means
-the body is a **batch** — the length-prefixed concatenation of complete
-tagged frames (:func:`encode_batch`/:func:`split_batch`), each keeping its
-own request id, so N co-arriving requests or replies cost one
-``send_bytes`` syscall instead of N.  A batch of one is never wrapped:
-:func:`encode_batch` returns the lone frame unchanged, keeping batch-of-1
-traffic byte-identical to the unbatched path.  Workers fall back to inline
-framing per message whenever shared memory is unavailable, so every tagged
-frame is decodable with :func:`resolve_tagged` regardless of platform.
+itself, and ``S`` means the body is a tiny control frame naming a
+shared-memory segment holding the real frame (:mod:`repro.serving.shm`);
+any other kind byte is refused.  Workers fall back to inline framing per
+message whenever shared memory is unavailable, so every tagged frame is
+decodable with :func:`resolve_tagged` regardless of platform.
 
 **Limits.**  :data:`MAX_FRAME_BYTES` is enforced at *both* ends: writers
 (:func:`encode_message`) refuse to emit an oversized frame with a clear
@@ -51,7 +46,6 @@ from __future__ import annotations
 
 import pickle
 import struct
-from collections.abc import Sequence
 from typing import Any, BinaryIO
 
 import numpy as np
@@ -69,14 +63,9 @@ _TAG = struct.Struct(">Q")
 #: frames larger than this are refused by writers and readers alike
 MAX_FRAME_BYTES = 1 << 31
 
-#: tagged-frame kinds: the body is the frame itself / a shm control frame /
-#: a coalesced batch of complete tagged frames
+#: tagged-frame kinds: the body is the frame itself / a shm control frame
 KIND_INLINE = b"I"
 KIND_SHM = b"S"
-KIND_BATCH = b"B"
-
-#: the request id carried by a batch envelope (sub-frames keep their own ids)
-BATCH_ENVELOPE_ID = 0
 
 _PACKED_RELATION = "__packed_relation__"
 _PACKED_PROBABILISTIC = "__packed_probabilistic__"
@@ -315,75 +304,9 @@ def split_tagged(data: bytes) -> tuple[int, bytes, bytes]:
         raise EngineError(f"truncated tagged frame: {len(data)} bytes")
     (request_id,) = _TAG.unpack_from(data)
     kind = data[_TAG.size : _TAG.size + 1]
-    if kind not in (KIND_INLINE, KIND_SHM, KIND_BATCH):
+    if kind not in (KIND_INLINE, KIND_SHM):
         raise EngineError(f"unknown tagged-frame kind {kind!r}")
     return request_id, kind, data[_TAG.size + 1 :]
-
-
-def encode_batch(frames: Sequence[bytes]) -> bytes:
-    """Coalesce complete tagged frames into one batch frame.
-
-    A batch of one degenerates to the frame itself — a single request is
-    never wrapped, so batch-of-1 traffic is byte-identical to unbatched
-    traffic by construction.  Larger batches travel as one tagged envelope
-    (request id :data:`BATCH_ENVELOPE_ID`, kind :data:`KIND_BATCH`) whose
-    body is the length-prefixed concatenation of the sub-frames, each of
-    which keeps its own request id and kind.  An empty batch, or one whose
-    envelope would exceed :data:`MAX_FRAME_BYTES`, is refused — callers
-    split oversized batches instead of poisoning the pipe.
-    """
-    if not frames:
-        raise EngineError("cannot encode an empty batch frame")
-    if len(frames) == 1:
-        return frames[0]
-    body_parts: list[bytes] = []
-    total = 0
-    for frame in frames:
-        body_parts.append(_LENGTH.pack(len(frame)))
-        body_parts.append(frame)
-        total += _LENGTH.size + len(frame)
-    if total > MAX_FRAME_BYTES:
-        raise EngineError(
-            f"refusing to encode a {total}-byte batch frame of {len(frames)} "
-            f"sub-frames: the wire limit is {MAX_FRAME_BYTES} bytes (send "
-            "smaller batches)"
-        )
-    return _TAG.pack(BATCH_ENVELOPE_ID) + KIND_BATCH + b"".join(body_parts)
-
-
-def split_batch(body: bytes) -> list[bytes]:
-    """Split a batch frame's body back into its tagged sub-frames.
-
-    Every malformed shape — a truncated length prefix, a sub-frame length
-    past the buffer or above :data:`MAX_FRAME_BYTES`, an empty batch —
-    raises a clean :class:`~repro.errors.EngineError`, mirroring
-    :func:`decode_message`'s contract that garbage never escapes as
-    ``struct`` internals.
-    """
-    frames: list[bytes] = []
-    offset = 0
-    view = memoryview(body)
-    while offset < len(body):
-        if offset + _LENGTH.size > len(body):
-            raise EngineError(
-                f"truncated batch frame: {len(body) - offset} trailing bytes"
-            )
-        (length,) = _LENGTH.unpack_from(body, offset)
-        offset += _LENGTH.size
-        if length > MAX_FRAME_BYTES:
-            raise EngineError(
-                f"batch sub-frame of {length} bytes exceeds the {MAX_FRAME_BYTES} limit"
-            )
-        if offset + length > len(body):
-            raise EngineError(
-                f"batch sub-frame length prefix says {length} bytes, "
-                f"{len(body) - offset} remain"
-            )
-        frames.append(bytes(view[offset : offset + length]))
-        offset += length
-    if not frames:
-        raise EngineError("batch frame carries no sub-frames")
-    return frames
 
 
 def resolve_tagged(kind: bytes, body: bytes) -> dict[str, Any]:
@@ -391,17 +314,12 @@ def resolve_tagged(kind: bytes, body: bytes) -> dict[str, Any]:
 
     For :data:`KIND_SHM` bodies this claims (and unlinks) the published
     segment, so it must be called exactly once per frame, by the consumer.
-    Batch envelopes carry *frames*, not one message — split them with
-    :func:`split_batch` and resolve each sub-frame instead.
     """
-    if kind == KIND_BATCH:
-        raise EngineError(
-            "batch frames carry multiple tagged sub-frames; split with "
-            "split_batch() and resolve each sub-frame"
-        )
     if kind == KIND_SHM:
         control = decode_message(body).get("shm")
         if not isinstance(control, dict):
             raise EngineError(f"malformed shared-memory control frame: {control!r}")
         return decode_message(shm_transport.claim_frame(control))
+    if kind != KIND_INLINE:
+        raise EngineError(f"unknown tagged-frame kind {kind!r}")
     return decode_message(body)

@@ -1,47 +1,31 @@
-"""The unified serving configuration: one frozen dataclass for every knob.
+"""The serving configuration: one frozen dataclass for every knob.
 
-The serving surface grew one keyword argument at a time — ``transport`` and
-``shm_threshold`` on :class:`~repro.serving.pool.WorkerPool`, ``workers``
-on ``Engine.open_sharded``, admission limits on
-:class:`~repro.serving.router.Router`, and now replication and
-self-healing knobs — until the same deployment decision was spread across
-four call sites.  :class:`ServingConfig` collects all of them:
+:class:`ServingConfig` collects every deployment decision in one place:
 
 * **pool** — ``workers``, ``replicas``, ``mmap``, ``start_method``,
-  ``transport``, ``shm_threshold``;
+  ``shm_threshold`` (reply frames at or above it travel through shared
+  memory; ``None`` means :data:`~repro.serving.shm.SHM_MIN_BYTES`);
 * **self-healing** — ``restart_workers``, ``health_interval_seconds``,
   ``max_restarts``, ``restart_backoff_seconds`` (doubled per consecutive
   restart, capped at ``restart_backoff_cap_seconds``), ``retry_budget``
   (failover re-routes per request beyond the first attempt);
-* **micro-batching** — ``max_batch_size`` (requests coalesced into one
-  pipe write while a worker connection is busy; 1 disables),
-  ``max_batch_delay_ms`` (optional straggler wait for short batches),
-  ``collapse_requests`` (identical in-flight router requests share one
-  execution);
+* **request collapsing** — ``collapse_requests`` (identical in-flight
+  router requests share one execution);
 * **admission** — ``max_concurrent``, ``max_queue``;
 * **HTTP** — ``host``, ``port``.
 
-Every serving entry point accepts ``config=ServingConfig(...)``; the old
-per-call keyword arguments keep working through :func:`resolve_config`,
-which maps them onto a config and emits **one** :class:`DeprecationWarning`
-per entry point per process (the shim policy is documented in
-``repro.__init__``).  ``from_cli_args`` / ``to_dict`` / ``from_dict``
-round-trip the config through the CLI and JSON.
+Every serving entry point (:class:`~repro.serving.pool.WorkerPool`,
+``Engine.open_sharded``, :class:`~repro.serving.router.Router`) takes
+``config=ServingConfig(...)``.  ``from_cli_args`` / ``to_dict`` /
+``from_dict`` round-trip the config through the CLI and JSON.
 """
 
 from __future__ import annotations
 
-import threading
-import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any
 
 from repro.errors import EngineError
-
-#: sentinel distinguishing "caller did not pass this kwarg" from any value
-UNSET: Any = object()
-
-TRANSPORTS = ("auto", "shm", "inline")
 
 
 @dataclass(frozen=True)
@@ -53,8 +37,7 @@ class ServingConfig:
     replicas: int = 1  # workers serving each shard (failover needs >= 2)
     mmap: bool = True
     start_method: str = "spawn"
-    transport: str = "auto"  # "auto" | "shm" | "inline"
-    shm_threshold: int | None = None
+    shm_threshold: int | None = None  # None: shm.SHM_MIN_BYTES
 
     # -- self-healing -----------------------------------------------------------
     restart_workers: bool = True
@@ -64,9 +47,7 @@ class ServingConfig:
     restart_backoff_cap_seconds: float = 10.0
     retry_budget: int = 2  # failover re-routes per request beyond the first try
 
-    # -- micro-batching ---------------------------------------------------------
-    max_batch_size: int = 1  # > 1 coalesces co-arriving requests per pipe write
-    max_batch_delay_ms: float = 0.0  # extra wait for stragglers when a batch is short
+    # -- request collapsing -----------------------------------------------------
     collapse_requests: bool = True  # identical in-flight requests share one execution
 
     # -- router admission -------------------------------------------------------
@@ -82,10 +63,6 @@ class ServingConfig:
             raise EngineError(f"workers must be >= 1 or None, got {self.workers}")
         if self.replicas < 1:
             raise EngineError(f"replicas must be >= 1, got {self.replicas}")
-        if self.transport not in TRANSPORTS:
-            raise EngineError(
-                f"unknown transport {self.transport!r}; use one of {TRANSPORTS}"
-            )
         if self.start_method not in ("spawn", "fork", "forkserver"):
             raise EngineError(
                 f"unknown start_method {self.start_method!r}; "
@@ -109,12 +86,6 @@ class ServingConfig:
             )
         if self.retry_budget < 0:
             raise EngineError(f"retry_budget must be >= 0, got {self.retry_budget}")
-        if self.max_batch_size < 1:
-            raise EngineError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.max_batch_delay_ms < 0:
-            raise EngineError(
-                f"max_batch_delay_ms must be >= 0, got {self.max_batch_delay_ms}"
-            )
         if self.max_concurrent < 1:
             raise EngineError(f"max_concurrent must be >= 1, got {self.max_concurrent}")
         if self.max_queue < 0:
@@ -157,49 +128,3 @@ class ServingConfig:
     def with_overrides(self, **overrides: Any) -> "ServingConfig":
         """A copy with ``overrides`` applied (re-validated)."""
         return replace(self, **overrides)
-
-
-# ---------------------------------------------------------------------------
-# the legacy-kwarg deprecation shim
-# ---------------------------------------------------------------------------
-
-_warned_entry_points: set[str] = set()
-_warn_lock = threading.Lock()
-
-
-def _warn_legacy(entry_point: str, names: list[str]) -> None:
-    """Warn exactly once per entry point per process about legacy kwargs."""
-    with _warn_lock:
-        if entry_point in _warned_entry_points:
-            return
-        _warned_entry_points.add(entry_point)
-    warnings.warn(
-        f"{entry_point} keyword argument(s) {', '.join(sorted(names))} are "
-        "deprecated since 1.7; pass config=ServingConfig(...) instead "
-        "(the legacy values are mapped onto the config unchanged)",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def resolve_config(
-    config: ServingConfig | None, legacy: dict[str, Any], entry_point: str
-) -> ServingConfig:
-    """Merge legacy keyword arguments into ``config`` with a one-time warning.
-
-    ``legacy`` maps field names to values where :data:`UNSET` marks "not
-    passed".  Passing both ``config`` and a legacy kwarg is ambiguous (which
-    wins?) and raises instead of guessing.
-    """
-    supplied = {name: value for name, value in legacy.items() if value is not UNSET}
-    if config is not None and supplied:
-        raise EngineError(
-            f"{entry_point} received both config=ServingConfig(...) and legacy "
-            f"keyword argument(s) {sorted(supplied)}; put the values on the config"
-        )
-    if config is not None:
-        return config
-    if supplied:
-        _warn_legacy(entry_point, sorted(supplied))
-        return ServingConfig(**supplied)
-    return ServingConfig()

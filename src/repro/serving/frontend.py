@@ -77,6 +77,7 @@ class AsyncHTTPFrontEnd:
         )
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
+        self._readers: dict[asyncio.Task, asyncio.StreamReader] = {}
         self._started = threading.Event()
         self._finished = threading.Event()
         self._closed = False
@@ -121,12 +122,22 @@ class AsyncHTTPFrontEnd:
         try:
             async with server:
                 await self._stop.wait()
+                # keep-alive clients may still hold connections open: stop
+                # accepting, end every connection's input and let its task
+                # finish (a request in flight is still answered), so none is
+                # left for asyncio.run to cancel, and log, on the way out
+                server.close()
+                for reader in self._readers.values():
+                    reader.feed_eof()
+                await asyncio.gather(*self._readers, return_exceptions=True)
         finally:
             self._finished.set()
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._readers[task] = reader
         try:
             while True:
                 keep_alive = await self._serve_one(reader, writer)
@@ -135,6 +146,7 @@ class AsyncHTTPFrontEnd:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request
         finally:
+            self._readers.pop(task, None)
             writer.close()
             try:
                 await writer.wait_closed()

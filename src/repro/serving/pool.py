@@ -37,10 +37,11 @@ round trip.
 **Result transport.**  Small replies travel inline on the pipe; replies at
 or above the shared-memory threshold are published to
 :mod:`repro.serving.shm` segments by the worker and only a control frame
-crosses the pipe (``transport="inline"`` forces the pipe codec everywhere,
-e.g. for CI parity runs).  Workers also cache the global collection
-statistics a search needs, keyed like the executor's own cache, so steady
-state search requests carry only terms and a key — not the df/cf tables.
+crosses the pipe (``ServingConfig.shm_threshold`` sets the size; ``0``
+sends every reply through shared memory).  Workers also cache the global
+collection statistics a search needs, keyed like the executor's own cache,
+so steady state search requests carry only terms and a key — not the
+df/cf tables.
 
 :meth:`WorkerPool.shard_backends` returns one :class:`PoolShard` proxy per
 shard — the same backend interface :class:`~repro.engine.executors.InProcessShard`
@@ -59,16 +60,9 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from repro.errors import EngineError
-from repro.serving.codec import (
-    KIND_BATCH,
-    MAX_FRAME_BYTES,
-    encode_batch,
-    encode_tagged,
-    resolve_tagged,
-    split_batch,
-    split_tagged,
-)
-from repro.serving.config import UNSET, ServingConfig, resolve_config
+from repro.serving.codec import encode_tagged, resolve_tagged, split_tagged
+from repro.serving.config import ServingConfig
+from repro.serving.shm import ShmTransport
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.executors import SearchSpec
@@ -104,16 +98,7 @@ class _WorkerConnection:
     hand-off, which on a busy host saves two context switches per reply.
     """
 
-    def __init__(
-        self,
-        worker: int,
-        connection: Any,
-        process: Any,
-        *,
-        max_batch_size: int = 1,
-        batch_delay_seconds: float = 0.0,
-        on_batch: Callable[[int], None] | None = None,
-    ):
+    def __init__(self, worker: int, connection: Any, process: Any):
         self.worker = worker
         self.connection = connection
         self.process = process
@@ -125,10 +110,6 @@ class _WorkerConnection:
         self._pending: dict[int, Future] = {}
         self._next_id = 0
         self._death: str | None = None
-        self._max_batch = max(1, int(max_batch_size))
-        self._batch_delay = max(0.0, batch_delay_seconds)
-        self._on_batch = on_batch
-        self._outbox: list[bytes] = []  # encoded tagged frames awaiting a flush
 
     # -- sending -----------------------------------------------------------------
 
@@ -139,15 +120,6 @@ class _WorkerConnection:
         already dead **or the write itself fails** — a worker that died
         between accept and first reply surfaces here exactly like a
         mid-request death, so callers handle both through one path.
-
-        With ``max_batch_size > 1`` the frame is *queued* instead of written:
-        the queue drains as one coalesced batch frame either when it reaches
-        the batch bound or — crucially — at the top of the sender's own
-        :meth:`wait` call, so a lone request is flushed immediately by its
-        own waiter (zero added latency) while requests enqueued by other
-        threads during a busy pipe ride along in the same ``send_bytes``
-        syscall.  A write failure on the queued path surfaces through the
-        pending future (every caller waits), not synchronously.
         """
         with self._state_lock:
             if self._death is not None:
@@ -156,63 +128,13 @@ class _WorkerConnection:
             request_id = self._next_id
             future: Future = Future()
             self._pending[request_id] = future
-        if self._max_batch <= 1:
-            try:
-                with self._send_lock:
-                    self.connection.send_bytes(encode_tagged(request_id, message))
-            except (BrokenPipeError, ConnectionResetError, OSError, ValueError) as error:
-                self.mark_dead(f"pipe write failed: {error!r}")
-                raise _WorkerDied(self._death or f"pipe write failed: {error!r}") from error
-            return future
-        with self._send_lock:
-            self._outbox.append(encode_tagged(request_id, message))
-            overflow = len(self._outbox) >= self._max_batch
-        if overflow:
-            self.flush()
-        return future
-
-    def flush(self, *, straggler_wait: bool = False) -> None:
-        """Drain the send queue as coalesced batch frames (one write each).
-
-        Batches are bounded by ``max_batch_size`` and by the wire frame
-        limit; a queue of one drains as a plain tagged frame
-        (:func:`~repro.serving.codec.encode_batch` never wraps a lone
-        frame).  With ``straggler_wait`` and a configured batch delay, a
-        short queue waits once — up to the delay — for more requests to
-        arrive before draining; the default is purely opportunistic.
-        Raises :class:`_WorkerDied` after failing all pending requests when
-        the pipe write fails.
-        """
-        if not self._outbox:
-            return
-        if straggler_wait and self._batch_delay > 0:
-            with self._send_lock:
-                short = 0 < len(self._outbox) < self._max_batch
-            if short:
-                time.sleep(self._batch_delay)
         try:
             with self._send_lock:
-                while self._outbox:
-                    chunk: list[bytes] = []
-                    size = 16  # envelope tag + kind, over-estimated
-                    while self._outbox and len(chunk) < self._max_batch:
-                        next_size = 4 + len(self._outbox[0])
-                        if chunk and size + next_size > MAX_FRAME_BYTES:
-                            break
-                        chunk.append(self._outbox.pop(0))
-                        size += next_size
-                    self.connection.send_bytes(encode_batch(chunk))
-                    if self._on_batch is not None:
-                        self._on_batch(len(chunk))
-        except (
-            BrokenPipeError,
-            ConnectionResetError,
-            OSError,
-            ValueError,
-            EngineError,
-        ) as error:
+                self.connection.send_bytes(encode_tagged(request_id, message))
+        except (BrokenPipeError, ConnectionResetError, OSError, ValueError) as error:
             self.mark_dead(f"pipe write failed: {error!r}")
             raise _WorkerDied(self._death or f"pipe write failed: {error!r}") from error
+        return future
 
     def outstanding(self) -> int:
         """In-flight request count (the least-outstanding routing signal)."""
@@ -226,14 +148,7 @@ class _WorkerConnection:
 
         Raises the future's exception (:class:`_WorkerDied`) on a dead
         connection and :class:`concurrent.futures.TimeoutError` on expiry.
-
-        Every sender waits for its own reply, so flushing the send queue
-        here guarantees no queued request is ever stranded: the first
-        waiter drains everything enqueued while the pipe was busy as one
-        coalesced frame.
         """
-        if self._outbox:
-            self.flush(straggler_wait=True)
         deadline = None if timeout is None else time.monotonic() + timeout
         while not future.done():
             if deadline is not None and time.monotonic() >= deadline:
@@ -257,12 +172,7 @@ class _WorkerConnection:
         return future.result(timeout=0)
 
     def _lead(self, future: Future, deadline: float | None) -> None:
-        """Drain reply frames until ``future`` resolves (or death/deadline).
-
-        A batch reply frame resolves every sub-frame's future in one drain
-        step — the worker coalesces the replies of a request batch exactly
-        like the coordinator coalesced the requests.
-        """
+        """Drain reply frames until ``future`` resolves (or death/deadline)."""
         while not future.done() and self._death is None:
             try:
                 if deadline is not None:
@@ -277,22 +187,17 @@ class _WorkerConnection:
                 self.mark_dead("connection closed")
                 return
             try:
-                request_id, kind, body = split_tagged(data)
-                if kind == KIND_BATCH:
-                    replies = [split_tagged(sub) for sub in split_batch(body)]
-                else:
-                    replies = [(request_id, kind, body)]
+                reply_id, kind, body = split_tagged(data)
             except EngineError as error:
                 self.mark_dead(f"sent an unreadable frame: {error}")
                 return
-            for reply_id, reply_kind, reply_body in replies:
-                with self._state_lock:
-                    target = self._pending.pop(reply_id, None)
-                if target is not None and not target.done():
-                    target.set_result((reply_kind, reply_body))
-                    if target is not future:
-                        with self._turnstile:
-                            self._turnstile.notify_all()
+            with self._state_lock:
+                target = self._pending.pop(reply_id, None)
+            if target is not None and not target.done():
+                target.set_result((kind, body))
+                if target is not future:
+                    with self._turnstile:
+                        self._turnstile.notify_all()
 
     def mark_dead(self, reason: str) -> None:
         """Fail every in-flight request and reject all future ones."""
@@ -586,25 +491,8 @@ class WorkerPool:
         config: ServingConfig | None = None,
         *,
         on_event: Callable[[str, dict[str, Any]], None] | None = None,
-        workers: int | None = UNSET,
-        mmap: bool = UNSET,
-        start_method: str = UNSET,
-        transport: str = UNSET,
-        shm_threshold: int | None = UNSET,
     ):
-        from repro.serving import shm as shm_policy
-
-        config = resolve_config(
-            config,
-            {
-                "workers": workers,
-                "mmap": mmap,
-                "start_method": start_method,
-                "transport": transport,
-                "shm_threshold": shm_threshold,
-            },
-            "WorkerPool",
-        )
+        config = config if config is not None else ServingConfig()
         self.config = config
         self.shard_map = shard_map
         self._observer = on_event
@@ -617,17 +505,13 @@ class WorkerPool:
             shard: shard % self.base_workers for shard in shard_map.shards()
         }
         self._closed = False
-        # resolve the transport here so `describe` reflects what workers do
-        # (workers re-derive the same policy from the name + threshold)
-        self._reply_transport = shm_policy.transport_from_name(
-            config.transport, config.shm_threshold
-        )
-        self.transport = config.transport if self._reply_transport is not None else "inline"
-        self._shm_threshold = config.shm_threshold
+        # the reply policy workers derive from config.shm_threshold; None
+        # where the platform has no shared memory and every reply is inline
+        policy = ShmTransport(config.shm_threshold)
+        self.shm_threshold = policy.threshold if policy.enabled else None
 
         self._context = multiprocessing.get_context(config.start_method)
         self._lock = threading.Lock()
-        self._batch_sizes: dict[int, int] = {}  # flush occupancy -> count
         self._restarts: dict[int, int] = {}
         self._restart_at: dict[int, float] = {}
         self._failed: dict[int, str] = {}
@@ -660,8 +544,7 @@ class WorkerPool:
             args=(str(self.shard_map.path), assigned, child),
             kwargs={
                 "mmap": self.config.mmap,
-                "transport": self.transport,
-                "shm_threshold": self._shm_threshold,
+                "shm_threshold": self.config.shm_threshold,
                 "epoch": self.shard_map.epoch,
             },
             daemon=True,
@@ -669,41 +552,7 @@ class WorkerPool:
         )
         process.start()
         child.close()
-        return process, _WorkerConnection(
-            worker,
-            parent,
-            process,
-            max_batch_size=self.config.max_batch_size,
-            batch_delay_seconds=self.config.max_batch_delay_ms / 1000.0,
-            on_batch=self._note_batch,
-        )
-
-    def _note_batch(self, size: int) -> None:
-        """Count one coalesced pipe write of ``size`` frames (occupancy stats)."""
-        with self._lock:
-            self._batch_sizes[size] = self._batch_sizes.get(size, 0) + 1
-
-    def batching(self) -> dict[str, Any]:
-        """Batching posture + occupancy histogram for stats endpoints.
-
-        Occupancy counts cover the batched send path only (``max_batch_size
-        > 1``); ``mean_occupancy`` is frames per pipe write — the fraction
-        of the per-request syscall cost the coalescer amortized away.
-        """
-        with self._lock:
-            sizes = dict(self._batch_sizes)
-        writes = sum(sizes.values())
-        frames = sum(size * count for size, count in sizes.items())
-        return {
-            "max_batch_size": self.config.max_batch_size,
-            "max_batch_delay_ms": self.config.max_batch_delay_ms,
-            "writes": writes,
-            "frames": frames,
-            "mean_occupancy": (frames / writes) if writes else 0.0,
-            "occupancy_histogram": {
-                str(size): count for size, count in sorted(sizes.items())
-            },
-        }
+        return process, _WorkerConnection(worker, parent, process)
 
     # -- replica routing ---------------------------------------------------------
 
@@ -1091,8 +940,12 @@ class WorkerPool:
         for connection in self._connections:
             try:
                 # wait() (not Future.result) so this thread leads the receive
-                # and actually drains the worker's acknowledgement frame
-                connection.wait(connection.send({"op": "close"}), _JOIN_TIMEOUT_SECONDS)
+                # and actually drains the worker's acknowledgement frame, then
+                # resolve it: at a low shm_threshold the ack is a shm segment
+                # that only its consumer unlinks
+                resolve_tagged(
+                    *connection.wait(connection.send({"op": "close"}), _JOIN_TIMEOUT_SECONDS)
+                )
             except Exception:  # noqa: BLE001 - the worker may already be gone
                 pass
             finally:

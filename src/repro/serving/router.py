@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Any
 from repro.engine.executors import model_from_descriptor
 from repro.engine.query import result_pairs
 from repro.errors import ReproError
-from repro.serving.config import UNSET, ServingConfig, resolve_config
+from repro.serving.config import ServingConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine import Engine
@@ -60,25 +60,11 @@ if TYPE_CHECKING:  # pragma: no cover
 class Router:
     """Admission-controlled request dispatch over one (sharded) engine."""
 
-    def __init__(
-        self,
-        engine: "Engine",
-        config: ServingConfig | None = None,
-        *,
-        max_concurrent: int = UNSET,
-        max_queue: int = UNSET,
-    ):
-        if config is None and engine is not None:
+    def __init__(self, engine: "Engine", config: ServingConfig | None = None):
+        if config is None:
             # an engine opened with open_sharded(config=...) carries the
-            # deployment's config; reuse it unless the caller overrides
-            carried = getattr(engine, "_serving_config", None)
-            if carried is not None and max_concurrent is UNSET and max_queue is UNSET:
-                config = carried
-        config = resolve_config(
-            config,
-            {"max_concurrent": max_concurrent, "max_queue": max_queue},
-            "Router",
-        )
+            # deployment's config; reuse it unless the caller passes one
+            config = getattr(engine, "_serving_config", None) or ServingConfig()
         self.config = config
         self.engine = engine
         self.max_concurrent = config.max_concurrent
@@ -154,7 +140,6 @@ class Router:
             "router": self.statistics(),
             "degraded": bool(executor.get("replication", {}).get("degraded", False)),
             "replication": executor.get("replication"),
-            "batching": executor.get("batching"),
             "reuse": self.engine.reuse_statistics(),
         }
 

@@ -124,11 +124,16 @@ def _disown(segment: Any) -> None:
 
 
 class ShmTransport:
-    """Policy object deciding which reply frames go through shared memory."""
+    """Policy object deciding which reply frames go through shared memory.
 
-    def __init__(self, *, threshold: int = SHM_MIN_BYTES, enabled: bool = True):
-        self.threshold = max(0, int(threshold))
-        self.enabled = bool(enabled) and shared_memory_available()
+    ``threshold`` is the frame size at or above which a reply is offloaded
+    (``None``: :data:`SHM_MIN_BYTES`; ``0`` offloads every reply).  Where
+    the platform has no shared memory every frame stays inline.
+    """
+
+    def __init__(self, threshold: int | None = None):
+        self.threshold = SHM_MIN_BYTES if threshold is None else max(0, int(threshold))
+        self.enabled = shared_memory_available()
 
     def offload(self, frame_size: int) -> bool:
         """Whether a frame of ``frame_size`` bytes should travel via shm."""
@@ -136,24 +141,3 @@ class ShmTransport:
 
     def publish(self, frame: bytes) -> dict[str, Any] | None:
         return publish_frame(frame) if self.enabled else None
-
-    def describe(self) -> str:
-        if not self.enabled:
-            return "inline"
-        return f"shm(>= {self.threshold}B)"
-
-
-def transport_from_name(name: str, threshold: int | None = None) -> ShmTransport | None:
-    """Build the reply transport for a worker from its configuration.
-
-    ``"inline"`` always uses the pipe codec; ``"shm"`` and ``"auto"`` use
-    shared memory for frames at or above the threshold when the platform
-    supports it (``"auto"`` is the default and differs from ``"shm"`` only
-    in intent — both fall back to inline per frame on failure).
-    """
-    if name == "inline":
-        return None
-    if name not in ("auto", "shm"):
-        raise EngineError(f"unknown serving transport {name!r}; use 'auto', 'shm' or 'inline'")
-    transport = ShmTransport(threshold=SHM_MIN_BYTES if threshold is None else threshold)
-    return transport if transport.enabled else None

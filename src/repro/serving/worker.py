@@ -25,19 +25,6 @@ store       one shard's slice of the triple list, plus original indices
 close       drain and exit cleanly
 =========== =================================================================
 
-**Micro-batching.**  A coalesced request frame
-(:func:`~repro.serving.codec.encode_batch`) decodes into its sub-requests;
-compatible ``search`` sub-requests — same shard, statistics key and ranking
-model — are answered through the vectorized multi-query kernel
-(``search_shard_many``: each term's posting list is sliced and scored once
-per batch, not once per query), everything else is handled individually in
-arrival order, and the replies travel back as one coalesced frame.  Every
-sub-reply is encoded with the normal reply transport first, so large
-results still ride shared memory.  Batch execution is result-identical by
-construction: a vectorized group that fails for any reason falls back to
-per-request handling, and a batch of one is processed exactly like an
-unbatched frame.
-
 ``search`` requests carry the global statistics payload at most once: the
 worker caches it keyed exactly like the executor's own cache
 (:func:`~repro.engine.executors.statistics_key`), and a request without a
@@ -56,15 +43,7 @@ import os
 import traceback
 from typing import Any
 
-from repro.serving.codec import (
-    KIND_BATCH,
-    MAX_FRAME_BYTES,
-    encode_batch,
-    encode_tagged,
-    resolve_tagged,
-    split_batch,
-    split_tagged,
-)
+from repro.serving.codec import encode_tagged, resolve_tagged, split_tagged
 
 
 def _open_backend(snapshot_path: str, shard: int, mmap: bool):
@@ -85,20 +64,16 @@ def worker_main(
     connection: Any,
     *,
     mmap: bool = True,
-    transport: str = "auto",
     shm_threshold: int | None = None,
     epoch: int = 0,
 ) -> None:
     """Serve shard requests until the connection closes or ``close`` arrives."""
-    from repro.serving import shm as shm_policy
     from repro.serving.pool import GLOBAL_MISSING
+    from repro.serving.shm import ShmTransport
 
     backends: dict[int, Any] = {}
     cached_globals: dict[tuple, Any] = {}
-    try:
-        reply_transport = shm_policy.transport_from_name(transport, shm_threshold)
-    except Exception:  # noqa: BLE001 - a bad name falls back to inline replies
-        reply_transport = None
+    reply_transport = ShmTransport(shm_threshold)
 
     def backend(shard: int):
         if shard not in shards:
@@ -188,57 +163,6 @@ def worker_main(
                 "traceback": traceback.format_exc(),
             }
 
-    def search_group_key(message: dict[str, Any]):
-        """The batch-compatibility key of a ``search`` request, or ``None``."""
-        if message.get("op") != "search":
-            return None
-        try:
-            from repro.engine.executors import statistics_key
-
-            spec = message["spec"]
-            model = getattr(spec, "model", None)
-            descriptor = repr(model.describe()) if model is not None else "default"
-            return (message["shard"], statistics_key(spec), descriptor)
-        except BaseException:  # noqa: BLE001 - ineligible requests run alone
-            return None
-
-    def execute_batch(
-        requests: list[tuple[int, dict[str, Any]]],
-    ) -> list[tuple[int, dict[str, Any]]]:
-        """Answer a decoded batch; compatible searches share one kernel pass."""
-        groups: dict[Any, list[int]] = {}
-        for index, (_, message) in enumerate(requests):
-            key = search_group_key(message)
-            if key is not None:
-                groups.setdefault(key, []).append(index)
-        replies: list[dict[str, Any] | None] = [None] * len(requests)
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            try:
-                stats = None
-                for index in members:  # the payload may ride on any member
-                    found = global_for(requests[index][1])
-                    if found is not None:
-                        stats = found
-                if stats is None:
-                    continue  # per-request handling answers GLOBAL_MISSING
-                specs = [requests[index][1]["spec"] for index in members]
-                shard = requests[members[0]][1]["shard"]
-                ranked = backend(shard).search_shard_many(specs, stats)
-                for index, (doc_ids, scores, rows) in zip(members, ranked):
-                    replies[index] = {
-                        "ok": True,
-                        "value": {"doc_ids": doc_ids, "scores": scores, "rows": rows},
-                    }
-            except BaseException:  # noqa: BLE001 - fall back to per-request
-                for index in members:
-                    replies[index] = None
-        return [
-            (rid, reply if reply is not None else safe_handle(message))
-            for (rid, message), reply in zip(requests, replies)
-        ]
-
     try:
         while True:
             try:
@@ -246,38 +170,16 @@ def worker_main(
             except (EOFError, OSError):
                 break
             request_id, kind, body = split_tagged(data)
-            if kind == KIND_BATCH:
-                requests = []
-                for sub in split_batch(body):
-                    sub_id, sub_kind, sub_body = split_tagged(sub)
-                    requests.append((sub_id, resolve_tagged(sub_kind, sub_body)))
-            else:
-                requests = [(request_id, resolve_tagged(kind, body))]
-            close_ids = [rid for rid, msg in requests if msg.get("op") == "close"]
-            work = [(rid, msg) for rid, msg in requests if msg.get("op") != "close"]
-            replies = execute_batch(work) if work else []
-            replies.extend((rid, {"ok": True, "value": None}) for rid in close_ids)
-            frames = [
-                encode_tagged(rid, reply, transport=reply_transport)
-                for rid, reply in replies
-            ]
+            message = resolve_tagged(kind, body)
+            closing = message.get("op") == "close"
+            reply = {"ok": True, "value": None} if closing else safe_handle(message)
             try:
-                offset = 0
-                while offset < len(frames):
-                    chunk = [frames[offset]]
-                    size = 16 + 4 + len(frames[offset])
-                    offset += 1
-                    while (
-                        offset < len(frames)
-                        and size + 4 + len(frames[offset]) <= MAX_FRAME_BYTES
-                    ):
-                        chunk.append(frames[offset])
-                        size += 4 + len(frames[offset])
-                        offset += 1
-                    connection.send_bytes(encode_batch(chunk))
+                connection.send_bytes(
+                    encode_tagged(request_id, reply, transport=reply_transport)
+                )
             except (BrokenPipeError, OSError):
                 break
-            if close_ids:
+            if closing:
                 break
     finally:
         for opened in backends.values():

@@ -18,10 +18,8 @@ each usable on its own, designed to feed each other:
 * :mod:`repro.workload.cost` — a per-operator cost model: cardinality
   estimates from catalog metadata, per-kernel coefficients fitted from
   logged latencies (:meth:`~repro.workload.cost.CostModel.calibrate`).
-  ``explain`` surfaces the estimate; the optimizer and the scatter-gather
-  executor consult it for TOP-pushdown and scatter-vs-coordinator
-  decisions.  Every steered choice is between result-identical plans —
-  the cost model can change *speed*, never *answers* (Hypothesis-enforced).
+  ``explain`` surfaces the estimate and every logged record carries the
+  plan's ``cost_units``; the model steers no plan choice.
 * :mod:`repro.workload.cache` — an adaptive result cache keyed by
   (plan fingerprint, bound parameters): size-bounded, lock-guarded,
   invalidated by table dependency exactly like the plan cache, admitting

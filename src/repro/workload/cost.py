@@ -15,20 +15,10 @@ system ``units @ coefficients ≈ latency_ms`` over the observed traffic and
 adopts the fit (clamped to stay positive).  The more an engine serves, the
 better its estimates match *its* hardware and *its* data.
 
-Two optimizer decisions consult the model — both choices between
-result-identical plans, so the model can change speed, never answers:
-
-* **TOP pushdown** (:func:`repro.pra.optimizer.optimize_pra`): pushing
-  ``TOP k`` below a weight or into a union duplicates work when the child
-  is already tiny; with ``top_pushdown_threshold > 0`` the rewrite is
-  skipped for children estimated below the threshold.
-* **scatter vs coordinator** (:class:`~repro.engine.executors.ScatterGatherExecutor`):
-  fanning a segment out to every shard costs fixed per-shard overhead;
-  with ``scatter_threshold > 0`` segments over tables estimated below the
-  threshold run gathered on the coordinator instead.
-
-Both thresholds default to ``0`` — the calibrated model is opt-in steering
-and a default engine behaves exactly as before.
+The model estimates and calibrates; it steers nothing.  Its estimates
+surface in ``explain`` output and its per-kind unit vectors in every
+workload-log record (``cost_units``), but the optimizer always pushes
+``TOP`` and partitioned tables always scatter.
 """
 
 from __future__ import annotations
@@ -158,15 +148,11 @@ class CostModel:
         self,
         coefficients: dict[str, float] | None = None,
         *,
-        top_pushdown_threshold: float = 0.0,
-        scatter_threshold: float = 0.0,
         default_rows: float = DEFAULT_UNKNOWN_ROWS,
     ):
         self.coefficients = dict(DEFAULT_COEFFICIENTS)
         if coefficients:
             self.coefficients.update(coefficients)
-        self.top_pushdown_threshold = top_pushdown_threshold
-        self.scatter_threshold = scatter_threshold
         self.default_rows = default_rows
         self.calibrated_from = 0  # records the last calibration consumed
 
@@ -246,26 +232,6 @@ class CostModel:
         rows = children[0].rows if children else self.default_rows
         return charge("other", rows, rows)
 
-    # -- decisions ---------------------------------------------------------------
-
-    def should_push_top(self, child_rows: float | None) -> bool:
-        """True when pushing a ``TOP`` towards ``child_rows`` rows pays off.
-
-        With the default threshold of 0 this is always true — exactly the
-        pre-cost-model behaviour.  Unknown cardinalities always push (the
-        rewrite is result-preserving either way, and pushing is the safe
-        default for large inputs).
-        """
-        if self.top_pushdown_threshold <= 0 or child_rows is None:
-            return True
-        return child_rows >= self.top_pushdown_threshold
-
-    def should_scatter(self, table_rows: float | None) -> bool:
-        """True when scattering a segment over ``table_rows`` rows pays off."""
-        if self.scatter_threshold <= 0 or table_rows is None:
-            return True
-        return table_rows >= self.scatter_threshold
-
     # -- calibration -------------------------------------------------------------
 
     def calibrate(self, records: Iterable[Any], *, min_samples: int = 8) -> bool:
@@ -303,7 +269,5 @@ class CostModel:
     def describe(self) -> dict[str, Any]:
         return {
             "coefficients": dict(sorted(self.coefficients.items())),
-            "top_pushdown_threshold": self.top_pushdown_threshold,
-            "scatter_threshold": self.scatter_threshold,
             "calibrated_from": self.calibrated_from,
         }

@@ -133,34 +133,17 @@ def pool_engine(local_engine, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def batched_pool_engine(local_engine, tmp_path_factory):
-    """A pool with write coalescing on and both shards on one connection.
-
-    ``workers=1`` forces every scatter's begin-all-then-wait fan-out through
-    a single pipe, so sub-requests genuinely travel in multi-frame batches
-    and run through the worker's batch-execution path.
-    """
-    from repro.serving import ServingConfig
-
-    path = local_engine.save(tmp_path_factory.mktemp("batch-equivalence") / "p2", shards=2)
-    engine = Engine.open_sharded(
-        path,
-        executor="pool",
-        config=ServingConfig(workers=1, max_batch_size=8),
-    )
-    yield engine
-    engine.close()
-
-
-@pytest.fixture(scope="module")
 def shm_pool_engine(local_engine, tmp_path_factory):
     """A pool with *every* reply forced through the shared-memory path."""
+    from repro.serving import ServingConfig
     from repro.serving.shm import shared_memory_available
 
     if not shared_memory_available():
         pytest.skip("multiprocessing.shared_memory unavailable")
     path = local_engine.save(tmp_path_factory.mktemp("shm-equivalence") / "p2", shards=2)
-    engine = Engine.open_sharded(path, executor="pool", transport="shm", shm_threshold=0)
+    engine = Engine.open_sharded(
+        path, executor="pool", config=ServingConfig(shm_threshold=0)
+    )
     yield engine
     engine.close()
 
@@ -271,14 +254,6 @@ class TestPoolBitIdentity:
     def test_pool_equals_local(self, plan, local_engine, pool_engine):
         expected = local_engine._execute_plan(plan)
         assert_bit_identical(pool_engine._execute_plan(plan), expected)
-
-    @POOL_SETTINGS
-    @given(plan=plans())
-    def test_batched_pool_equals_local(self, plan, local_engine, batched_pool_engine):
-        # coalesced wire frames + worker batch execution must be invisible
-        # in results for arbitrary plans, not just the curated search cases
-        expected = local_engine._execute_plan(plan)
-        assert_bit_identical(batched_pool_engine._execute_plan(plan), expected)
 
     @POOL_SETTINGS
     @given(plan=plans())

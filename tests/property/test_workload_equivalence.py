@@ -1,14 +1,9 @@
 """Property-based guarantees for the workload subsystem.
 
-Two bit-identity contracts ride on the workload PR:
-
-* the **cost-model-steered optimizer** (TOP-pushdown gate) and the
-  **cost-model-steered scatter decision** choose between result-identical
-  plans only — any gate function, however adversarial, yields a plan that
-  evaluates to exactly the same relation;
-* the **result cache** returns answers bit-identical to recomputation,
-  under arbitrary interleavings of repeated execution, cache clears and
-  distinct parameter bindings.
+The **result cache** returns answers bit-identical to recomputation, under
+arbitrary interleavings of repeated execution, cache clears and distinct
+parameter bindings.  (That the optimizer's rewrites preserve results is
+the plan-equivalence suite's job.)
 
 Like the plan-equivalence suite, probabilities are dyadic so exact float
 equality is meaningful, and Hypothesis runs derandomized for reproducible
@@ -23,15 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Engine
-from repro.pra.optimizer import optimize_pra
-from repro.pra.plan import PraTop
-from repro.workload.cost import CostModel
-
-from tests.property.test_plan_equivalence import (
-    EVALUATOR,
-    assert_same_relation,
-    plans,
-)
 
 SETTINGS = settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True)
 
@@ -50,46 +36,6 @@ TRIPLES = [
 TRAVERSE = "auctions = TRAVERSE ['hasAuction'] (seeds);"
 
 SEED_POOL = ["lot1", "lot2", "lot3"]
-
-_THRESHOLD_MODEL = CostModel(top_pushdown_threshold=3.0)
-
-#: gates a cost model (or an adversary) could plug into the optimizer
-GATES = st.sampled_from(
-    [
-        None,
-        lambda child: True,
-        lambda child: False,
-        # the real shape: estimate the child, compare against the threshold
-        lambda child: _THRESHOLD_MODEL.should_push_top(
-            _THRESHOLD_MODEL.estimate(child, lambda name: None).output_rows
-        ),
-        # an adversarial, plan-dependent but deterministic gate
-        lambda child: len(child.fingerprint()) % 2 == 0,
-    ]
-)
-
-
-class TestGatedOptimizerEquivalence:
-    @SETTINGS
-    @given(st.data())
-    def test_any_top_gate_yields_identical_results(self, data):
-        plan, _ = data.draw(plans())
-        k = data.draw(st.integers(1, 6))
-        gate = data.draw(GATES)
-        topped = PraTop(plan, k)
-        baseline = EVALUATOR.evaluate(optimize_pra(topped))
-        gated = EVALUATOR.evaluate(optimize_pra(topped, top_gate=gate))
-        assert_same_relation(gated, baseline)
-
-    @SETTINGS
-    @given(st.data())
-    def test_gated_optimizer_matches_unoptimized_plan(self, data):
-        plan, _ = data.draw(plans())
-        gate = data.draw(GATES)
-        original = EVALUATOR.evaluate(plan)
-        gated = EVALUATOR.evaluate(optimize_pra(plan, top_gate=gate))
-        assert_same_relation(gated, original)
-
 
 class TestResultCacheEquivalence:
     @SETTINGS
@@ -118,18 +64,3 @@ class TestResultCacheEquivalence:
                 assert list(map(float, hot.probabilities())) == list(
                     map(float, cold.probabilities())
                 )
-
-    @SETTINGS
-    @given(st.lists(st.sampled_from(SEED_POOL), min_size=1, max_size=3))
-    def test_steered_engine_matches_default_engine(self, seeds):
-        steered = Engine.from_triples(
-            TRIPLES,
-            cost_model=CostModel(top_pushdown_threshold=1e9, scatter_threshold=1e9),
-        )
-        default = Engine.from_triples(TRIPLES)
-        assert steered.spinql(TRAVERSE, seeds=seeds).top(3) == default.spinql(
-            TRAVERSE, seeds=seeds
-        ).top(3)
-        hot = steered.spinql(TRAVERSE, seeds=seeds).execute(seeds=seeds)
-        cold = default.spinql(TRAVERSE, seeds=seeds).execute(seeds=seeds)
-        assert hot.value_rows() == cold.value_rows()

@@ -1,10 +1,9 @@
-"""Micro-batching: codec envelopes, coalesced pool writes, batch execution.
+"""The batch API through the pool, and in-flight request collapsing.
 
-The adaptive data plane must be invisible in results: a batch of one is the
-unbatched frame byte-for-byte, coalesced execution is bit-identical to
-request-at-a-time execution, and every boundary condition (overflow splits,
-oversized frames, mixed request kinds sharing a frame) degrades to clean
-``EngineError`` or per-request handling — never to a desynced pipe.
+Both are result-invisible by contract: ``search_many`` over the worker
+pool is bit-identical to request-at-a-time execution, and a collapsed
+follower gets the leader's exact reply.  The wire carries no batch frames:
+the kind that coalesced requests until 2.0 is refused.
 """
 
 from __future__ import annotations
@@ -20,79 +19,22 @@ from repro.relational.column import Column, DataType
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
 from repro.serving import Router, ServingConfig
-from repro.serving.codec import (
-    _LENGTH,
-    BATCH_ENVELOPE_ID,
-    KIND_BATCH,
-    encode_batch,
-    encode_tagged,
-    resolve_tagged,
-    split_batch,
-    split_tagged,
-)
+from repro.serving.codec import encode_tagged, resolve_tagged, split_tagged
 from repro.workloads import generate_auction_triples
 
 PROGRAM = 'out = SELECT [$2="hasAuction"] (triples);'
 
 
-# ---------------------------------------------------------------------------
-# codec: the batch envelope
-# ---------------------------------------------------------------------------
-
-
 class TestBatchCodec:
-    def test_batch_of_one_is_the_unbatched_frame(self):
-        frame = encode_tagged(7, {"op": "ping"})
-        assert encode_batch([frame]) == frame
-
-    def test_round_trip_preserves_sub_frames_and_ids(self):
-        frames = [encode_tagged(index, {"op": "ping", "n": index}) for index in range(5)]
-        batch = encode_batch(frames)
-        envelope_id, kind, body = split_tagged(batch)
-        assert envelope_id == BATCH_ENVELOPE_ID and kind == KIND_BATCH
-        assert split_batch(body) == frames
-        for index, sub in enumerate(split_batch(body)):
-            sub_id, sub_kind, sub_body = split_tagged(sub)
-            assert sub_id == index
-            assert resolve_tagged(sub_kind, sub_body) == {"op": "ping", "n": index}
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(EngineError):
-            encode_batch([])
-
-    def test_oversized_batch_rejected(self, monkeypatch):
-        import repro.serving.codec as codec
-
-        frames = [encode_tagged(index, {"op": "ping"}) for index in range(3)]
-        monkeypatch.setattr(codec, "MAX_FRAME_BYTES", sum(len(f) for f in frames) - 1)
-        with pytest.raises(EngineError, match="wire limit"):
-            encode_batch(frames)
-
-    def test_oversized_sub_frame_length_rejected(self):
-        # a corrupt length prefix can claim up to 2**32-1 bytes; anything
-        # past MAX_FRAME_BYTES must fail as EngineError before allocation
-        body = _LENGTH.pack(0xFFFFFFFF) + b"x" * 8
-        with pytest.raises(EngineError):
-            split_batch(body)
-
-    def test_truncated_batch_rejected(self):
-        frames = [encode_tagged(index, {"op": "ping"}) for index in range(2)]
-        _id, _kind, body = split_tagged(encode_batch(frames))
-        with pytest.raises(EngineError):
-            split_batch(body[:-3])
-        with pytest.raises(EngineError):
-            split_batch(body + b"\x00\x01")
-
     def test_resolve_tagged_refuses_batch_kind(self):
-        frames = [encode_tagged(index, {"op": "ping"}) for index in range(2)]
-        _id, kind, body = split_tagged(encode_batch(frames))
-        with pytest.raises(EngineError, match="split_batch"):
-            resolve_tagged(kind, body)
-
-
-# ---------------------------------------------------------------------------
-# end-to-end: a batched pool must answer bit-identically
-# ---------------------------------------------------------------------------
+        # "B" carried coalesced request batches until 2.0; a peer still
+        # sending it gets a clean protocol error, not a mis-decoded message
+        frame = bytearray(encode_tagged(1, {"op": "ping"}))
+        frame[8:9] = b"B"
+        with pytest.raises(EngineError, match="unknown tagged-frame kind"):
+            split_tagged(bytes(frame))
+        with pytest.raises(EngineError, match="unknown tagged-frame kind"):
+            resolve_tagged(b"B", bytes(frame[9:]))
 
 
 @pytest.fixture(scope="module")
@@ -112,56 +54,43 @@ def source_and_snapshot(tmp_path_factory):
         " ".join(text.split()[:3])
         for text in list(workload.lot_descriptions.values())[:6]
     ]
-    path = engine.save(tmp_path_factory.mktemp("batching") / "snap", shards=2)
+    path = engine.save(tmp_path_factory.mktemp("search-many") / "snap", shards=2)
     return engine, path, queries
 
 
 @pytest.fixture(scope="module")
-def batched_engine(source_and_snapshot):
+def pool_engine(source_and_snapshot):
     _engine, path, _queries = source_and_snapshot
-    # workers=1 puts both shards on one connection, so every scatter's
-    # begin-all-then-wait fan-out coalesces into one frame deterministically
-    opened = Engine.open_sharded(
-        path,
-        executor="pool",
-        config=ServingConfig(workers=1, max_batch_size=8),
-    )
+    opened = Engine.open_sharded(path, executor="pool")
     yield opened
     opened.close()
 
 
 class TestBatchedPoolBitIdentity:
-    def test_batched_search_equals_unbatched(self, source_and_snapshot, batched_engine):
+    def test_batched_search_equals_unbatched(self, source_and_snapshot, pool_engine):
+        """A ``search_many`` batch of one answers exactly like ``search``."""
         engine, _path, queries = source_and_snapshot
         for query in queries:
             expected = engine.search("docs", query).execute()
-            actual = batched_engine.search("docs", query).execute()
+            (actual,) = pool_engine.search_many("docs", [query])
             assert list(actual.ranked.doc_ids) == list(expected.ranked.doc_ids)
             assert actual.ranked.scores.tobytes() == expected.ranked.scores.tobytes()
 
-    def test_batches_actually_coalesced(self, batched_engine):
-        pool = batched_engine._plan_executor._pool
-        batching = pool.batching()
-        assert batching["max_batch_size"] == 8
-        # the 2-shard scatter over one connection writes multi-frame batches
-        assert any(int(size) > 1 for size in batching["occupancy_histogram"])
-        assert batching["frames"] > batching["writes"]
-
     def test_search_many_equals_per_query_execution(
-        self, source_and_snapshot, batched_engine
+        self, source_and_snapshot, pool_engine
     ):
         engine, _path, queries = source_and_snapshot
-        batch = batched_engine.search_many("docs", queries, top_k=5)
+        batch = pool_engine.search_many("docs", queries, top_k=5)
         for query, result in zip(queries, batch):
             expected = engine.search("docs", query, top_k=5).execute()
             assert list(result.ranked.doc_ids) == list(expected.ranked.doc_ids)
             assert result.ranked.scores.tobytes() == expected.ranked.scores.tobytes()
 
     def test_execute_many_vectorized_matches_generic_path(
-        self, source_and_snapshot, batched_engine
+        self, source_and_snapshot, pool_engine
     ):
         _engine, _path, queries = source_and_snapshot
-        query = batched_engine.search("docs", top_k=4)
+        query = pool_engine.search("docs", top_k=4)
         vectorized = query.execute_many([{"query": text} for text in queries])
         elementwise = [query.execute(query=text) for text in queries]
         for fast, slow in zip(vectorized, elementwise):
@@ -171,19 +100,19 @@ class TestBatchedPoolBitIdentity:
         assert tops == [query.top(3, query=text) for text in queries]
 
     def test_mixed_plan_and_search_kinds_in_one_batch(
-        self, source_and_snapshot, batched_engine
+        self, source_and_snapshot, pool_engine
     ):
-        """Plan segments and searches queued together still answer correctly."""
+        """Plan segments and searches in flight together on the same pipes."""
         engine, _path, queries = source_and_snapshot
         expected_plan = engine.spinql(PROGRAM).top(6)
         expected_search = engine.search("docs", queries[0]).top(6)
         results: dict[str, object] = {}
 
         def run_plan():
-            results["plan"] = batched_engine.spinql(PROGRAM).top(6)
+            results["plan"] = pool_engine.spinql(PROGRAM).top(6)
 
         def run_search():
-            results["search"] = batched_engine.search("docs", queries[0]).top(6)
+            results["search"] = pool_engine.search("docs", queries[0]).top(6)
 
         threads = [threading.Thread(target=run_plan), threading.Thread(target=run_search)]
         for thread in threads:
@@ -193,27 +122,6 @@ class TestBatchedPoolBitIdentity:
         assert results["plan"] == expected_plan
         assert results["search"] == expected_search
 
-    def test_overflow_splits_at_max_batch_size(self, source_and_snapshot):
-        _engine, path, _queries = source_and_snapshot
-        opened = Engine.open_sharded(
-            path,
-            executor="pool",
-            config=ServingConfig(workers=1, max_batch_size=2),
-        )
-        try:
-            connection = opened._plan_executor._pool._connections[0]
-            futures = [connection.send({"op": "ping"}) for _ in range(5)]
-            connection.wait(futures[-1], 10)
-            for future in futures:
-                kind, body = future.result(timeout=10)
-                reply = resolve_tagged(kind, body)
-                assert reply["ok"] and reply["value"]["pid"]
-            histogram = opened._plan_executor._pool.batching()["occupancy_histogram"]
-            assert all(int(size) <= 2 for size in histogram)
-            assert histogram.get("2", 0) >= 2  # the overflow flushes
-        finally:
-            opened.close()
-
 
 # ---------------------------------------------------------------------------
 # router: in-flight request collapsing
@@ -221,8 +129,8 @@ class TestBatchedPoolBitIdentity:
 
 
 class TestRequestCollapsing:
-    def test_identical_concurrent_requests_collapse(self, batched_engine):
-        router = Router(batched_engine, ServingConfig(workers=1, max_batch_size=8))
+    def test_identical_concurrent_requests_collapse(self, pool_engine):
+        router = Router(pool_engine, ServingConfig())
         request = {"kind": "search", "table": "docs", "query": "first lot", "top_k": 3}
         release = threading.Event()
         original = router._dispatch
@@ -270,20 +178,17 @@ class TestRequestCollapsing:
         # both requests recorded their own workload entry with attribution
         records = [
             entry
-            for entry in batched_engine.workload_log.snapshot()
+            for entry in pool_engine.workload_log.snapshot()
             if entry.kind == "serve" and entry.collapsed is not None
         ]
         outcomes = sorted(entry.collapsed for entry in records[-2:])
         assert outcomes == ["follower", "leader"]
 
-    def test_collapsing_disabled_by_config(self, batched_engine):
-        router = Router(
-            batched_engine,
-            ServingConfig(workers=1, max_batch_size=8, collapse_requests=False),
-        )
+    def test_collapsing_disabled_by_config(self, pool_engine):
+        router = Router(pool_engine, ServingConfig(collapse_requests=False))
         request = {"kind": "search", "table": "docs", "query": "first lot", "top_k": 3}
         assert router._collapse_key(request) is None
 
-    def test_info_requests_never_collapse(self, batched_engine):
-        router = Router(batched_engine, ServingConfig(workers=1))
+    def test_info_requests_never_collapse(self, pool_engine):
+        router = Router(pool_engine, ServingConfig())
         assert router._collapse_key({"kind": "info"}) is None

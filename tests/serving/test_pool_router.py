@@ -62,7 +62,7 @@ class TestPoolExecutor:
 
     def test_fewer_workers_than_shards(self, source_and_snapshot):
         engine, path, _query = source_and_snapshot
-        opened = Engine.open_sharded(path, executor="pool", workers=1)
+        opened = Engine.open_sharded(path, executor="pool", config=ServingConfig(workers=1))
         try:
             info = opened.executor_info()
             assert info["workers"] == 1 and info["shards"] == 2
@@ -133,7 +133,7 @@ class TestRouter:
         assert reply["ok"]
 
     def test_admission_control_sheds_load(self, pool_engine):
-        router = Router(pool_engine, max_concurrent=1, max_queue=1)
+        router = Router(pool_engine, ServingConfig(max_concurrent=1, max_queue=1))
         # fill the admission window by hand, then verify shedding
         assert router._admit() and router._admit()
         shed = router.handle({"kind": "info"})
@@ -342,18 +342,20 @@ class TestCorruptReplyHandling:
 
 class TestTransports:
     def test_pool_reports_its_reply_transport(self, pool_engine):
-        assert pool_engine.executor_info()["transport"] in ("auto", "inline")
+        expected = shm.SHM_MIN_BYTES if shm.shared_memory_available() else None
+        assert pool_engine.executor_info()["shm_threshold"] == expected
 
+    # these replies are far below the default threshold, so None keeps every
+    # one inline on the pipe; 0 sends every reply through shared memory
     @pytest.mark.parametrize("transport,threshold", [("inline", None), ("shm", 0)])
     def test_forced_transport_parity(self, source_and_snapshot, transport, threshold):
         engine, path, query = source_and_snapshot
         if transport == "shm" and not shm.shared_memory_available():
             pytest.skip("multiprocessing.shared_memory unavailable")
         opened = Engine.open_sharded(
-            path, executor="pool", transport=transport, shm_threshold=threshold
+            path, executor="pool", config=ServingConfig(shm_threshold=threshold)
         )
         try:
-            assert opened.executor_info()["transport"] == transport
             assert opened.search("docs", query).top(8) == engine.search("docs", query).top(8)
             assert opened.spinql(PROGRAM).top(8) == engine.spinql(PROGRAM).top(8)
             expected = engine.spinql(PROGRAM).execute()

@@ -33,16 +33,13 @@ from repro.relational.column import Column, DataType
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
 from repro.serving.codec import (
-    KIND_BATCH,
     KIND_INLINE,
     KIND_SHM,
     decode_message,
-    encode_batch,
     encode_message,
     encode_tagged,
     read_frame,
     resolve_tagged,
-    split_batch,
     split_tagged,
 )
 
@@ -165,34 +162,9 @@ class TestTaggedFrameFuzz:
                 request_id, kind, body = split_tagged(data)
             except ALLOWED:
                 continue
-            assert kind in (KIND_INLINE, KIND_SHM, KIND_BATCH)
+            assert kind in (KIND_INLINE, KIND_SHM)
             try:
-                if kind == KIND_BATCH:
-                    for sub in split_batch(body):
-                        sub_id, sub_kind, sub_body = split_tagged(sub)
-                        resolve_tagged(sub_kind, sub_body)
-                else:
-                    resolve_tagged(kind, body)
-            except ALLOWED:
-                pass
-
-    def test_mutated_batch_frames_never_escape_raw(self):
-        # coalesced frames: mutations must fail as EngineError at the batch
-        # envelope, the sub-frame header, or the sub-frame body — never as a
-        # struct/pickle internal
-        rng = random.Random(0xBA7C4)
-        seed_frame = encode_batch(
-            [encode_tagged(index, {"op": "reply", "value": list(range(16))}) for index in range(4)]
-        )
-        for data in _mutations(rng, seed_frame):
-            try:
-                request_id, kind, body = split_tagged(data)
-                if kind != KIND_BATCH:
-                    resolve_tagged(kind, body)
-                    continue
-                for sub in split_batch(body):
-                    sub_id, sub_kind, sub_body = split_tagged(sub)
-                    resolve_tagged(sub_kind, sub_body)
+                resolve_tagged(kind, body)
             except ALLOWED:
                 pass
 

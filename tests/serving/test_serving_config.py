@@ -1,28 +1,13 @@
-"""ServingConfig: validation, round-trips, and the legacy-kwarg shim."""
+"""ServingConfig: validation and round-trips."""
 
 from __future__ import annotations
 
 import argparse
-import warnings
 
 import pytest
 
 from repro.errors import EngineError
 from repro.serving import ServingConfig
-from repro.serving import config as config_module
-from repro.serving.config import UNSET, resolve_config
-
-
-@pytest.fixture(autouse=True)
-def fresh_warning_state():
-    """Each test sees the once-per-entry-point warning as if freshly imported."""
-    with config_module._warn_lock:
-        saved = set(config_module._warned_entry_points)
-        config_module._warned_entry_points.clear()
-    yield
-    with config_module._warn_lock:
-        config_module._warned_entry_points.clear()
-        config_module._warned_entry_points.update(saved)
 
 
 class TestValidation:
@@ -40,7 +25,7 @@ class TestValidation:
             {"replicas": 0},
             {"workers": 0},
             {"workers": -1},
-            {"transport": "carrier-pigeon"},
+            {"restart_backoff_cap_seconds": 0.1},  # below the 0.25 s backoff
             {"start_method": "warp"},
             {"retry_budget": -1},
             {"max_restarts": -1},
@@ -60,7 +45,7 @@ class TestValidation:
 
 class TestRoundTrips:
     def test_to_dict_from_dict(self):
-        config = ServingConfig(workers=3, replicas=2, transport="inline", port=9999)
+        config = ServingConfig(workers=3, replicas=2, shm_threshold=0, port=9999)
         assert ServingConfig.from_dict(config.to_dict()) == config
 
     def test_from_dict_rejects_unknown_fields(self):
@@ -71,7 +56,6 @@ class TestRoundTrips:
         args = argparse.Namespace(
             workers=4,
             replicas=2,
-            transport="inline",
             shm_threshold=None,
             max_concurrent=8,
             max_queue=16,
@@ -96,34 +80,3 @@ class TestRoundTrips:
         assert base.with_overrides(replicas=3).replicas == 3
         assert base.with_overrides(replicas=3).workers == 2
         assert base.replicas == 1  # the original is untouched
-
-
-class TestLegacyShim:
-    def test_legacy_kwargs_warn_once_per_entry_point(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = resolve_config(None, {"workers": 2, "mmap": UNSET}, "TestEntry")
-            second = resolve_config(None, {"workers": 3}, "TestEntry")
-            resolve_config(None, {"max_queue": 9}, "OtherEntry")
-        assert first.workers == 2 and second.workers == 3
-        messages = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(messages) == 2  # one per entry point, not per call
-        assert "TestEntry" in str(messages[0].message)
-
-    def test_no_warning_without_legacy_values(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            config = resolve_config(None, {"workers": UNSET}, "QuietEntry")
-        assert config == ServingConfig()
-        assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-    def test_config_plus_legacy_kwarg_is_an_error(self):
-        with pytest.raises(EngineError, match="both"):
-            resolve_config(ServingConfig(), {"workers": 2}, "ConflictEntry")
-
-    def test_legacy_behaviour_is_identical(self):
-        legacy = resolve_config(
-            None, {"workers": 2, "transport": "inline"}, "ParityEntry"
-        )
-        modern = ServingConfig(workers=2, transport="inline")
-        assert legacy == modern

@@ -1,4 +1,4 @@
-"""The cost model: estimation, calibration, and optimizer/executor steering."""
+"""The cost model: estimation, calibration, and the explain surface."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.engine import Engine
 from repro.pra.assumptions import Assumption
 from repro.pra.expressions import PositionalRef
-from repro.pra.optimizer import optimize_pra
 from repro.pra.plan import PraScan, PraSelect, PraTop, PraUnite, PraWeight
 from repro.relational.expressions import BinaryOp, Literal
 from repro.workload.cost import DEFAULT_UNKNOWN_ROWS, CostModel
@@ -119,39 +118,15 @@ class TestCalibration:
         assert engine.cost_model.calibrated_from >= 5
 
 
-class TestSteering:
-    def test_thresholds_default_to_always(self):
-        model = CostModel()
-        assert model.should_push_top(1.0) is True
-        assert model.should_scatter(1.0) is True
-
-    def test_threshold_vetoes_small_inputs(self):
-        model = CostModel(top_pushdown_threshold=100.0, scatter_threshold=100.0)
-        assert model.should_push_top(10.0) is False
-        assert model.should_push_top(100.0) is True
-        assert model.should_scatter(10.0) is False
-        assert model.should_scatter(1000.0) is True
-
-    def test_unknown_rows_always_push_and_scatter(self):
-        model = CostModel(top_pushdown_threshold=100.0, scatter_threshold=100.0)
-        assert model.should_push_top(None) is True
-        assert model.should_scatter(None) is True
-
-    def test_top_gate_blocks_the_weight_pushdown(self):
-        plan = PraTop(PraWeight(PraScan("triples"), 0.5), 2)
-        pushed = optimize_pra(plan)
-        assert isinstance(pushed, PraWeight)  # TOP sank below the weight
-        gated = optimize_pra(plan, top_gate=lambda child: False)
-        assert isinstance(gated, PraTop)  # gate vetoed: TOP stays on top
-        assert isinstance(gated.child, PraWeight)
-
-    def test_gated_engine_explains_the_same_results(self, engine):
-        steered = Engine.from_triples(
-            TRIPLES, cost_model=CostModel(top_pushdown_threshold=1e9)
+class TestSteersNothing:
+    def test_coefficients_never_change_the_optimized_plan(self, engine):
+        # however the model prices TOP, the optimizer still pushes it
+        skewed = Engine.from_triples(
+            TRIPLES, cost_model=CostModel({"top": 1e9, "weight": 1e9})
         )
-        default_top = engine.spinql(TRAVERSE, seeds=["lot1", "lot2"]).top(2)
-        steered_top = steered.spinql(TRAVERSE, seeds=["lot1", "lot2"]).top(2)
-        assert steered_top == default_top
+        _, default_plan = engine.spinql(TRAVERSE, seeds=["lot1"]).plans(top_k=2)
+        _, skewed_plan = skewed.spinql(TRAVERSE, seeds=["lot1"]).plans(top_k=2)
+        assert skewed_plan.fingerprint() == default_plan.fingerprint()
 
 
 class TestExplainSurface:

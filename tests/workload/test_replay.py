@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine import Engine
 from repro.errors import ReproError
-from repro.serving import Router
+from repro.serving import Router, ServingConfig
 from repro.workload.log import WorkloadRecord
 from repro.workload.replay import (
     EngineTarget,
@@ -138,7 +138,7 @@ class TestRunSchedule:
         assert report.mode == "open"
 
     def test_router_target_records_serve_entries(self, engine):
-        router = Router(engine, max_concurrent=2, max_queue=8)
+        router = Router(engine, ServingConfig(max_concurrent=2, max_queue=8))
         schedule = replay_schedule(_log_records())
         report = run_schedule(schedule, RouterTarget(router), concurrency=2)
         assert report.completed == 7
