@@ -146,12 +146,17 @@ kind), the reply-transport name (``shm_threshold`` is the one
 reply-transport setting), and the cost model's two decision thresholds
 (the optimizer always pushes ``TOP`` and partitioned tables always
 scatter).  ``CHANGES.md`` names every removed field, flag and keyword.
+
+The three caches share one class,
+:class:`~repro.relational.cache.VersionedLRU`, and are reached as
+``Engine.plan_cache``, ``Engine.result_cache`` and ``Database.cache``;
+their former per-cache classes were internals and are gone without
+aliases (``CHANGES.md`` lists them).
 """
 
 from repro.errors import EngineError, ReproError
 from repro.engine import (
     Engine,
-    PlanCache,
     Query,
     SearchQuery,
     SpinQLQuery,
@@ -176,7 +181,6 @@ __all__ = [
     # the public facade
     "Engine",
     "EngineError",
-    "PlanCache",
     "Query",
     "SearchQuery",
     "SpinQLQuery",

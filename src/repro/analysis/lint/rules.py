@@ -212,6 +212,7 @@ class LockedCacheMutationRule(LintRule):
                 "src/repro/engine/",
                 "src/repro/serving/",
                 "src/repro/relational/cache.py",
+                "src/repro/workload/cache.py",
                 "src/repro/ir/registry.py",
                 "src/repro/strategy/executor.py",
             ),

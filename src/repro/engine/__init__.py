@@ -18,8 +18,8 @@ lazy :class:`~repro.engine.query.Query`:
 
 Internally every relation-producing front end lowers to one shared pipeline:
 parse/build → PRA plan → optimize → evaluate.  Compiled programs and
-optimized plans are memoized in a fingerprint-keyed
-:class:`~repro.engine.plan_cache.PlanCache`, so repeated parameterized
+optimized plans are memoized in the fingerprint-keyed ``plan_cache`` (a
+:class:`~repro.relational.cache.VersionedLRU`), so repeated parameterized
 queries skip compilation and optimization entirely::
 
     from repro import connect
@@ -86,7 +86,6 @@ from repro.engine.executors import (
     gather_table,
     gather_triples,
 )
-from repro.engine.plan_cache import DEFAULT_MAX_ENTRIES, PlanCache, PlanCacheStatistics
 from repro.engine.query import (
     Query,
     RankedQuery,
@@ -103,6 +102,7 @@ from repro.pra.evaluator import PRAEvaluator
 from repro.pra.optimizer import optimize_pra
 from repro.pra.plan import PraParam, PraPlan, PraScan
 from repro.pra.relation import PROBABILITY_COLUMN, ProbabilisticRelation
+from repro.relational.cache import VersionedLRU
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.spinql.compiler import CompiledScript, compile_script
@@ -117,8 +117,6 @@ from repro.workload.log import WorkloadLog
 __all__ = [
     "CompiledProgram",
     "Engine",
-    "PlanCache",
-    "PlanCacheStatistics",
     "Query",
     "RankedQuery",
     "SearchQuery",
@@ -128,6 +126,13 @@ __all__ = [
     "as_probabilistic",
     "connect",
 ]
+
+#: what an engine bounds its plan cache to unless told otherwise.  Every
+#: distinct SpinQL source and every top-k variant of a plan is one entry, so
+#: an unbounded cache grows for the life of a server; E14's mixed workload
+#: (2,000 request templates) peaks below 400 live entries, which this keeps
+#: resident while a one-off-query stream can no longer grow without limit.
+DEFAULT_MAX_ENTRIES = 512
 
 
 @dataclass
@@ -176,8 +181,8 @@ class Engine:
         self.triples_table = triples_table
         self.language = language
         self.analyzer = StandardAnalyzer(language)
-        self.plan_cache = PlanCache(
-            max_entries=plan_cache_size if plan_cache_size is not None else DEFAULT_MAX_ENTRIES
+        self.plan_cache: VersionedLRU[str, Any] = VersionedLRU(
+            plan_cache_size if plan_cache_size is not None else DEFAULT_MAX_ENTRIES
         )
         # the workload subsystem: every execution is logged, repeated plan
         # evaluations may be answered from the result cache, and the cost
@@ -185,6 +190,10 @@ class Engine:
         self.workload_log = WorkloadLog(capacity=workload_log_capacity)
         self.result_cache = (
             ResultCache(max_entries=result_cache_size) if result_cache_size else None
+        )
+        # the caches whose entries depend on tables (the database keeps its own)
+        self._table_caches = tuple(
+            cache for cache in (self.plan_cache, self.result_cache) if cache is not None
         )
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self._evaluator = PRAEvaluator(self.database)
@@ -230,12 +239,10 @@ class Engine:
             "tables": self.database.table_names(),
             "views": self.database.view_names(),
             "language": self.language,
-            "plan_cache": self.plan_cache.statistics,
-            "materialization_cache": self.database.cache.statistics,
+            "plan_cache": self.plan_cache.statistics.to_dict(),
+            "materialization_cache": self.database.cache.statistics.to_dict(),
             "result_cache": (
-                self.result_cache.statistics.to_dict()
-                if self.result_cache is not None
-                else None
+                self.result_cache.to_dict() if self.result_cache is not None else None
             ),
             "workload_log": self.workload_log.statistics(),
             "reuse": self.reuse_statistics(),
@@ -275,18 +282,18 @@ class Engine:
     def create_table(self, name: str, relation: Relation, *, replace: bool = False) -> "Engine":
         """Register a base table in the database; invalidates dependent caches."""
         self.database.create_table(name, relation, replace=replace)
-        self.plan_cache.invalidate_table(name)
-        if self.result_cache is not None:
-            self.result_cache.invalidate_table(name)
+        self._invalidate_tables([name])
         self._invalidate_search_statistics(name)
         return self
 
     def _on_data_changed(self) -> None:
-        for name in self.database.table_names() + self.database.view_names():
-            self.plan_cache.invalidate_table(name)
-            if self.result_cache is not None:
-                self.result_cache.invalidate_table(name)
+        self._invalidate_tables(self.database.table_names() + self.database.view_names())
         self._invalidate_search_statistics()
+
+    def _invalidate_tables(self, names: list[str]) -> None:
+        for cache in self._table_caches:
+            for name in names:
+                cache.invalidate_table(name)
 
     def _invalidate_search_statistics(self, table: str | None = None) -> None:
         with self._registry_lock:
@@ -297,9 +304,8 @@ class Engine:
 
     def clear_caches(self) -> None:
         """Drop every cached plan and materialized result (cold-start state)."""
-        self.plan_cache.clear()
-        if self.result_cache is not None:
-            self.result_cache.clear()
+        for cache in self._table_caches:
+            cache.clear()
         self.database.clear_cache()
         self._invalidate_search_statistics()
         self.executor.clear()
@@ -345,9 +351,8 @@ class Engine:
         try:
             self._plan_executor.close()
         finally:
-            self.plan_cache.clear()
-            if self.result_cache is not None:
-                self.result_cache.clear()
+            for cache in self._table_caches:
+                cache.clear()
             self.workload_log.close()
             with self._registry_lock:
                 self._search_engines.clear()
@@ -863,6 +868,7 @@ class Engine:
         cached = self.plan_cache.get(key)
         if cached is not None:
             return cached
+        still_valid = self.database.catalog.unchanged()
         compiled = compile_script(
             source, parameters=parameters, triples_table=self.triples_table
         )
@@ -876,7 +882,9 @@ class Engine:
         dependencies = frozenset().union(
             *(scan_tables(statement) for statement in compiled.plans.values())
         )
-        self.plan_cache.put(key, program, dependencies=dependencies)
+        self.plan_cache.put(
+            key, program, dependencies=dependencies, still_valid=still_valid
+        )
         return program
 
     def _optimize_plan(self, plan: PraPlan) -> PraPlan:
@@ -884,8 +892,11 @@ class Engine:
         cached = self.plan_cache.get(key)
         if cached is not None:
             return cached
+        still_valid = self.database.catalog.unchanged()
         optimized = optimize_pra(plan)
-        self.plan_cache.put(key, optimized, dependencies=scan_tables(plan))
+        self.plan_cache.put(
+            key, optimized, dependencies=scan_tables(plan), still_valid=still_valid
+        )
         return optimized
 
     # -- the workload feedback loop -----------------------------------------------
@@ -996,6 +1007,7 @@ class Engine:
                     )
                     return cached
                 cache_status = "miss"
+        still_valid = self.database.catalog.unchanged()
         executor = self._checkout_executor()
         try:
             result = executor.execute_plan(plan, bound)
@@ -1016,7 +1028,7 @@ class Engine:
             self._release_executor(executor)
         if cache_key is not None and self.result_cache is not None:
             admitted = self.result_cache.store(
-                cache_key, result, dependencies=scan_tables(plan)
+                cache_key, result, dependencies=scan_tables(plan), still_valid=still_valid
             )
             cache_status = "miss" if admitted else "bypass"
         self._record_execution(

@@ -51,7 +51,6 @@ from repro.relational.algebra import (
     Values,
 )
 from repro.relational.catalog import Catalog
-from repro.relational.cache import MaterializationCache
 from repro.relational.database import Database
 from repro.relational.functions import FunctionRegistry, default_registry
 from repro.relational.sqlgen import to_sql
@@ -74,7 +73,6 @@ __all__ = [
     "Limit",
     "Literal",
     "LogicalPlan",
-    "MaterializationCache",
     "Project",
     "Relation",
     "Scan",

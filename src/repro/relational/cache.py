@@ -1,28 +1,43 @@
-"""On-demand materialization cache.
+"""The one cache every layer shares: a dependency-invalidated, bounded LRU.
 
 Section 2.2 of the paper describes an *"adaptive, query-driven set of 'cache'
 tables, each corresponding to a specific sub-query on the original data.
 When the same computation is requested several times, its full result is
-already materialized."*  This module implements exactly that mechanism for
-the reproduction's engine: logical plans are fingerprinted, and the
-materialised result of a fingerprint is stored and reused.
+already materialized."*  :class:`VersionedLRU` is that mechanism, written
+once and used three times:
 
-The same cache also implements the paper's observation in Section 2.1 that
-*"most of the SQL queries above are independent of query-terms, which allows
-to materialize intermediate results for reuse in different search scenarios
-on the same data"* — the IR layer funnels its collection-statistics plans
-through this cache, so the first query of a session is "cold" and subsequent
-queries are "hot".
+* ``Database.cache`` — materialised logical-plan results keyed by plan
+  fingerprint.  The IR layer funnels its collection-statistics plans through
+  it, which is the paper's Section 2.1 observation that *"most of the SQL
+  queries above are independent of query-terms"*: the first query of a
+  session is "cold" and later ones are "hot";
+* ``Engine.plan_cache`` — compiled SpinQL programs and optimized PRA plans;
+* ``Engine.result_cache`` — evaluated PRA plans, behind the admission
+  policy of :class:`~repro.workload.cache.ResultCache`.
+
+Every entry records the tables and views it was derived from, so replacing
+a table drops exactly the dependent entries.  A result computed while a
+table was being replaced must not be inserted *after* that table's
+invalidation ran, or it would be served forever: callers read the catalog
+version before computing and pass ``still_valid``, which :meth:`put` asks
+under the cache lock.
+
+One re-entrant lock guards every lookup, insert, invalidation, the LRU order
+and the counters, so concurrent queries can share one cache.  Two threads
+that miss the same key may both compute and insert (the second insert wins);
+that is safe because entries are deterministic functions of their key.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from collections.abc import Callable, Hashable
+from dataclasses import dataclass
+from typing import Any, Generic, TypeVar
 
-from repro.relational.algebra import LogicalPlan
-from repro.relational.relation import Relation
+K = TypeVar("K", bound=Hashable)
+V = TypeVar("V")
 
 
 @dataclass
@@ -32,8 +47,8 @@ class CacheStatistics:
     hits: int = 0
     misses: int = 0
     invalidations: int = 0
+    evictions: int = 0
     entries: int = 0
-    cached_rows: int = 0
 
     @property
     def lookups(self) -> int:
@@ -45,157 +60,98 @@ class CacheStatistics:
             return 0.0
         return self.hits / self.lookups
 
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "invalidations": self.invalidations,
+            "evictions": self.evictions,
+            "entries": self.entries,
+            "hit_rate": self.hit_rate,
+        }
 
-@dataclass
-class _CacheEntry:
-    relation: Relation
-    fingerprint: str
-    uses: int = 0
-    dependencies: frozenset[str] = field(default_factory=frozenset)
 
+class VersionedLRU(Generic[K, V]):
+    """A thread-safe LRU whose entries are dropped when a table they read changes.
 
-class MaterializationCache:
-    """Query-driven cache of materialised plan results.
-
-    Entries are keyed by plan fingerprint.  Each entry records the set of
-    base-table names the plan depends on so that updating a base table
-    invalidates exactly the affected entries.  An optional ``max_entries``
-    bound evicts the least-recently-used entry when exceeded.
-
-    All operations are lock-guarded, matching the plan cache's thread-safety
-    contract, so concurrent query evaluation can share one cache.
+    ``max_entries=None`` leaves the cache unbounded; otherwise inserting past
+    the bound evicts the least-recently-used entry.
     """
 
     def __init__(self, max_entries: int | None = None):
-        self._entries: dict[str, _CacheEntry] = {}
-        self._order: list[str] = []
+        self._entries: OrderedDict[K, tuple[V, frozenset[str]]] = OrderedDict()
         self._max_entries = max_entries
         self._lock = threading.RLock()
         self.statistics = CacheStatistics()
 
-    # -- lookup / insert ----------------------------------------------------------
-
-    def get(self, plan: LogicalPlan) -> Relation | None:
-        """Return the cached result for ``plan`` or ``None`` on a miss."""
-        fingerprint = plan.fingerprint()
+    def get(self, key: K) -> V | None:
+        """Return the cached value for ``key`` or ``None`` on a miss."""
         with self._lock:
-            entry = self._entries.get(fingerprint)
+            entry = self._entries.get(key)
             if entry is None:
                 self.statistics.misses += 1
                 return None
             self.statistics.hits += 1
-            entry.uses += 1
-            self._touch(fingerprint)
-            return entry.relation
+            self._entries.move_to_end(key)
+            return entry[0]
 
     def put(
         self,
-        plan: LogicalPlan,
-        relation: Relation,
-        dependencies: frozenset[str] | None = None,
+        key: K,
+        value: V,
         *,
+        dependencies: frozenset[str],
         still_valid: Callable[[], bool] | None = None,
-    ) -> None:
-        """Store the materialised ``relation`` for ``plan``.
+    ) -> bool:
+        """Store ``value`` under ``key``; returns False if ``still_valid`` vetoed it.
 
-        ``dependencies`` overrides the default dependency set (the base
-        tables scanned directly by the plan); the database passes the
-        transitive closure through views so that updating a base table also
-        invalidates results cached for views defined over it.
-
-        ``still_valid`` is asked under the cache lock, and a ``False`` drops
-        the result instead of storing it: a result computed while a table
-        was being replaced must not be inserted *after* that table's
-        invalidation ran, or it would be served forever.
+        ``dependencies`` names every table or view the value was derived
+        from.  ``still_valid`` is asked under the lock, so a value computed
+        before a concurrent write is dropped rather than stored after the
+        write's invalidation.
         """
-        fingerprint = plan.fingerprint()
-        if dependencies is None:
-            dependencies = frozenset(_scan_dependencies(plan))
         with self._lock:
             if still_valid is not None and not still_valid():
-                return
-            if fingerprint not in self._entries:
-                self._order.append(fingerprint)
-            self._entries[fingerprint] = _CacheEntry(
-                relation=relation, fingerprint=fingerprint, dependencies=dependencies
-            )
-            self._refresh_size_counters()
-            self._evict_if_needed()
-
-    def contains(self, plan: LogicalPlan) -> bool:
-        """Return True if a result for ``plan`` is materialised (no statistics update)."""
-        with self._lock:
-            return plan.fingerprint() in self._entries
-
-    # -- invalidation --------------------------------------------------------------
+                return False
+            self._entries[key] = (value, dependencies)
+            self._entries.move_to_end(key)
+            if self._max_entries is not None:
+                while len(self._entries) > self._max_entries:
+                    self._entries.popitem(last=False)
+                    self.statistics.evictions += 1
+            self.statistics.entries = len(self._entries)
+            return True
 
     def invalidate_table(self, table_name: str) -> int:
-        """Drop every cached entry that depends on ``table_name``.
-
-        Returns the number of entries removed.
-        """
+        """Drop every entry that depends on ``table_name``; returns how many."""
         with self._lock:
             stale = [
-                fingerprint
-                for fingerprint, entry in self._entries.items()
-                if table_name in entry.dependencies
+                key
+                for key, (_value, dependencies) in self._entries.items()
+                if table_name in dependencies
             ]
-            for fingerprint in stale:
-                del self._entries[fingerprint]
-                self._order.remove(fingerprint)
+            for key in stale:
+                del self._entries[key]
             self.statistics.invalidations += len(stale)
-            self._refresh_size_counters()
+            self.statistics.entries = len(self._entries)
             return len(stale)
 
     def clear(self) -> None:
-        """Drop every cached entry."""
+        """Drop every entry."""
         with self._lock:
             self.statistics.invalidations += len(self._entries)
             self._entries.clear()
-            self._order.clear()
-            self._refresh_size_counters()
+            self.statistics.entries = 0
 
-    # -- introspection ---------------------------------------------------------------
+    def keys(self) -> list[K]:
+        """A snapshot of the cached keys, least-recently used first."""
+        with self._lock:
+            return list(self._entries)
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def fingerprints(self) -> list[str]:
+    def __contains__(self, key: K) -> bool:
         with self._lock:
-            return list(self._order)
-
-    # -- internals --------------------------------------------------------------------
-
-    def _touch(self, fingerprint: str) -> None:
-        self._order.remove(fingerprint)
-        self._order.append(fingerprint)
-
-    def _evict_if_needed(self) -> None:
-        if self._max_entries is None:
-            return
-        while len(self._entries) > self._max_entries:
-            oldest = self._order.pop(0)
-            # only reachable from put()/clear(), which hold self._lock
-            del self._entries[oldest]  # repro-lint: disable=RL003
-        self._refresh_size_counters()
-
-    def _refresh_size_counters(self) -> None:
-        self.statistics.entries = len(self._entries)
-        self.statistics.cached_rows = sum(
-            entry.relation.num_rows for entry in self._entries.values()
-        )
-
-
-def _scan_dependencies(plan: LogicalPlan) -> set[str]:
-    """Collect the names of all base tables/views scanned by ``plan``."""
-    from repro.relational.algebra import Scan
-
-    names: set[str] = set()
-    stack = [plan]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Scan):
-            names.add(node.table)
-        stack.extend(node.children())
-    return names
+            return key in self._entries

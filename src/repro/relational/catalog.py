@@ -180,6 +180,16 @@ class Catalog:
         self._views.clear()
         self.version += 1
 
+    def unchanged(self) -> Callable[[], bool]:
+        """A check that no definition changed since this call.
+
+        Caches pass it as ``still_valid``: a write bumps the version before it
+        invalidates them, so a value computed across the write is dropped
+        instead of being stored after the invalidation (and served forever).
+        """
+        version = self.version
+        return lambda: self.version == version
+
     def table_names_set(self) -> set[str]:
         """The names of every base table, hydrated or lazy."""
         return set(self._tables) | set(self._lazy)

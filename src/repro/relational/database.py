@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.relational.algebra import LogicalPlan, Scan
-from repro.relational.cache import MaterializationCache
+from repro.relational.cache import VersionedLRU
 from repro.relational.catalog import Catalog
 from repro.relational.functions import FunctionRegistry, default_registry
 from repro.relational.operators import Executor
@@ -30,12 +30,12 @@ class Database:
         functions: FunctionRegistry | None = None,
         *,
         cache_enabled: bool = True,
-        cache_max_entries: int | None = None,
         optimize_plans: bool = True,
     ):
         self.catalog = Catalog()
         self.functions = functions if functions is not None else default_registry()
-        self.cache = MaterializationCache(max_entries=cache_max_entries)
+        # materialised plan results by plan fingerprint (Section 2.2); unbounded
+        self.cache: VersionedLRU[str, Relation] = VersionedLRU()
         self.cache_enabled = cache_enabled
         self.optimize_plans = optimize_plans
         self._executor = Executor(self.catalog.resolve, self.functions)
@@ -102,20 +102,18 @@ class Database:
         if self.optimize_plans:
             plan = optimize(plan)
         if caching:
-            cached = self.cache.get(plan)
+            key = plan.fingerprint()
+            cached = self.cache.get(key)
             if cached is not None:
                 return cached
-        # a definition change bumps the catalog version and then invalidates
-        # the cache; a result that may predate the change is only stored while
-        # the version read before computing it still stands
-        version = self.catalog.version
+        still_valid = self.catalog.unchanged()
         result = self._executor.execute(plan)
         if caching:
             self.cache.put(
-                plan,
+                key,
                 result,
                 dependencies=self._plan_dependencies(plan),
-                still_valid=lambda: self.catalog.version == version,
+                still_valid=still_valid,
             )
         return result
 

@@ -128,7 +128,7 @@ class Router:
             "degraded": bool(executor.get("replication", {}).get("degraded", False)),
             "router": self.statistics(),
             "plan_cache": engine.plan_cache.statistics.to_dict(),
-            "result_cache": result_cache.statistics.to_dict() if result_cache else None,
+            "result_cache": result_cache.to_dict() if result_cache is not None else None,
         }
 
     def stats(self) -> dict[str, Any]:

@@ -40,7 +40,7 @@ _SPINQL_PREFIX = "spinql::"
 def _compiled_sources(engine: "Engine") -> list[dict[str, Any]]:
     """The SpinQL programs currently in the plan cache, as manifest entries."""
     sources = []
-    for key in engine.plan_cache.keys():  # noqa: SIM118 - PlanCache is not a dict
+    for key in engine.plan_cache.keys():  # noqa: SIM118 - the plan cache is not a dict
         if not key.startswith(_SPINQL_PREFIX):
             continue
         _, _, parameters, source = key.split("::", 3)

@@ -16,8 +16,9 @@ relational engine:
 All strategies implement the same interface so the partitioning benchmark
 (E3) can swap them under an identical query workload.  The *on-demand*
 query-driven materialization the paper ultimately relies on is orthogonal:
-it is provided by the engine's :class:`~repro.relational.cache.MaterializationCache`
-and measured in the same benchmark.
+it is provided by the database's materialization cache (``Database.cache``, a
+:class:`~repro.relational.cache.VersionedLRU`) and measured in the same
+benchmark.
 """
 
 from __future__ import annotations

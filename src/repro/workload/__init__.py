@@ -30,7 +30,7 @@ The JSONL record schema is part of the public API surface — see the
 stability policy in :mod:`repro`.
 """
 
-from repro.workload.cache import ResultCache, ResultCacheStatistics, binding_fingerprint
+from repro.workload.cache import ResultCache, binding_fingerprint
 from repro.workload.cost import CostEstimate, CostModel
 from repro.workload.log import (
     WorkloadLog,
@@ -59,7 +59,6 @@ __all__ = [
     "LoadReport",
     "RequestSpec",
     "ResultCache",
-    "ResultCacheStatistics",
     "RouterTarget",
     "Schedule",
     "WorkloadLog",

@@ -1,8 +1,8 @@
 """The adaptive result cache: evaluated relations keyed by plan + parameters.
 
-Where the :class:`~repro.engine.plan_cache.PlanCache` memoizes *plans*, this
-cache memoizes *results*: the :class:`~repro.pra.relation.ProbabilisticRelation`
-an optimized plan evaluated to, keyed by ``(plan fingerprint, binding
+Where the engine's plan cache memoizes *plans*, this cache memoizes
+*results*: the :class:`~repro.pra.relation.ProbabilisticRelation` an
+optimized plan evaluated to, keyed by ``(plan fingerprint, binding
 fingerprint)``.  A hit skips the executor entirely — no scatter, no worker
 round-trip — and returns the exact relation object computed before, so a
 cached answer is bit-identical to recomputation by construction (property
@@ -15,67 +15,23 @@ never evict the entries that are actually hot; the fingerprint sighting
 counts live in a bounded LRU of their own, so the admission tracker cannot
 grow without bound either.
 
-**Invalidation.**  Entries record the base tables their plan scans (the
-same ``scan_tables`` dependency set the plan cache uses), and the engine
-calls :meth:`ResultCache.invalidate_table` from exactly the hooks that
-invalidate the plan cache — ``create_table``, triple-store reload,
-``clear_caches`` — so a cached result can never outlive the data it was
-computed from.
-
-Thread safety matches the plan cache: one re-entrant lock guards every
-lookup, insert, invalidation and counter update.
+**Storage and invalidation** are the shared
+:class:`~repro.relational.cache.VersionedLRU`: entries record the base
+tables their plan scans, the engine invalidates them from exactly the hooks
+that invalidate the plan cache — ``create_table``, triple-store reload,
+``clear_caches`` — and a result computed across a concurrent write is
+dropped instead of stored (``still_valid``), so a cached result can never
+outlive the data it was computed from.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Hashable, Mapping
+from collections.abc import Callable, Hashable, Mapping
+from typing import Any
 
 from repro.pra.relation import ProbabilisticRelation
-
-
-@dataclass
-class ResultCacheStatistics:
-    """Counters describing result-cache effectiveness."""
-
-    hits: int = 0
-    misses: int = 0
-    invalidations: int = 0
-    evictions: int = 0
-    admitted: int = 0
-    bypassed: int = 0  # stores skipped by the admission policy
-    entries: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "evictions": self.evictions,
-            "admitted": self.admitted,
-            "bypassed": self.bypassed,
-            "entries": self.entries,
-            "hit_rate": self.hit_rate,
-        }
-
-
-@dataclass
-class _ResultEntry:
-    value: ProbabilisticRelation
-    dependencies: frozenset[str] = field(default_factory=frozenset)
-    uses: int = 0
+from repro.relational.cache import VersionedLRU
 
 
 def binding_fingerprint(
@@ -101,7 +57,7 @@ def binding_fingerprint(
 
 
 class ResultCache:
-    """A size-bounded, lock-guarded, dependency-invalidated result cache."""
+    """An admission policy in front of one size-bounded :class:`VersionedLRU`."""
 
     def __init__(self, max_entries: int = 256, *, admission_threshold: int = 2):
         if max_entries < 1:
@@ -110,27 +66,22 @@ class ResultCache:
             raise ValueError("admission_threshold must be >= 1")
         self.max_entries = max_entries
         self.admission_threshold = admission_threshold
-        self._entries: OrderedDict[tuple[str, str], _ResultEntry] = OrderedDict()
+        self.admitted = 0
+        self.bypassed = 0  # stores skipped by the admission policy
+        self._results: VersionedLRU[tuple[str, str], ProbabilisticRelation] = VersionedLRU(
+            max_entries
+        )
         # fingerprint -> sighting count; bounded so ad-hoc traffic cannot
         # grow the admission tracker without limit
-        self._sightings: OrderedDict[str, int] = OrderedDict()
         self._sightings_capacity = max(max_entries * 4, 64)
-        self._lock = threading.RLock()
-        self.statistics = ResultCacheStatistics()
-
-    # -- lookup / store ----------------------------------------------------------
+        self._sightings: VersionedLRU[str, int] = VersionedLRU(self._sightings_capacity)
+        # makes one admission decision (sighting, counters, store) atomic
+        self._admission_lock = threading.Lock()
+        self.statistics = self._results.statistics
 
     def lookup(self, key: tuple[str, str]) -> ProbabilisticRelation | None:
         """The cached result for ``key``, or ``None`` (counted as a miss)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.statistics.misses += 1
-                return None
-            self.statistics.hits += 1
-            entry.uses += 1
-            self._entries.move_to_end(key)
-            return entry.value
+        return self._results.get(key)
 
     def store(
         self,
@@ -138,63 +89,51 @@ class ResultCache:
         value: ProbabilisticRelation,
         *,
         dependencies: frozenset[str] = frozenset(),
+        still_valid: Callable[[], bool] | None = None,
     ) -> bool:
         """Offer a computed result; returns True if it was admitted.
 
         Admission is adaptive: the result is kept only once the plan
         fingerprint's sighting count reaches ``admission_threshold`` (the
-        lookup that preceded this store counts as one sighting).
+        lookup that preceded this store counts as one sighting).  An admitted
+        result is still dropped when ``still_valid`` says a write overtook it.
         """
         fingerprint = key[0]
-        with self._lock:
-            if key in self._entries:
+        with self._admission_lock:
+            if key in self._results:
                 return True  # a concurrent execution already stored it
-            count = self._sightings.get(fingerprint, 0) + 1
-            self._sightings[fingerprint] = count
-            self._sightings.move_to_end(fingerprint)
-            while len(self._sightings) > self._sightings_capacity:
-                self._sightings.popitem(last=False)
+            count = (self._sightings.get(fingerprint) or 0) + 1
+            self._sightings.put(fingerprint, count, dependencies=frozenset())
             if count < self.admission_threshold:
-                self.statistics.bypassed += 1
+                self.bypassed += 1
                 return False
-            self._entries[key] = _ResultEntry(value=value, dependencies=dependencies)
-            self.statistics.admitted += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.statistics.evictions += 1
-            self.statistics.entries = len(self._entries)
+            if not self._results.put(
+                key, value, dependencies=dependencies, still_valid=still_valid
+            ):
+                return False
+            self.admitted += 1
             return True
-
-    # -- invalidation ------------------------------------------------------------
 
     def invalidate_table(self, table_name: str) -> int:
         """Drop every cached result whose plan depends on ``table_name``."""
-        with self._lock:
-            stale = [
-                key
-                for key, entry in self._entries.items()
-                if table_name in entry.dependencies
-            ]
-            for key in stale:
-                del self._entries[key]
-            self.statistics.invalidations += len(stale)
-            self.statistics.entries = len(self._entries)
-            return len(stale)
+        return self._results.invalidate_table(table_name)
 
     def clear(self) -> None:
         """Drop every cached result and the admission sighting counts."""
-        with self._lock:
-            self.statistics.invalidations += len(self._entries)
-            self._entries.clear()
+        with self._admission_lock:
+            self._results.clear()
             self._sightings.clear()
-            self.statistics.entries = 0
 
-    # -- introspection -----------------------------------------------------------
+    def to_dict(self) -> dict[str, Any]:
+        """The storage counters plus the admission policy's."""
+        return {
+            **self.statistics.to_dict(),
+            "admitted": self.admitted,
+            "bypassed": self.bypassed,
+        }
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._results)
 
     def __contains__(self, key: tuple[str, str]) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self._results

@@ -8,8 +8,8 @@ cache-stats counters asserted here.
 import pytest
 
 from repro.engine import Engine
-from repro.engine.plan_cache import PlanCache
 from repro.errors import PRAError
+from repro.relational.cache import VersionedLRU
 
 TRIPLES = [
     ("lot1", "type", "lot"),
@@ -122,17 +122,19 @@ class TestInvalidation:
 
 
 class TestPlanCacheUnit:
+    """``Engine.plan_cache`` is a bounded :class:`VersionedLRU`."""
+
     def test_lru_bound(self):
-        cache = PlanCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("c", 3)
+        cache = VersionedLRU(max_entries=2)
+        cache.put("a", 1, dependencies=frozenset())
+        cache.put("b", 2, dependencies=frozenset())
+        cache.put("c", 3, dependencies=frozenset())
         assert len(cache) == 2
         assert cache.get("a") is None
         assert cache.get("c") == 3
 
     def test_hit_rate_and_counters(self):
-        cache = PlanCache()
+        cache = VersionedLRU()
         assert cache.statistics.hit_rate == 0.0
         cache.put("k", "v", dependencies=frozenset({"t"}))
         assert cache.get("k") == "v"
@@ -142,7 +144,7 @@ class TestPlanCacheUnit:
         assert cache.statistics.hit_rate == 0.5
 
     def test_invalidate_by_dependency(self):
-        cache = PlanCache()
+        cache = VersionedLRU()
         cache.put("k1", 1, dependencies=frozenset({"triples"}))
         cache.put("k2", 2, dependencies=frozenset({"docs"}))
         assert cache.invalidate_table("triples") == 1
@@ -151,8 +153,8 @@ class TestPlanCacheUnit:
         assert cache.statistics.invalidations == 1
 
     def test_clear(self):
-        cache = PlanCache()
-        cache.put("k", 1)
+        cache = VersionedLRU()
+        cache.put("k", 1, dependencies=frozenset())
         cache.clear()
         assert len(cache) == 0
         assert cache.statistics.entries == 0

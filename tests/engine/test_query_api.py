@@ -1,5 +1,7 @@
 """The lazy Query API: laziness, fluent chaining, explain, bindings."""
 
+import json
+
 import pytest
 
 from repro.engine import Engine, connect
@@ -279,6 +281,10 @@ class TestEngineSession:
         info = engine.connect_info()
         assert info["triples"] == len(TRIPLES)
         assert "triples" in info["tables"]
+        engine.spinql('a = SELECT [$2="category"] (triples);').execute()
+        info = json.loads(json.dumps(engine.connect_info()))
+        for cache in ("plan_cache", "materialization_cache", "result_cache"):
+            assert set(info[cache]) >= {"hits", "misses", "evictions", "entries", "hit_rate"}
 
     def test_from_triples_classmethod(self):
         engine = Engine.from_triples(TRIPLES)
@@ -333,7 +339,7 @@ class TestEngineSession:
         assert (registry["rebuilds"], registry["hits"], registry["entries"]) == (1, 1, 1)
 
     def test_plan_cache_is_bounded_by_default(self):
-        from repro.engine.plan_cache import DEFAULT_MAX_ENTRIES
+        from repro.engine import DEFAULT_MAX_ENTRIES
 
         engine = connect(plan_cache_size=None).load_triples(TRIPLES)
         for value in range(DEFAULT_MAX_ENTRIES + 40):

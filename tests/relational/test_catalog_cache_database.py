@@ -1,10 +1,10 @@
-"""Unit tests for the catalog, the materialization cache and the database facade."""
+"""Unit tests for the catalog, the shared cache class and the database facade."""
 
 import pytest
 
 from repro.errors import CatalogError
 from repro.relational.algebra import Aggregate, AggregateSpec, Scan, Select
-from repro.relational.cache import MaterializationCache
+from repro.relational.cache import VersionedLRU
 from repro.relational.catalog import Catalog
 from repro.relational.column import DataType
 from repro.relational.database import Database
@@ -74,56 +74,114 @@ class TestCatalog:
             catalog.resolve("nope")
 
 
-class TestMaterializationCache:
-    def test_miss_then_hit(self):
-        cache = MaterializationCache()
-        plan = Scan("t")
-        assert cache.get(plan) is None
-        cache.put(plan, small_relation())
-        assert cache.get(plan) is not None
-        assert cache.statistics.hits == 1
-        assert cache.statistics.misses == 1
-        assert cache.statistics.hit_rate == pytest.approx(0.5)
+class TestVersionedLRU:
+    """The contract of the one cache class under the plan, result and
+    materialization caches."""
 
-    def test_contains_does_not_update_statistics(self):
-        cache = MaterializationCache()
-        plan = Scan("t")
-        cache.put(plan, small_relation())
-        assert cache.contains(plan)
-        assert cache.statistics.lookups == 0
+    def test_lru_order_and_bound(self):
+        cache = VersionedLRU(max_entries=2)
+        cache.put("a", 1, dependencies=frozenset())
+        cache.put("b", 2, dependencies=frozenset())
+        assert cache.get("a") == 1  # touch 'a' so 'b' becomes the eviction victim
+        assert cache.keys() == ["b", "a"]
+        cache.put("c", 3, dependencies=frozenset())
+        assert cache.keys() == ["a", "c"]
+        assert "b" not in cache
+        assert len(cache) == 2
+        assert cache.statistics.evictions == 1
+        assert VersionedLRU().put("k", 1, dependencies=frozenset())  # unbounded
 
-    def test_invalidate_table_removes_dependent_entries(self):
-        cache = MaterializationCache()
-        dependent = Select(Scan("t"), col("id").eq(lit(1)))
-        independent = Scan("u")
-        cache.put(dependent, small_relation())
-        cache.put(independent, small_relation())
-        removed = cache.invalidate_table("t")
-        assert removed == 1
-        assert cache.get(dependent) is None
-        assert cache.get(independent) is not None
-
-    def test_clear(self):
-        cache = MaterializationCache()
-        cache.put(Scan("t"), small_relation())
+    def test_dependency_invalidation_and_clear(self):
+        cache = VersionedLRU()
+        cache.put("on_t", 1, dependencies=frozenset({"t", "v"}))
+        cache.put("on_u", 2, dependencies=frozenset({"u"}))
+        assert cache.invalidate_table("t") == 1
+        assert "on_t" not in cache
+        assert cache.get("on_u") == 2
+        assert cache.invalidate_table("nothing") == 0
         cache.clear()
         assert len(cache) == 0
+        assert cache.statistics.invalidations == 2
+        assert cache.statistics.entries == 0
+
+    def test_counters_and_to_dict(self):
+        cache = VersionedLRU()
+        assert cache.statistics.hit_rate == 0.0
+        assert cache.get("k") is None
+        cache.put("k", "v", dependencies=frozenset({"t"}))
+        assert "k" in cache  # membership is not a lookup
+        assert cache.get("k") == "v"
+        assert cache.statistics.lookups == 2
+        assert cache.statistics.to_dict() == {
+            "hits": 1,
+            "misses": 1,
+            "invalidations": 0,
+            "evictions": 0,
+            "entries": 1,
+            "hit_rate": pytest.approx(0.5),
+        }
+
+    def test_still_valid_false_drops_the_store(self):
+        cache = VersionedLRU()
+        assert cache.put("stale", 1, dependencies=frozenset(), still_valid=lambda: False) is False
+        assert "stale" not in cache
+        assert cache.statistics.entries == 0
+        assert cache.put("fresh", 2, dependencies=frozenset(), still_valid=lambda: True) is True
+        assert cache.get("fresh") == 2
+
+
+class TestMaterializationCache:
+    """``Database.cache``: plan results keyed by plan fingerprint."""
+
+    def test_miss_then_hit(self):
+        db = Database()
+        db.create_table("t", small_relation())
+        plan = Scan("t")
+        assert db.cache.get(plan.fingerprint()) is None
+        db.execute(plan)
+        assert db.cache.get(plan.fingerprint()) is not None
+        assert db.cache.statistics.hits == 1
+        assert db.cache.statistics.misses == 2
+        assert db.cache.statistics.hit_rate == pytest.approx(1 / 3)
+
+    def test_contains_does_not_update_statistics(self):
+        db = Database()
+        db.create_table("t", small_relation())
+        plan = Scan("t")
+        db.execute(plan)
+        lookups = db.cache.statistics.lookups
+        assert plan.fingerprint() in db.cache
+        assert db.cache.statistics.lookups == lookups
+
+    def test_invalidate_table_removes_dependent_entries(self):
+        db = Database()
+        db.create_table("t", small_relation())
+        db.create_table("u", small_relation())
+        dependent = Select(Scan("t"), col("id").eq(lit(1)))
+        independent = Scan("u")
+        db.execute(dependent)
+        db.execute(independent)
+        removed = db.cache.invalidate_table("t")
+        assert removed == 1
+        assert dependent.fingerprint() not in db.cache
+        assert independent.fingerprint() in db.cache
+
+    def test_clear(self):
+        db = Database()
+        db.create_table("t", small_relation())
+        db.execute(Scan("t"))
+        db.cache.clear()
+        assert len(db.cache) == 0
 
     def test_lru_eviction(self):
-        cache = MaterializationCache(max_entries=2)
-        cache.put(Scan("a"), small_relation())
-        cache.put(Scan("b"), small_relation())
-        cache.get(Scan("a"))  # touch 'a' so 'b' becomes the eviction victim
-        cache.put(Scan("c"), small_relation())
-        assert cache.get(Scan("a")) is not None
-        assert cache.get(Scan("b")) is None
-        assert cache.get(Scan("c")) is not None
-
-    def test_size_counters(self):
-        cache = MaterializationCache()
-        cache.put(Scan("a"), small_relation())
-        assert cache.statistics.entries == 1
-        assert cache.statistics.cached_rows == 2
+        cache: VersionedLRU[str, Relation] = VersionedLRU(max_entries=2)
+        for name in ("a", "b"):
+            cache.put(Scan(name).fingerprint(), small_relation(), dependencies=frozenset({name}))
+        cache.get(Scan("a").fingerprint())  # touch 'a' so 'b' becomes the eviction victim
+        cache.put(Scan("c").fingerprint(), small_relation(), dependencies=frozenset({"c"}))
+        assert cache.get(Scan("a").fingerprint()) is not None
+        assert cache.get(Scan("b").fingerprint()) is None
+        assert cache.get(Scan("c").fingerprint()) is not None
 
 
 class TestDatabase:
@@ -159,7 +217,7 @@ class TestDatabase:
         assert db.query("only_one").num_rows == 1
         materialized = db.materialize_view("only_one")
         assert materialized.num_rows == 1
-        assert db.cache.contains(Scan("only_one"))
+        assert Scan("only_one").fingerprint() in db.cache
 
     def test_clear_cache(self):
         db = Database()

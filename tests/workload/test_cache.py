@@ -36,10 +36,10 @@ class TestAdmission:
         cache = ResultCache(max_entries=4)
         value = _relation([("a",)])
         assert cache.store(("fp", ""), value) is False
-        assert cache.statistics.bypassed == 1
+        assert cache.bypassed == 1
         assert len(cache) == 0
         assert cache.store(("fp", ""), value) is True
-        assert cache.statistics.admitted == 1
+        assert cache.admitted == 1
         assert cache.lookup(("fp", "")) is value
 
     def test_distinct_bindings_share_the_sighting_count(self):
@@ -134,6 +134,35 @@ class TestEngineWiring:
         engine.load_triples([("lot1", "hasAuction", "auction9")])
         result = engine.spinql(TRAVERSE, seeds=["lot1"]).execute()
         assert sorted(result.value_rows()) == [("auction1",), ("auction9",)]
+
+    def test_result_computed_across_a_table_replace_is_not_cached(self, engine):
+        """Regression: a result computed on the old triples was stored after the
+        replace had invalidated the result cache, and then served forever."""
+        assert engine.spinql(TRAVERSE, seeds=["lot1"]).execute().value_rows() == [
+            ("auction1",)
+        ]  # the first sighting
+        triples = engine.database.table(engine.triples_table)
+        renamed = Relation.from_rows(
+            triples.schema,
+            [
+                tuple("auction9" if value == "auction1" else value for value in row)
+                for row in triples.rows()
+            ],
+        )
+        executor = engine._plan_executor
+        execute_plan = executor.execute_plan
+
+        def execute_while_a_writer_replaces_the_triples(plan, bindings):
+            result = execute_plan(plan, bindings)
+            engine.create_table(engine.triples_table, renamed, replace=True)
+            return result
+
+        executor.execute_plan = execute_while_a_writer_replaces_the_triples
+        engine.spinql(TRAVERSE, seeds=["lot1"]).execute()  # the racing reader
+        executor.execute_plan = execute_plan
+        for _ in range(2):
+            result = engine.spinql(TRAVERSE, seeds=["lot1"]).execute()
+            assert result.value_rows() == [("auction9",)]
 
     def test_result_cache_can_be_disabled(self):
         engine = Engine.from_triples(TRIPLES, result_cache_size=None)
