@@ -135,7 +135,8 @@ Version 1.8 adds vectorized multi-query search and in-flight request
 collapsing, both **result-invisible by contract**: batched execution is
 bit-identical to request-at-a-time execution, and collapsing returns the
 leader's exact reply — behavior differences are bugs, not configuration
-surprises.  The workload-record
+surprises.  A single search request *is* a batch of one: every layer,
+from ``SearchQuery.execute`` to the worker, runs the ``search_many`` path.  The workload-record
 schema moves to ``v`` = 2 by appending one field (``collapsed``:
 ``"leader"``/``"follower"``/absent), which v1 readers ignore per the
 append-only rule above.

@@ -14,10 +14,7 @@ coordinator remainder) with exactly the same code path the
 ``ShardedExecutor``/``PoolExecutor`` use to *execute* it — the two can never
 disagree, because :func:`classify` and
 :meth:`~repro.engine.executors.ScatterGatherExecutor.execute_plan` both call
-:func:`extract_segments`.
-
-The executors re-export every name below, so existing imports from
-``repro.engine.executors`` keep working.
+:func:`extract_segments`.  Import the planning names from here.
 """
 
 from __future__ import annotations

@@ -207,8 +207,6 @@ class Engine:
         self._plan_executor: PlanExecutor = LocalExecutor(self)
         self._thread_pool: ThreadPoolExecutor | None = None
         self._thread_pool_size = 0
-        self._shard_thread_pool: ThreadPoolExecutor | None = None
-        self._shard_thread_pool_size = 0
         self._retired_pools: list[ThreadPoolExecutor] = []
         self._lifecycle_lock = threading.Lock()
         # guards _search_engines/_rank_blocks; Engine is shareable across threads
@@ -330,12 +328,10 @@ class Engine:
             return
         self._closed = True
         with self._lifecycle_lock:
-            pools = [self._thread_pool, self._shard_thread_pool, *self._retired_pools]
+            pools = [self._thread_pool, *self._retired_pools]
             self._thread_pool = None
-            self._shard_thread_pool = None
             self._retired_pools = []
             self._thread_pool_size = 0
-            self._shard_thread_pool_size = 0
         for pool in pools:
             if pool is not None:
                 pool.shutdown(wait=True)
@@ -468,53 +464,26 @@ class Engine:
             return self._blueprint_manager
 
     def _batch_pool(self, max_workers: int) -> ThreadPoolExecutor:
-        """The engine-owned thread pool behind ``execute_many``/``top_many``.
+        """The engine's one thread pool, behind ``execute_many``/``top_many``.
 
         Created lazily and reused across calls, so thread lifecycle is paid
         once per engine instead of once per call; :meth:`close` shuts it
-        down.  Deliberately *not* shared with the sharded executors' scatter
-        step (:meth:`_shard_pool`): batch tasks scatter from inside their
-        pool threads, and a shared bounded pool would deadlock once every
-        thread held a batch task waiting on inner scatter futures.
+        down.  It only ever grows: an outgrown pool is retired, not shut
+        down, because a concurrent caller may already hold a reference and
+        be about to submit.  Batch tasks on a sharded engine scatter from
+        inside these threads, inline — the scatter step has no pool of its
+        own to wait on, so a full batch pool cannot deadlock.
         """
         with self._lifecycle_lock:
-            self._thread_pool, self._thread_pool_size = self._grown_pool(
-                self._thread_pool, self._thread_pool_size, max_workers, "repro-engine"
-            )
+            self._require_open()
+            if self._thread_pool is None or self._thread_pool_size < max_workers:
+                if self._thread_pool is not None:
+                    self._retired_pools.append(self._thread_pool)
+                self._thread_pool = ThreadPoolExecutor(
+                    max_workers=max_workers, thread_name_prefix="repro-engine"
+                )
+                self._thread_pool_size = max_workers
             return self._thread_pool
-
-    def _shard_pool(self, max_workers: int) -> ThreadPoolExecutor:
-        """The engine-owned pool for fanning one query out across shards."""
-        with self._lifecycle_lock:
-            self._shard_thread_pool, self._shard_thread_pool_size = self._grown_pool(
-                self._shard_thread_pool,
-                self._shard_thread_pool_size,
-                max_workers,
-                "repro-shard",
-            )
-            return self._shard_thread_pool
-
-    def _grown_pool(
-        self,
-        pool: ThreadPoolExecutor | None,
-        size: int,
-        max_workers: int,
-        prefix: str,
-    ) -> tuple[ThreadPoolExecutor, int]:
-        """Grow-only pool management; caller holds the lifecycle lock.
-
-        An outgrown pool is retired, not shut down: a concurrent caller may
-        already hold a reference and be about to submit, and submitting to a
-        shut-down executor raises.  Retired pools are drained in
-        :meth:`close`.
-        """
-        self._require_open()
-        if pool is None or size < max_workers:
-            if pool is not None:
-                self._retired_pools.append(pool)
-            pool = ThreadPoolExecutor(max_workers=max_workers, thread_name_prefix=prefix)
-            size = max_workers
-        return pool, size
 
     # -- persistence ------------------------------------------------------------------
 
@@ -1054,68 +1023,6 @@ class Engine:
         """A description of the plan executor (kind, shard/worker counts)."""
         return self._plan_executor.describe()
 
-    def _search_sharded(
-        self,
-        *,
-        table: str,
-        query: str,
-        model: Any | None,
-        pipeline: str,
-        top_k: int | None,
-        expander: Any | None,
-        id_column: str,
-        text_column: str,
-    ) -> Any | None:
-        """Scatter a keyword query to the shards, or ``None`` on the local path.
-
-        Query analysis and expansion run on the coordinator (they only need
-        the analyzer and the expander); per-shard ranking uses the global
-        statistics reduce, so the merged result is bit-identical to the
-        unsharded search.
-        """
-        import time
-
-        from repro.ir.search import SearchResult
-
-        self._require_open()
-        executor = self._checkout_executor()
-        try:
-            if not isinstance(executor, (ShardedExecutor, PoolExecutor)):
-                return None
-            started = time.perf_counter()
-            searcher = self._search_engine(
-                table,
-                model=model,
-                pipeline=pipeline,
-                expander=expander,
-                id_column=id_column,
-                text_column=text_column,
-            )
-            base_terms, expanded_terms, terms = searcher.query_terms(query)
-            spec = SearchSpec(
-                table=table,
-                terms=list(terms),
-                top_k=top_k,
-                pipeline=pipeline,
-                id_column=id_column,
-                text_column=text_column,
-                model=model,
-            )
-            was_warm = executor.has_global_statistics(spec)
-            ranked = executor.search(spec)
-        finally:
-            self._release_executor(executor)
-        if ranked is None:
-            return None
-        return SearchResult(
-            query=query,
-            query_terms=list(base_terms),
-            ranked=ranked,
-            elapsed_seconds=time.perf_counter() - started,
-            statistics_were_cached=was_warm,
-            expanded_terms=list(expanded_terms),
-        )
-
     def _search_sharded_many(
         self,
         *,
@@ -1130,13 +1037,12 @@ class Engine:
     ) -> list[Any] | None:
         """Scatter a keyword-query batch to the shards, or ``None`` locally.
 
-        The whole batch rides one scatter: every shard answers all B queries
+        Query analysis and expansion run on the coordinator (they only need
+        the analyzer and the expander).  The whole batch rides one scatter:
+        every shard ranks all B queries against the global statistics
         through its vectorized multi-query kernel (shared posting slices),
-        and each merged result is bit-identical to scattering that query
-        alone.
+        so each merged result is bit-identical to the unsharded search.
         """
-        import time
-
         from repro.ir.search import SearchResult
 
         self._require_open()
@@ -1204,8 +1110,9 @@ class Engine:
         On a sharded/pool engine the batch scatters as one multi-query
         request per shard; locally it runs through
         :meth:`KeywordSearchEngine.search_many`.  Either way each result is
-        bit-identical to :meth:`search` + ``execute`` on that query alone,
-        and every query still gets its own workload-log record.
+        bit-identical to ranking that query alone, and every query still
+        gets its own workload-log record.  This is the one search path:
+        :meth:`SearchQuery.execute` is a batch of one.
         """
         queries = list(queries)
         if not queries:

@@ -39,7 +39,15 @@ Keyword search scatters differently: each shard ranks its own documents
 against **global** collection statistics
 (:class:`~repro.ir.statistics.ShardCollectionStatistics`), so per-document
 scores are bit-identical, and the ranked merge breaks score ties by global
-document index — the same order the unsharded accumulator produces.
+document index — the same order the unsharded accumulator produces.  There
+is one search path: a single query is a batch of one
+(:meth:`ScatterGatherExecutor.search_many`).
+
+**One fan-out.**  Every scatter puts all shard requests out first (the
+``begin_*`` methods), then collects the results, on the calling thread.
+Pool shards put a frame on a worker's pipe, so the workers overlap;
+in-process shards compute eagerly inside ``begin_*``.  No thread pool is
+involved — under the GIL one would only add hand-off cost.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.analysis.locality import FRAGMENT_PARAM, ScatterSegment, extract_segments
 from repro.errors import EngineError
 from repro.ir.ranking import BM25Model, LanguageModel
 from repro.ir.ranking.base import RankedList, RankingModel
@@ -101,9 +110,8 @@ def statistics_key(spec: SearchSpec) -> tuple:
 def model_from_descriptor(descriptor: dict[str, Any] | None) -> RankingModel | None:
     """Rebuild a ranking model from its ``describe()`` dict (JSON requests).
 
-    Returns ``None`` (meaning: the default model) when the descriptor is
-    absent is handled by returning a fresh BM25; an unknown model name
-    yields ``None`` so the router can reject the request cleanly.
+    An absent descriptor gives the default model, a fresh BM25; an unknown
+    model name gives ``None``, which the router answers with a 400.
     """
     if descriptor is None:
         return BM25Model()
@@ -117,25 +125,6 @@ def model_from_descriptor(descriptor: dict[str, Any] | None) -> RankingModel | N
             lam=float(descriptor["lambda"]),
         )
     return None
-
-
-# ---------------------------------------------------------------------------
-# scatter planning
-# ---------------------------------------------------------------------------
-
-# The scatter planner (segment matching, extraction, shard-plan rewriting)
-# moved to the analysis layer so the static verifier classifies plans with
-# the *same* code path the executors dispatch with — see
-# :mod:`repro.analysis.locality`.  Re-exported here for compatibility.
-from repro.analysis.locality import (  # noqa: E402
-    FRAGMENT_PARAM,
-    ScatterSegment,
-    _chain_table,
-    _replace_scan,
-    _with_children,
-    extract_segments,
-    match_segment,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -223,29 +212,6 @@ def merge_ranked(
     return RankedList([doc_ids[i] for i in order], scores[order])
 
 
-def rank_shard(
-    statistics: CollectionStatistics,
-    global_statistics: GlobalStatistics,
-    doc_rowids: np.ndarray,
-    terms: Sequence[str],
-    model: RankingModel,
-    top_k: int | None,
-) -> tuple[list[Any], np.ndarray, np.ndarray]:
-    """Rank one shard's documents against global statistics.
-
-    Returns ``(doc_ids, scores, global_doc_indices)`` for the shard's (at
-    most ``top_k``) best documents; scores are bit-identical to what the
-    unsharded engine computes for the same documents.
-    """
-    shard_view = ShardCollectionStatistics(statistics, global_statistics)
-    ranked = model.rank(shard_view, terms, top_k=top_k)
-    position_of = statistics.doc_positions()  # built once per statistics object
-    global_indices = np.asarray(
-        [doc_rowids[position_of[doc_id]] for doc_id in ranked.doc_ids], dtype=np.int64
-    )
-    return list(ranked.doc_ids), np.asarray(ranked.scores, dtype=np.float64), global_indices
-
-
 def rank_shard_many(
     statistics: CollectionStatistics,
     global_statistics: GlobalStatistics,
@@ -257,8 +223,10 @@ def rank_shard_many(
 
     The shard statistics view and the doc-position map are built once for
     the whole batch, and :meth:`RankingModel.rank_many` shares scored
-    posting slices across queries.  Each returned triple is bit-identical
-    to :func:`rank_shard` on that query alone.
+    posting slices across queries.  Each returned triple is
+    ``(doc_ids, scores, global_doc_indices)`` for the shard's (at most
+    ``top_k``) best documents, with scores bit-identical to what the
+    unsharded engine computes for them, whatever else is in the batch.
     """
     shard_view = ShardCollectionStatistics(statistics, global_statistics)
     ranked_lists = model.rank_many(shard_view, queries)
@@ -287,10 +255,7 @@ def gather_table(backends: Sequence[Any], table: str) -> Relation:
     source table's exact rows and order.  This is the coordinator's lazy
     hydration path for plan shapes that cannot scatter (joins, merges).
     """
-    if all(getattr(backend, "pipelined", False) for backend in backends):
-        parts = [pending.result() for pending in [b.begin_fragment(table) for b in backends]]
-    else:
-        parts = [backend.fragment(table) for backend in backends]
+    parts = [pending.result() for pending in [b.begin_fragment(table) for b in backends]]
     relation = parts[0][0]
     for fragment, _rows in parts[1:]:
         relation = relation.concat(fragment)
@@ -336,8 +301,6 @@ class _Immediate:
 
 class InProcessShard:
     """A shard backend over a shard engine opened in this process."""
-
-    pipelined = False
 
     def __init__(self, engine: "Engine", rowids: "ShardRowids"):
         self.engine = engine
@@ -386,20 +349,7 @@ class InProcessShard:
     def search_shard(
         self, spec: SearchSpec, global_statistics: GlobalStatistics
     ) -> tuple[list[Any], np.ndarray, np.ndarray]:
-        model = spec.model if spec.model is not None else BM25Model()
-        return rank_shard(
-            self._searcher(spec).statistics,
-            global_statistics,
-            self.rowids.get(spec.table),
-            spec.terms,
-            model,
-            spec.top_k,
-        )
-
-    def begin_search(
-        self, spec: SearchSpec, global_statistics: GlobalStatistics
-    ) -> _Immediate:
-        return _Immediate(self.search_shard(spec, global_statistics))
+        return self.search_shard_many([spec], global_statistics)[0]
 
     def search_shard_many(
         self, specs: Sequence[SearchSpec], global_statistics: GlobalStatistics
@@ -441,10 +391,6 @@ class PlanExecutor:
         bindings: Mapping[str, ProbabilisticRelation] | None = None,
     ) -> ProbabilisticRelation:
         raise NotImplementedError
-
-    def search(self, spec: SearchSpec) -> RankedList | None:
-        """Sharded ranking for ``spec``, or ``None`` to use the local path."""
-        return None
 
     def search_many(self, specs: Sequence[SearchSpec]) -> list[RankedList] | None:
         """Sharded ranking for a same-key batch, or ``None`` for the local path."""
@@ -507,15 +453,10 @@ class ScatterGatherExecutor(PlanExecutor):
         gathered: dict[str, ProbabilisticRelation] = {}
         shard_counts: list[list[int]] = []
         for name, segment in segments:
-            shard_plan = segment.shard_plan()
-
-            def begin(backend, plan=shard_plan, table=segment.table):
-                return backend.begin_segment(plan, table)
-
-            def evaluate(backend, plan=shard_plan, table=segment.table):
-                return backend.evaluate_segment(plan, table)
-
-            results = self._fan_out(begin, evaluate)
+            shard_plan, table = segment.shard_plan(), segment.table
+            results = self._fan_out(
+                lambda backend, plan=shard_plan, table=table: backend.begin_segment(plan, table)
+            )
             shard_counts.append([result.num_rows for result in results])
             gathered[name] = segment.gather(results)
         self.last_scatter["per_shard_rows"] = shard_counts
@@ -523,35 +464,16 @@ class ScatterGatherExecutor(PlanExecutor):
         merged.update(gathered)
         return self._engine._evaluator.evaluate(rewritten, bindings=merged)
 
-    def _map_backends(self, operation: Callable[[Any], Any]) -> list[Any]:
-        if len(self.backends) == 1:
-            return [operation(backend) for backend in self.backends]
-        # the dedicated shard pool, never the batch pool: batch tasks call
-        # into here from inside the batch pool's own threads
-        pool = self._engine._shard_pool(len(self.backends))
-        return list(pool.map(operation, self.backends))
+    def _fan_out(self, begin: Callable[[Any], Any]) -> list[Any]:
+        """Start ``begin`` on every backend, then collect every result.
 
-    def _fan_out(
-        self, begin: Callable[[Any], Any], blocking: Callable[[Any], Any]
-    ) -> list[Any]:
-        """Run one operation on every backend, overlapping all of them.
-
-        Pipelined backends (:class:`repro.serving.pool.PoolShard`) put every
-        request on the wire first — each ``begin`` is just a pipe write — and
-        collect replies afterwards, so the scatter overlaps all workers from
-        the calling thread with no thread pool.  In-process backends compute
-        on a thread pool via ``blocking`` as before.
+        All requests go out before the first result is awaited, so pool
+        workers overlap; an in-process backend has already computed by the
+        time its ``begin`` returns.  Both happen on the calling thread.
         """
-        if self.backends and all(
-            getattr(backend, "pipelined", False) for backend in self.backends
-        ):
-            return [pending.result() for pending in [begin(b) for b in self.backends]]
-        return self._map_backends(blocking)
+        return [pending.result() for pending in [begin(b) for b in self.backends]]
 
     # -- search -----------------------------------------------------------------
-
-    def _search_supported(self, spec: SearchSpec) -> bool:
-        return self.shard_map.is_partitioned(spec.table)
 
     _statistics_key = staticmethod(statistics_key)
 
@@ -563,48 +485,31 @@ class ScatterGatherExecutor(PlanExecutor):
         key = self._statistics_key(spec)
         cached = self._global_statistics.get(key)
         if cached is None:
-            summaries = self._fan_out(
-                lambda backend: backend.begin_statistics_summary(spec),
-                lambda backend: backend.statistics_summary(spec),
-            )
+            summaries = self._fan_out(lambda backend: backend.begin_statistics_summary(spec))
             cached = GlobalStatistics.merge(summaries)
             self._global_statistics[key] = cached
         return cached
-
-    def search(self, spec: SearchSpec) -> RankedList | None:
-        if not self._search_supported(spec):
-            return None
-        global_statistics = self._global_for(spec)
-        results = self._fan_out(
-            lambda backend: backend.begin_search(spec, global_statistics),
-            lambda backend: backend.search_shard(spec, global_statistics),
-        )
-        self.last_scatter = {
-            "search": spec.table,
-            "per_shard_candidates": [len(ids) for ids, _scores, _rows in results],
-        }
-        return merge_ranked(results, spec.top_k)
 
     def search_many(self, specs: Sequence[SearchSpec]) -> list[RankedList] | None:
         """Sharded ranking for a batch of same-key specs, or ``None``.
 
         All specs must share one :func:`statistics_key` (the engine groups
         before dispatching); each shard answers the whole batch through its
-        vectorized kernel, and every merged list is bit-identical to
-        :meth:`search` on that spec alone.
+        vectorized kernel, and every merged list is bit-identical to the
+        unsharded ranking of that spec alone.  A single search is a batch
+        of one.
         """
         if not specs:
             return []
         first = specs[0]
-        if not self._search_supported(first):
+        if not self.shard_map.is_partitioned(first.table):
             return None
         key = self._statistics_key(first)
         if any(self._statistics_key(spec) != key for spec in specs[1:]):
             raise EngineError("search_many requires specs sharing one statistics key")
         global_statistics = self._global_for(first)
         per_backend = self._fan_out(
-            lambda backend: backend.begin_search_many(specs, global_statistics),
-            lambda backend: backend.search_shard_many(specs, global_statistics),
+            lambda backend: backend.begin_search_many(specs, global_statistics)
         )
         self.last_scatter = {
             "search": first.table,

@@ -615,55 +615,12 @@ class SearchQuery(Query):
         self._search_engine().warm_up()
 
     def execute(self, *, query: str | None = None, top_k: int | None = None):
-        import time
-
+        """Run the search: a batch of one through :meth:`Engine.search_many`."""
         effective = query if query is not None else self._query
         if effective is None:
             raise EngineError("search() has no query; pass one to search() or execute()")
         k = top_k if top_k is not None else self._top_k
-        started = time.perf_counter()
-        request: dict[str, Any] = {
-            "kind": "search",
-            "table": self.table,
-            "query": effective,
-        }
-        if k is not None:
-            request["top_k"] = k
-        fingerprint = f"search::{self.table}::{effective}"
-        try:
-            # on a sharded/pool engine the query scatters: shards rank their
-            # own documents against global statistics, the merge is
-            # bit-identical
-            result = self._engine._search_sharded(
-                table=self.table,
-                query=effective,
-                model=self._model,
-                pipeline=self._pipeline,
-                top_k=k,
-                expander=self._expander,
-                id_column=self._id_column,
-                text_column=self._text_column,
-            )
-            if result is None:
-                result = self._search_engine().search(effective, top_k=k)
-        except Exception:
-            self._engine._record_execution(
-                kind="search",
-                fingerprint=fingerprint,
-                started=started,
-                rows_out=None,
-                status="error",
-                request=request,
-            )
-            raise
-        self._engine._record_execution(
-            kind="search",
-            fingerprint=fingerprint,
-            started=started,
-            rows_out=len(result.ranked),
-            request=request,
-        )
-        return result
+        return self._search_many([effective], k)[0]
 
     def top(self, k: int, **parameters: Any) -> list[tuple[Any, float]]:
         return self.execute(top_k=k, **parameters).top(k)

@@ -172,9 +172,9 @@ class KeywordSearchEngine:
         """Analyse and (optionally) expand a query string.
 
         Returns ``(base_terms, expanded_terms, terms)`` where ``terms`` is
-        the final ranking input.  Shared by :meth:`search` and the sharded
-        scatter path, which analyses on the coordinator and ranks on the
-        shards.
+        the final ranking input.  Shared by :meth:`search_many` and the
+        sharded scatter path, which analyses on the coordinator and ranks on
+        the shards.
         """
         base_terms = self.analyze_query(query)
         expanded_terms: list[str] = []
@@ -204,21 +204,9 @@ class KeywordSearchEngine:
         models with bounded non-negative term contributions prune hopeless
         candidates early (threshold-style).  The returned documents, scores
         and tie-breaking are identical to ranking everything and slicing.
+        A single query is a batch of one (:meth:`search_many`).
         """
-        started = time.perf_counter()
-        cached = self._statistics is not None
-        statistics = self.statistics
-        base_terms, expanded_terms, terms = self.query_terms(query)
-        ranked = self.model.rank(statistics, terms, top_k=top_k)
-        elapsed = time.perf_counter() - started
-        return SearchResult(
-            query=query,
-            query_terms=list(base_terms),
-            ranked=ranked,
-            elapsed_seconds=elapsed,
-            statistics_were_cached=cached,
-            expanded_terms=expanded_terms,
-        )
+        return self.search_many([query], top_k=top_k)[0]
 
     def search_many(
         self, queries: Sequence[str], *, top_k: int | None = None
@@ -229,7 +217,8 @@ class KeywordSearchEngine:
         sliced and scored exactly once (cross-query term deduplication via
         :meth:`RankingModel.rank_many`), so B co-arriving queries cost one
         pass over the shared postings instead of B.  Each result is
-        bit-identical to :meth:`search` on that query alone.
+        bit-identical to ranking that query alone; a batch of one is
+        exactly :meth:`RankingModel.rank`.
         """
         started = time.perf_counter()
         cached = self._statistics is not None

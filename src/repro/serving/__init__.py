@@ -11,11 +11,14 @@ into a serving deployment:
   segments, with only a control frame on the pipe (inline fallback when
   the platform lacks shared memory);
 * :mod:`repro.serving.worker` — the worker process main loop: memmap the
-  assigned shards, answer segment-evaluation / statistics / search /
-  fragment requests, caching global statistics between searches;
+  assigned shards, answer segment-evaluation / statistics / batched
+  search (``search_many``; one query is a batch of one) / fragment
+  requests, caching global statistics between searches;
 * :mod:`repro.serving.pool` — :class:`WorkerPool`: spawns persistent
   workers, assigns shards, multiplexes pipelined requests (the transport
-  behind :class:`~repro.engine.executors.PoolExecutor`);
+  behind :class:`~repro.engine.executors.PoolExecutor`, whose scatter puts
+  every shard's request on the wire, then collects, from the calling
+  thread);
 * :mod:`repro.serving.router` — :class:`Router`: owns the engine (sharded
   or pooled) and admission-queues requests;
 * :mod:`repro.serving.frontend` — the asyncio HTTP front end

@@ -41,12 +41,15 @@ crosses the pipe (``ServingConfig.shm_threshold`` sets the size; ``0``
 sends every reply through shared memory).  Workers also cache the global
 collection statistics a search needs, keyed like the executor's own cache,
 so steady state search requests carry only terms and a key — not the
-df/cf tables.
+df/cf tables.  A worker missing them answers ``global-missing`` and the
+pool re-sends the request with the payload (:class:`_SearchManyPending`).
 
 :meth:`WorkerPool.shard_backends` returns one :class:`PoolShard` proxy per
-shard — the same backend interface :class:`~repro.engine.executors.InProcessShard`
-implements, so :class:`~repro.engine.executors.PoolExecutor` reuses the
-scatter-gather logic unchanged.
+shard.  It offers the ``begin_*`` half of the backend interface
+:class:`~repro.engine.executors.InProcessShard` implements — the only half
+the scatter step calls — so :class:`~repro.engine.executors.PoolExecutor`
+reuses the scatter-gather logic unchanged.  Every search, single or
+batched, is one ``search_many`` request per shard.
 """
 
 from __future__ import annotations
@@ -265,51 +268,14 @@ class _PendingReply:
         return self._transform(value) if self._transform is not None else value
 
 
-class _SearchPending:
-    """A pipelined ``search`` request with global-statistics re-send retry."""
-
-    def __init__(
-        self,
-        shard_proxy: "PoolShard",
-        spec: "SearchSpec",
-        global_statistics: "GlobalStatistics",
-        key: tuple,
-        pending: _PendingReply,
-    ):
-        self._proxy = shard_proxy
-        self._spec = spec
-        self._global = global_statistics
-        self._key = key
-        self._pending = pending
-
-    def result(self, timeout: float | None = None) -> tuple[list[Any], np.ndarray, np.ndarray]:
-        pool = self._proxy._pool
-        reply = self._pending.reply(timeout)
-        if not reply.get("ok") and reply.get("code") == GLOBAL_MISSING:
-            # the worker lost (or never had) the cached global statistics
-            # (a failover or restart lands here too); re-issue the request
-            # carrying the full payload — still failover-eligible
-            message = self._proxy._search_message(self._spec, self._global, install=True)
-            self._pending = pool.begin_request(
-                self._pending.worker, self._pending.shard, message, pinned=False
-            )
-            reply = self._pending.reply(timeout)
-        value = pool._unwrap(self._pending, reply)
-        pool.mark_global_installed(self._pending.worker, self._key)
-        return (
-            list(value["doc_ids"]),
-            np.asarray(value["scores"], dtype=np.float64),
-            np.asarray(value["rows"], dtype=np.int64),
-        )
-
-
 class _SearchManyPending:
     """A pipelined ``search_many`` request with the global-statistics retry.
 
     The worker answers a whole query batch through its vectorized
-    multi-query kernel and replies once; the ``global-missing`` handshake
-    works exactly as for single searches — the re-issued request carries
-    the payload and stays failover-eligible.
+    multi-query kernel and replies once.  A worker that lost (or never had)
+    the cached global statistics — a failover or restart lands here too —
+    answers ``global-missing``; the request is then re-issued carrying the
+    full payload, still failover-eligible.
     """
 
     def __init__(
@@ -355,14 +321,11 @@ class PoolShard:
     """Backend proxy for one shard served by the pool's replica set.
 
     Every ``begin_*`` method puts the request on the wire immediately and
-    returns a pending reply; the blocking methods are ``begin`` + wait.
-    The pool picks the serving replica per request (least outstanding), so
-    the proxy survives individual worker deaths transparently.
-    :attr:`pipelined` tells the scatter step it can fan out requests from
-    one thread and overlap all workers.
+    returns a pending reply, so the scatter step overlaps all workers from
+    one thread.  The pool picks the serving replica per request (least
+    outstanding), so the proxy survives individual worker deaths
+    transparently.
     """
-
-    pipelined = True
 
     def __init__(self, pool: "WorkerPool", worker: int, shard: int):
         self._pool = pool
@@ -378,44 +341,10 @@ class PoolShard:
     def begin_segment(self, plan: Any, table: str) -> _PendingReply:
         return self._begin({"op": "segment", "plan": plan, "table": table})
 
-    def evaluate_segment(self, plan: Any, table: str) -> Any:
-        return self.begin_segment(plan, table).result()
-
     def begin_statistics_summary(self, spec: "SearchSpec") -> _PendingReply:
         from repro.ir.statistics import GlobalStatistics
 
         return self._begin({"op": "stats", "spec": spec}, GlobalStatistics.from_payload)
-
-    def statistics_summary(self, spec: "SearchSpec") -> "GlobalStatistics":
-        return self.begin_statistics_summary(spec).result()
-
-    def _search_message(
-        self, spec: "SearchSpec", global_statistics: "GlobalStatistics", *, install: bool
-    ) -> dict[str, Any]:
-        message: dict[str, Any] = {"op": "search", "spec": spec, "shard": self.shard}
-        if install:
-            message["global"] = global_statistics.to_payload()
-        return message
-
-    def begin_search(
-        self, spec: "SearchSpec", global_statistics: "GlobalStatistics"
-    ) -> _SearchPending:
-        from repro.engine.executors import statistics_key
-
-        key = statistics_key(spec)
-        # pre-pick the replica so the install decision matches the route;
-        # a failover to a replica without the stats triggers the
-        # global-missing handshake, which composes with this path
-        worker = self._pool.pick_worker(self.shard)
-        install = worker is None or not self._pool.global_installed(worker, key)
-        message = self._search_message(spec, global_statistics, install=install)
-        pending = self._pool.begin_request(worker, self.shard, message, pinned=False)
-        return _SearchPending(self, spec, global_statistics, key, pending)
-
-    def search_shard(
-        self, spec: "SearchSpec", global_statistics: "GlobalStatistics"
-    ) -> tuple[list[Any], np.ndarray, np.ndarray]:
-        return self.begin_search(spec, global_statistics).result()
 
     def _search_many_message(
         self,
@@ -446,25 +375,19 @@ class PoolShard:
 
         specs = list(specs)
         key = statistics_key(specs[0])
+        # pre-pick the replica so the install decision matches the route; a
+        # failover to a replica without the statistics gets global-missing
         worker = self._pool.pick_worker(self.shard)
         install = worker is None or not self._pool.global_installed(worker, key)
         message = self._search_many_message(specs, global_statistics, install=install)
         pending = self._pool.begin_request(worker, self.shard, message, pinned=False)
         return _SearchManyPending(self, specs, global_statistics, key, pending)
 
-    def search_shard_many(
-        self, specs: "list[SearchSpec]", global_statistics: "GlobalStatistics"
-    ) -> list[tuple[list[Any], np.ndarray, np.ndarray]]:
-        return self.begin_search_many(specs, global_statistics).result()
-
     def begin_fragment(self, table: str) -> _PendingReply:
         return self._begin(
             {"op": "fragment", "table": table},
             lambda value: (value["relation"], np.asarray(value["rows"], dtype=np.int64)),
         )
-
-    def fragment(self, table: str) -> tuple[Any, np.ndarray]:
-        return self.begin_fragment(table).result()
 
     def triples_fragment(self) -> tuple[list, np.ndarray]:
         value = self._begin({"op": "store"}).result()

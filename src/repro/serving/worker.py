@@ -18,15 +18,15 @@ op          behaviour
 ping        liveness check; returns the worker's pid, shard set and epoch
 segment     evaluate a row-local plan segment against one shard's fragment
 stats       the shard's collection-statistics summary (df/cf/doc-count)
-search      rank one shard against global statistics; returns ids/scores/rows
-search_many rank a whole query batch in one vectorized pass (shared postings)
+search_many rank a query batch (a single search is a batch of one) against
+            global statistics in one vectorized pass; ids/scores/rows per query
 fragment    one shard's fragment of a table, plus its original row indices
 store       one shard's slice of the triple list, plus original indices
 close       drain and exit cleanly
 =========== =================================================================
 
-``search`` requests carry the global statistics payload at most once: the
-worker caches it keyed exactly like the executor's own cache
+``search_many`` requests carry the global statistics payload at most once:
+the worker caches it keyed exactly like the executor's own cache
 (:func:`~repro.engine.executors.statistics_key`), and a request without a
 payload for an unknown key is answered with the ``global-missing`` code so
 the pool re-sends it — steady-state searches cost terms + a key, not the
@@ -88,10 +88,7 @@ def worker_main(
         from repro.engine.executors import statistics_key
         from repro.ir.statistics import GlobalStatistics
 
-        spec = message.get("spec")
-        if spec is None:
-            spec = message["specs"][0]
-        key = statistics_key(spec)
+        key = statistics_key(message["specs"][0])
         payload = message.get("global")
         if payload is not None:
             cached_globals[key] = GlobalStatistics.from_payload(payload)
@@ -115,18 +112,6 @@ def worker_main(
         if op == "stats":
             summary = backend(message["shard"]).statistics_summary(message["spec"])
             return {"ok": True, "value": summary.to_payload()}
-        if op == "search":
-            global_statistics = global_for(message)
-            if global_statistics is None:
-                return {
-                    "ok": False,
-                    "code": GLOBAL_MISSING,
-                    "error": "global statistics not cached for this spec; re-send with payload",
-                }
-            doc_ids, scores, rows = backend(message["shard"]).search_shard(
-                message["spec"], global_statistics
-            )
-            return {"ok": True, "value": {"doc_ids": doc_ids, "scores": scores, "rows": rows}}
         if op == "search_many":
             global_statistics = global_for(message)
             if global_statistics is None:

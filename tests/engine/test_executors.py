@@ -8,18 +8,19 @@ row order and ties included, for every shard count.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.analysis.locality import extract_segments, match_segment
 from repro.engine import Engine
 from repro.engine.executors import (
     GATHER_ROW_COLUMN,
     InProcessShard,
     augment_fragment,
-    extract_segments,
     gather_concat,
     gather_top,
-    match_segment,
 )
 from repro.ir.ranking import LanguageModel
 from repro.pra.plan import PraJoin, PraParam, PraProject, PraScan, PraSelect, PraTop, PraWeight
@@ -273,17 +274,38 @@ class TestEngineThreadPool:
         assert engine._batch_pool(3) is large  # still big enough
         engine.close()
 
+    def test_sharded_scatter_runs_on_the_calling_thread(self, tmp_path):
+        """The batch pool is the engine's only pool: shards run inline."""
+        workload = generate_auction_triples(60, seed=5)
+        engine = Engine.from_triples(workload.triples)
+        engine.create_table("docs", _docs_relation(workload.lot_descriptions))
+        query = " ".join(workload.lot_descriptions["lot1"].split()[:3])
+        expected_search = engine.search("docs", query).top(5)
+        program = 'out = SELECT [$2="hasAuction"] (triples);'
+        expected_top = engine.spinql(program).top(5)
+        opened = Engine.open_sharded(engine.save(tmp_path / "snap", shards=2))
+        try:
+            assert opened.search("docs", query).top(5) == expected_search
+            assert opened.spinql(program).top(5) == expected_top
+            assert opened._plan_executor.last_scatter["segments"] == 1  # it did scatter
+            names = [thread.name for thread in threading.enumerate()]
+            assert not [name for name in names if name.startswith("repro-shard")]
+            assert not hasattr(opened, "_shard_pool")
+        finally:
+            opened.close()
+            engine.close()
+
 
 class TestBatchOverSharded:
     def test_execute_many_on_sharded_engine_does_not_deadlock(self, tmp_path):
         """Batch tasks scatter from inside the batch pool's threads.
 
-        The batch pool and the scatter pool must be distinct: with one
-        shared bounded pool, every thread holds a batch task blocked on
-        inner scatter futures that have no thread left to run on.
+        The scatter runs inline on each batch thread, so no batch task ever
+        waits on a second pool.  This guards against one coming back: a
+        bounded scatter pool shared with (or nested under) the batch pool
+        deadlocks once every thread holds a batch task blocked on inner
+        scatter futures that have no thread left to run on.
         """
-        import threading
-
         workload = generate_auction_triples(60, seed=5)
         path = Engine.from_triples(workload.triples).save(tmp_path / "snap", shards=2)
         opened = Engine.open_sharded(path)
