@@ -4,9 +4,10 @@ Exercises the whole workload loop the way an operator would: record a log
 from a live engine, export it to JSONL, synthesize a schedule from the
 export twice and assert the schedule hashes agree (the determinism claim),
 replay the schedule against a fresh engine with the result cache on and
-off and assert the results digests agree (the bit-identity claim), then
-run the ``workload summary`` CLI over the export.  Exits non-zero on any
-failure, so CI can gate on it.
+off and assert the results digests agree (the bit-identity claim) and that
+the named strategy ran on one engine-owned graph per engine, however many
+threads asked for it first, then run the ``workload summary`` CLI over the
+export.  Exits non-zero on any failure, so CI can gate on it.
 
 Usage::
 
@@ -76,6 +77,9 @@ def main() -> int:
         recorder.spinql(source).execute()
     for query in queries:
         recorder.search("docs", query).top(5)
+    # the most frequent template, so the replay's threads race for its first call
+    for _ in range(2):
+        recorder.strategy("auction", query=queries[0]).execute()
     log_path = Path(tempfile.mkdtemp(prefix="repro-workload-smoke-")) / "workload.jsonl"
     recorder.workload_log.export(log_path)
     print(f"recorded {recorder.workload_log.statistics()['appended']} records -> {log_path}")
@@ -94,16 +98,24 @@ def main() -> int:
     print(f"schedule hash stable: {schedule.schedule_hash()[:16]}…")
 
     # 3. bit identity: cache-on replay digests match cache-off replay
-    on_report = run_schedule(schedule, EngineTarget(build_engine(cached=True)), concurrency=4)
-    off_report = run_schedule(schedule, EngineTarget(build_engine(cached=False)), concurrency=4)
+    engines = [build_engine(cached=True), build_engine(cached=False)]
+    on_report, off_report = (
+        run_schedule(schedule, EngineTarget(engine), concurrency=4) for engine in engines
+    )
     if on_report.errors or off_report.errors:
         print(f"FAILED: replay errors (on={on_report.errors}, off={off_report.errors})")
         return 1
     if on_report.results_digest != off_report.results_digest:
         print("FAILED: result cache changed an answer (digest mismatch)")
         return 1
+    graphs = [engine.reuse_statistics()["block_memo"]["graphs"] for engine in engines]
+    if graphs != [1, 1]:
+        print(f"FAILED: named strategies ran on {graphs} graphs (on/off), expected one each")
+        return 1
+    strategies = sum(1 for spec in schedule.requests if spec.request["kind"] == "strategy")
     print(
-        f"replay bit-identical: {on_report.completed} requests, "
+        f"replay bit-identical: {on_report.completed} requests "
+        f"({strategies} strategies by name on one graph per engine), "
         f"p95 on/off {on_report.latency['p95_ms']:.2f}/{off_report.latency['p95_ms']:.2f} ms"
     )
 

@@ -197,19 +197,22 @@ class Engine:
         )
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self._evaluator = PRAEvaluator(self.database)
-        # what survives a request (see "What is reused" in the README): the
-        # statistics registry of keyword search and rank(), and the strategy
-        # executor with what it keeps per live graph
+        # what survives a request (see "What is reused" in the README): one
+        # statistics registry for keyword search, rank() and every strategy
+        # rank block, the executor's per-graph memos, and one graph per name
         self.statistics_registry = StatisticsRegistry()
-        self.executor = StrategyExecutor(self.store)
+        self.executor = StrategyExecutor(self.store, self.statistics_registry)
         self._search_engines: dict[tuple, Any] = {}
         self._rank_blocks: dict[tuple, Any] = {}
+        # prebuilt name -> (graph, its version when built)
+        self._strategy_graphs: dict[str, tuple[StrategyGraph, int]] = {}
         self._plan_executor: PlanExecutor = LocalExecutor(self)
         self._thread_pool: ThreadPoolExecutor | None = None
         self._thread_pool_size = 0
         self._retired_pools: list[ThreadPoolExecutor] = []
         self._lifecycle_lock = threading.Lock()
-        # guards _search_engines/_rank_blocks; Engine is shareable across threads
+        # guards _search_engines/_rank_blocks/_strategy_graphs; Engine is
+        # shareable across threads
         self._registry_lock = threading.Lock()
         # online-reconfiguration state: requests check the executor out for
         # their whole run, so an atomic swap drains in-flight work on the old
@@ -306,8 +309,9 @@ class Engine:
             cache.clear()
         self.database.clear_cache()
         self._invalidate_search_statistics()
-        self.executor.clear()
-        self.statistics_registry.clear()
+        with self._registry_lock:
+            self._strategy_graphs.clear()
+        self.executor.clear()  # the block memos and the statistics registry
 
     # -- lifecycle --------------------------------------------------------------------
 
@@ -353,8 +357,8 @@ class Engine:
             with self._registry_lock:
                 self._search_engines.clear()
                 self._rank_blocks.clear()
+                self._strategy_graphs.clear()
             self.executor.clear()
-            self.statistics_registry.clear()
             self.database.clear_cache()
             self.database.catalog.release()
             self.store._triples_list = []
@@ -725,12 +729,14 @@ class Engine:
     ) -> StrategyQuery:
         """A lazy strategy execution; ``graph`` is a graph or a prebuilt name.
 
-        Known names: ``toy``, ``auction``, ``expanded-auction``, ``experts``;
-        ``builder_kwargs`` are forwarded to the prebuilt builder.  A name is
-        built into a fresh graph on every call; the executor keeps block
-        outputs and indexes per live graph, so to reuse them across requests
-        build the graph once (``repro.strategy.prebuilt.build_*_strategy()``)
-        and pass it.
+        Known names: ``toy``, ``auction``, ``expanded-auction``, ``experts``.
+        A name without ``builder_kwargs`` resolves to one graph the engine
+        builds on first use and keeps, so every request by name reuses the
+        executor's block memo for it; that graph is engine-owned and
+        read-only (a caller that adds a block or a connection to it gets a
+        freshly built one on the next call by name).  ``builder_kwargs`` are
+        forwarded to the prebuilt builder for a fresh graph per call, which
+        is neither kept nor replayable by name.
         """
         name: str | None = None
         if isinstance(graph, str):
@@ -741,9 +747,10 @@ class Engine:
                 raise EngineError(
                     f"unknown strategy {graph!r}; known strategies: {sorted(builders)}"
                 ) from None
-            # only a default build is replayable by name from the workload log
-            name = graph if not builder_kwargs else None
-            graph = builder(**builder_kwargs)
+            if builder_kwargs:
+                graph = builder(**builder_kwargs)
+            else:
+                name, graph = graph, self._strategy_graph(graph, builder)
         elif builder_kwargs:
             raise EngineError(
                 "builder keyword arguments are only valid with a strategy name, "
@@ -752,6 +759,20 @@ class Engine:
         return StrategyQuery(
             self, graph, query, result_block=result_block, parameters=parameters, name=name
         )
+
+    def _strategy_graph(self, name: str, builder: Any) -> StrategyGraph:
+        """The engine's graph for prebuilt ``name``, rebuilt if a caller changed it."""
+        with self._registry_lock:
+            kept = self._strategy_graphs.get(name)
+            if kept is not None and kept[0].version != kept[1]:
+                del self._strategy_graphs[name]
+                kept = None
+        if kept is None:
+            built = builder()
+            with self._registry_lock:
+                # a concurrent first call may have won the race; keep its graph
+                kept = self._strategy_graphs.setdefault(name, (built, built.version))
+        return kept[0]
 
     def explain(self, source: str, *, top_k: int | None = None, **bindings: Any) -> str:
         """Shorthand for ``engine.spinql(source, **bindings).explain()``.

@@ -4,8 +4,8 @@ Every consumer that ranks a ``(docID, text)`` collection — the keyword search
 engine over a docs table, the *Rank by Text* strategy block over an
 on-the-fly sub-collection — asks a :class:`StatisticsRegistry` for the
 collection's :class:`~repro.ir.statistics.CollectionStatistics` (an engine
-has one for search and ``rank()``, the strategy executor one per live
-graph).  A registry is keyed on *content*: the id column, the text column
+has one, shared by search, ``rank()`` and the rank blocks of every
+strategy).  A registry is keyed on *content*: the id column, the text column
 and the analyzer configuration.  Two consumers of one registry indexing the
 same documents share one index, and a collection whose texts changed under
 the same ids is a different key, never a stale hit.
@@ -118,12 +118,12 @@ class StatisticsRegistry:
         ids, texts = id_values.tolist(), text_values.tolist()
         key = (analyzer_key, id_values.dtype.str, hash((tuple(ids), tuple(texts))))
         with self._lock:
-            found = self._lookup(key, ids, texts)
+            found = self._lookup(key, ids, texts, id_values, text_values)
             if found is not None:
                 return found
         with self._build_lock:
             with self._lock:
-                found = self._lookup(key, ids, texts)
+                found = self._lookup(key, ids, texts, id_values, text_values)
                 if found is not None:
                     return found
                 prefix_key = self._longest_prefix(key, ids, texts)
@@ -153,13 +153,23 @@ class StatisticsRegistry:
         return self._entries[key].statistics
 
     def _lookup(
-        self, key: tuple[Any, ...], ids: list[Any], texts: list[Any]
+        self,
+        key: tuple[Any, ...],
+        ids: list[Any],
+        texts: list[Any],
+        id_values: np.ndarray,
+        text_values: np.ndarray,
     ) -> CollectionStatistics | None:
-        """A registered entry with exactly this content; caller holds the lock."""
+        """A registered entry with exactly this content; caller holds the lock.
+
+        The entry adopts the caller's arrays, so the caller's next request
+        with the same columns is an identity hit instead of another hash.
+        """
         entry = self._entries.get(key)
         # the key carries a hash of the content; equality is what decides
         if entry is None or entry.ids != ids or entry.texts != texts:
             return None
+        entry.id_values, entry.text_values = id_values, text_values
         return self._hit(key)
 
     def _longest_prefix(

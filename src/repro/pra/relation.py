@@ -26,7 +26,7 @@ PROBABILITY_COLUMN = "p"
 class ProbabilisticRelation:
     """A relation with tuple-level probabilities in its trailing ``p`` column."""
 
-    __slots__ = ("_relation",)
+    __slots__ = ("_relation", "_sorted_as")
 
     def __init__(self, relation: Relation, *, validate: bool = True):
         names = relation.schema.names
@@ -42,6 +42,8 @@ class ProbabilisticRelation:
             if np.any(probabilities < -1e-12) or np.any(probabilities > 1.0 + 1e-12):
                 raise ProbabilityError("probabilities must lie in [0, 1]")
         self._relation = relation
+        #: the ``(descending, tie_break)`` this relation was sorted by, if any
+        self._sorted_as: tuple[bool, bool] | None = None
 
     # -- construction ------------------------------------------------------------------
 
@@ -139,8 +141,12 @@ class ProbabilisticRelation:
         so two evaluations of equivalent plans rank equal-probability tuples
         identically regardless of intermediate row order.  Relations whose
         value columns cannot be ordered fall back to a stable
-        probability-only sort (ties keep input order).
+        probability-only sort (ties keep input order).  A relation this
+        method produced is returned as it is when asked again for the same
+        order.
         """
+        if self._sorted_as == (descending, tie_break):
+            return self
         keys: list[tuple[str, bool]] = [(PROBABILITY_COLUMN, not descending)]
         if tie_break:
             keys += [(name, True) for name in self.value_columns]
@@ -148,7 +154,9 @@ class ProbabilisticRelation:
             ordered = self._relation.sort_by(keys)
         except TypeError:
             ordered = self._relation.sort_by([(PROBABILITY_COLUMN, not descending)])
-        return ProbabilisticRelation(ordered, validate=False)
+        result = ProbabilisticRelation(ordered, validate=False)
+        result._sorted_as = (descending, tie_break)
+        return result
 
     def top(self, k: int) -> "ProbabilisticRelation":
         """Return the ``k`` most probable tuples without a full sort.

@@ -64,7 +64,7 @@ class StrategyContext:
     query: str = ""
     parameters: dict[str, Any] = field(default_factory=dict)
     #: where ranking blocks get collection statistics; the executor passes
-    #: the registry it keeps for the graph, so indexes outlive the request
+    #: its own registry, so indexes outlive the request
     statistics: StatisticsRegistry = field(default_factory=StatisticsRegistry)
 
     @property

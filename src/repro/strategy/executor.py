@@ -20,13 +20,15 @@ memoized block's ``describe()`` reports starts a fresh one.  Blocks are
 declare independence again, so a block that reads ``context.query`` is never
 cached by accident.
 
-**What is kept is kept per graph, for as long as the graph lives.**  Beside the
-memo the executor holds one :class:`~repro.ir.registry.StatisticsRegistry`
-per graph, the on-demand indexes of its ranking blocks; it outlives the memo,
-so after an append the next request extends the index instead of rebuilding
-it.  Both are keyed weakly on the graph: a caller that keeps a graph and runs
-it again gets the reuse, a graph built for a single request takes its outputs
-and its indexes with it when it is collected.
+**Memos are kept per graph, indexes per executor.**  A memo is keyed weakly
+on its graph: a caller that keeps a graph and runs it again gets the reuse
+(``Engine.strategy`` keeps one graph per prebuilt name, so a request by name
+does), a graph built for a single request takes its outputs with it when it
+is collected.  The ranking blocks of every graph get their on-demand indexes
+from the executor's one :class:`~repro.ir.registry.StatisticsRegistry` (an
+engine passes its own, the one keyword search uses), which outlives any memo:
+after an append the next request extends the index instead of rebuilding it,
+and a collection that search has already indexed is a hit.
 """
 
 from __future__ import annotations
@@ -78,15 +80,6 @@ class _GraphMemo:
     outputs: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
-class _Kept:
-    """What the executor keeps for one live graph."""
-
-    memo: _GraphMemo
-    #: statistics of the graph's ranking blocks; survives a change of memo
-    statistics: StatisticsRegistry = field(default_factory=StatisticsRegistry)
-
-
 def _declares_independence(block: Block) -> bool:
     """Whether the ``execute`` that will run is covered by a declaration.
 
@@ -120,11 +113,13 @@ def request_independent_blocks(graph: StrategyGraph) -> list[str]:
 class StrategyExecutor:
     """Executes strategy graphs against a triple store."""
 
-    def __init__(self, store: TripleStore):
+    def __init__(self, store: TripleStore, statistics: StatisticsRegistry | None = None):
         self.store = store
+        #: where every graph's ranking blocks get their indexes
+        self.statistics = statistics if statistics is not None else StatisticsRegistry()
         self._memo_lock = threading.Lock()
-        # keyed weakly: one entry per live graph, none for a dead one
-        self._kept: weakref.WeakKeyDictionary[StrategyGraph, _Kept] = (
+        # keyed weakly: one memo per live graph, none for a dead one
+        self._memos: weakref.WeakKeyDictionary[StrategyGraph, _GraphMemo] = (
             weakref.WeakKeyDictionary()
         )
         self._memo_hits = 0
@@ -155,13 +150,12 @@ class StrategyExecutor:
         # before any block runs: outputs computed while the data changes
         # underneath land in a memo the change has already retired
         self.store.ensure_loaded()
-        kept, available = self._kept_for(graph)
-        memo = kept.memo
+        memo, available = self._memo_for(graph)
         context = StrategyContext(
             store=self.store,
             query=query,
             parameters=parameters or {},
-            statistics=kept.statistics,
+            statistics=self.statistics,
         )
         outputs: dict[str, Any] = {}
         timings: dict[str, float] = {}
@@ -210,42 +204,34 @@ class StrategyExecutor:
         configuration = tuple(repr(graph.block(name).describe()) for name in independent)
         return (graph.version, self.store.database.catalog.version, configuration)
 
-    def _kept_for(self, graph: StrategyGraph) -> tuple[_Kept, dict[str, Any]]:
-        """What is kept for ``graph``, its memo at the current versions
-        (replacing a stale one), and a snapshot of the outputs the memo holds."""
+    def _memo_for(self, graph: StrategyGraph) -> tuple[_GraphMemo, dict[str, Any]]:
+        """The memo of ``graph`` at the current versions (replacing a stale
+        one), and a snapshot of the outputs it holds."""
         independent = request_independent_blocks(graph)
         version = self._version(graph, independent)
         with self._memo_lock:
-            kept = self._kept.get(graph)
-            if kept is None:
-                kept = _Kept(_GraphMemo(version, frozenset(independent)))
-                self._kept[graph] = kept
-            elif kept.memo.version != version:
-                if kept.memo.outputs:
+            memo = self._memos.get(graph)
+            if memo is None or memo.version != version:
+                if memo is not None and memo.outputs:
                     self._memo_invalidations += 1
-                kept.memo = _GraphMemo(version, frozenset(independent))
-            return kept, dict(kept.memo.outputs)
+                memo = _GraphMemo(version, frozenset(independent))
+                self._memos[graph] = memo
+            return memo, dict(memo.outputs)
 
     def memoized_blocks(self, graph: StrategyGraph) -> list[str]:
         """Blocks of ``graph`` the next request would be served from the memo."""
         version = self._version(graph, request_independent_blocks(graph))
         with self._memo_lock:
-            kept = self._kept.get(graph)
-            if kept is None or kept.memo.version != version:
+            memo = self._memos.get(graph)
+            if memo is None or memo.version != version:
                 return []
-            return list(kept.memo.outputs)
-
-    def statistics_for(self, graph: StrategyGraph) -> StatisticsRegistry | None:
-        """The registry holding the indexes of ``graph``'s ranking blocks
-        (None before its first run)."""
-        with self._memo_lock:
-            kept = self._kept.get(graph)
-            return kept.statistics if kept is not None else None
+            return list(memo.outputs)
 
     def clear(self) -> None:
         """Forget every memoized block output and every index (cold-start state)."""
         with self._memo_lock:
-            self._kept.clear()
+            self._memos.clear()
+        self.statistics.clear()
 
     def counters(self) -> dict[str, int]:
         """Memo hits, misses (independent blocks that had to run) and invalidations."""
@@ -254,5 +240,5 @@ class StrategyExecutor:
                 "hits": self._memo_hits,
                 "misses": self._memo_misses,
                 "invalidations": self._memo_invalidations,
-                "graphs": len(self._kept),
+                "graphs": len(self._memos),
             }

@@ -276,8 +276,8 @@ class TestConcurrentBatches:
 class TestStrategyReuseStress:
     """8 threads run one auction graph while a writer keeps loading lots.
 
-    What the executor keeps for the graph between requests (the block memo,
-    the ranking blocks' statistics) is shared by all of them.  A request that
+    What the engine keeps between requests (the graph's block memo, the one
+    statistics registry of every rank block) is shared by all of them.  A request that
     overlaps a load may see either side of it; the contract under test is
     that nothing of that is *kept*: once the writer is done every answer is
     bit-identical to an engine bulk-built over the final data, and every
@@ -368,8 +368,8 @@ class TestStrategyReuseStress:
         # four store-only blocks per run, each served from the memo or run
         memo = engine.reuse_statistics()["block_memo"]
         assert memo["hits"] + memo["misses"] == 4 * total_runs and memo["graphs"] == 1
-        # two rank blocks per run, each one lookup in the graph's registry
-        registry = engine.executor.statistics_for(graph).counters()
+        # two rank blocks per run, each one lookup in the engine's registry
+        registry = engine.statistics_registry.counters()
         assert registry["hits"] + registry["extends"] + registry["rebuilds"] == 2 * total_runs
 
         final = self._base() + [t for i in range(self.LOADS) for t in self._batch(i)]
@@ -382,3 +382,48 @@ class TestStrategyReuseStress:
         assert sorted(served.memoized_blocks) == sorted(
             ["select_lots", "lot_descriptions", "to_auctions", "auction_descriptions"]
         )
+
+    def test_by_name_from_a_cold_engine_the_threads_share_one_graph(self):
+        import sys
+
+        engine = Engine.from_triples(self._base())
+        barrier = threading.Barrier(self.THREADS)
+        graphs: dict[int, object] = {}
+        answers: dict[int, list] = {}
+        errors: list = []
+
+        def reader(worker: int):
+            try:
+                barrier.wait(timeout=30)
+                rows = []
+                for round_ in range(3):
+                    query = self.QUERIES[(worker + round_) % len(self.QUERIES)]
+                    named = engine.strategy("auction", query=query)
+                    graphs.setdefault(worker, named.graph)
+                    assert named.graph is graphs[worker]
+                    rows.append((query, list(named.execute().result.rows())))
+                answers[worker] = rows
+            except Exception as error:  # pragma: no cover - failure reporting
+                errors.append(error)
+
+        threads = [threading.Thread(target=reader, args=(w,)) for w in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+
+        # the first-call race settled on one graph, and one memo for it
+        assert len({id(graph) for graph in graphs.values()}) == 1
+        assert engine.reuse_statistics()["block_memo"]["graphs"] == 1
+        oracle = Engine.from_triples(self._base())
+        for rows in answers.values():
+            for query, served in rows:
+                fresh = oracle.strategy(build_auction_strategy(), query=query).execute()
+                assert served == list(fresh.result.rows())

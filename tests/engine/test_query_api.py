@@ -8,6 +8,9 @@ from repro.engine import Engine, connect
 from repro.engine.query import as_probabilistic
 from repro.errors import EngineError
 from repro.pra.relation import ProbabilisticRelation
+from repro.relational.column import Column, DataType
+from repro.relational.relation import Relation
+from repro.relational.schema import Field, Schema
 
 TRIPLES = [
     ("product1", "type", "product"),
@@ -297,37 +300,83 @@ class TestEngineSession:
         assert len(engine.plan_cache) == 0
 
     def test_reuse_lives_and_dies_with_the_graph(self, engine):
-        from repro.strategy.prebuilt import build_toy_strategy
-
-        # a name is built per call: a fresh graph, nothing kept between calls
+        # a name is one engine-owned graph: the same object on every call
         first = engine.strategy("toy", query="train")
-        assert engine.strategy("toy", query="car").graph is not first.graph
+        assert engine.strategy("toy", query="car").graph is first.graph
         assert first.execute().memoized_blocks == []
-        assert engine.strategy("toy", query="train").execute().memoized_blocks == []
-        # a graph the caller keeps is served from what the executor kept for it
-        graph = build_toy_strategy()
-        engine.strategy(graph, query="train").execute()
-        again = engine.strategy(graph, query="car").execute()
+        again = engine.strategy("toy", query="car").execute()
         assert again.memoized_blocks == ["select_category", "extract_description"]
-        assert engine.executor.statistics_for(graph).counters()["hits"] == 1
+        # builder kwargs build a fresh graph per call, kept by nobody
+        kwargs = engine.strategy("toy", category="toy").graph
+        assert engine.strategy("toy", category="toy").graph is not kwargs
+        assert kwargs is not first.graph
+        # clear_caches and close drop the engine's graph
+        engine.clear_caches()
+        cleared = engine.strategy("toy", query="train")
+        assert cleared.graph is not first.graph
+        assert cleared.execute().memoized_blocks == []
+        engine.close()
+        assert engine._strategy_graphs == {}
 
     def test_reuse_statistics_counts_memo_and_registry(self, engine):
-        from repro.strategy.prebuilt import build_toy_strategy
-
-        graph = build_toy_strategy()
         for query in ("wooden train", "remote control", "history"):
-            engine.strategy(graph, query=query).execute()
+            engine.strategy("toy", query=query).execute()
         reuse = engine.reuse_statistics()
         assert reuse["block_memo"] == {"hits": 4, "misses": 2, "invalidations": 0, "graphs": 1}
-        assert engine.executor.statistics_for(graph).counters() == {
+        assert engine.statistics_registry.counters() == {
             "hits": 2, "extends": 0, "rebuilds": 1, "evictions": 0, "entries": 1
         }
         assert engine.connect_info()["reuse"] == reuse
         engine.load_triples([("product4", "type", "product")])
-        engine.strategy(graph, query="train").execute()
+        engine.strategy("toy", query="train").execute()
         assert engine.reuse_statistics()["block_memo"]["invalidations"] == 1
         engine.clear_caches()
-        assert engine.executor.statistics_for(graph) is None
+        assert engine.statistics_registry.counters()["entries"] == 0
+        assert engine.reuse_statistics()["block_memo"]["graphs"] == 0
+
+    def test_a_caller_mutating_the_named_graph_gets_a_fresh_one(self, engine):
+        from repro.strategy.library import SelectByTypeBlock
+
+        shared = engine.strategy("toy", query="wooden train")
+        expected = list(shared.execute().result.rows())
+        shared.graph.add_block("intruder", SelectByTypeBlock("product"))
+        rebuilt = engine.strategy("toy", query="wooden train")
+        assert rebuilt.graph is not shared.graph
+        assert "intruder" not in rebuilt.graph.block_names()
+        assert list(rebuilt.execute().result.rows()) == expected
+        assert engine.strategy("toy").graph is rebuilt.graph
+
+    def test_by_name_kept_and_fresh_graphs_agree_bit_for_bit(self, engine):
+        from repro.strategy.prebuilt import build_toy_strategy
+
+        kept = build_toy_strategy()
+        for query in ("wooden train", "remote control", "history of trains"):
+            by_name = engine.strategy("toy", query=query).execute()
+            by_kept = engine.strategy(kept, query=query).execute()
+            fresh = connect().load_triples(TRIPLES).strategy(build_toy_strategy(), query=query)
+            expected = list(fresh.execute().result.rows())
+            assert list(by_name.result.rows()) == expected
+            assert list(by_kept.result.rows()) == expected
+
+    def test_a_named_strategy_shares_the_index_search_built(self):
+        from repro.workloads import generate_auction_triples
+
+        workload = generate_auction_triples(60, seed=7)
+        engine = Engine.from_triples(workload.triples)
+        engine.create_table("docs", Relation(
+            Schema([Field("docID", DataType.STRING), Field("data", DataType.STRING)]),
+            [
+                Column(list(workload.lot_descriptions), DataType.STRING),
+                Column(list(workload.lot_descriptions.values()), DataType.STRING),
+            ],
+        ))
+        engine.search("docs", "antique oak").execute()
+        before = engine.statistics_registry.counters()
+        engine.strategy("auction", query="antique oak").execute()
+        after = engine.statistics_registry.counters()
+        # the lots index is the docs index; only the auctions index is new
+        assert after["entries"] - before["entries"] == 1
+        assert (after["hits"] - before["hits"], after["rebuilds"] - before["rebuilds"]) == (1, 1)
 
     def test_search_and_rank_share_one_index(self, engine):
         engine.store.register_docs_view(

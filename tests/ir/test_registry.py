@@ -80,6 +80,27 @@ class TestRegistry:
         first = registry.get(ids, texts, StandardAnalyzer())
         assert registry.get(ids, texts, StandardAnalyzer()) is first
 
+    def test_a_content_hit_makes_the_callers_columns_an_identity_hit(self, monkeypatch):
+        from repro.ir import registry as registry_module
+
+        hashed: list[int] = []
+
+        def counting_hash(value):
+            hashed.append(1)
+            return hash(value)
+
+        monkeypatch.setattr(registry_module, "hash", counting_hash, raising=False)
+        registry = StatisticsRegistry()
+        first = registry.get(*columns(DOCS), StandardAnalyzer())
+        # another consumer's columns: equal content, hashed once, then adopted
+        ids, texts = columns(DOCS)
+        assert registry.get(ids, texts, StandardAnalyzer()) is first
+        assert len(hashed) == 2
+        for _ in range(3):
+            assert registry.get(ids, texts, StandardAnalyzer()) is first
+        assert len(hashed) == 2
+        assert registry.counters()["hits"] == 4
+
     def test_row_prefix_extension_analyzes_only_the_tail(self):
         analyzed: list[str] = []
 

@@ -86,3 +86,18 @@ class TestSortedByProbability:
         relation = prob_relation([("a", 0.9), ("b", 0.1)])
         ascending = relation.sorted_by_probability(descending=False)
         assert ascending.value_rows() == [("b",), ("a",)]
+
+    def test_sorting_a_sorted_relation_again_returns_it(self):
+        relation = prob_relation([("z", 0.5), ("m", 0.9), ("a", 0.5), ("q", 0.1)])
+        for descending in (True, False):
+            for tie_break in (True, False):
+                once = relation.sorted_by_probability(descending=descending, tie_break=tie_break)
+                twice = once.sorted_by_probability(descending=descending, tie_break=tie_break)
+                assert twice is once
+                assert list(twice.rows()) == list(once.rows())
+        # another order is a real sort, not the remembered one
+        descending = relation.sorted_by_probability()
+        ascending = descending.sorted_by_probability(descending=False)
+        assert ascending is not descending
+        assert ascending.value_rows() == [("q",), ("a",), ("z",), ("m",)]
+        assert relation.sorted_by_probability() is not relation

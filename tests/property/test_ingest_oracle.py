@@ -4,10 +4,11 @@ A Hypothesis state machine interleaves writes (``load_triples`` batches,
 ``create_table("docs", …, replace=True)`` with appended, prepended, edited
 and dropped rows) with reads (keyword search, the auction strategy by name
 and as a graph the test keeps, a user-built graph with a request-dependent
-block) and ``clear_caches`` on **one** engine — the engine that keeps its
-search statistics, and per kept graph a block memo and a statistics registry,
-across all of it.  Every read is compared, bit for bit (ids, scores, tie
-order), with an engine bulk-built from the same data, and every write is
+block) and ``clear_caches`` on **one** engine — the engine that keeps one
+statistics registry for search and every rank block, and a block memo per
+graph (the kept ones and its own graph for the name), across all of it.
+Every read is compared, bit for bit (ids, scores, tie order), with an engine
+bulk-built from the same data, and every write is
 followed by a read whose path through the statistics registry is asserted
 from its counters: an append *extends* the registered index, anything else
 *rebuilds*, unchanged content *hits*.
@@ -85,10 +86,11 @@ def user_graph() -> StrategyGraph:
     return graph
 
 
+AUCTION_STORE_ONLY = ["select_lots", "lot_descriptions", "to_auctions", "auction_descriptions"]
+
+
 class IngestOracle(RuleBasedStateMachine):
-    COLLECTIONS = [
-        ("search", "docs"), ("auction", "lots"), ("auction", "auctions"), ("user", "lots")
-    ]
+    COLLECTIONS = ["docs", "lots", "auctions"]
 
     @initialize()
     def boot(self):
@@ -102,16 +104,17 @@ class IngestOracle(RuleBasedStateMachine):
         self.docs = [("doc0", "antique oak table"), ("doc1", "bronze clock")]
         self.engine = Engine.from_triples(self.triples)
         self.engine.create_table("docs", docs_relation(self.docs))
-        # the graphs this test keeps; the executor keeps a memo and a
-        # statistics registry for each
+        # the graphs this test keeps; the executor keeps a memo for each
         self.graph = user_graph()
         self.auction = build_auction_strategy()
-        # what a registry ("search": the engine's; "auction", "user": the kept
-        # graphs') holds per collection: the (ids, texts) last indexed (None:
-        # known to hold nothing) and the eviction count at that moment
-        self.indexed: dict[tuple[str, str], tuple[list[tuple[str, str]] | None, int]] = {
+        # what the engine's registry holds per collection: the (ids, texts)
+        # last indexed (None: known to hold nothing) and the eviction count at
+        # that moment
+        self.indexed: dict[str, tuple[list[tuple[str, str]] | None, int]] = {
             key: (None, 0) for key in self.COLLECTIONS
         }
+        # whether the data is unchanged since the last request by name
+        self.named_warm = False
         self._search("oak")
         self._auction("oak")
 
@@ -143,25 +146,16 @@ class IngestOracle(RuleBasedStateMachine):
         oracle.create_table("docs", docs_relation(self.docs))
         return oracle
 
-    def _registry(self, name: str) -> dict[str, int]:
-        if name == "search":
-            return self.engine.reuse_statistics()["statistics_registry"]
-        registry = self.engine.executor.statistics_for(
-            self.auction if name == "auction" else self.graph
-        )
-        if registry is None:  # the graph has not run since boot / clear_caches
-            return {"hits": 0, "extends": 0, "rebuilds": 0, "evictions": 0, "entries": 0}
-        return registry.counters()
+    def _registry(self) -> dict[str, int]:
+        return self.engine.reuse_statistics()["statistics_registry"]
 
-    def _expected_path(
-        self, name: str, collection: str, current: list[tuple[str, str]]
-    ) -> str | None:
-        """How registry ``name`` must serve ``current``; None when it cannot be
+    def _expected_path(self, collection: str, current: list[tuple[str, str]]) -> str | None:
+        """How the registry must serve ``current``; None when it cannot be
         known (something was evicted since, and it may have been this collection)."""
-        indexed, evictions = self.indexed[name, collection]
+        indexed, evictions = self.indexed[collection]
         if indexed is None:
             return "rebuilds"
-        if evictions != self._registry(name)["evictions"]:
+        if evictions != self._registry()["evictions"]:
             return None
         if indexed == current:
             return "hits"
@@ -169,10 +163,10 @@ class IngestOracle(RuleBasedStateMachine):
             return "extends"
         return "rebuilds"
 
-    def _assert_paths(self, name: str, before: dict[str, int], paths: list[str | None]):
-        after = self._registry(name)
+    def _assert_paths(self, before: dict[str, int], paths: list[str | None]):
+        after = self._registry()
         for collection, current in self._now_indexed.items():
-            self.indexed[name, collection] = (current, after["evictions"])
+            self.indexed[collection] = (current, after["evictions"])
         if None in paths:
             return
         for path in ("hits", "extends", "rebuilds"):
@@ -181,13 +175,13 @@ class IngestOracle(RuleBasedStateMachine):
     # -- reads, each against a bulk-built engine -----------------------------------------
 
     def _search(self, query: str):
-        before = self._registry("search")
+        before = self._registry()
         # a warm searcher answers from its own statistics; a changed table
         # sends it back to the registry, once
         warm = any(
             searcher.is_warm for searcher in self.engine._search_engines.values()
         )
-        path = self._expected_path("search", "docs", self.docs)
+        path = self._expected_path("docs", self.docs)
         served = self.engine.search("docs", query, top_k=5).execute()
         oracle = self._oracle()
         try:
@@ -197,7 +191,7 @@ class IngestOracle(RuleBasedStateMachine):
         assert served.ranked.doc_ids == expected.ranked.doc_ids
         assert served.ranked.scores.tolist() == expected.ranked.scores.tolist()
         self._now_indexed = {"docs": list(self.docs)} if not warm else {}
-        self._assert_paths("search", before, [] if warm else [path])
+        self._assert_paths(before, [] if warm else [path])
 
     def _compare_strategy(self, graph_or_name, oracle_graph_or_name, query: str):
         served = self.engine.strategy(graph_or_name, query=query).execute()
@@ -210,18 +204,22 @@ class IngestOracle(RuleBasedStateMachine):
         return served
 
     def _auction(self, query: str):
-        before = self._registry("auction")
+        before = self._registry()
         lots = self._lot_collection()
         auctions = [(s, o) for s, p, o in self.triples if p == "description" and s in AUCTIONS]
         paths = [
-            self._expected_path("auction", "lots", lots),
-            self._expected_path("auction", "auctions", auctions),
+            self._expected_path("lots", lots),
+            self._expected_path("auctions", auctions),
         ]
         self._compare_strategy(self.auction, "auction", query)
+        # by name: the engine's own graph, whose rank blocks find both indexes
+        # the kept graph just registered, and whose memo is warm unless the
+        # data changed since the last request by name
+        named = self._compare_strategy("auction", "auction", query)
+        assert named.memoized_blocks == (AUCTION_STORE_ONLY if self.named_warm else [])
+        self.named_warm = True
         self._now_indexed = {"lots": lots, "auctions": auctions}
-        self._assert_paths("auction", before, paths)
-        # by name the graph is built for the call: nothing is served from a memo
-        assert self._compare_strategy("auction", "auction", query).memoized_blocks == []
+        self._assert_paths(before, paths + ["hits", "hits"])
 
     # -- rules ---------------------------------------------------------------------------
 
@@ -236,12 +234,12 @@ class IngestOracle(RuleBasedStateMachine):
     @rule(query=QUERIES)
     def user_strategy(self, query):
         before = self.engine.reuse_statistics()["block_memo"]
-        registry_before = self._registry("user")
+        registry_before = self._registry()
         lots = self._lot_collection()
-        path = self._expected_path("user", "lots", lots)
+        path = self._expected_path("lots", lots)
         served = self._compare_strategy(self.graph, user_graph(), query)
         self._now_indexed = {"lots": lots}
-        self._assert_paths("user", registry_before, [path])
+        self._assert_paths(registry_before, [path])
         # never the request-dependent block, nor the store-only one below it
         assert set(served.memoized_blocks) <= {"select"}
         after = self.engine.reuse_statistics()["block_memo"]
@@ -250,6 +248,7 @@ class IngestOracle(RuleBasedStateMachine):
     @rule(texts=st.lists(TEXTS, min_size=1, max_size=3), query=QUERIES)
     def load_triples(self, texts, query):
         self.engine.load_triples(self._grow(texts))
+        self.named_warm = False
         self._auction(query)
 
     @rule(
@@ -273,18 +272,19 @@ class IngestOracle(RuleBasedStateMachine):
         else:
             return
         self.engine.create_table("docs", docs_relation(self.docs), replace=True)
+        self.named_warm = False
         self._search(query)
 
     @rule()
     def clear_caches(self):
         self.engine.clear_caches()
         self.indexed = {key: (None, 0) for key in self.COLLECTIONS}
+        self.named_warm = False
 
     @invariant()
     def registries_stay_bounded(self):
         if getattr(self, "engine", None) is not None:
-            for name in ("search", "auction", "user"):
-                assert self._registry(name)["entries"] <= MAX_ENTRIES
+            assert self._registry()["entries"] <= MAX_ENTRIES
 
 
 IngestOracle.TestCase.settings = settings(
