@@ -80,11 +80,13 @@ announced in ``CHANGES.md``.
 
 The storage API (``save``/``open`` on :class:`Engine`,
 :class:`~repro.relational.database.Database`,
-:class:`~repro.triples.triple_store.TripleStore`,
-:class:`~repro.ir.inverted_index.InvertedIndex` and
+:class:`~repro.triples.triple_store.TripleStore` and
 :class:`~repro.ir.statistics.CollectionStatistics`, plus the functions in
 :mod:`repro.storage`) is **stable** from 1.2: the Python signatures follow
-the deprecation policy above.  The *on-disk format* is versioned
+the deprecation policy above.  3.0 removes the snapshot path of
+:class:`~repro.ir.inverted_index.InvertedIndex` (see ``CHANGES.md``) and
+stores :class:`~repro.ir.statistics.CollectionStatistics` postings as the
+packed arrays its snapshots already held.  The *on-disk format* is versioned
 separately via ``repro.storage.FORMAT_VERSION``; snapshots are only
 guaranteed readable by the library version that wrote them, and a mismatch
 raises :class:`~repro.errors.SnapshotVersionError` with a "rebuild or
@@ -176,7 +178,7 @@ from repro.strategy import (
     build_toy_strategy,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     # the public facade

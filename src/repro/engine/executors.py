@@ -97,12 +97,11 @@ class SearchSpec:
 
 
 def statistics_key(spec: SearchSpec) -> tuple:
-    """Cache key for the global collection statistics a search needs.
+    """Which collection statistics a search ranks against.
 
-    Shared by the executor's coordinator-side cache and the worker-side
-    cache (:mod:`repro.serving.worker`): two specs with the same key rank
-    against the same merged df/cf tables, so the pool sends the payload to
-    each worker at most once per key.
+    The executor keys its merged global statistics by it, and the engine
+    groups a batch by it: specs with one key rank against the same df/cf
+    tables, so they can share one shard request.
     """
     return (spec.table, spec.pipeline, spec.id_column, spec.text_column)
 
@@ -481,7 +480,7 @@ class ScatterGatherExecutor(PlanExecutor):
         """True once the global reduce for this table/config has been merged."""
         return self._statistics_key(spec) in self._global_statistics
 
-    def _global_for(self, spec: SearchSpec) -> GlobalStatistics:
+    def _merged_global(self, spec: SearchSpec) -> GlobalStatistics:
         key = self._statistics_key(spec)
         cached = self._global_statistics.get(key)
         if cached is None:
@@ -497,7 +496,8 @@ class ScatterGatherExecutor(PlanExecutor):
         before dispatching); each shard answers the whole batch through its
         vectorized kernel, and every merged list is bit-identical to the
         unsharded ranking of that spec alone.  A single search is a batch
-        of one.
+        of one.  Shards hold no global statistics: every request brings
+        the global df/cf its terms need.
         """
         if not specs:
             return []
@@ -507,7 +507,10 @@ class ScatterGatherExecutor(PlanExecutor):
         key = self._statistics_key(first)
         if any(self._statistics_key(spec) != key for spec in specs[1:]):
             raise EngineError("search_many requires specs sharing one statistics key")
-        global_statistics = self._global_for(first)
+        # each shard request carries the global df/cf of the batch's own terms
+        global_statistics = self._merged_global(first).restricted_to(
+            term for spec in specs for term in spec.terms
+        )
         per_backend = self._fan_out(
             lambda backend: backend.begin_search_many(specs, global_statistics)
         )

@@ -14,8 +14,7 @@ relation and that table.  This module provides:
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from pathlib import Path
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
@@ -29,59 +28,6 @@ from repro.relational.schema import Field, Schema
 from repro.text.analyzers import Analyzer, StandardAnalyzer
 
 
-class PackedPostings(Mapping):
-    """Read-only postings backed by concatenated per-term arrays.
-
-    This is how a snapshot-backed index keeps its postings: one doc-index
-    array and one position array (both usually memmaps), sliced per term via
-    an offsets array — ``posting_list()`` therefore slices the memmap instead
-    of rebuilding anything.  The mapping interface matches the plain
-    ``dict[str, list[(doc, pos)]]`` the in-memory index uses; mutation goes
-    through :meth:`thaw` first.
-    """
-
-    __slots__ = ("_terms", "_slots", "_offsets", "_doc_indices", "_positions", "_doc_ids")
-
-    def __init__(
-        self,
-        terms: Sequence[str],
-        offsets: np.ndarray,
-        doc_indices: np.ndarray,
-        positions: np.ndarray,
-        doc_ids: Sequence[Any],
-    ):
-        self._terms = list(terms)
-        self._slots = {term: slot for slot, term in enumerate(self._terms)}
-        self._offsets = offsets
-        self._doc_indices = doc_indices
-        self._positions = positions
-        self._doc_ids = list(doc_ids)
-
-    def __getitem__(self, term: str) -> list[tuple[Any, int]]:
-        slot = self._slots[term]
-        start, stop = int(self._offsets[slot]), int(self._offsets[slot + 1])
-        doc_ids = self._doc_ids
-        return [
-            (doc_ids[int(doc_index)], int(position))
-            for doc_index, position in zip(
-                self._doc_indices[start:stop], self._positions[start:stop]
-            )
-        ]
-
-    def __iter__(self):
-        return iter(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __contains__(self, term: object) -> bool:
-        return term in self._slots
-
-    def thaw(self) -> dict[str, list[tuple[Any, int]]]:
-        """Materialise every posting list into a plain mutable dictionary."""
-        return {term: self[term] for term in self._terms}
-
-
 class InvertedIndex:
     """A positional inverted index built on demand.
 
@@ -91,7 +37,7 @@ class InvertedIndex:
 
     def __init__(self, analyzer: Analyzer | None = None):
         self.analyzer = analyzer if analyzer is not None else StandardAnalyzer()
-        self._postings: Mapping[str, list[tuple[Any, int]]] = {}
+        self._postings: dict[str, list[tuple[Any, int]]] = {}
         self._doc_ids: list[Any] = []
         self._doc_lengths: dict[Any, int] = {}
 
@@ -132,53 +78,11 @@ class InvertedIndex:
         """Add one document to the index."""
         if doc_id in self._doc_lengths:
             raise IndexingError(f"document {doc_id!r} was already indexed")
-        if isinstance(self._postings, PackedPostings):
-            # snapshot-backed postings are read-only; copy-on-write
-            self._postings = self._postings.thaw()
         terms = self.analyzer.analyze(text)
         self._doc_ids.append(doc_id)
         self._doc_lengths[doc_id] = len(terms)
         for position, term in enumerate(terms):
             self._postings.setdefault(term, []).append((doc_id, position))
-
-    @classmethod
-    def from_packed(
-        cls,
-        postings: PackedPostings,
-        doc_ids: Sequence[Any],
-        doc_lengths: Sequence[int],
-        analyzer: Analyzer | None = None,
-    ) -> "InvertedIndex":
-        """Assemble an index around snapshot-backed postings (see :mod:`repro.storage`)."""
-        index = cls(analyzer)
-        index._postings = postings
-        index._doc_ids = list(doc_ids)
-        index._doc_lengths = {
-            doc_id: int(length) for doc_id, length in zip(index._doc_ids, doc_lengths)
-        }
-        return index
-
-    # -- persistence -------------------------------------------------------------------
-
-    def save(self, path: str | Path) -> Path:
-        """Serialize the index (postings as concatenated arrays plus term offsets)."""
-        from repro.storage.index_io import save_inverted_index
-
-        return save_inverted_index(self, path)
-
-    @classmethod
-    def open(
-        cls, path: str | Path, *, analyzer: Analyzer | None = None, mmap: bool = True
-    ) -> "InvertedIndex":
-        """Open an index snapshot; ``posting_list`` then slices memmaps.
-
-        Without an explicit ``analyzer`` the snapshot's recorded language
-        rebuilds the standard analyzer, keeping query-time normalization
-        consistent with how the documents were indexed.
-        """
-        from repro.storage.index_io import open_inverted_index
-
-        return open_inverted_index(path, analyzer=analyzer, mmap=mmap)
 
     # -- lookup ----------------------------------------------------------------------
 

@@ -135,7 +135,7 @@ class StatisticsRegistry:
                 statistics = build_statistics(list(zip(ids, texts)), analyzer)
             entry = _Entry(id_values, text_values, ids, texts, analyzer, statistics)
             with self._lock:
-                if base is not None:
+                if prefix_key is not None:
                     self._extends += 1
                     self._entries.pop(prefix_key, None)
                 else:

@@ -20,13 +20,18 @@ Two builders produce these statistics:
   collections.  Tests assert that both paths produce identical statistics.
 
 The resulting :class:`CollectionStatistics` is the input of every ranking
-model in :mod:`repro.ir.ranking`.
+model in :mod:`repro.ir.ranking`.  It stores the ``tf`` view once, packed:
+per-term offsets plus one document-index and one frequency array, the same
+three arrays a snapshot writes and memmaps back.  Every builder — bulk,
+append (:func:`extend_statistics`), relational, shard split — ends in the
+same packing step, and df is the difference of consecutive offsets.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -57,16 +62,34 @@ class CollectionStatistics:
 
     Documents are identified both by their original identifier (``doc_ids``)
     and by a dense internal index (0..num_docs-1) used in the posting arrays.
+
+    The postings are the ``tf(termID, docID, tf)`` view stored term-major as
+    three arrays — the layout a snapshot writes and memmaps back: term ``t``'s
+    documents are ``doc_indices[offsets[t]:offsets[t + 1]]`` (ascending) and
+    its term frequencies are the same slice of ``frequencies``.  Term ids are
+    dense and start at 1 like the paper's ``row_number()``, so slot 0 of
+    ``offsets`` is an empty term.
     """
 
     doc_ids: list[Any]
     doc_lengths: np.ndarray
     term_ids: dict[str, int]
-    postings: dict[int, tuple[np.ndarray, np.ndarray]] = field(repr=False)
-    document_frequency: dict[int, int]
+    offsets: np.ndarray = field(repr=False)
+    doc_indices: np.ndarray = field(repr=False)
+    frequencies: np.ndarray = field(repr=False)
     total_terms: int
 
     # -- derived quantities --------------------------------------------------
+
+    @cached_property
+    def document_frequency(self) -> np.ndarray:
+        """df per term id (``document_frequency[term_ids[term]]``)."""
+        return np.diff(self.offsets)
+
+    def collection_frequencies(self) -> np.ndarray:
+        """cf per term id: the sum of each term's frequencies (exact int64)."""
+        sums = np.concatenate([[0], np.cumsum(self.frequencies, dtype=np.int64)])
+        return sums[self.offsets[1:]] - sums[self.offsets[:-1]]
 
     @property
     def num_docs(self) -> int:
@@ -88,7 +111,7 @@ class CollectionStatistics:
 
     def doc_positions(self) -> dict[Any, int]:
         """``docID -> dense index`` for the posting arrays, built once."""
-        cache = getattr(self, "_doc_position_cache", None)
+        cache: dict[Any, int] | None = getattr(self, "_doc_position_cache", None)
         if cache is None:
             cache = {doc_id: position for position, doc_id in enumerate(self.doc_ids)}
             self._doc_position_cache = cache
@@ -105,18 +128,22 @@ class CollectionStatistics:
         return self.term_ids.get(term)
 
     def postings_for(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(doc_indices, frequencies)`` for ``term`` (empty arrays if absent)."""
+        """Return ``(doc_indices, frequencies)`` for ``term`` (empty arrays if absent).
+
+        The arrays are slices of the packed postings, not copies.
+        """
         term_id = self.term_ids.get(term)
         if term_id is None:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return self.postings[term_id]
+        start, stop = self.offsets[term_id], self.offsets[term_id + 1]
+        return self.doc_indices[start:stop], self.frequencies[start:stop]
 
     def df(self, term: str) -> int:
         """Return the document frequency of ``term`` (0 if absent)."""
         term_id = self.term_ids.get(term)
         if term_id is None:
             return 0
-        return self.document_frequency[term_id]
+        return int(self.document_frequency[term_id])
 
     def robertson_idf(self, term: str) -> float:
         """Robertson/Sparck-Jones IDF: ``log((N - df + 0.5) / (df + 0.5))``.
@@ -140,10 +167,7 @@ class CollectionStatistics:
 
     def collection_frequency(self, term: str) -> int:
         """Total number of occurrences of ``term`` in the collection."""
-        term_id = self.term_ids.get(term)
-        if term_id is None:
-            return 0
-        _, frequencies = self.postings[term_id]
+        _, frequencies = self.postings_for(term)
         return int(frequencies.sum())
 
     # -- persistence -------------------------------------------------------------
@@ -183,15 +207,7 @@ class CollectionStatistics:
 
     def tf_relation(self) -> Relation:
         """The ``tf(termID, docID, tf)`` view as a relation (term-major order)."""
-        term_column: list[int] = []
-        doc_column: list[Any] = []
-        tf_column: list[int] = []
-        for term_id in sorted(self.postings):
-            doc_indices, frequencies = self.postings[term_id]
-            for doc_index, frequency in zip(doc_indices, frequencies):
-                term_column.append(term_id)
-                doc_column.append(self.doc_ids[doc_index])
-                tf_column.append(int(frequency))
+        doc_column = [self.doc_ids[index] for index in self.doc_indices.tolist()]
         schema = Schema(
             [
                 Field("termID", DataType.INT),
@@ -202,9 +218,9 @@ class CollectionStatistics:
         return Relation(
             schema,
             [
-                Column(term_column, DataType.INT),
+                Column(_term_column(self.offsets).tolist(), DataType.INT),
                 Column(doc_column, schema.dtype_of("docID")),
-                Column(tf_column, DataType.INT),
+                Column(self.frequencies.tolist(), DataType.INT),
             ],
         )
 
@@ -221,6 +237,30 @@ def _dtype_of(values: Sequence[Any]) -> DataType:
     if not values:
         return DataType.INT
     return DataType.of_value(values[0])
+
+
+def _term_column(offsets: np.ndarray) -> np.ndarray:
+    """The term id of every posting, in packed order."""
+    return np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+
+
+def _pack(
+    num_terms: int, terms: np.ndarray, doc_indices: np.ndarray, frequencies: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(term, doc, tf)`` postings as ``(offsets, doc_indices, frequencies)``.
+
+    The one packing step behind every builder: a stable sort by term id, so
+    each term keeps its postings in the order given — callers hand them over
+    ascending by document — plus the offsets of the ``num_terms`` dense ids.
+    """
+    order = np.argsort(terms, kind="stable")
+    offsets = np.zeros(num_terms + 2, dtype=np.int64)
+    np.cumsum(np.bincount(terms, minlength=num_terms + 1), out=offsets[1:])
+    return (
+        offsets,
+        np.asarray(doc_indices, dtype=np.int64)[order],
+        np.asarray(frequencies, dtype=np.int64)[order],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -247,26 +287,20 @@ class GlobalStatistics:
     @classmethod
     def reduce(cls, shard_statistics: Sequence["CollectionStatistics"]) -> "GlobalStatistics":
         """Merge shard-local statistics into the global view (df/cf/N sums)."""
-        num_docs = 0
-        total_terms = 0
-        total_doc_length = 0
         document_frequency: dict[str, int] = {}
         collection_frequency: dict[str, int] = {}
         for statistics in shard_statistics:
-            num_docs += statistics.num_docs
-            total_terms += statistics.total_terms
-            total_doc_length += int(statistics.doc_lengths.sum()) if statistics.num_docs else 0
+            dfs = statistics.document_frequency.tolist()
+            cfs = statistics.collection_frequencies().tolist()
             for term, term_id in statistics.term_ids.items():
-                document_frequency[term] = (
-                    document_frequency.get(term, 0) + statistics.document_frequency[term_id]
-                )
-                collection_frequency[term] = (
-                    collection_frequency.get(term, 0) + statistics.collection_frequency(term)
-                )
+                document_frequency[term] = document_frequency.get(term, 0) + dfs[term_id]
+                collection_frequency[term] = collection_frequency.get(term, 0) + cfs[term_id]
         return cls(
-            num_docs=num_docs,
-            total_terms=total_terms,
-            total_doc_length=total_doc_length,
+            num_docs=sum(statistics.num_docs for statistics in shard_statistics),
+            total_terms=sum(statistics.total_terms for statistics in shard_statistics),
+            total_doc_length=sum(
+                int(statistics.doc_lengths.sum()) for statistics in shard_statistics
+            ),
             document_frequency=document_frequency,
             collection_frequency=collection_frequency,
         )
@@ -289,8 +323,31 @@ class GlobalStatistics:
             collection_frequency=collection_frequency,
         )
 
+    def restricted_to(self, terms: Iterable[str]) -> "GlobalStatistics":
+        """The same collection totals with df/cf for ``terms`` only.
+
+        What one shard request needs: a batch ranks only its own terms, so it
+        carries their global df/cf instead of the whole vocabulary's.
+        """
+        wanted = set(terms)
+        return GlobalStatistics(
+            num_docs=self.num_docs,
+            total_terms=self.total_terms,
+            total_doc_length=self.total_doc_length,
+            document_frequency={
+                term: self.document_frequency[term]
+                for term in wanted
+                if term in self.document_frequency
+            },
+            collection_frequency={
+                term: self.collection_frequency[term]
+                for term in wanted
+                if term in self.collection_frequency
+            },
+        )
+
     def to_payload(self) -> dict[str, Any]:
-        """A JSON/pickle-friendly form (sent from router to pool workers)."""
+        """A pickle-friendly form (a shard's summary, a pool search's df/cf)."""
         return {
             "num_docs": self.num_docs,
             "total_terms": self.total_terms,
@@ -313,7 +370,7 @@ class GlobalStatistics:
 class ShardCollectionStatistics(CollectionStatistics):
     """Shard-local postings scored against global collection statistics.
 
-    ``doc_ids``/``doc_lengths``/``postings`` describe only this shard's
+    ``doc_ids``/``doc_lengths`` and the postings describe only this shard's
     documents (indices are shard-local), while every collection-wide
     quantity a ranking model reads — ``num_docs``, ``average_doc_length``,
     ``df``, ``collection_frequency``, ``total_terms`` — comes from the
@@ -329,8 +386,9 @@ class ShardCollectionStatistics(CollectionStatistics):
             doc_ids=local.doc_ids,
             doc_lengths=local.doc_lengths,
             term_ids=local.term_ids,
-            postings=local.postings,
-            document_frequency=local.document_frequency,
+            offsets=local.offsets,
+            doc_indices=local.doc_indices,
+            frequencies=local.frequencies,
             total_terms=global_statistics.total_terms,
         )
         self.global_statistics = global_statistics
@@ -374,9 +432,9 @@ def split_statistics(
     ``shard_doc_indices[s]`` holds the (ascending) global document indices
     assigned to shard ``s`` — the same per-table row partition the sharded
     snapshot layout uses for the docs table, so shard-local document index
-    ``i`` corresponds to global index ``shard_doc_indices[s][i]``.  Term ids
-    keep their global numbering; per-term postings are sliced to each
-    shard's documents and remapped to shard-local indices.
+    ``i`` corresponds to global index ``shard_doc_indices[s][i]``.  Each shard
+    numbers its terms densely in global id order; its postings are the
+    global ones filtered to its documents and remapped to shard-local indices.
     """
     num_docs = statistics.num_docs
     assignment = np.full(num_docs, -1, dtype=np.int64)
@@ -387,31 +445,35 @@ def split_statistics(
     if num_docs and np.any(assignment < 0):
         raise IndexingError("shard document partition does not cover every document")
 
+    terms_by_id = [""] * (statistics.num_terms + 1)
+    for term, term_id in statistics.term_ids.items():
+        terms_by_id[term_id] = term
+    posting_terms = _term_column(statistics.offsets)
+    posting_shards = assignment[statistics.doc_indices]
     pieces: list[CollectionStatistics] = []
     for shard, indices in enumerate(shard_doc_indices):
-        postings: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        term_ids: dict[str, int] = {}
-        document_frequency: dict[int, int] = {}
-        for term, term_id in statistics.term_ids.items():
-            doc_indices, frequencies = statistics.postings[term_id]
-            keep = assignment[doc_indices] == shard
-            if not np.any(keep):
-                continue
-            term_ids[term] = term_id
-            postings[term_id] = (
-                local_index[doc_indices[keep]],
-                np.asarray(frequencies[keep], dtype=np.int64),
-            )
-            document_frequency[term_id] = int(np.count_nonzero(keep))
-        lengths = statistics.doc_lengths[indices] if len(indices) else np.empty(0, np.int64)
+        keep = posting_shards == shard
+        kept_terms = posting_terms[keep]
+        present = np.unique(kept_terms)  # ascending global ids
+        offsets, doc_indices, frequencies = _pack(
+            len(present),
+            np.searchsorted(present, kept_terms) + 1,
+            local_index[statistics.doc_indices[keep]],
+            statistics.frequencies[keep],
+        )
+        lengths = np.asarray(statistics.doc_lengths[indices], dtype=np.int64)
         pieces.append(
             CollectionStatistics(
                 doc_ids=[statistics.doc_ids[index] for index in indices],
-                doc_lengths=np.asarray(lengths, dtype=np.int64),
-                term_ids=term_ids,
-                postings=postings,
-                document_frequency=document_frequency,
-                total_terms=int(np.asarray(lengths, dtype=np.int64).sum()) if len(indices) else 0,
+                doc_lengths=lengths,
+                term_ids={
+                    terms_by_id[term_id]: local
+                    for local, term_id in enumerate(present.tolist(), start=1)
+                },
+                offsets=offsets,
+                doc_indices=doc_indices,
+                frequencies=frequencies,
+                total_terms=int(lengths.sum()),
             )
         )
     return pieces
@@ -431,8 +493,9 @@ def build_statistics(
         doc_ids=[],
         doc_lengths=np.empty(0, dtype=np.int64),
         term_ids={},
-        postings={},
-        document_frequency={},
+        offsets=np.zeros(2, dtype=np.int64),
+        doc_indices=np.empty(0, dtype=np.int64),
+        frequencies=np.empty(0, dtype=np.int64),
         total_terms=0,
     )
     return extend_statistics(empty, documents, analyzer)
@@ -446,55 +509,50 @@ def extend_statistics(
     """Statistics of ``base``'s documents followed by ``documents``.
 
     Only the appended documents are analyzed.  Term ids continue in
-    first-seen order, document/collection frequencies and lengths are exact
-    integer updates, and posting arrays stay sorted by document index, so the
-    result equals what :func:`build_statistics` computes over the whole
-    collection — bit for bit, dict order included (the bulk builder *is* this
-    function applied to an empty base).  ``base`` is left untouched: posting
-    arrays of terms the new documents do not mention are shared, everything
-    the append changes is copied, so a reader still ranking against ``base``
-    is never disturbed.
+    first-seen order, lengths are exact integer updates, and ``base``'s
+    postings and the new ones are re-packed in one stable pass — appended
+    documents index past every document of ``base``, so each term's postings
+    stay sorted by document.  The result equals what :func:`build_statistics`
+    computes over the whole collection, array for array (the bulk builder
+    *is* this function applied to an empty base).  ``base`` is left
+    untouched, so a reader still ranking against it is never disturbed.
     """
     analyzer = analyzer if analyzer is not None else StandardAnalyzer()
-    offset = base.num_docs
     doc_ids: list[Any] = list(base.doc_ids)
     tail_lengths: list[int] = []
     term_ids: dict[str, int] = dict(base.term_ids)
-    # per-term dict of doc_index -> frequency, converted to arrays at the end
-    term_postings: dict[int, dict[int, int]] = {}
+    # the appended (term, doc, tf) postings, document by document
+    tail_terms: list[int] = []
+    tail_docs: list[int] = []
+    tail_frequencies: list[int] = []
 
-    for doc_index, (doc_id, text) in enumerate(documents, start=offset):
+    for doc_index, (doc_id, text) in enumerate(documents, start=base.num_docs):
         terms = analyzer.analyze(text)
         doc_ids.append(doc_id)
         tail_lengths.append(len(terms))
+        counts: dict[int, int] = {}
         for term in terms:
             term_id = term_ids.setdefault(term, len(term_ids) + 1)
-            postings = term_postings.setdefault(term_id, {})
-            postings[doc_index] = postings.get(doc_index, 0) + 1
+            counts[term_id] = counts.get(term_id, 0) + 1
+        tail_terms.extend(counts)
+        tail_frequencies.extend(counts.values())
+        tail_docs.extend([doc_index] * len(counts))
 
-    postings_arrays: dict[int, tuple[np.ndarray, np.ndarray]] = dict(base.postings)
-    document_frequency: dict[int, int] = dict(base.document_frequency)
-    for term_id, doc_map in term_postings.items():
-        doc_indices = np.fromiter(doc_map.keys(), dtype=np.int64, count=len(doc_map))
-        frequencies = np.fromiter(doc_map.values(), dtype=np.int64, count=len(doc_map))
-        order = np.argsort(doc_indices, kind="stable")
-        doc_indices, frequencies = doc_indices[order], frequencies[order]
-        known = postings_arrays.get(term_id)
-        if known is not None:
-            # appended documents index past every document of ``base``
-            doc_indices = np.concatenate([known[0], doc_indices])
-            frequencies = np.concatenate([known[1], frequencies])
-        postings_arrays[term_id] = (doc_indices, frequencies)
-        document_frequency[term_id] = document_frequency.get(term_id, 0) + len(doc_map)
-
+    offsets, doc_indices, frequencies = _pack(
+        len(term_ids),
+        np.concatenate([_term_column(base.offsets), np.asarray(tail_terms, dtype=np.int64)]),
+        np.concatenate([base.doc_indices, np.asarray(tail_docs, dtype=np.int64)]),
+        np.concatenate([base.frequencies, np.asarray(tail_frequencies, dtype=np.int64)]),
+    )
     return CollectionStatistics(
         doc_ids=doc_ids,
         doc_lengths=np.concatenate(
             [base.doc_lengths, np.asarray(tail_lengths, dtype=np.int64)]
         ),
         term_ids=term_ids,
-        postings=postings_arrays,
-        document_frequency=document_frequency,
+        offsets=offsets,
+        doc_indices=doc_indices,
+        frequencies=frequencies,
         total_terms=base.total_terms + int(sum(tail_lengths)),
     )
 
@@ -678,31 +736,25 @@ class RelationalStatisticsBuilder:
         doc_index = {doc_id: position for position, doc_id in enumerate(doc_ids)}
         lengths = np.asarray(doc_len.column("len").to_list(), dtype=np.int64)
 
-        # Term frequencies from the term_doc relation (equivalent to the tf view).
-        term_postings: dict[int, dict[int, int]] = {}
+        # Term frequencies from the term_doc relation (equivalent to the tf
+        # view): one (termID, docID) key per row, counted — np.unique returns
+        # the keys term-major and ascending by document, the packed order.
         terms = term_doc.column("term").to_list()
         docs = term_doc.column("docID").to_list()
-        for term, doc_id in zip(terms, docs):
-            term_id = term_ids[term]
-            postings = term_postings.setdefault(term_id, {})
-            position = doc_index[doc_id]
-            postings[position] = postings.get(position, 0) + 1
-
-        postings_arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        document_frequency: dict[int, int] = {}
-        for term_id, doc_map in term_postings.items():
-            doc_indices = np.fromiter(doc_map.keys(), dtype=np.int64, count=len(doc_map))
-            frequencies = np.fromiter(doc_map.values(), dtype=np.int64, count=len(doc_map))
-            order = np.argsort(doc_indices, kind="stable")
-            postings_arrays[term_id] = (doc_indices[order], frequencies[order])
-            document_frequency[term_id] = len(doc_map)
-
+        term_column = np.fromiter((term_ids[term] for term in terms), np.int64, len(terms))
+        doc_column = np.fromiter((doc_index[doc] for doc in docs), np.int64, len(docs))
+        stride = max(len(doc_ids), 1)
+        keys, counts = np.unique(term_column * stride + doc_column, return_counts=True)
+        offsets, doc_indices, frequencies = _pack(
+            len(term_ids), keys // stride, keys % stride, counts
+        )
         return CollectionStatistics(
             doc_ids=doc_ids,
             doc_lengths=lengths,
             term_ids=term_ids,
-            postings=postings_arrays,
-            document_frequency=document_frequency,
+            offsets=offsets,
+            doc_indices=doc_indices,
+            frequencies=frequencies,
             total_terms=int(lengths.sum()),
         )
 

@@ -22,8 +22,10 @@ close path want.
 ``health_interval_seconds`` and restarts dead ones from the immutable
 snapshot with exponential backoff (``restart_backoff_seconds`` doubled per
 consecutive restart, capped), up to ``max_restarts`` per slot; a slot that
-exhausts its budget is marked failed.  :attr:`degraded` is true while any
-slot is dead or failed — surfaced via ``/healthz`` and ``/statz``.
+exhausts its budget is marked failed.  A restarted worker joins routing only
+after it has answered one ping, so requests never queue on a process that is
+still starting.  :attr:`degraded` is true while any slot is dead or failed —
+surfaced via ``/healthz`` and ``/statz``.
 Failovers, deaths, restarts and failures are reported to the pool's
 observer callback as structured events (the engine wires this into the
 workload log).
@@ -38,11 +40,9 @@ round trip.
 or above the shared-memory threshold are published to
 :mod:`repro.serving.shm` segments by the worker and only a control frame
 crosses the pipe (``ServingConfig.shm_threshold`` sets the size; ``0``
-sends every reply through shared memory).  Workers also cache the global
-collection statistics a search needs, keyed like the executor's own cache,
-so steady state search requests carry only terms and a key — not the
-df/cf tables.  A worker missing them answers ``global-missing`` and the
-pool re-sends the request with the payload (:class:`_SearchManyPending`).
+sends every reply through shared memory).  A search request carries the
+global df/cf of its own terms, so a worker holds no statistics beyond its
+shards' and any live replica can answer any search with one frame.
 
 :meth:`WorkerPool.shard_backends` returns one :class:`PoolShard` proxy per
 shard.  It offers the ``begin_*`` half of the backend interface
@@ -58,6 +58,7 @@ import multiprocessing
 import threading
 import time
 from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeout
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -74,12 +75,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _JOIN_TIMEOUT_SECONDS = 5.0
 
+#: how long a restarted worker may take to answer its first ping
+_READY_TIMEOUT_SECONDS = 10.0
+
 #: how long a failover will wait for the supervisor to restart a replica
 #: when every replica of a shard is momentarily down (self-healing only)
 _REPLICA_WAIT_SECONDS = 5.0
-
-#: reply code a worker sends when it needs the global statistics re-sent
-GLOBAL_MISSING = "global-missing"
 
 
 class _WorkerDied(Exception):
@@ -105,7 +106,6 @@ class _WorkerConnection:
         self.worker = worker
         self.connection = connection
         self.process = process
-        self.installed_globals: set[tuple] = set()
         self._send_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._recv_lock = threading.Lock()
@@ -268,53 +268,16 @@ class _PendingReply:
         return self._transform(value) if self._transform is not None else value
 
 
-class _SearchManyPending:
-    """A pipelined ``search_many`` request with the global-statistics retry.
-
-    The worker answers a whole query batch through its vectorized
-    multi-query kernel and replies once.  A worker that lost (or never had)
-    the cached global statistics — a failover or restart lands here too —
-    answers ``global-missing``; the request is then re-issued carrying the
-    full payload, still failover-eligible.
-    """
-
-    def __init__(
-        self,
-        shard_proxy: "PoolShard",
-        specs: "list[SearchSpec]",
-        global_statistics: "GlobalStatistics",
-        key: tuple,
-        pending: _PendingReply,
-    ):
-        self._proxy = shard_proxy
-        self._specs = specs
-        self._global = global_statistics
-        self._key = key
-        self._pending = pending
-
-    def result(
-        self, timeout: float | None = None
-    ) -> list[tuple[list[Any], np.ndarray, np.ndarray]]:
-        pool = self._proxy._pool
-        reply = self._pending.reply(timeout)
-        if not reply.get("ok") and reply.get("code") == GLOBAL_MISSING:
-            message = self._proxy._search_many_message(
-                self._specs, self._global, install=True
-            )
-            self._pending = pool.begin_request(
-                self._pending.worker, self._pending.shard, message, pinned=False
-            )
-            reply = self._pending.reply(timeout)
-        value = pool._unwrap(self._pending, reply)
-        pool.mark_global_installed(self._pending.worker, self._key)
-        return [
-            (
-                list(entry["doc_ids"]),
-                np.asarray(entry["scores"], dtype=np.float64),
-                np.asarray(entry["rows"], dtype=np.int64),
-            )
-            for entry in value
-        ]
+def _ranked_lists(value: Any) -> list[tuple[list[Any], np.ndarray, np.ndarray]]:
+    """A ``search_many`` reply as ``(doc_ids, scores, global_rows)`` per query."""
+    return [
+        (
+            list(entry["doc_ids"]),
+            np.asarray(entry["scores"], dtype=np.float64),
+            np.asarray(entry["rows"], dtype=np.int64),
+        )
+        for entry in value
+    ]
 
 
 class PoolShard:
@@ -346,42 +309,24 @@ class PoolShard:
 
         return self._begin({"op": "stats", "spec": spec}, GlobalStatistics.from_payload)
 
-    def _search_many_message(
-        self,
-        specs: "list[SearchSpec]",
-        global_statistics: "GlobalStatistics",
-        *,
-        install: bool,
-    ) -> dict[str, Any]:
-        message: dict[str, Any] = {
-            "op": "search_many",
-            "specs": list(specs),
-            "shard": self.shard,
-        }
-        if install:
-            message["global"] = global_statistics.to_payload()
-        return message
-
     def begin_search_many(
         self, specs: "list[SearchSpec]", global_statistics: "GlobalStatistics"
-    ) -> _SearchManyPending:
+    ) -> _PendingReply:
         """One wire request ranking a whole query batch on this shard.
 
         All specs must share one statistics key (same table/pipeline/columns)
-        — the executor groups before calling.  The worker answers through
-        its vectorized multi-query kernel with a single coalesced reply.
+        — the executor groups before calling — and ``global_statistics``
+        holds the df/cf of their terms.  The worker answers through its
+        vectorized multi-query kernel with a single reply.
         """
-        from repro.engine.executors import statistics_key
-
-        specs = list(specs)
-        key = statistics_key(specs[0])
-        # pre-pick the replica so the install decision matches the route; a
-        # failover to a replica without the statistics gets global-missing
-        worker = self._pool.pick_worker(self.shard)
-        install = worker is None or not self._pool.global_installed(worker, key)
-        message = self._search_many_message(specs, global_statistics, install=install)
-        pending = self._pool.begin_request(worker, self.shard, message, pinned=False)
-        return _SearchManyPending(self, specs, global_statistics, key, pending)
+        return self._begin(
+            {
+                "op": "search_many",
+                "specs": list(specs),
+                "global": global_statistics.to_payload(),
+            },
+            _ranked_lists,
+        )
 
     def begin_fragment(self, table: str) -> _PendingReply:
         return self._begin(
@@ -759,6 +704,13 @@ class WorkerPool:
             old_process.terminate()
         old_process.join(timeout=_JOIN_TIMEOUT_SECONDS)
         process, connection = self._spawn(worker)
+        # the slot takes the new worker only once it has answered a ping: a
+        # starting worker has nothing outstanding, so least-outstanding
+        # routing would queue requests on it while it is still importing —
+        # and a failure there costs each of them a retry
+        if not self._answers_first_ping(connection):
+            connection.mark_dead("did not answer its first ping")
+            process.terminate()
         with self._lock:
             self._processes[worker] = process
             self._connections[worker] = connection
@@ -766,6 +718,26 @@ class WorkerPool:
             self._restart_at.pop(worker, None)
             count = self._restarts[worker]
         self._emit("worker-restart", {"worker": worker, "pid": process.pid, "restarts": count})
+
+    def _answers_first_ping(self, connection: _WorkerConnection) -> bool:
+        """Whether a just-spawned worker answers a ping before the timeout.
+
+        Gives up early when the pool closes, so ``close()`` never waits on a
+        starting worker.
+        """
+        deadline = time.monotonic() + _READY_TIMEOUT_SECONDS
+        try:
+            future = connection.send({"op": "ping"})
+            while not self._closed and time.monotonic() < deadline:
+                try:
+                    # resolved, not just received: a shm reply is unlinked here
+                    resolve_tagged(*connection.wait(future, _POLL_SECONDS))
+                    return True
+                except FutureTimeout:
+                    continue
+        except (_WorkerDied, EngineError):
+            pass
+        return False
 
     @property
     def degraded(self) -> bool:
@@ -792,15 +764,6 @@ class WorkerPool:
             "retry_budget": self.config.retry_budget,
             "self_healing": self.config.restart_workers,
         }
-
-    # -- worker-side global-statistics cache bookkeeping -------------------------
-
-    def global_installed(self, worker: int, key: tuple) -> bool:
-        """Whether ``worker`` is known to hold the global statistics for ``key``."""
-        return key in self._connections[worker].installed_globals
-
-    def mark_global_installed(self, worker: int, key: tuple) -> None:
-        self._connections[worker].installed_globals.add(key)
 
     # -- introspection -----------------------------------------------------------
 

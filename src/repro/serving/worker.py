@@ -19,18 +19,16 @@ ping        liveness check; returns the worker's pid, shard set and epoch
 segment     evaluate a row-local plan segment against one shard's fragment
 stats       the shard's collection-statistics summary (df/cf/doc-count)
 search_many rank a query batch (a single search is a batch of one) against
-            global statistics in one vectorized pass; ids/scores/rows per query
+            the global df/cf the request carries for its terms, in one
+            vectorized pass; ids/scores/rows per query
 fragment    one shard's fragment of a table, plus its original row indices
 store       one shard's slice of the triple list, plus original indices
 close       drain and exit cleanly
 =========== =================================================================
 
-``search_many`` requests carry the global statistics payload at most once:
-the worker caches it keyed exactly like the executor's own cache
-(:func:`~repro.engine.executors.statistics_key`), and a request without a
-payload for an unknown key is answered with the ``global-missing`` code so
-the pool re-sends it — steady-state searches cost terms + a key, not the
-df/cf tables.
+A worker keeps nothing between requests beyond its opened shards: every
+``search_many`` brings the global statistics of its own terms, so a freshly
+(re)started worker answers the first search it gets.
 
 Failures never kill the loop: any exception is reported back as an
 ``{"ok": False, "error": ...}`` reply and the worker keeps serving — only a
@@ -68,11 +66,10 @@ def worker_main(
     epoch: int = 0,
 ) -> None:
     """Serve shard requests until the connection closes or ``close`` arrives."""
-    from repro.serving.pool import GLOBAL_MISSING
+    from repro.ir.statistics import GlobalStatistics
     from repro.serving.shm import ShmTransport
 
     backends: dict[int, Any] = {}
-    cached_globals: dict[tuple, Any] = {}
     reply_transport = ShmTransport(shm_threshold)
 
     def backend(shard: int):
@@ -83,16 +80,6 @@ def worker_main(
             opened = _open_backend(snapshot_path, shard, mmap)
             backends[shard] = opened
         return opened
-
-    def global_for(message: dict[str, Any]):
-        from repro.engine.executors import statistics_key
-        from repro.ir.statistics import GlobalStatistics
-
-        key = statistics_key(message["specs"][0])
-        payload = message.get("global")
-        if payload is not None:
-            cached_globals[key] = GlobalStatistics.from_payload(payload)
-        return cached_globals.get(key)
 
     def handle(message: dict[str, Any]) -> dict[str, Any]:
         op = message["op"]
@@ -113,15 +100,8 @@ def worker_main(
             summary = backend(message["shard"]).statistics_summary(message["spec"])
             return {"ok": True, "value": summary.to_payload()}
         if op == "search_many":
-            global_statistics = global_for(message)
-            if global_statistics is None:
-                return {
-                    "ok": False,
-                    "code": GLOBAL_MISSING,
-                    "error": "global statistics not cached for this spec; re-send with payload",
-                }
             ranked = backend(message["shard"]).search_shard_many(
-                message["specs"], global_statistics
+                message["specs"], GlobalStatistics.from_payload(message["global"])
             )
             return {
                 "ok": True,

@@ -12,9 +12,9 @@ Entry points, lowest layer first:
 * :func:`save_relation` / :func:`open_relation` — one table;
 * :meth:`Database.save` / :meth:`Database.open` — every base table, with
   lazy per-table hydration through the catalog;
-* :meth:`InvertedIndex.save` / :meth:`InvertedIndex.open` and
-  :meth:`CollectionStatistics.save` / :meth:`CollectionStatistics.open` —
-  postings as concatenated arrays plus term offsets, sliced from memmaps;
+* :meth:`CollectionStatistics.save` / :meth:`CollectionStatistics.open` —
+  the packed postings (term offsets, document indices, frequencies),
+  adopted as memmaps;
 * :meth:`TripleStore.save` / :meth:`TripleStore.open` — the triple source
   plus the storage-strategy layout (partition tables live in the database);
 * :meth:`Engine.save` / :meth:`Engine.open` — all of the above plus
@@ -30,12 +30,7 @@ Entry points, lowest layer first:
 from repro.storage.columnio import read_column, write_column
 from repro.storage.engine_io import open_engine, save_engine
 from repro.storage.format import FORMAT_VERSION, read_manifest, write_manifest
-from repro.storage.index_io import (
-    open_inverted_index,
-    open_statistics,
-    save_inverted_index,
-    save_statistics,
-)
+from repro.storage.index_io import open_statistics, save_statistics
 from repro.storage.shards import (
     is_sharded_snapshot,
     open_shard,
@@ -59,7 +54,6 @@ __all__ = [
     "save_sharded_engine",
     "open_database",
     "open_engine",
-    "open_inverted_index",
     "open_relation",
     "open_statistics",
     "read_column",
@@ -67,7 +61,6 @@ __all__ = [
     "restore_triple_store",
     "save_database",
     "save_engine",
-    "save_inverted_index",
     "save_relation",
     "save_statistics",
     "save_triple_store",

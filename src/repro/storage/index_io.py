@@ -1,14 +1,15 @@
-"""Snapshots for the IR layer: inverted indexes and collection statistics.
+"""Snapshots of collection statistics: the packed postings, as they are in memory.
 
-Both structures serialize their postings the same way: all per-term arrays
-concatenated into single buffers plus one ``int64`` offsets array (length
-``num_terms + 1``), so that term ``t``'s postings are
-``buffer[offsets[t]:offsets[t + 1]]``.  On open those buffers come back as
-memmaps and each term's postings are *slices* of them — no per-term files,
-no rebuild, no copies for the numeric payload.
+A :class:`~repro.ir.statistics.CollectionStatistics` keeps its postings as
+three arrays — per-term offsets, document indices and term frequencies — and
+this module writes those arrays as they are, plus one ``int64`` offsets file
+(length ``num_terms + 1``) so that the postings of the term in slot ``t`` are
+``buffer[offsets[t]:offsets[t + 1]]``.  On open the two posting buffers come
+back as memmaps and are adopted, not converted: every ``postings_for`` slice
+is a view of the mapped file, with no per-term loop, rebuild or copy.
 
-Document identifiers are stored as a typed column (int or string), term
-vocabularies as ordered UTF-8 string arrays.
+Document identifiers are stored as a typed column (int or string), the term
+vocabulary as an ordered UTF-8 string array.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.ir.inverted_index import InvertedIndex, PackedPostings
 from repro.ir.statistics import CollectionStatistics
 from repro.relational.column import Column, DataType
 from repro.storage.columnio import (
@@ -30,7 +30,6 @@ from repro.storage.columnio import (
     write_string_array,
 )
 from repro.storage.format import ensure_directory, read_manifest, require_directory, write_manifest
-from repro.text.analyzers import Analyzer, StandardAnalyzer
 
 _INT64 = np.dtype("<i8")
 
@@ -40,120 +39,23 @@ def _doc_id_column(doc_ids: list[Any]) -> Column:
     return Column(doc_ids, dtype)
 
 
-def _analyzer_payload(analyzer: Analyzer) -> dict[str, Any]:
-    payload: dict[str, Any] = dict(analyzer.describe())
-    language = getattr(analyzer, "language", None)
-    if language is not None:
-        payload["language"] = language
-    return payload
-
-
-def _rebuild_analyzer(payload: dict[str, Any], analyzer: Analyzer | None) -> Analyzer:
-    if analyzer is not None:
-        return analyzer
-    language = payload.get("language")
-    if isinstance(language, str):
-        return StandardAnalyzer(language)
-    return StandardAnalyzer()
-
-
-# -- inverted indexes --------------------------------------------------------
-
-
-def save_inverted_index(index: InvertedIndex, path: str | Path) -> Path:
-    """Serialize ``index`` into the directory ``path``."""
-    directory = Path(path)
-    ensure_directory(directory)
-    doc_ids = index._doc_ids
-    doc_slot = {doc_id: slot for slot, doc_id in enumerate(doc_ids)}
-    terms = sorted(index._postings)
-
-    doc_indices: list[int] = []
-    positions: list[int] = []
-    offsets = np.zeros(len(terms) + 1, dtype=_INT64)
-    for slot, term in enumerate(terms):
-        for doc_id, position in index._postings[term]:
-            doc_indices.append(doc_slot[doc_id])
-            positions.append(position)
-        offsets[slot + 1] = len(doc_indices)
-
-    write_array(np.asarray(doc_indices, dtype=_INT64), directory / "postings.docs.bin")
-    write_array(np.asarray(positions, dtype=_INT64), directory / "postings.positions.bin")
-    write_array(offsets, directory / "postings.offsets.bin")
-    lengths = np.asarray([index._doc_lengths[doc_id] for doc_id in doc_ids], dtype=_INT64)
-    write_array(lengths, directory / "doc_lengths.bin")
-
-    doc_ids_entry = write_column(_doc_id_column(doc_ids), directory, "doc_ids")
-    terms_entry = write_string_array(np.asarray(terms, dtype=object), directory, "terms")
-    write_manifest(
-        directory,
-        "inverted-index",
-        {
-            "num_documents": len(doc_ids),
-            "num_terms": len(terms),
-            "num_postings": int(offsets[-1]),
-            "doc_ids": doc_ids_entry,
-            "terms": terms_entry,
-            "analyzer": _analyzer_payload(index.analyzer),
-        },
-    )
-    return directory
-
-
-def open_inverted_index(
-    path: str | Path, *, analyzer: Analyzer | None = None, mmap: bool = True
-) -> InvertedIndex:
-    """Open an index snapshot; posting lists are sliced from memmaps on demand."""
-    directory = require_directory(Path(path), what="inverted-index snapshot")
-    manifest = read_manifest(directory, "inverted-index")
-    num_terms = int(manifest["num_terms"])
-    num_postings = int(manifest["num_postings"])
-    num_documents = int(manifest["num_documents"])
-
-    terms = read_string_array(directory, manifest["terms"])
-    doc_ids = read_column(directory, manifest["doc_ids"], mmap=mmap).to_list()
-    offsets = read_array(directory / "postings.offsets.bin", _INT64, num_terms + 1, mmap=False)
-    doc_indices = read_array(directory / "postings.docs.bin", _INT64, num_postings, mmap=mmap)
-    positions = read_array(
-        directory / "postings.positions.bin", _INT64, num_postings, mmap=mmap
-    )
-    lengths = read_array(directory / "doc_lengths.bin", _INT64, num_documents, mmap=False)
-
-    packed = PackedPostings(list(terms), offsets, doc_indices, positions, doc_ids)
-    resolved = _rebuild_analyzer(manifest["analyzer"], analyzer)
-    return InvertedIndex.from_packed(packed, doc_ids, lengths.tolist(), resolved)
-
-
-# -- collection statistics ---------------------------------------------------
-
-
 def save_statistics(statistics: CollectionStatistics, path: str | Path) -> Path:
     """Serialize collection statistics into the directory ``path``."""
     directory = Path(path)
     ensure_directory(directory)
-    terms = sorted(statistics.term_ids, key=lambda term: statistics.term_ids[term])
-    term_id_array = np.asarray([statistics.term_ids[term] for term in terms], dtype=_INT64)
-
-    doc_indices: list[np.ndarray] = []
-    frequencies: list[np.ndarray] = []
-    offsets = np.zeros(len(terms) + 1, dtype=_INT64)
-    total = 0
-    for slot, term in enumerate(terms):
-        docs, freqs = statistics.postings[statistics.term_ids[term]]
-        doc_indices.append(docs)
-        frequencies.append(freqs)
-        total += len(docs)
-        offsets[slot + 1] = total
-
-    concat = np.concatenate(doc_indices) if doc_indices else np.empty(0, dtype=_INT64)
-    write_array(concat.astype(_INT64, copy=False), directory / "postings.docs.bin")
-    concat = np.concatenate(frequencies) if frequencies else np.empty(0, dtype=_INT64)
-    write_array(concat.astype(_INT64, copy=False), directory / "postings.freqs.bin")
-    write_array(offsets, directory / "postings.offsets.bin")
+    terms = sorted(statistics.term_ids, key=statistics.term_ids.__getitem__)
+    # the in-memory offsets lead with the empty slot of term id 0; on disk,
+    # slot i holds term id i + 1
+    offsets = statistics.offsets[1:]
+    write_array(statistics.doc_indices.astype(_INT64, copy=False), directory / "postings.docs.bin")
+    write_array(
+        statistics.frequencies.astype(_INT64, copy=False), directory / "postings.freqs.bin"
+    )
+    write_array(offsets.astype(_INT64, copy=False), directory / "postings.offsets.bin")
     write_array(
         statistics.doc_lengths.astype(_INT64, copy=False), directory / "doc_lengths.bin"
     )
-    write_array(term_id_array, directory / "term_ids.bin")
+    write_array(np.arange(1, len(terms) + 1, dtype=_INT64), directory / "term_ids.bin")
 
     doc_ids_entry = write_column(_doc_id_column(statistics.doc_ids), directory, "doc_ids")
     terms_entry = write_string_array(np.asarray(terms, dtype=object), directory, "terms")
@@ -173,7 +75,12 @@ def save_statistics(statistics: CollectionStatistics, path: str | Path) -> Path:
 
 
 def open_statistics(path: str | Path, *, mmap: bool = True) -> CollectionStatistics:
-    """Open a statistics snapshot; posting arrays are memmap slices."""
+    """Open a statistics snapshot; the posting arrays are adopted as memmaps.
+
+    Terms are stored in id order, so slot ``i`` is term id ``i + 1``.  A
+    snapshot whose stored ids have gaps (a shard split before shards
+    numbered their terms densely) opens renumbered, which ranks identically.
+    """
     directory = require_directory(Path(path), what="statistics snapshot")
     manifest = read_manifest(directory, "collection-statistics")
     num_terms = int(manifest["num_terms"])
@@ -181,28 +88,13 @@ def open_statistics(path: str | Path, *, mmap: bool = True) -> CollectionStatist
     num_documents = int(manifest["num_documents"])
 
     terms = read_string_array(directory, manifest["terms"])
-    doc_ids = read_column(directory, manifest["doc_ids"], mmap=mmap).to_list()
-    term_id_array = read_array(directory / "term_ids.bin", _INT64, num_terms, mmap=False)
     offsets = read_array(directory / "postings.offsets.bin", _INT64, num_terms + 1, mmap=False)
-    doc_indices = read_array(directory / "postings.docs.bin", _INT64, num_postings, mmap=mmap)
-    frequencies = read_array(directory / "postings.freqs.bin", _INT64, num_postings, mmap=mmap)
-    doc_lengths = read_array(directory / "doc_lengths.bin", _INT64, num_documents, mmap=mmap)
-
-    term_ids: dict[str, int] = {}
-    postings: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    document_frequency: dict[int, int] = {}
-    for slot in range(num_terms):
-        term_id = int(term_id_array[slot])
-        term_ids[str(terms[slot])] = term_id
-        start, stop = int(offsets[slot]), int(offsets[slot + 1])
-        postings[term_id] = (doc_indices[start:stop], frequencies[start:stop])
-        document_frequency[term_id] = stop - start
-
     return CollectionStatistics(
-        doc_ids=doc_ids,
-        doc_lengths=doc_lengths,
-        term_ids=term_ids,
-        postings=postings,
-        document_frequency=document_frequency,
+        doc_ids=read_column(directory, manifest["doc_ids"], mmap=mmap).to_list(),
+        doc_lengths=read_array(directory / "doc_lengths.bin", _INT64, num_documents, mmap=mmap),
+        term_ids=dict(zip(terms.tolist(), range(1, num_terms + 1))),
+        offsets=np.concatenate([np.zeros(1, dtype=_INT64), offsets]),
+        doc_indices=read_array(directory / "postings.docs.bin", _INT64, num_postings, mmap=mmap),
+        frequencies=read_array(directory / "postings.freqs.bin", _INT64, num_postings, mmap=mmap),
         total_terms=int(manifest["total_terms"]),
     )

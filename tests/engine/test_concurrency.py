@@ -49,7 +49,9 @@ SEED_SETS = [["lot1"], ["lot2"], ["lot3"], ["lot1", "lot2"], ["lot2", "lot3"]]
 
 @pytest.fixture
 def engine():
-    return Engine.from_triples(TRIPLES)
+    engine = Engine.from_triples(TRIPLES)
+    yield engine
+    engine.close()
 
 
 def _result_key(result):

@@ -27,19 +27,11 @@ def assert_identical(actual: CollectionStatistics, expected: CollectionStatistic
     """Every field equal, dict iteration order and array dtypes included."""
     assert actual.doc_ids == expected.doc_ids
     assert actual.total_terms == expected.total_terms
-    assert actual.doc_lengths.dtype == expected.doc_lengths.dtype
-    assert actual.doc_lengths.tolist() == expected.doc_lengths.tolist()
     assert list(actual.term_ids.items()) == list(expected.term_ids.items())
-    assert list(actual.document_frequency.items()) == list(
-        expected.document_frequency.items()
-    )
-    assert list(actual.postings) == list(expected.postings)
-    for term_id, (doc_indices, frequencies) in expected.postings.items():
-        got_indices, got_frequencies = actual.postings[term_id]
-        assert got_indices.dtype == doc_indices.dtype == np.int64
-        assert got_frequencies.dtype == frequencies.dtype == np.int64
-        assert got_indices.tolist() == doc_indices.tolist()
-        assert got_frequencies.tolist() == frequencies.tolist()
+    for name in ("doc_lengths", "offsets", "doc_indices", "frequencies", "document_frequency"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype == np.int64, name
+        assert got.tolist() == want.tolist(), name
 
 
 class TestExtendStatistics:

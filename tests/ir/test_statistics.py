@@ -112,7 +112,7 @@ class TestRelationViews:
     def test_tf_relation_row_count(self):
         stats = build_statistics(DOCS)
         relation = stats.tf_relation()
-        expected_rows = sum(len(postings[0]) for postings in stats.postings.values())
+        expected_rows = sum(len(stats.postings_for(term)[0]) for term in stats.term_ids)
         assert relation.num_rows == expected_rows
         assert relation.schema.names == ["termID", "docID", "tf"]
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.errors import EngineError, SnapshotVersionError, StorageError
-from repro.ir.inverted_index import InvertedIndex, PackedPostings
 from repro.ir.statistics import build_statistics
 from repro.relational.column import Column, DataType
 from repro.relational.database import Database
@@ -128,45 +127,6 @@ def test_engine_open_version_mismatch_propagates(tmp_path):
         Engine.open(tmp_path / "snap")
 
 
-# -- inverted index -----------------------------------------------------------
-
-
-def test_inverted_index_round_trip(tmp_path):
-    index = InvertedIndex.from_documents(DOCS)
-    index.save(tmp_path / "index")
-    reopened = InvertedIndex.open(tmp_path / "index")
-
-    assert isinstance(reopened._postings, PackedPostings)
-    assert reopened.vocabulary == index.vocabulary
-    assert reopened.num_documents == index.num_documents
-    for term in index.vocabulary:
-        assert reopened.posting_list(term) == index.posting_list(term)
-        assert reopened.document_frequency(term) == index.document_frequency(term)
-    for doc_id, _ in DOCS:
-        assert reopened.doc_length(doc_id) == index.doc_length(doc_id)
-    assert reopened.to_relation() == index.to_relation()
-    # raw (un-analyzed) lookups still work through the recorded analyzer
-    assert reopened.posting_list("History") == index.posting_list("History")
-
-
-def test_opened_index_thaws_on_write(tmp_path):
-    index = InvertedIndex.from_documents(DOCS)
-    index.save(tmp_path / "index")
-    reopened = InvertedIndex.open(tmp_path / "index")
-    reopened.add_document(4, "a new book about trains")
-    assert isinstance(reopened._postings, dict)
-    assert reopened.num_documents == 4
-    assert reopened.document_frequency("book") == 3
-
-
-def test_string_doc_ids_round_trip(tmp_path):
-    index = InvertedIndex.from_documents([("d1", "wooden train"), ("d2", "toy train")])
-    index.save(tmp_path / "index")
-    reopened = InvertedIndex.open(tmp_path / "index")
-    assert reopened.posting_list("train") == index.posting_list("train")
-    assert reopened._doc_ids == ["d1", "d2"]
-
-
 # -- collection statistics ----------------------------------------------------
 
 
@@ -187,6 +147,20 @@ def test_statistics_round_trip(tmp_path):
         assert np.array_equal(left_freqs, right_freqs)
         assert reopened.df(term) == statistics.df(term)
         assert reopened.robertson_idf(term) == pytest.approx(statistics.robertson_idf(term))
+
+
+def test_opened_statistics_postings_are_views_of_the_mapped_buffers(tmp_path):
+    statistics = build_statistics(DOCS)
+    statistics.save(tmp_path / "stats")
+    reopened = statistics.open(tmp_path / "stats")
+
+    assert isinstance(reopened.doc_indices, np.memmap)
+    assert isinstance(reopened.frequencies, np.memmap)
+    for term in statistics.term_ids:
+        doc_indices, frequencies = reopened.postings_for(term)
+        assert len(doc_indices) == reopened.df(term) > 0
+        assert np.shares_memory(doc_indices, reopened.doc_indices)
+        assert np.shares_memory(frequencies, reopened.frequencies)
 
 
 def test_statistics_relations_match_after_round_trip(tmp_path):
