@@ -32,6 +32,7 @@ from repro.relational.column import Column, DataType
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
 from repro.workloads import generate_auction_triples
+from tests.leaks import no_leaked_resources  # noqa: F401  (autouse fixture)
 
 LOTS = 800
 SHARDS = 4
@@ -68,7 +69,8 @@ def sharded_setup(tmp_path_factory):
     ]
     engine.search("docs", queries[0]).execute()  # warm stats → split into shards
     path = engine.save(tmp_path_factory.mktemp("e12") / "snapshot", shards=SHARDS)
-    return engine, path, queries
+    yield engine, path, queries
+    engine.close()
 
 
 def test_e12_scatter_gather_topk_candidates(benchmark, sharded_setup):

@@ -25,16 +25,11 @@ from typing import TYPE_CHECKING, Any
 
 from repro.errors import EngineError
 from repro.pra.plan import (
-    PraBayes,
-    PraJoin,
     PraParam,
     PraPlan,
-    PraProject,
     PraScan,
     PraSelect,
-    PraSubtract,
     PraTop,
-    PraUnite,
     PraWeight,
 )
 
@@ -81,12 +76,8 @@ def _chain_table(plan: PraPlan, partitioned: Callable[[str], bool]) -> str | Non
 def _replace_scan(plan: PraPlan, leaf: PraPlan) -> PraPlan:
     if isinstance(plan, PraScan):
         return leaf
-    if isinstance(plan, PraSelect):
-        return PraSelect(_replace_scan(plan.child, leaf), plan.predicate)
-    if isinstance(plan, PraWeight):
-        return PraWeight(_replace_scan(plan.child, leaf), plan.factor)
-    if isinstance(plan, PraTop):
-        return PraTop(_replace_scan(plan.child, leaf), plan.k)
+    if isinstance(plan, (PraSelect, PraWeight, PraTop)):
+        return plan.with_children([_replace_scan(plan.child, leaf)])
     raise EngineError(f"cannot scatter plan node {type(plan).__name__}")
 
 
@@ -123,27 +114,7 @@ def extract_segments(
     rebuilt = [extract_segments(child, partitioned, segments) for child in children]
     if all(new is old for new, old in zip(rebuilt, children)):
         return plan
-    return _with_children(plan, rebuilt)
-
-
-def _with_children(plan: PraPlan, children: list[PraPlan]) -> PraPlan:
-    if isinstance(plan, PraSelect):
-        return PraSelect(children[0], plan.predicate)
-    if isinstance(plan, PraProject):
-        return PraProject(children[0], plan.positions, plan.assumption, plan.output_names)
-    if isinstance(plan, PraJoin):
-        return PraJoin(children[0], children[1], plan.conditions, plan.assumption)
-    if isinstance(plan, PraUnite):
-        return PraUnite(children[0], children[1], plan.assumption)
-    if isinstance(plan, PraSubtract):
-        return PraSubtract(children[0], children[1])
-    if isinstance(plan, PraBayes):
-        return PraBayes(children[0], plan.evidence_positions)
-    if isinstance(plan, PraWeight):
-        return PraWeight(children[0], plan.factor)
-    if isinstance(plan, PraTop):
-        return PraTop(children[0], plan.k)
-    raise EngineError(f"cannot rebuild plan node {type(plan).__name__}")
+    return plan.with_children(rebuilt)
 
 
 # ---------------------------------------------------------------------------

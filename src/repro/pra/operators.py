@@ -17,7 +17,6 @@ and in Fuhr & Rölleke (1997):
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Sequence
 from typing import Any
 
@@ -26,12 +25,11 @@ import numpy as np
 from repro.errors import PRAError, ProbabilityError
 from repro.pra.assumptions import Assumption
 from repro.pra.relation import PROBABILITY_COLUMN, ProbabilisticRelation
-from repro.relational.column import Column, DataType
+from repro.relational.column import Column, DataType, first_seen_codes, group_rows
 from repro.relational.expressions import Expression
 from repro.relational.functions import FunctionRegistry
 from repro.relational.operators import group_codes, group_segments, hash_join_indices
 from repro.relational.relation import Relation
-from repro.relational.schema import Field, Schema
 
 
 def select(
@@ -73,10 +71,7 @@ def project(
         projected = projected.rename(dict(zip(columns, output_names)))
     probabilities = input_relation.probabilities()
 
-    try:
-        codes, representatives = group_codes(projected, projected.schema.names)
-    except TypeError:
-        return _project_merge_rows(projected, probabilities, assumption)
+    codes, representatives = group_codes(projected, projected.schema.names)
     num_groups = len(representatives)
     if num_groups and projected.num_rows:
         order, starts = group_segments(codes, num_groups)
@@ -95,25 +90,6 @@ def project(
     return ProbabilisticRelation(
         values.with_column(PROBABILITY_COLUMN, column), validate=False
     )
-
-
-def _project_merge_rows(
-    projected: Relation,
-    probabilities: np.ndarray,
-    assumption: Assumption,
-) -> ProbabilisticRelation:
-    """Row-at-a-time duplicate merge: fallback for non-orderable values."""
-    merged: "OrderedDict[tuple[Any, ...], float]" = OrderedDict()
-    for index, row in enumerate(projected.rows()):
-        probability = float(probabilities[index])
-        if row in merged:
-            merged[row] = assumption.combine_or(merged[row], probability)
-        else:
-            merged[row] = probability
-
-    fields = list(projected.schema.fields) + [Field(PROBABILITY_COLUMN, DataType.FLOAT)]
-    rows = [tuple(row) + (probability,) for row, probability in merged.items()]
-    return ProbabilisticRelation(Relation.from_rows(Schema(fields), rows), validate=False)
 
 
 def join(
@@ -165,7 +141,10 @@ def unite(
     Output tuples appear in order of first occurrence (left rows, then right
     rows); the occurrences of one tuple are combined in that same order, one
     pairwise :meth:`Assumption.combine_or` at a time, so duplicate keys on
-    either side merge exactly as a row-at-a-time fold would.
+    either side merge exactly as a row-at-a-time fold would.  Tuples are
+    equal when their values are equal in Python, also across sides whose
+    column types differ (``1`` is ``1.0``, ``"1"`` is not ``1``); the output
+    takes the left side's schema, holding each tuple's first-seen values.
     """
     if len(left.value_columns) != len(right.value_columns):
         raise PRAError(
@@ -174,13 +153,14 @@ def unite(
         )
     left_values = left.values_relation()
     right_values = right.values_relation()
-    if not left.value_columns or not left_values.schema.compatible_with(right_values.schema):
-        return _unite_rows(left, right, assumption)
-    values = left_values.concat(right_values)
-    try:
+    if left_values.schema.compatible_with(right_values.schema):
+        values = left_values.concat(right_values)
         codes, representatives = _union_group_codes(values)
-    except TypeError:
-        return _unite_rows(left, right, assumption)
+    else:
+        values = _pooled_values(left_values, right_values)
+        codes, representatives = group_rows(
+            list(left_values.columns().values()), list(right_values.columns().values())
+        )
     probabilities = np.concatenate([left.probabilities(), right.probabilities()])
     merged = probabilities[representatives]
     if len(representatives) < len(codes):
@@ -206,6 +186,25 @@ def unite(
     )
 
 
+def _pooled_values(left: Relation, right: Relation) -> Relation:
+    """``right``'s rows after ``left``'s, as ``left``'s types hold the values.
+
+    The sides' column types differ, so the values pass through Python
+    objects: an INT column takes a FLOAT side's values as ``Column`` converts
+    them, a STRING column keeps another side's numbers as they are.
+    """
+    return Relation(
+        left.schema,
+        [
+            Column(
+                np.concatenate([column.values.astype(object), other.values.astype(object)]),
+                column.dtype,
+            )
+            for column, other in zip(left.columns().values(), right.columns().values())
+        ],
+    )
+
+
 def _union_group_codes(values: Relation) -> tuple[np.ndarray, np.ndarray]:
     """:func:`group_codes` over all columns of a freshly concatenated relation.
 
@@ -218,38 +217,11 @@ def _union_group_codes(values: Relation) -> tuple[np.ndarray, np.ndarray]:
     """
     if values.num_columns != 1 or values.schema.fields[0].dtype is not DataType.STRING:
         return group_codes(values, values.schema.names)
-    seen: dict[Any, int] = {}
-    codes = np.fromiter(
-        (seen.setdefault(value, len(seen)) for value in values.column_at(0).values.tolist()),
-        dtype=np.int64,
-        count=values.num_rows,
-    )
+    codes = first_seen_codes(values.column_at(0).values.tolist(), values.num_rows)
     # codes are dense and numbered in first-seen order, so the sorted uniques
     # are 0..G-1 and their first indices are the groups' first rows
     representatives = np.unique(codes, return_index=True)[1].astype(np.int64, copy=False)
     return codes, representatives
-
-
-def _unite_rows(
-    left: ProbabilisticRelation,
-    right: ProbabilisticRelation,
-    assumption: Assumption,
-) -> ProbabilisticRelation:
-    """Row-at-a-time union: the reference, and the fallback for value columns
-    that cannot be factorized or whose types differ between the sides."""
-    merged: "OrderedDict[tuple[Any, ...], float]" = OrderedDict()
-    for side in (left, right):
-        for row, probability in zip(side.value_rows(), side.probabilities()):
-            if row in merged:
-                merged[row] = assumption.combine_or(merged[row], float(probability))
-            else:
-                merged[row] = float(probability)
-
-    fields = list(left.values_relation().schema.fields) + [
-        Field(PROBABILITY_COLUMN, DataType.FLOAT)
-    ]
-    rows = [tuple(row) + (probability,) for row, probability in merged.items()]
-    return ProbabilisticRelation(Relation.from_rows(Schema(fields), rows), validate=False)
 
 
 def subtract(
@@ -285,12 +257,7 @@ def bayes(
     probabilities = input_relation.probabilities()
     if input_relation.num_rows == 0:
         return input_relation
-    try:
-        codes, representatives = group_codes(
-            input_relation.relation, list(evidence_columns)
-        )
-    except TypeError:
-        return _bayes_rows(input_relation, evidence_columns, probabilities)
+    codes, representatives = group_codes(input_relation.relation, list(evidence_columns))
     num_groups = max(len(representatives), 1)
     totals = np.bincount(codes, weights=probabilities, minlength=num_groups)
     row_totals = totals[codes]
@@ -300,27 +267,6 @@ def bayes(
         out=np.zeros(len(probabilities), dtype=np.float64),
         where=row_totals > 0,
     )
-    return input_relation.with_probabilities(normalised)
-
-
-def _bayes_rows(
-    input_relation: ProbabilisticRelation,
-    evidence_columns: Sequence[str],
-    probabilities: np.ndarray,
-) -> ProbabilisticRelation:
-    """Row-at-a-time evidence grouping: fallback for non-orderable values."""
-    if evidence_columns:
-        values = input_relation.relation.select_columns(list(evidence_columns))
-        keys = list(values.rows())
-    else:
-        keys = [()] * input_relation.num_rows
-    totals: dict[tuple[Any, ...], float] = {}
-    for key, probability in zip(keys, probabilities):
-        totals[key] = totals.get(key, 0.0) + float(probability)
-    normalised = np.empty(len(probabilities), dtype=np.float64)
-    for index, (key, probability) in enumerate(zip(keys, probabilities)):
-        total = totals[key]
-        normalised[index] = float(probability) / total if total > 0 else 0.0
     return input_relation.with_probabilities(normalised)
 
 

@@ -61,12 +61,8 @@ from __future__ import annotations
 from repro.pra.assumptions import Assumption
 from repro.pra.expressions import PositionalRef
 from repro.pra.plan import (
-    PraBayes,
-    PraJoin,
     PraPlan,
-    PraProject,
     PraSelect,
-    PraSubtract,
     PraTop,
     PraUnite,
     PraWeight,
@@ -90,7 +86,10 @@ def optimize_pra(plan: PraPlan) -> PraPlan:
 
 
 def _rewrite(plan: PraPlan) -> PraPlan:
-    plan = _rewrite_children(plan)
+    # PraProject / PraBayes keep positional references that are only valid
+    # against their direct child's column layout, so their subtree is
+    # rewritten but no rule below reorders the node itself
+    plan = plan.with_children([_rewrite(child) for child in plan.children()])
     plan = _fold_weights(plan)
     plan = _push_select_past_weight(plan)
     plan = _push_select_into_unite(plan)
@@ -98,37 +97,6 @@ def _rewrite(plan: PraPlan) -> PraPlan:
     plan = _absorb_tops(plan)
     plan = _push_top_past_weight(plan)
     plan = _push_top_into_unite(plan)
-    return plan
-
-
-def _rewrite_children(plan: PraPlan) -> PraPlan:
-    """Rebuild ``plan`` with rewritten children (PRA nodes are immutable)."""
-    if isinstance(plan, PraSelect):
-        return PraSelect(_rewrite(plan.child), plan.predicate)
-    if isinstance(plan, PraWeight):
-        return PraWeight(_rewrite(plan.child), plan.factor)
-    if isinstance(plan, PraTop):
-        return PraTop(_rewrite(plan.child), plan.k)
-    if isinstance(plan, PraUnite):
-        return PraUnite(_rewrite(plan.left), _rewrite(plan.right), plan.assumption)
-    if isinstance(plan, PraSubtract):
-        return PraSubtract(_rewrite(plan.left), _rewrite(plan.right))
-    if isinstance(plan, PraJoin):
-        return PraJoin(
-            _rewrite(plan.left),
-            _rewrite(plan.right),
-            plan.conditions,
-            plan.assumption,
-        )
-    # PraProject / PraBayes keep positional references that are only valid
-    # against their direct child's column layout, so their subtree is rewritten
-    # but the node itself is never reordered.
-    if isinstance(plan, PraProject):
-        return PraProject(
-            _rewrite(plan.child), plan.positions, plan.assumption, plan.output_names
-        )
-    if isinstance(plan, PraBayes):
-        return PraBayes(_rewrite(plan.child), plan.evidence_positions)
     return plan
 
 

@@ -24,6 +24,12 @@ class PraPlan:
     def children(self) -> list["PraPlan"]:
         return []
 
+    def with_children(self, children: Sequence["PraPlan"]) -> "PraPlan":
+        """Return a copy of this node with its children replaced (nodes are immutable)."""
+        if children:
+            raise PRAError(f"{type(self).__name__} has no children")
+        return self
+
     def describe(self, indent: int = 0) -> str:
         """Return an indented, human-readable plan description."""
         lines = ["  " * indent + self._describe_self()]
@@ -95,6 +101,10 @@ class PraSelect(PraPlan):
     def children(self) -> list[PraPlan]:
         return [self.child]
 
+    def with_children(self, children: Sequence[PraPlan]) -> "PraSelect":
+        (child,) = children
+        return PraSelect(child, self.predicate)
+
     def fingerprint(self) -> str:
         return f"praselect({self.predicate.to_sql()})[{self.child.fingerprint()}]"
 
@@ -121,6 +131,10 @@ class PraProject(PraPlan):
 
     def children(self) -> list[PraPlan]:
         return [self.child]
+
+    def with_children(self, children: Sequence[PraPlan]) -> "PraProject":
+        (child,) = children
+        return PraProject(child, self.positions, self.assumption, self.output_names)
 
     def fingerprint(self) -> str:
         rendered = ",".join(str(position) for position in self.positions)
@@ -154,6 +168,10 @@ class PraJoin(PraPlan):
     def children(self) -> list[PraPlan]:
         return [self.left, self.right]
 
+    def with_children(self, children: Sequence[PraPlan]) -> "PraJoin":
+        left, right = children
+        return PraJoin(left, right, self.conditions, self.assumption)
+
     def fingerprint(self) -> str:
         conditions = ",".join(f"{left}={right}" for left, right in self.conditions)
         return (
@@ -182,6 +200,10 @@ class PraUnite(PraPlan):
     def children(self) -> list[PraPlan]:
         return [self.left, self.right]
 
+    def with_children(self, children: Sequence[PraPlan]) -> "PraUnite":
+        left, right = children
+        return PraUnite(left, right, self.assumption)
+
     def fingerprint(self) -> str:
         return (
             f"praunite({self.assumption.value})"
@@ -202,6 +224,10 @@ class PraSubtract(PraPlan):
     def children(self) -> list[PraPlan]:
         return [self.left, self.right]
 
+    def with_children(self, children: Sequence[PraPlan]) -> "PraSubtract":
+        left, right = children
+        return PraSubtract(left, right)
+
     def fingerprint(self) -> str:
         return f"prasubtract[{self.left.fingerprint()}|{self.right.fingerprint()}]"
 
@@ -218,6 +244,10 @@ class PraBayes(PraPlan):
 
     def children(self) -> list[PraPlan]:
         return [self.child]
+
+    def with_children(self, children: Sequence[PraPlan]) -> "PraBayes":
+        (child,) = children
+        return PraBayes(child, self.evidence_positions)
 
     def fingerprint(self) -> str:
         rendered = ",".join(str(position) for position in self.evidence_positions)
@@ -237,6 +267,10 @@ class PraWeight(PraPlan):
 
     def children(self) -> list[PraPlan]:
         return [self.child]
+
+    def with_children(self, children: Sequence[PraPlan]) -> "PraWeight":
+        (child,) = children
+        return PraWeight(child, self.factor)
 
     def fingerprint(self) -> str:
         return f"praweight({self.factor})[{self.child.fingerprint()}]"
@@ -265,6 +299,10 @@ class PraTop(PraPlan):
 
     def children(self) -> list[PraPlan]:
         return [self.child]
+
+    def with_children(self, children: Sequence[PraPlan]) -> "PraTop":
+        (child,) = children
+        return PraTop(child, self.k)
 
     def fingerprint(self) -> str:
         return f"pratop({self.k})[{self.child.fingerprint()}]"

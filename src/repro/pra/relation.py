@@ -139,22 +139,18 @@ class ProbabilisticRelation:
 
         Equal probabilities are tie-broken by the value columns (ascending),
         so two evaluations of equivalent plans rank equal-probability tuples
-        identically regardless of intermediate row order.  Relations whose
-        value columns cannot be ordered fall back to a stable
-        probability-only sort (ties keep input order).  A relation this
-        method produced is returned as it is when asked again for the same
-        order.
+        identically regardless of intermediate row order.  Every value column
+        orders: a string column sorts by its values' ``str`` forms (an object
+        column mixing strings and numbers included) and NaN sorts last.  A
+        relation this method produced is returned as it is when asked again
+        for the same order.
         """
         if self._sorted_as == (descending, tie_break):
             return self
         keys: list[tuple[str, bool]] = [(PROBABILITY_COLUMN, not descending)]
         if tie_break:
             keys += [(name, True) for name in self.value_columns]
-        try:
-            ordered = self._relation.sort_by(keys)
-        except TypeError:
-            ordered = self._relation.sort_by([(PROBABILITY_COLUMN, not descending)])
-        result = ProbabilisticRelation(ordered, validate=False)
+        result = ProbabilisticRelation(self._relation.sort_by(keys), validate=False)
         result._sorted_as = (descending, tie_break)
         return result
 

@@ -214,11 +214,12 @@ class Column:
         dictionary may contain values no longer present in the column; codes
         remain valid indices into it.
 
-        Raises :class:`TypeError` when the values are not totally orderable
-        (e.g. an object column mixing strings and numbers) or when a float
-        column contains NaN — ``np.unique`` collapses NaNs while the
-        row-at-a-time kernels follow Python's ``NaN != NaN``; callers fall
-        back to row-at-a-time hashing in both cases.
+        Snapshots write this dictionary as it is, so the contract stays
+        strict: raises :class:`TypeError` when the values are not totally
+        orderable (e.g. an object column mixing strings and numbers) or when
+        a float column contains NaN, which ``np.unique`` would collapse while
+        Python's equality keeps every NaN apart.  :func:`key_codes` is the
+        total form the operators use.
         """
         if self._codes is None:
             if self._dtype is DataType.FLOAT and np.isnan(self._values).any():
@@ -298,20 +299,87 @@ def combine_codes(columns: Sequence["Column"], num_rows: int) -> np.ndarray:
     ``int64`` overflow.  Codes are *not* guaranteed dense or ordered; use
     ``np.unique`` on the result for group identification.
 
-    Raises :class:`TypeError` when any column cannot be factorized.
+    Raises :class:`TypeError` when any column cannot be factorized; use
+    :func:`key_codes` for codes over any columns.
     """
-    codes: np.ndarray | None = None
-    for column in columns:
-        column_codes, dictionary = column.factorize()
-        if codes is None:
-            codes = column_codes
-            continue
-        codes = codes * max(len(dictionary), 1) + column_codes
+    if not columns:
+        return np.zeros(num_rows, dtype=np.int64)
+    return _factorized_codes([columns])
+
+
+def key_codes(*sides: Sequence["Column"]) -> np.ndarray:
+    """One integer code per row, equal iff the rows' keys are equal.
+
+    Each side is a sequence of key columns (at least one, the same number
+    on every side); the rows of the sides are coded one after another, so a
+    join codes its left and right keys in one call and splits the result.
+    Equality is Python's: ``NaN`` equals nothing, ``"1"`` is not ``1`` and
+    ``1`` is ``1.0``.  When every column factorizes the codes come from the
+    sorted dictionaries (see :func:`combine_codes`; sides are merged into
+    one domain per key position), otherwise from one dict pass over the
+    rows' value tuples.  Codes are *not* guaranteed dense or ordered.
+    """
+    try:
+        return _factorized_codes(sides)
+    except TypeError:  # NaN, or values np.unique cannot order
+        rows = [zip(*(column.values.tolist() for column in side)) for side in sides]
+        return first_seen_codes(
+            (row for side in rows for row in side), sum(len(side[0]) for side in sides)
+        )
+
+
+def group_rows(*sides: Sequence["Column"]) -> tuple[np.ndarray, np.ndarray]:
+    """Dense group ids for the rows of ``sides``, numbered in first-seen order.
+
+    Returns ``(codes, first_rows)``: ``codes[i]`` is the group (``0 .. G-1``,
+    in order of each group's first occurrence) of row ``i`` of the sides
+    taken one after another, and ``first_rows[g]`` is the index of group
+    ``g``'s first row.  Rows group when :func:`key_codes` codes them equal.
+    """
+    uniques, first_rows, inverse = np.unique(
+        key_codes(*sides), return_index=True, return_inverse=True
+    )
+    by_first_seen = np.argsort(first_rows, kind="stable")
+    rank = np.empty(len(uniques), dtype=np.int64)
+    rank[by_first_seen] = np.arange(len(uniques), dtype=np.int64)
+    return rank[inverse.reshape(-1)], first_rows[by_first_seen]
+
+
+def first_seen_codes(keys: Iterable[Any], count: int) -> np.ndarray:
+    """Number ``count`` hashable ``keys`` densely, in order of first occurrence."""
+    seen: dict[Any, int] = {}
+    return np.fromiter(
+        (seen.setdefault(key, len(seen)) for key in keys), dtype=np.int64, count=count
+    )
+
+
+def _factorized_codes(sides: Sequence[Sequence["Column"]]) -> np.ndarray:
+    """:func:`key_codes` from the columns' dictionaries; raises :class:`TypeError`."""
+    positions = [_position_codes(columns) for columns in zip(*sides)]
+    codes = positions[0][0]
+    for column_codes, width in positions[1:]:
+        codes = codes * max(width, 1) + column_codes
         _, codes = np.unique(codes, return_inverse=True)
         codes = codes.astype(np.int64, copy=False).reshape(-1)
-    if codes is None:
-        return np.zeros(num_rows, dtype=np.int64)
     return codes
+
+
+def _position_codes(columns: Sequence["Column"]) -> tuple[np.ndarray, int]:
+    """Codes of one key position across the sides, and the size of their domain."""
+    if len(columns) == 1:
+        codes, dictionary = columns[0].factorize()
+        return codes, len(dictionary)
+    # merge the sides' dictionaries into one sorted domain and remap every
+    # side's codes into it
+    factorized = [column.factorize() for column in columns]
+    domain = np.unique(np.concatenate([dictionary for _, dictionary in factorized]))
+    codes = np.concatenate(
+        [
+            np.searchsorted(domain, dictionary)[side_codes] if len(dictionary) else side_codes
+            for side_codes, dictionary in factorized
+        ]
+    )
+    return codes, len(domain)
 
 
 def _parse_bool(text: str) -> bool:

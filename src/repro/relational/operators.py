@@ -13,9 +13,11 @@ with ``np.bincount`` and ``np.ufunc.reduceat`` over the argsorted codes.
 Columns cache their dictionary codes (see
 :meth:`~repro.relational.column.Column.factorize`), so repeated joins
 against the same relation — e.g. the term-lookup join of Figure 1 — pay the
-encoding cost only once.  Inputs whose key values are not totally orderable
-fall back to the original row-at-a-time hash kernels, which are kept both as
-that fallback and as the reference implementation for equivalence tests.
+encoding cost only once.  Key values no dictionary can order (NaN, mixed
+types) are coded by :func:`~repro.relational.column.key_codes` with one
+dict pass instead, so every input takes the same kernel; the row-at-a-time
+reference kernels the tests compare against live in
+``tests/reference_kernels.py``.
 
 This mirrors the execution model of the column store the paper runs on; the
 goal is that the *relative* performance behaviour (e.g. materialised
@@ -25,7 +27,6 @@ matches the shapes the paper reports.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Callable, Sequence
 from typing import Any
 
@@ -48,7 +49,7 @@ from repro.relational.algebra import (
     Union,
     Values,
 )
-from repro.relational.column import Column, DataType, combine_codes
+from repro.relational.column import Column, DataType, group_rows, key_codes
 from repro.relational.functions import FunctionRegistry
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
@@ -178,54 +179,10 @@ def hash_join_indices(
     """
     if len(left_keys) != len(right_keys) or not left_keys:
         raise PlanError("join requires at least one (left, right) key pair")
-    try:
-        return _join_indices_vectorized(left, right, left_keys, right_keys, how)
-    except TypeError:
-        return _join_indices_rows(left, right, left_keys, right_keys, how)
-
-
-def _joint_key_codes(
-    left: Relation,
-    right: Relation,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encode both sides' join keys into one shared integer code space.
-
-    Per key pair, the two columns' (cached) dictionaries are merged into a
-    common sorted domain and each side's codes are remapped into it; multiple
-    key pairs combine by mixed radix with re-densification.  Rows compare
-    equal across sides iff their codes are equal.
-    """
-    left_codes: np.ndarray | None = None
-    right_codes: np.ndarray | None = None
-    for left_name, right_name in zip(left_keys, right_keys):
-        lcodes, ldict = left.column(left_name).factorize()
-        rcodes, rdict = right.column(right_name).factorize()
-        domain = np.unique(np.concatenate([ldict, rdict]))
-        lcol = np.searchsorted(domain, ldict)[lcodes] if len(ldict) else lcodes
-        rcol = np.searchsorted(domain, rdict)[rcodes] if len(rdict) else rcodes
-        if left_codes is None:
-            left_codes, right_codes = lcol, rcol
-        else:
-            left_codes = left_codes * len(domain) + lcol
-            right_codes = right_codes * len(domain) + rcol
-            stacked = np.concatenate([left_codes, right_codes])
-            _, stacked = np.unique(stacked, return_inverse=True)
-            stacked = stacked.astype(np.int64, copy=False).reshape(-1)
-            left_codes = stacked[: len(left_codes)]
-            right_codes = stacked[len(left_codes) :]
-    return left_codes, right_codes
-
-
-def _join_indices_vectorized(
-    left: Relation,
-    right: Relation,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-    how: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    left_codes, right_codes = _joint_key_codes(left, right, left_keys, right_keys)
+    codes = key_codes(
+        [left.column(name) for name in left_keys], [right.column(name) for name in right_keys]
+    )
+    left_codes, right_codes = codes[: left.num_rows], codes[left.num_rows :]
     order = np.argsort(right_codes, kind="stable")
     sorted_codes = right_codes[order]
     starts = np.searchsorted(sorted_codes, left_codes, side="left")
@@ -246,38 +203,6 @@ def _join_indices_vectorized(
     offsets = np.arange(total, dtype=np.int64) - np.repeat(output_starts, counts)
     right_out = order[np.repeat(starts, counts) + offsets]
     return left_out, right_out.astype(np.int64, copy=False)
-
-
-def _join_indices_rows(
-    left: Relation,
-    right: Relation,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-    how: str = "inner",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-at-a-time reference join: fallback for non-orderable key values."""
-    right_key_columns = [right.column(name).to_list() for name in right_keys]
-    table: dict[tuple[Any, ...], list[int]] = defaultdict(list)
-    for row_index in range(right.num_rows):
-        key = tuple(column[row_index] for column in right_key_columns)
-        table[key].append(row_index)
-    left_key_columns = [left.column(name).to_list() for name in left_keys]
-    left_out: list[int] = []
-    right_out: list[int] = []
-    for row_index in range(left.num_rows):
-        key = tuple(column[row_index] for column in left_key_columns)
-        matches = table.get(key)
-        if matches:
-            for match in matches:
-                left_out.append(row_index)
-                right_out.append(match)
-        elif how == "left":
-            left_out.append(row_index)
-            right_out.append(-1)
-    return (
-        np.asarray(left_out, dtype=np.int64),
-        np.asarray(right_out, dtype=np.int64),
-    )
 
 
 def _null_out(column: Column, mask: np.ndarray) -> Column:
@@ -315,19 +240,13 @@ def group_codes(relation: Relation, keys: Sequence[str]) -> tuple[np.ndarray, np
     and ``representatives[g]`` is the row index of group ``g``'s first row.
     With empty ``keys`` every row belongs to one global group.
 
-    Raises :class:`TypeError` when a key column cannot be factorized; callers
-    fall back to dictionary grouping in that case.
+    Rows group by Python equality of their key values (see
+    :func:`~repro.relational.column.group_rows`), so any key columns group.
     """
     num_rows = relation.num_rows
     if not keys:
         return np.zeros(num_rows, dtype=np.int64), np.zeros(min(num_rows, 1), dtype=np.int64)
-    raw = combine_codes([relation.column(name) for name in keys], num_rows)
-    uniques, first_seen, inverse = np.unique(raw, return_index=True, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    by_first_seen = np.argsort(first_seen, kind="stable")
-    rank = np.empty(len(uniques), dtype=np.int64)
-    rank[by_first_seen] = np.arange(len(uniques), dtype=np.int64)
-    return rank[inverse], first_seen[by_first_seen]
+    return group_rows([relation.column(name) for name in keys])
 
 
 def group_segments(codes: np.ndarray, num_groups: int) -> tuple[np.ndarray, np.ndarray]:
@@ -355,17 +274,6 @@ def aggregate_relation(
     for spec in aggregates:
         if spec.function not in _AGGREGATE_OUTPUT_TYPES:
             raise PlanError(f"unknown aggregate function {spec.function!r}")
-    try:
-        return _aggregate_relation_vectorized(relation, keys, aggregates)
-    except TypeError:
-        return _aggregate_relation_rows(relation, keys, aggregates)
-
-
-def _aggregate_relation_vectorized(
-    relation: Relation,
-    keys: Sequence[str],
-    aggregates: Sequence[AggregateSpec],
-) -> Relation:
     codes, representatives = group_codes(relation, keys)
     num_groups = len(representatives) if keys else 1
 
@@ -382,7 +290,7 @@ def _aggregate_relation_vectorized(
         columns.append(relation.column(name).take(representatives))
 
     for spec in aggregates:
-        values, dtype = _evaluate_aggregate_vectorized(
+        values, dtype = _aggregate_column(
             relation, spec, codes, num_groups, order, segment_starts
         )
         fields.append(Field(spec.output_name, dtype))
@@ -391,7 +299,7 @@ def _aggregate_relation_vectorized(
     return Relation(Schema(fields), columns)
 
 
-def _evaluate_aggregate_vectorized(
+def _aggregate_column(
     relation: Relation,
     spec: AggregateSpec,
     codes: np.ndarray,
@@ -431,75 +339,3 @@ def _evaluate_aggregate_vectorized(
         return sums.astype(np.float64) / counts, output_dtype
     reducer = np.minimum if spec.function == "min" else np.maximum
     return reducer.reduceat(values[order], segment_starts), output_dtype
-
-
-def _aggregate_relation_rows(
-    relation: Relation,
-    keys: Sequence[str],
-    aggregates: Sequence[AggregateSpec],
-) -> Relation:
-    """Row-at-a-time reference aggregation: fallback for non-orderable keys."""
-    key_columns = [relation.column(name) for name in keys]
-    groups: dict[tuple[Any, ...], list[int]] = defaultdict(list)
-    if keys:
-        key_lists = [column.to_list() for column in key_columns]
-        for row_index in range(relation.num_rows):
-            group_key = tuple(values[row_index] for values in key_lists)
-            groups[group_key].append(row_index)
-    else:
-        groups[()] = list(range(relation.num_rows))
-
-    ordered_keys = list(groups.keys())
-
-    fields: list[Field] = []
-    columns: list[Column] = []
-    for position, name in enumerate(keys):
-        dtype = relation.schema.dtype_of(name)
-        values = [group_key[position] for group_key in ordered_keys]
-        fields.append(Field(name, dtype))
-        columns.append(Column(values, dtype))
-
-    for spec in aggregates:
-        values, dtype = _evaluate_aggregate(relation, spec, ordered_keys, groups)
-        fields.append(Field(spec.output_name, dtype))
-        columns.append(Column(values, dtype))
-
-    return Relation(Schema(fields), columns)
-
-
-def _evaluate_aggregate(
-    relation: Relation,
-    spec: AggregateSpec,
-    ordered_keys: list[tuple[Any, ...]],
-    groups: dict[tuple[Any, ...], list[int]],
-) -> tuple[list[Any], DataType]:
-    if spec.function == "count":
-        return [len(groups[key]) for key in ordered_keys], DataType.INT
-
-    if spec.input_column is None:
-        raise PlanError(f"aggregate {spec.function!r} requires an input column")
-    column = relation.column(spec.input_column)
-    values_list = column.to_list()
-
-    results: list[Any] = []
-    for key in ordered_keys:
-        group_values = [values_list[index] for index in groups[key]]
-        if not group_values:
-            results.append(0)
-            continue
-        if spec.function == "sum":
-            results.append(sum(group_values))
-        elif spec.function == "avg":
-            results.append(float(sum(group_values)) / len(group_values))
-        elif spec.function == "min":
-            results.append(min(group_values))
-        elif spec.function == "max":
-            results.append(max(group_values))
-
-    if spec.function == "avg":
-        return results, DataType.FLOAT
-    if spec.function == "sum" and column.dtype is DataType.INT:
-        return results, DataType.INT
-    if spec.function == "sum":
-        return results, DataType.FLOAT
-    return results, column.dtype

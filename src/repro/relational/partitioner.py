@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import StorageError
+from repro.relational.column import Column, DataType
 from repro.relational.relation import Relation
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -71,15 +72,13 @@ class HashRangePartitioner:
         try:
             codes, dictionary = column.factorize()
         except TypeError:
-            hashes = np.asarray(
-                [fnv1a_64(str(value)) for value in column.to_list()], dtype=np.uint64
-            )
-        else:
-            per_value = np.asarray(
-                [fnv1a_64(str(value)) for value in dictionary], dtype=np.uint64
-            )
-            hashes = per_value[np.asarray(codes)]
-        return self.shard_of_hashes(hashes)
+            # NaN, or values np.unique cannot order: code the str forms the
+            # hash reads.  Not key_codes: under Python equality 1, 1.0 and
+            # True are one key, but their str forms hash to different shards
+            text = Column([str(value) for value in column.to_list()], DataType.STRING)
+            codes, dictionary = text.factorize()
+        per_value = np.asarray([fnv1a_64(str(value)) for value in dictionary], dtype=np.uint64)
+        return self.shard_of_hashes(per_value[np.asarray(codes)])
 
     def shard_of_hashes(self, hashes: np.ndarray) -> np.ndarray:
         """Map 64-bit hashes into shard ids by equal hash ranges."""

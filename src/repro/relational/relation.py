@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ColumnError, SchemaError
-from repro.relational.column import Column, DataType, combine_codes
+from repro.relational.column import Column, DataType, key_codes
 from repro.relational.schema import Field, Schema
 
 
@@ -241,25 +241,15 @@ class Relation:
         return self.take(order)
 
     def distinct(self) -> "Relation":
-        """Remove duplicate rows, keeping the first occurrence of each."""
+        """Remove duplicate rows, keeping the first occurrence of each.
+
+        Rows are duplicates when their values are equal in Python
+        (:func:`~repro.relational.column.key_codes`): NaN never is.
+        """
         if self._num_rows == 0:
             return self
-        try:
-            codes = combine_codes(self._columns, self._num_rows)
-        except TypeError:
-            return self._distinct_rows()
         keep = np.zeros(self._num_rows, dtype=bool)
-        keep[np.unique(codes, return_index=True)[1]] = True
-        return self.filter(keep)
-
-    def _distinct_rows(self) -> "Relation":
-        """Row-at-a-time fallback for rows whose values cannot be factorized."""
-        seen: set[tuple[Any, ...]] = set()
-        keep = np.zeros(self._num_rows, dtype=bool)
-        for index, row in enumerate(self.rows()):
-            if row not in seen:
-                seen.add(row)
-                keep[index] = True
+        keep[np.unique(key_codes(self._columns), return_index=True)[1]] = True
         return self.filter(keep)
 
     # -- display ------------------------------------------------------------

@@ -106,6 +106,7 @@ class _WorkerConnection:
         self.worker = worker
         self.connection = connection
         self.process = process
+        self.pid = process.pid
         self._send_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._recv_lock = threading.Lock()
@@ -614,10 +615,11 @@ class WorkerPool:
         return reply.get("value")
 
     def _died_error(self, worker: int, shard: int, op: str | None, reason: str) -> EngineError:
-        process = self._processes[worker]
+        with self._lock:  # a replaced process is closed under the lock
+            exitcode = None if self._closed else self._processes[worker].exitcode
         return EngineError(
             f"shard worker {worker} (serving shard {shard}) died "
-            f"(exit code {process.exitcode}) during {op!r}: {reason}; "
+            f"(exit code {exitcode}) during {op!r}: {reason}; "
             "restart the pool to recover"
         )
 
@@ -714,6 +716,8 @@ class WorkerPool:
         with self._lock:
             self._processes[worker] = process
             self._connections[worker] = connection
+            # readers of a slot's process hold the lock, so none still uses it
+            _release(old_process)
             self._restarts[worker] = self._restarts.get(worker, 0) + 1
             self._restart_at.pop(worker, None)
             count = self._restarts[worker]
@@ -786,12 +790,11 @@ class WorkerPool:
         report = []
         for worker in range(self.num_workers):
             connection = self._connections[worker]
-            process = self._processes[worker]
             report.append(
                 {
                     "worker": worker,
-                    "pid": process.pid,
-                    "alive": connection.death is None and process.is_alive(),
+                    "pid": connection.pid,
+                    "alive": connection.death is None and connection.process.is_alive(),
                     "shards": sorted(
                         shard
                         for shard, owner in self._assignment.items()
@@ -835,15 +838,25 @@ class WorkerPool:
             except Exception:  # noqa: BLE001 - the worker may already be gone
                 pass
             finally:
+                # dead before its process is closed: readers check death first
+                connection.mark_dead("the pool is closed")
                 connection.shutdown()
         for process in self._processes:
             process.join(timeout=_JOIN_TIMEOUT_SECONDS)
             if process.is_alive():  # pragma: no cover - stuck worker safety net
                 process.terminate()
                 process.join(timeout=_JOIN_TIMEOUT_SECONDS)
+            _release(process)
 
     def __enter__(self) -> "WorkerPool":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+def _release(process: Any) -> None:
+    """Close an exited worker's ``Process``: its two pipe fds otherwise stay
+    open until the object is garbage-collected."""
+    if not process.is_alive():  # close() refuses a process that still runs
+        process.close()

@@ -2,9 +2,10 @@
 
 Checked once the test and its fixtures have torn down, with a grace period
 for processes and threads that are already on their way out: no new child
-process of this one, no new ``repro-*`` thread and no new ``/dev/shm/psm_*``
-shared-memory segment.  Import :func:`no_leaked_resources` into a
-directory's ``conftest.py`` to apply it to every test there.
+process of this one, no new ``repro-*`` thread, no new ``/dev/shm/psm_*``
+shared-memory segment and no new pipe or socket file descriptor.  Import
+:func:`no_leaked_resources` into a directory's ``conftest.py`` to apply it
+to every test there.
 """
 
 from __future__ import annotations
@@ -54,11 +55,26 @@ def _shm_segments() -> set[str]:
     return set(glob.glob("/dev/shm/psm_*"))
 
 
+def _pipes_and_sockets() -> set[str]:
+    found = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # closed while we looked (the listing's own fd too)
+            continue
+        if target.startswith(("pipe:", "socket:")):
+            found.add(f"{fd} -> {target}")
+    # the resource tracker's pipe lives as long as this process, by design
+    tracker_fd = resource_tracker._resource_tracker._fd
+    return {entry for entry in found if not entry.startswith(f"{tracker_fd} -> ")}
+
+
 def _resources() -> dict[str, set]:
     return {
         "child processes": _running_children(),
         "repro-* threads": _repro_threads(),
         "/dev/shm/psm_* segments": _shm_segments(),
+        "pipe and socket fds": _pipes_and_sockets(),
     }
 
 

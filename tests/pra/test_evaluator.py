@@ -9,10 +9,13 @@ from repro.pra.expressions import PositionalRef, positional
 from repro.pra.plan import (
     PraBayes,
     PraJoin,
+    PraParam,
+    PraPlan,
     PraProject,
     PraScan,
     PraSelect,
     PraSubtract,
+    PraTop,
     PraUnite,
     PraValues,
     PraWeight,
@@ -141,6 +144,22 @@ class TestOperatorsThroughPlans:
             evaluator.evaluate(FakePlan())
 
 
+#: one node of every PRA plan type
+EVERY_NODE_TYPE = [
+    PraScan("t"),
+    PraParam("bound"),
+    PraValues(ProbabilisticRelation.from_rows(["x"], [DataType.STRING], [("a", 0.5)])),
+    PraSelect(PraScan("t"), PositionalRef(1).eq(Literal("a"))),
+    PraProject(PraScan("t"), [2, 1], Assumption.DISJOINT, ["b", "a"]),
+    PraJoin(PraScan("a"), PraScan("b"), [(1, 2)], Assumption.SUBSUMED),
+    PraUnite(PraScan("a"), PraParam("b"), Assumption.SUBSUMED),
+    PraSubtract(PraScan("a"), PraScan("b")),
+    PraBayes(PraScan("t"), [2]),
+    PraWeight(PraScan("t"), 0.25),
+    PraTop(PraScan("t"), 3),
+]
+
+
 class TestPlanIntrospection:
     def test_describe_mentions_operators(self):
         plan = PraProject(
@@ -157,6 +176,19 @@ class TestPlanIntrospection:
         first = PraSelect(PraScan("t"), PositionalRef(1).eq(Literal("a")))
         second = PraSelect(PraScan("t"), PositionalRef(1).eq(Literal("b")))
         assert first.fingerprint() != second.fingerprint()
+
+    @pytest.mark.parametrize("plan", EVERY_NODE_TYPE, ids=lambda plan: type(plan).__name__)
+    def test_with_children_rebuilds_an_equal_node(self, plan):
+        rebuilt = plan.with_children(plan.children())
+        assert type(rebuilt) is type(plan)
+        assert rebuilt.fingerprint() == plan.fingerprint()
+        assert rebuilt.describe() == plan.describe()
+        if not plan.children():
+            with pytest.raises(PRAError):
+                plan.with_children([PraScan("x")])
+
+    def test_every_node_type_is_covered(self):
+        assert {type(plan) for plan in EVERY_NODE_TYPE} == set(PraPlan.__subclasses__())
 
     def test_projection_requires_positions(self):
         with pytest.raises(PRAError):

@@ -1,5 +1,6 @@
 """Unit tests for the probabilistic relational algebra operators."""
 
+import numpy as np
 import pytest
 
 from repro.errors import PRAError, ProbabilityError
@@ -12,12 +13,56 @@ from repro.relational.expressions import col, lit
 from repro.relational.functions import default_registry
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
+from tests.reference_kernels import bayes_rows, project_merge_rows, unite_rows
 
 
 def prob_relation(columns, rows):
     fields = [Field(name, dtype) for name, dtype in columns]
     fields.append(Field("p", DataType.FLOAT))
     return ProbabilisticRelation(Relation.from_rows(Schema(fields), rows))
+
+
+NAN = float("nan")
+
+#: value tuples np.unique cannot order: a NaN float key and an object column
+#: mixing str, int and float ("1" is not 1, 1 is 1.0, NaN equals nothing)
+NON_ORDERABLE = {
+    "nan key": prob_relation(
+        [("k", DataType.FLOAT), ("tag", DataType.STRING)],
+        [
+            (NAN, "t", 0.5),
+            (1.0, "t", 0.25),
+            (NAN, "t", 0.375),
+            (1.0, "u", 0.1),
+            (1.0, "t", 0.3),
+            (-0.0, "t", 0.2),
+            (0.0, "t", 0.7),
+        ],
+    ),
+    "mixed str and int": prob_relation(
+        [("k", DataType.STRING), ("tag", DataType.STRING)],
+        [
+            ("1", "t", 0.5),
+            (1, "t", 0.25),
+            ("a", "u", 0.375),
+            (1.0, "t", 0.1),
+            ("1", "t", 0.3),
+            (2, "u", 0.2),
+            ("a", "u", 0.7),
+        ],
+    ),
+}
+
+
+def assert_same_rows(actual, expected, rtol=0.0):
+    """Same schema, value rows and row order (NaN equal to NaN, 1 told from
+    1.0); probabilities equal, or within ``rtol`` for reassociated folds."""
+    assert actual.schema == expected.schema
+    assert repr(actual.value_rows()) == repr(expected.value_rows())
+    if rtol:
+        np.testing.assert_allclose(actual.probabilities(), expected.probabilities(), rtol=rtol)
+    else:
+        assert actual.probabilities().tolist() == expected.probabilities().tolist()
 
 
 @pytest.fixture
@@ -90,6 +135,18 @@ class TestProject:
     def test_output_names_length_mismatch(self, triples):
         with pytest.raises(PRAError):
             ops.project(triples, ["subject"], output_names=["a", "b"])
+
+    @pytest.mark.parametrize("assumption", list(Assumption))
+    @pytest.mark.parametrize("columns", [["k"], ["k", "tag"], ["tag", "k"]])
+    @pytest.mark.parametrize("case", sorted(NON_ORDERABLE))
+    def test_non_orderable_values_agree_with_reference(self, case, columns, assumption):
+        relation = NON_ORDERABLE[case]
+        result = ops.project(relation, columns, assumption)
+        reference = project_merge_rows(
+            relation.relation.select_columns(columns), relation.probabilities(), assumption
+        )
+        # the merge is a segmented fold now, as for every orderable input
+        assert_same_rows(result, reference, rtol=1e-12)
 
 
 class TestJoin:
@@ -165,7 +222,7 @@ class TestUnite:
             fields, [("a", 1, 0.5), ("c", 3, 0.5), ("b", 1, 0.25), ("a", 1, 0.125)]
         )
         result = ops.unite(left, right, assumption)
-        reference = ops._unite_rows(left, right, assumption)
+        reference = unite_rows(left, right, assumption)
         assert repr(list(result.rows())) == repr(list(reference.rows()))
         assert [row[:2] for row in result.rows()] == [("b", 1), ("a", 1), ("b", 2), ("c", 3)]
 
@@ -180,6 +237,16 @@ class TestUnite:
                 [(float("nan"), 0.5), (1.0, 0.5)],
                 (DataType.FLOAT, DataType.FLOAT),
             ),
+            # "1" is not 1: the left schema keeps both, as objects
+            ([("1", 0.5), ("a", 0.25)], [(1, 0.5), (2, 0.25)], (DataType.STRING, DataType.INT)),
+            # a FLOAT left side takes the right's ints; 1.5 is not 1
+            ([(1.5, 0.5), (2.0, 0.25)], [(2, 0.5), (1, 0.25)], (DataType.FLOAT, DataType.INT)),
+            # an object column mixing str and int on both sides
+            (
+                [("1", 0.5), (1, 0.25), ("a", 0.125)],
+                [(1.0, 0.5), ("a", 0.5), (2, 0.25)],
+                (DataType.STRING, DataType.STRING),
+            ),
         ],
     )
     def test_row_fallback_agrees_with_reference(self, left_rows, right_rows, dtypes):
@@ -193,8 +260,33 @@ class TestUnite:
             [(key, "t", p) for key, p in right_rows],
         )
         result = ops.unite(left, right, Assumption.INDEPENDENT)
-        reference = ops._unite_rows(left, right, Assumption.INDEPENDENT)
+        reference = unite_rows(left, right, Assumption.INDEPENDENT)
         assert repr(list(result.rows())) == repr(list(reference.rows()))
+        assert result.schema == reference.schema
+
+    @pytest.mark.parametrize("assumption", list(Assumption))
+    @pytest.mark.parametrize("case", sorted(NON_ORDERABLE))
+    def test_non_orderable_single_column_agrees_with_reference(self, case, assumption):
+        relation = NON_ORDERABLE[case]
+        left = ops.project(relation, ["k"], Assumption.SUBSUMED)
+        right = ProbabilisticRelation(relation.relation.select_columns(["k", "p"]))
+        result = ops.unite(left, right, assumption)
+        reference = unite_rows(left, right, assumption)
+        assert_same_rows(result, reference)
+
+    @pytest.mark.parametrize("assumption", list(Assumption))
+    @pytest.mark.parametrize(
+        "left_ps, right_ps", [([0.5, 0.25], [0.125]), ([], [0.5, 0.5]), ([0.25], []), ([], [])]
+    )
+    def test_zero_value_columns_agree_with_reference(self, left_ps, right_ps, assumption):
+        # a relation without value columns has no value rows (value_rows() is
+        # empty whatever its probability column holds), so neither has a union
+        left = prob_relation([], [(p,) for p in left_ps])
+        right = prob_relation([], [(p,) for p in right_ps])
+        result = ops.unite(left, right, assumption)
+        reference = unite_rows(left, right, assumption)
+        assert_same_rows(result, reference)
+        assert result.num_rows == 0
 
     def test_empty_sides(self):
         empty = prob_relation([("node", DataType.STRING)], [])
@@ -243,6 +335,14 @@ class TestBayes:
     def test_empty_relation(self):
         relation = prob_relation([("node", DataType.STRING)], [])
         assert ops.bayes(relation, []).num_rows == 0
+
+    @pytest.mark.parametrize("evidence", [["k"], ["k", "tag"], ["tag", "k"]])
+    @pytest.mark.parametrize("case", sorted(NON_ORDERABLE))
+    def test_non_orderable_evidence_agrees_with_reference(self, case, evidence):
+        relation = NON_ORDERABLE[case]
+        result = ops.bayes(relation, evidence)
+        reference = bayes_rows(relation, evidence, relation.probabilities())
+        assert_same_rows(result, reference)
 
 
 class TestWeight:

@@ -101,3 +101,27 @@ class TestSortedByProbability:
         assert ascending is not descending
         assert ascending.value_rows() == [("q",), ("a",), ("z",), ("m",)]
         assert relation.sorted_by_probability() is not relation
+
+    @pytest.mark.parametrize(
+        "dtype, rows, expected",
+        [
+            # an object column mixing str and int breaks ties by the str forms
+            (
+                DataType.STRING,
+                [("b", 0.5), (10, 0.5), ("a", 0.9), (2, 0.5), ("1", 0.25)],
+                [("a",), (10,), (2,), ("b",), ("1",)],
+            ),
+            # NaN sorts after every number
+            (
+                DataType.FLOAT,
+                [(2.0, 0.5), (float("nan"), 0.5), (1.0, 0.5), (0.5, 0.9)],
+                [(0.5,), (1.0,), (2.0,), (float("nan"),)],
+            ),
+        ],
+    )
+    def test_values_np_unique_cannot_order_still_break_ties(self, dtype, rows, expected):
+        schema = Schema([Field("node", dtype), Field("p", DataType.FLOAT)])
+        relation = ProbabilisticRelation(Relation.from_rows(schema, rows))
+        ranked = relation.sorted_by_probability()
+        assert repr(ranked.value_rows()) == repr(expected)
+        assert ranked.schema == relation.schema

@@ -53,6 +53,7 @@ from repro.relational.database import Database
 from repro.relational.expressions import BinaryOp, Literal
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
+from tests.reference_kernels import unite_rows
 
 EVALUATOR = PRAEvaluator(Database())
 
@@ -226,7 +227,7 @@ class TestUniteKernel:
         right = _draw_leaf(data.draw, arity, ANY_P, max_size=16).relation
         assumption = data.draw(ASSUMPTIONS)
         vectorized = pra_operators.unite(left, right, assumption)
-        reference = pra_operators._unite_rows(left, right, assumption)
+        reference = unite_rows(left, right, assumption)
         assert vectorized.schema == reference.schema
         # exact equality: first-occurrence order and the last bit of every fold
         assert list(vectorized.rows()) == list(reference.rows())

@@ -2,25 +2,24 @@
 
 The vectorized join/aggregate/distinct kernels must produce *identical*
 output — same rows, same order, same dtypes — as the original dictionary
-implementations, which are kept as the fallback path for non-orderable
-values.  Randomized relations (hypothesis) exercise duplicate keys, empty
-inputs, multi-column keys, and every aggregate function.
+implementations, which now live test-side as the oracle
+(``tests/reference_kernels.py``).  Randomized relations (hypothesis)
+exercise duplicate keys, empty inputs, multi-column keys, and every
+aggregate function; fixed relations exercise keys no dictionary can order
+(NaN, str mixed with int), which the kernels code with one dict pass.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.relational.algebra import AggregateSpec
 from repro.relational.column import Column, DataType, combine_codes
-from repro.relational.operators import (
-    _aggregate_relation_rows,
-    _join_indices_rows,
-    aggregate_relation,
-    hash_join_indices,
-)
+from repro.relational.operators import aggregate_relation, hash_join_indices
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
+from tests.reference_kernels import aggregate_relation_rows, distinct_rows, join_indices_rows
 
 KEY_SCHEMA = Schema(
     [
@@ -50,7 +49,7 @@ class TestJoinEquivalence:
     )
     def test_single_key_join_matches_reference(self, left_rows, right_rows, how):
         left, right = make_relation(left_rows), make_relation(right_rows)
-        expected = _join_indices_rows(left, right, ["k"], ["k"], how)
+        expected = join_indices_rows(left, right, ["k"], ["k"], how)
         actual = hash_join_indices(left, right, ["k"], ["k"], how)
         np.testing.assert_array_equal(actual[0], expected[0])
         np.testing.assert_array_equal(actual[1], expected[1])
@@ -64,7 +63,7 @@ class TestJoinEquivalence:
     def test_multi_key_join_matches_reference(self, left_rows, right_rows, how):
         left, right = make_relation(left_rows), make_relation(right_rows)
         keys = ["k", "name"]
-        expected = _join_indices_rows(left, right, keys, keys, how)
+        expected = join_indices_rows(left, right, keys, keys, how)
         actual = hash_join_indices(left, right, keys, keys, how)
         np.testing.assert_array_equal(actual[0], expected[0])
         np.testing.assert_array_equal(actual[1], expected[1])
@@ -111,7 +110,7 @@ class TestAggregateEquivalence:
     )
     def test_aggregate_matches_reference(self, rows, keys):
         relation = make_relation(rows)
-        expected = _aggregate_relation_rows(relation, keys, self.AGGREGATES)
+        expected = aggregate_relation_rows(relation, keys, self.AGGREGATES)
         actual = aggregate_relation(relation, keys, self.AGGREGATES)
         assert actual.schema == expected.schema
         for name in actual.schema.names:
@@ -126,7 +125,77 @@ class TestAggregateEquivalence:
     @given(st.lists(ROW_STRATEGY, min_size=0, max_size=40))
     def test_distinct_matches_reference(self, rows):
         relation = make_relation(rows)
-        assert list(relation.distinct().rows()) == list(relation._distinct_rows().rows())
+        assert list(relation.distinct().rows()) == list(distinct_rows(relation).rows())
+
+
+NAN = float("nan")
+
+#: key columns np.unique cannot order: a float column holding NaN, and an
+#: object column mixing str, int and float values ("1" is not 1, 1 is 1.0)
+NON_ORDERABLE = {
+    "nan key": (
+        DataType.FLOAT,
+        [NAN, 1.0, NAN, 1.0, 2.0, 1.0, -0.0, 0.0],
+    ),
+    "mixed str and int key": (
+        DataType.STRING,
+        ["1", 1, "a", 1, 1.0, "1", 2, "a"],
+    ),
+}
+NON_ORDERABLE_NAMES = ["ant", "bee", "ant", "ant", "bee", "bee", "ant", "ant"]
+NON_ORDERABLE_VALUES = [1.5, 2.25, -0.5, 4.0, 0.125, 3.0, 8.0, 0.1]
+
+
+def non_orderable_relation(case, rows=None):
+    dtype, keys = NON_ORDERABLE[case]
+    rows = list(zip(keys, NON_ORDERABLE_NAMES, NON_ORDERABLE_VALUES)) if rows is None else rows
+    schema = Schema(
+        [Field("x", dtype), Field("name", DataType.STRING), Field("value", DataType.FLOAT)]
+    )
+    return Relation.from_rows(schema, rows)
+
+
+def assert_same_relation(actual, expected, approx=()):
+    """Same schema (dtypes included), rows and row order; NaN equals NaN here,
+    and 1 / 1.0 / True are told apart.  Columns in ``approx`` are float folds
+    whose last ulp depends on the summation order."""
+    assert actual.schema == expected.schema
+    for name in actual.schema.names:
+        actual_values = actual.column(name).to_list()
+        expected_values = expected.column(name).to_list()
+        if name in approx:
+            np.testing.assert_allclose(actual_values, expected_values, rtol=1e-12)
+        else:
+            assert repr(actual_values) == repr(expected_values)
+
+
+@pytest.mark.parametrize("case", sorted(NON_ORDERABLE))
+class TestNonOrderableKeys:
+    """Keys that cannot be factorized group by Python equality, as the row kernels do."""
+
+    @pytest.mark.parametrize("how", ["inner", "left"])
+    @pytest.mark.parametrize("keys", [["x"], ["x", "name"], ["name", "x"]])
+    def test_join_matches_reference(self, case, keys, how):
+        left = non_orderable_relation(case)
+        right = non_orderable_relation(case).take(np.asarray([5, 0, 3, 1, 6]))
+        for build, probe in ((left, right), (right, left), (left, left)):
+            expected = join_indices_rows(build, probe, keys, keys, how)
+            actual = hash_join_indices(build, probe, keys, keys, how)
+            np.testing.assert_array_equal(actual[0], expected[0])
+            np.testing.assert_array_equal(actual[1], expected[1])
+
+    @pytest.mark.parametrize("keys", [["x"], ["x", "name"], ["name", "x"]])
+    def test_aggregate_matches_reference(self, case, keys):
+        relation = non_orderable_relation(case)
+        expected = aggregate_relation_rows(relation, keys, TestAggregateEquivalence.AGGREGATES[:-1])
+        actual = aggregate_relation(relation, keys, TestAggregateEquivalence.AGGREGATES[:-1])
+        assert_same_relation(actual, expected, approx=TestAggregateEquivalence.FLOAT_SUM_COLUMNS)
+
+    def test_distinct_matches_reference(self, case):
+        relation = non_orderable_relation(case)
+        for names in (["x"], ["x", "name"], ["name", "x", "value"]):
+            projected = relation.select_columns(names)
+            assert_same_relation(projected.distinct(), distinct_rows(projected))
 
 
 class TestFactorization:

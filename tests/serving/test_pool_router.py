@@ -206,6 +206,7 @@ class TestRouter:
             with pytest.raises(urllib.error.HTTPError) as caught:
                 urllib.request.urlopen(bad)
             assert caught.value.code == 400
+            caught.value.close()  # an HTTPError holds the response's socket
         finally:
             server.shutdown()
             server.server_close()
@@ -336,6 +337,7 @@ class TestCorruptReplyHandling:
             with pytest.raises(EngineError, match="died"):
                 pool.request(0, 0, {"op": "ping"})
             original.close()  # the real worker sees EOF and exits
+            child.close()
         finally:
             opened.close()
 

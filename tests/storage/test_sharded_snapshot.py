@@ -73,6 +73,25 @@ class TestPartitioner:
         with pytest.raises(StorageError):
             HashRangePartitioner(0)
 
+    @pytest.mark.parametrize(
+        "dtype, values",
+        [
+            (DataType.FLOAT, [float("nan"), 1.0, float("nan"), 2.5, 1.0, -0.0, 0.0]),
+            # the hash key is the str form: 1, 1.0 and True land apart, "1" with 1
+            (DataType.STRING, ["1", 1, 1.0, True, "a", 1, "1.0", 2]),
+        ],
+    )
+    def test_keys_that_do_not_factorize_hash_their_str_forms(self, dtype, values):
+        relation = Relation(Schema([Field("k", dtype)]), [Column(values, dtype)])
+        partitioner = HashRangePartitioner(64)
+        per_row = np.asarray(
+            [fnv1a_64(str(value)) for value in relation.column("k").to_list()], dtype=np.uint64
+        )
+        expected = partitioner.shard_of_hashes(per_row)
+        assert partitioner.assign(relation, "k").tolist() == expected.tolist()
+        if dtype is DataType.STRING:
+            assert len({int(shard) for shard in expected[[1, 2, 3]]}) == 3
+
 
 class TestShardedLayout:
     def test_layout_and_shard_map(self, auction_engine_with_docs, tmp_path):
