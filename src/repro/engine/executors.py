@@ -202,13 +202,13 @@ def merge_ranked(
         scores_parts.append(np.asarray(scores, dtype=np.float64))
         index_parts.append(np.asarray(indices, dtype=np.int64))
     if not doc_ids:
-        return RankedList([], np.empty(0, dtype=np.float64))
+        return RankedList.empty()
     scores = np.concatenate(scores_parts)
     indices = np.concatenate(index_parts)
     order = np.lexsort((indices, -scores))
     if top_k is not None:
         order = order[:top_k]
-    return RankedList([doc_ids[i] for i in order], scores[order])
+    return RankedList([doc_ids[i] for i in order], scores[order], indices[order])
 
 
 def rank_shard_many(

@@ -17,17 +17,28 @@ from repro.relational.schema import Field, Schema
 
 @dataclass
 class RankedList:
-    """A ranked list of documents: parallel arrays of identifiers and scores."""
+    """A ranked list of documents: parallel identifiers, scores and indices.
+
+    ``indices`` are the documents' dense indices in the ranked collection
+    (:class:`~repro.ir.statistics.CollectionStatistics`), which map a ranked
+    document back to its row without looking its identifier up.
+    """
 
     doc_ids: list[Any]
     scores: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "RankedList":
+        """A ranked list of no documents."""
+        return cls([], np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.doc_ids)
 
     def top(self, k: int) -> "RankedList":
         """Return the ``k`` highest-scoring entries (already sorted)."""
-        return RankedList(self.doc_ids[:k], self.scores[:k])
+        return RankedList(self.doc_ids[:k], self.scores[:k], self.indices[:k])
 
     def as_pairs(self) -> list[tuple[Any, float]]:
         """Return ``(docID, score)`` pairs in rank order."""
@@ -56,7 +67,7 @@ class RankedList:
         of the range — the ranking order is always preserved.
         """
         if len(self.scores) == 0:
-            return RankedList([], np.empty(0, dtype=np.float64))
+            return RankedList.empty()
         scores = self.scores.astype(np.float64).copy()
         epsilon = 1e-9
         minimum = scores.min()
@@ -71,7 +82,7 @@ class RankedList:
             scores = scores / scores.sum()
         else:
             raise RankingError(f"unknown normalisation method {method!r}")
-        return RankedList(list(self.doc_ids), scores)
+        return RankedList(list(self.doc_ids), scores, self.indices)
 
 
 class _BatchTermCache:
@@ -158,7 +169,7 @@ class RankingModel:
         cache: _BatchTermCache | None,
     ) -> RankedList:
         if statistics.num_docs == 0 or not query_terms:
-            return RankedList([], np.empty(0, dtype=np.float64))
+            return RankedList.empty()
 
         def upper_bound(term: str) -> float | None:
             if cache is None:
@@ -233,7 +244,7 @@ class RankingModel:
                 matched_count = int(np.count_nonzero(matched))
         matching_indices = np.nonzero(matched)[0]
         if len(matching_indices) == 0:
-            return RankedList([], np.empty(0, dtype=np.float64))
+            return RankedList.empty()
         scores = accumulator[matching_indices]
         if top_k is not None and 0 < top_k < len(matching_indices):
             # partial selection: keep every document tied with the kth-largest
@@ -250,8 +261,8 @@ class RankingModel:
         if top_k is not None:
             ranked_indices = ranked_indices[:top_k]
             ranked_scores = ranked_scores[:top_k]
-        doc_ids = [statistics.doc_ids[index] for index in ranked_indices]
-        return RankedList(doc_ids, ranked_scores)
+        doc_ids = list(map(statistics.doc_ids.__getitem__, ranked_indices.tolist()))
+        return RankedList(doc_ids, ranked_scores, ranked_indices)
 
     def term_score(
         self,

@@ -117,6 +117,22 @@ class CollectionStatistics:
             self._doc_position_cache = cache
         return cache
 
+    def doc_rows(self) -> np.ndarray:
+        """For each dense index, ``doc_positions()`` of its docID, built once.
+
+        A docID occurring more than once maps to its last position, as in
+        :meth:`doc_positions`; a ranked list's ``indices`` map to rows
+        through this array with one gather.
+        """
+        cache: np.ndarray | None = getattr(self, "_doc_row_cache", None)
+        if cache is None:
+            positions = self.doc_positions()
+            cache = np.fromiter(
+                map(positions.__getitem__, self.doc_ids), dtype=np.int64, count=len(self.doc_ids)
+            )
+            self._doc_row_cache = cache
+        return cache
+
     @property
     def average_doc_length(self) -> float:
         if self.num_docs == 0:

@@ -25,7 +25,7 @@ import numpy as np
 from repro.errors import PRAError, ProbabilityError
 from repro.pra.assumptions import Assumption
 from repro.pra.relation import PROBABILITY_COLUMN, ProbabilisticRelation
-from repro.relational.column import Column, DataType, first_seen_codes, group_rows
+from repro.relational.column import Column, DataType, group_rows
 from repro.relational.expressions import Expression
 from repro.relational.functions import FunctionRegistry
 from repro.relational.operators import group_codes, group_segments, hash_join_indices
@@ -155,7 +155,7 @@ def unite(
     right_values = right.values_relation()
     if left_values.schema.compatible_with(right_values.schema):
         values = left_values.concat(right_values)
-        codes, representatives = _union_group_codes(values)
+        codes, representatives = group_codes(values, values.schema.names)
     else:
         values = _pooled_values(left_values, right_values)
         codes, representatives = group_rows(
@@ -203,25 +203,6 @@ def _pooled_values(left: Relation, right: Relation) -> Relation:
             for column, other in zip(left.columns().values(), right.columns().values())
         ],
     )
-
-
-def _union_group_codes(values: Relation) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`group_codes` over all columns of a freshly concatenated relation.
-
-    :func:`group_codes` sorts a string column into a dictionary, which pays
-    off because the column keeps it for the next operator.  A concatenation
-    has no dictionary and nothing reads it again, so for the common single
-    string column (node sets, ranked lists) the groups are numbered by
-    hashing instead: the Mix block of the E14 strategy workload (two ~4,000
-    row lists per request) drops from 5.4 to 3.6 ms p50.
-    """
-    if values.num_columns != 1 or values.schema.fields[0].dtype is not DataType.STRING:
-        return group_codes(values, values.schema.names)
-    codes = first_seen_codes(values.column_at(0).values.tolist(), values.num_rows)
-    # codes are dense and numbered in first-seen order, so the sorted uniques
-    # are 0..G-1 and their first indices are the groups' first rows
-    representatives = np.unique(codes, return_index=True)[1].astype(np.int64, copy=False)
-    return codes, representatives
 
 
 def subtract(

@@ -162,12 +162,16 @@ class ProbabilisticRelation:
         computed with a partial-sort kernel: ``np.argpartition`` selects the
         candidate rows whose probability reaches the k-th largest value —
         including every tuple tied at the boundary, so the deterministic
-        tie-break stays exact — and only that candidate set is sorted.
+        tie-break stays exact — and only that candidate set is sorted.  A
+        relation :meth:`sorted_by_probability` produced in that order is
+        already ranked, and only its head is taken.
         """
         if k <= 0:
             return ProbabilisticRelation(self._relation.head(0), validate=False)
         if k >= self.num_rows:
             return self.sorted_by_probability()
+        if self._sorted_as == (True, True):
+            return ProbabilisticRelation(self._relation.head(k), validate=False)
         probabilities = self.probabilities()
         boundary = len(probabilities) - k
         kth_largest = probabilities[np.argpartition(probabilities, boundary)[boundary]]

@@ -85,10 +85,8 @@ def _coerce_array(values: Any, dtype: DataType) -> np.ndarray:
         return values.astype(dtype.numpy_dtype, copy=False)
     values = list(values)
     if dtype is DataType.STRING:
-        array = np.empty(len(values), dtype=object)
-        for index, value in enumerate(values):
-            array[index] = value
-        return array
+        # fromiter, not asarray: a tuple value stays one element
+        return np.fromiter(values, dtype=object, count=len(values))
     return np.asarray(values, dtype=dtype.numpy_dtype)
 
 
@@ -103,6 +101,15 @@ class Column:
     dense integer codes are computed once, cached, and propagated through
     :meth:`take`/:meth:`filter`/:meth:`slice`, so repeated joins and
     aggregations over the same (or derived) columns skip the encoding step.
+    :meth:`concat` keeps the codes when both sides hold the *same* dictionary
+    object, which is how the triple store hands them out: its subject and
+    object columns are slices of one column born coded
+    (:meth:`from_strings`), so joins, unions, grouping, sorting and string
+    selects on anything derived from them run on integer codes.
+
+    A STRING column caches codes only over a dictionary of ``str`` values,
+    so the order of its codes is the order of its strings; a STRING column
+    holding other values is re-coded on every :meth:`factorize` call.
     """
 
     __slots__ = ("_dtype", "_values", "_codes", "_dictionary")
@@ -133,16 +140,30 @@ class Column:
     def from_dictionary(cls, codes: np.ndarray, dictionary: np.ndarray) -> "Column":
         """Build a string column from dictionary codes, seeding the factorize cache.
 
-        ``dictionary`` must hold the distinct values in sorted order and
+        ``dictionary`` must hold distinct ``str`` values in sorted order and
         ``codes`` must index into it (the :meth:`factorize` contract) — this
         is how snapshot-backed columns come back from disk without paying the
-        ``np.unique`` pass again.  ``codes`` may be a read-only memmap.
+        coding pass again, and how the triple store codes several columns
+        against one shared dictionary.  ``codes`` may be a read-only memmap.
         """
         values = dictionary[codes] if len(codes) else np.empty(0, dtype=object)
         column = cls(values, DataType.STRING)
         column._codes = codes
         column._dictionary = dictionary
         return column
+
+    @classmethod
+    def from_strings(cls, values: Sequence[Any], hint: np.ndarray | None = None) -> "Column":
+        """A STRING column over ``values``, born coded when they are all ``str``.
+
+        ``hint``, a sorted array of ``str`` such as the dictionary of a
+        previous load of similar values, only speeds the coding up: the
+        distinct values are sorted starting from the ones it holds.
+        """
+        coded = _code_strings(values, hint)
+        if coded is None:
+            return cls(values, DataType.STRING)
+        return cls.from_dictionary(*coded)
 
     @classmethod
     def constant(cls, value: Any, length: int, dtype: DataType | None = None) -> "Column":
@@ -166,6 +187,11 @@ class Column:
     def values(self) -> np.ndarray:
         """The underlying NumPy array (treat as read-only)."""
         return self._values
+
+    @property
+    def coded(self) -> bool:
+        """Whether :meth:`factorize` is cached (it then costs nothing)."""
+        return self._codes is not None
 
     def __len__(self) -> int:
         return len(self._values)
@@ -208,25 +234,41 @@ class Column:
         """Return ``(codes, dictionary)`` such that ``dictionary[codes] == values``.
 
         ``codes`` is an ``int64`` array of dense non-negative integers and
-        ``dictionary`` holds the encoded values in sorted order.  The result
-        is cached on the column (columns are immutable) and propagated by
-        :meth:`take`/:meth:`filter`/:meth:`slice`, in which case the
-        dictionary may contain values no longer present in the column; codes
-        remain valid indices into it.
+        ``dictionary`` holds the encoded values in sorted order, as
+        ``np.unique`` gives them.  The result is cached on the column
+        (columns are immutable) and propagated by
+        :meth:`take`/:meth:`filter`/:meth:`slice`/:meth:`concat`, in which
+        case the dictionary may contain values no longer present in the
+        column; codes remain valid indices into it (:func:`compact_codes`
+        drops the unused entries).
 
-        Snapshots write this dictionary as it is, so the contract stays
-        strict: raises :class:`TypeError` when the values are not totally
-        orderable (e.g. an object column mixing strings and numbers) or when
-        a float column contains NaN, which ``np.unique`` would collapse while
+        A column of only ``str`` values is coded with one hash pass, a sort
+        of the distinct values and one dict lookup per row.  Other columns
+        keep ``np.unique``'s strict contract, which snapshots rely on:
+        raises :class:`TypeError` when the values are not totally orderable
+        (e.g. an object column mixing strings and numbers) or when a float
+        column contains NaN, which ``np.unique`` would collapse while
         Python's equality keeps every NaN apart.  :func:`key_codes` is the
         total form the operators use.
         """
-        if self._codes is None:
-            if self._dtype is DataType.FLOAT and np.isnan(self._values).any():
-                raise TypeError("cannot factorize a float column containing NaN")
+        if self._codes is not None:
+            return self._codes, self._dictionary
+        if self._dtype is DataType.STRING:
+            coded = _code_strings(self._values.tolist())
+            if coded is not None:
+                # the dictionary first: a reader that sees codes finds it set
+                self._dictionary = coded[1]
+                self._codes = coded[0]
+                return coded
+            # not cached: cached codes promise a dictionary of str (see the
+            # class docstring)
             dictionary, codes = np.unique(self._values, return_inverse=True)
-            self._codes = codes.astype(np.int64, copy=False).reshape(-1)
-            self._dictionary = dictionary
+            return codes.astype(np.int64, copy=False).reshape(-1), dictionary
+        if self._dtype is DataType.FLOAT and np.isnan(self._values).any():
+            raise TypeError("cannot factorize a float column containing NaN")
+        dictionary, codes = np.unique(self._values, return_inverse=True)
+        self._dictionary = dictionary
+        self._codes = codes.astype(np.int64, copy=False).reshape(-1)
         return self._codes, self._dictionary
 
     def _derive(self, values: np.ndarray, selector: Any) -> "Column":
@@ -256,12 +298,24 @@ class Column:
         return self._derive(self._values[start:stop], slice(start, stop))
 
     def concat(self, other: "Column") -> "Column":
-        """Concatenate two columns of the same type."""
+        """Concatenate two columns of the same type.
+
+        The result keeps the codes when both sides are coded against the
+        same dictionary object, or is the other side when one side is empty.
+        """
         if other.dtype is not self._dtype:
             raise TypeMismatchError(
                 f"cannot concatenate {self._dtype.value} column with {other.dtype.value} column"
             )
-        return Column(np.concatenate([self._values, other._values]), self._dtype)
+        if len(other) == 0:
+            return self
+        if len(self) == 0:
+            return other
+        column = Column(np.concatenate([self._values, other._values]), self._dtype)
+        if self._codes is not None and self._dictionary is other._dictionary:
+            column._codes = np.concatenate([self._codes, other._codes])
+            column._dictionary = self._dictionary
+        return column
 
     def cast(self, dtype: DataType) -> "Column":
         """Return a copy of the column converted to ``dtype``."""
@@ -304,7 +358,7 @@ def combine_codes(columns: Sequence["Column"], num_rows: int) -> np.ndarray:
     """
     if not columns:
         return np.zeros(num_rows, dtype=np.int64)
-    return _factorized_codes([columns])
+    return _factorized_codes([columns])[0]
 
 
 def key_codes(*sides: Sequence["Column"]) -> np.ndarray:
@@ -315,17 +369,12 @@ def key_codes(*sides: Sequence["Column"]) -> np.ndarray:
     join codes its left and right keys in one call and splits the result.
     Equality is Python's: ``NaN`` equals nothing, ``"1"`` is not ``1`` and
     ``1`` is ``1.0``.  When every column factorizes the codes come from the
-    sorted dictionaries (see :func:`combine_codes`; sides are merged into
-    one domain per key position), otherwise from one dict pass over the
-    rows' value tuples.  Codes are *not* guaranteed dense or ordered.
+    sorted dictionaries (see :func:`combine_codes`; sides coded against one
+    dictionary object keep their codes, others are merged into one domain
+    per key position), otherwise from one dict pass over the rows' value
+    tuples.  Codes are *not* guaranteed dense or ordered.
     """
-    try:
-        return _factorized_codes(sides)
-    except TypeError:  # NaN, or values np.unique cannot order
-        rows = [zip(*(column.values.tolist() for column in side)) for side in sides]
-        return first_seen_codes(
-            (row for side in rows for row in side), sum(len(side[0]) for side in sides)
-        )
+    return _bounded_key_codes(sides)[0]
 
 
 def group_rows(*sides: Sequence["Column"]) -> tuple[np.ndarray, np.ndarray]:
@@ -335,14 +384,56 @@ def group_rows(*sides: Sequence["Column"]) -> tuple[np.ndarray, np.ndarray]:
     in order of each group's first occurrence) of row ``i`` of the sides
     taken one after another, and ``first_rows[g]`` is the index of group
     ``g``'s first row.  Rows group when :func:`key_codes` codes them equal.
+
+    When the codes' domain (a key column's dictionary, which a carried
+    dictionary can make much larger than the column) is at most
+    ``_COUNTING_DOMAIN_FACTOR`` times the row count, groups are found with
+    one first-occurrence array over the domain; otherwise by sorting.  Both
+    give the same result.
     """
-    uniques, first_rows, inverse = np.unique(
-        key_codes(*sides), return_index=True, return_inverse=True
-    )
+    codes, domain = _bounded_key_codes(sides)
+    if domain <= _COUNTING_DOMAIN_FACTOR * len(codes):
+        return group_by_counting(codes, domain)
+    return group_by_sorting(codes)
+
+
+#: a first-occurrence array costs O(domain) against the sort's O(rows log rows)
+_COUNTING_DOMAIN_FACTOR = 16
+
+
+def group_by_counting(codes: np.ndarray, domain: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`group_rows` over ``codes`` in ``[0, domain)``, without sorting."""
+    num_rows = len(codes)
+    first = np.full(domain, num_rows, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(num_rows, dtype=np.int64))
+    is_first = np.zeros(num_rows, dtype=bool)
+    is_first[first[first < num_rows]] = True
+    first_rows = np.flatnonzero(is_first)
+    group_of = np.empty(domain, dtype=np.int64)
+    group_of[codes[first_rows]] = np.arange(len(first_rows), dtype=np.int64)
+    return group_of[codes], first_rows
+
+
+def group_by_sorting(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`group_rows` over any integer ``codes``, with ``np.unique``'s sorts."""
+    uniques, first_rows, inverse = np.unique(codes, return_index=True, return_inverse=True)
     by_first_seen = np.argsort(first_rows, kind="stable")
     rank = np.empty(len(uniques), dtype=np.int64)
     rank[by_first_seen] = np.arange(len(uniques), dtype=np.int64)
     return rank[inverse.reshape(-1)], first_rows[by_first_seen]
+
+
+def compact_codes(codes: np.ndarray, dictionary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(codes, dictionary)`` reduced to the dictionary entries the codes use.
+
+    A carried dictionary (see :meth:`Column.factorize`) can be far larger
+    than the column; what is written or hashed per distinct value must read
+    only the entries the column holds.  The result is still sorted.
+    """
+    used, remapped = np.unique(codes, return_inverse=True)
+    if len(used) == len(dictionary):
+        return codes, dictionary
+    return remapped.astype(np.int64, copy=False).reshape(-1), dictionary[used]
 
 
 def first_seen_codes(keys: Iterable[Any], count: int) -> np.ndarray:
@@ -353,25 +444,39 @@ def first_seen_codes(keys: Iterable[Any], count: int) -> np.ndarray:
     )
 
 
-def _factorized_codes(sides: Sequence[Sequence["Column"]]) -> np.ndarray:
-    """:func:`key_codes` from the columns' dictionaries; raises :class:`TypeError`."""
+def _bounded_key_codes(sides: Sequence[Sequence["Column"]]) -> tuple[np.ndarray, int]:
+    """:func:`key_codes` and a bound: every code lies in ``[0, bound)``."""
+    try:
+        return _factorized_codes(sides)
+    except TypeError:  # NaN, or values np.unique cannot order
+        rows = [zip(*(column.values.tolist() for column in side)) for side in sides]
+        codes = first_seen_codes(
+            (row for side in rows for row in side), sum(len(side[0]) for side in sides)
+        )
+        return codes, int(codes.max()) + 1 if len(codes) else 0
+
+
+def _factorized_codes(sides: Sequence[Sequence["Column"]]) -> tuple[np.ndarray, int]:
+    """:func:`_bounded_key_codes` from the columns' dictionaries; raises :class:`TypeError`."""
     positions = [_position_codes(columns) for columns in zip(*sides)]
-    codes = positions[0][0]
+    codes, domain = positions[0]
     for column_codes, width in positions[1:]:
         codes = codes * max(width, 1) + column_codes
-        _, codes = np.unique(codes, return_inverse=True)
+        uniques, codes = np.unique(codes, return_inverse=True)
         codes = codes.astype(np.int64, copy=False).reshape(-1)
-    return codes
+        domain = len(uniques)
+    return codes, domain
 
 
 def _position_codes(columns: Sequence["Column"]) -> tuple[np.ndarray, int]:
     """Codes of one key position across the sides, and the size of their domain."""
-    if len(columns) == 1:
-        codes, dictionary = columns[0].factorize()
-        return codes, len(dictionary)
+    factorized = [column.factorize() for column in columns]
+    dictionary = factorized[0][1]
+    if all(other is dictionary for _, other in factorized):
+        codes = [side_codes for side_codes, _ in factorized]
+        return codes[0] if len(codes) == 1 else np.concatenate(codes), len(dictionary)
     # merge the sides' dictionaries into one sorted domain and remap every
     # side's codes into it
-    factorized = [column.factorize() for column in columns]
     domain = np.unique(np.concatenate([dictionary for _, dictionary in factorized]))
     codes = np.concatenate(
         [
@@ -380,6 +485,28 @@ def _position_codes(columns: Sequence["Column"]) -> tuple[np.ndarray, int]:
         ]
     )
     return codes, len(domain)
+
+
+def _code_strings(
+    values: Sequence[Any], hint: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(codes, sorted dictionary)`` of ``str`` values, or ``None`` for any other.
+
+    One hash pass, a sort of the distinct values and one dict lookup per
+    row: the result ``np.unique`` gives, without sorting every row.  The
+    distinct values a sorted ``hint`` of ``str`` holds are handed to the
+    sort as one sorted run, which it merges with the rest in linear time
+    (and, being ``str``, are not type-checked again).
+    """
+    distinct = set(values)
+    known = [] if hint is None else [value for value in hint.tolist() if value in distinct]
+    unknown = distinct.difference(known) if known else distinct
+    if not set(map(type, unknown)) <= {str}:
+        return None
+    ordered = sorted(known + list(unknown))
+    position = dict(zip(ordered, range(len(ordered))))
+    codes = np.fromiter(map(position.__getitem__, values), dtype=np.int64, count=len(values))
+    return codes, np.array(ordered, dtype=object)
 
 
 def _parse_bool(text: str) -> bool:

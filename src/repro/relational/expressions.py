@@ -98,6 +98,31 @@ def _wrap(value: Any) -> Expression:
     return Literal(value)
 
 
+def _coded_mask(column: Column, op: str, value: Any) -> np.ndarray | None:
+    """``column op value`` on the codes of a coded STRING column, else ``None``.
+
+    ``value`` is placed into the column's sorted dictionary once; ``=`` and
+    ``<>`` then compare one code, the orderings compare against the bounds
+    of its position.
+    """
+    if column.dtype is not DataType.STRING or not column.coded or not isinstance(value, str):
+        return None
+    codes, dictionary = column.factorize()
+    low = int(np.searchsorted(dictionary, value, side="left"))
+    high = int(np.searchsorted(dictionary, value, side="right"))
+    if op == "=":
+        return codes == low if high > low else np.zeros(len(codes), dtype=bool)
+    if op == "<>":
+        return codes != low if high > low else np.ones(len(codes), dtype=bool)
+    if op == "<":
+        return codes < low
+    if op == "<=":
+        return codes < high
+    if op == ">":
+        return codes >= high
+    return codes >= low
+
+
 def col(name: str) -> "ColumnRef":
     """Shorthand constructor for a column reference."""
     return ColumnRef(name)
@@ -156,6 +181,8 @@ class Literal(Expression):
 
 
 _COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
+#: the comparison that holds with its operands swapped
+_MIRRORED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 _ARITHMETIC = {"+", "-", "*", "/"}
 _BOOLEAN = {"and", "or"}
 
@@ -171,12 +198,12 @@ class BinaryOp(Expression):
         self.right = right
 
     def evaluate(self, relation: Relation, functions: "FunctionRegistry") -> Column:
+        if self.op in _COMPARISONS:
+            return self._evaluate_comparison(relation, functions)
         left = self.left.evaluate(relation, functions)
         right = self.right.evaluate(relation, functions)
         if self.op in _ARITHMETIC:
             return self._evaluate_arithmetic(left, right)
-        if self.op in _COMPARISONS:
-            return self._evaluate_comparison(left, right)
         return self._evaluate_boolean(left, right)
 
     def _evaluate_arithmetic(self, left: Column, right: Column) -> Column:
@@ -199,17 +226,27 @@ class BinaryOp(Expression):
             result_type = DataType.FLOAT
         return Column(values, result_type)
 
-    def _evaluate_comparison(self, left: Column, right: Column) -> Column:
+    def _evaluate_comparison(self, relation: Relation, functions: "FunctionRegistry") -> Column:
+        left = right = mask = None
+        if isinstance(self.right, Literal) and not isinstance(self.left, Literal):
+            left = self.left.evaluate(relation, functions)
+            mask = _coded_mask(left, self.op, self.right.value)
+        elif isinstance(self.left, Literal) and not isinstance(self.right, Literal):
+            right = self.right.evaluate(relation, functions)
+            mask = _coded_mask(right, _MIRRORED[self.op], self.left.value)
+        if mask is not None:
+            return Column(mask, DataType.BOOL)
+        if left is None:
+            left = self.left.evaluate(relation, functions)
+        if right is None:
+            right = self.right.evaluate(relation, functions)
         if left.dtype is DataType.STRING or right.dtype is DataType.STRING:
             if left.dtype is not right.dtype:
                 raise TypeMismatchError(
                     f"cannot compare {left.dtype.value} with {right.dtype.value}"
                 )
-            left_values = np.asarray(left.to_list(), dtype=object)
-            right_values = np.asarray(right.to_list(), dtype=object)
-        else:
-            left_values = left.values
-            right_values = right.values
+        left_values = left.values
+        right_values = right.values
         if self.op == "=":
             values = left_values == right_values
         elif self.op == "<>":

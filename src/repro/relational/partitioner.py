@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import StorageError
-from repro.relational.column import Column, DataType
+from repro.relational.column import Column, DataType, compact_codes
 from repro.relational.relation import Relation
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -70,7 +70,7 @@ class HashRangePartitioner:
         if relation.num_rows == 0:
             return np.empty(0, dtype=np.int64)
         try:
-            codes, dictionary = column.factorize()
+            codes, dictionary = compact_codes(*column.factorize())
         except TypeError:
             # NaN, or values np.unique cannot order: code the str forms the
             # hash reads.  Not key_codes: under Python equality 1, 1.0 and

@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ColumnError, SchemaError
-from repro.relational.column import Column, DataType, key_codes
+from repro.relational.column import Column, DataType, group_rows
 from repro.relational.schema import Field, Schema
 
 
@@ -219,23 +219,27 @@ class Relation:
         """Sort by ``keys``: a list of (column name, ascending) pairs.
 
         The sort is stable; later keys are applied first so that earlier keys
-        take precedence, following the usual lexicographic semantics.
+        take precedence, following the usual lexicographic semantics.  A
+        STRING column orders by its values' ``str`` forms; a coded one (see
+        :attr:`Column.coded`) by its codes, the same order except that
+        strings differing only by trailing NULs, which NumPy's fixed-width
+        ``str`` strips and so ties, order as Python orders them.
         """
         if self._num_rows == 0:
             return self
         order = np.arange(self._num_rows)
         for name, ascending in reversed(list(keys)):
             column = self.column(name)
-            values = column.values[order]
-            if column.dtype is DataType.STRING:
-                values = np.asarray(values, dtype=str)
-            if ascending:
-                positions = np.argsort(values, kind="stable")
+            if column.dtype is DataType.STRING and column.coded:
+                codes = column.factorize()[0][order]
+                positions = np.argsort(codes if ascending else -codes, kind="stable")
+            elif ascending:
+                positions = np.argsort(_sort_values(column, order), kind="stable")
             else:
                 # reversing an ascending argsort would also reverse equal-key
                 # runs and break stability; sorting on negated ranks keeps
                 # ties in their prior order for any orderable dtype
-                _, codes = np.unique(values, return_inverse=True)
+                _, codes = np.unique(_sort_values(column, order), return_inverse=True)
                 positions = np.argsort(-codes, kind="stable")
             order = order[positions]
         return self.take(order)
@@ -248,9 +252,7 @@ class Relation:
         """
         if self._num_rows == 0:
             return self
-        keep = np.zeros(self._num_rows, dtype=bool)
-        keep[np.unique(key_codes(self._columns), return_index=True)[1]] = True
-        return self.filter(keep)
+        return self.take(group_rows(self._columns)[1])
 
     # -- display ------------------------------------------------------------
 
@@ -272,3 +274,11 @@ class Relation:
         if self._num_rows > max_rows:
             lines.append(f"... ({self._num_rows - max_rows} more rows)")
         return "\n".join(lines)
+
+
+def _sort_values(column: Column, order: np.ndarray) -> np.ndarray:
+    """``column``'s values in ``order``, as :meth:`Relation.sort_by` compares them."""
+    values = column.values[order]
+    if column.dtype is DataType.STRING:
+        return np.asarray(values, dtype=str)
+    return values

@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import StorageError
-from repro.relational.column import Column, DataType
+from repro.relational.column import Column, DataType, compact_codes
 from repro.storage.format import ensure_directory
 
 _RAW_DTYPES = {
@@ -63,10 +63,10 @@ def write_column(column: Column, directory: Path, stem: str) -> dict[str, Any]:
     }
     if column.dtype is DataType.STRING:
         # factorize() is cached (and pre-seeded on snapshot-backed columns),
-        # so re-saving an opened snapshot skips the np.unique pass; the
-        # dictionary may be a sorted superset of the live values, which the
-        # format allows — codes always index into it
-        codes, dictionary = column.factorize()
+        # so re-saving an opened snapshot skips the coding pass; a carried
+        # dictionary can be a shared one far larger than the column, so only
+        # the entries the codes use are written
+        codes, dictionary = compact_codes(*column.factorize())
         blob, offsets = _encode_dictionary(dictionary)
         codes = codes.astype(_CODES_DTYPE, copy=False).reshape(-1)
         write_array(codes, directory / f"{stem}.codes.bin")

@@ -18,8 +18,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Any
 
-import numpy as np
-
 from repro.errors import BlockError
 from repro.ir.query_expansion import QueryExpander
 from repro.ir.ranking import RankingModel
@@ -273,11 +271,8 @@ class RankByTextBlock(Block):
         )
         ranked: RankedList = self.model.rank(statistics, query_terms, top_k=self.top_k)
         # the statistics index documents in the collection's row order, so a
-        # ranked docID maps back to its row (its prior, its node) by position
-        positions = statistics.doc_positions()
-        rows = np.fromiter(
-            (positions[doc_id] for doc_id in ranked.doc_ids), dtype=np.int64, count=len(ranked)
-        )
+        # ranked document maps back to its row (its prior, its node) by index
+        rows = statistics.doc_rows()[ranked.indices]
         combined = ranked.to_probabilities().scores * docs.probabilities()[rows]
         schema = Schema([Field("node", DataType.STRING), Field(PROBABILITY_COLUMN, DataType.FLOAT)])
         relation = Relation(

@@ -27,10 +27,12 @@ import re
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from repro.errors import PartitioningError
 from repro.pra.relation import PROBABILITY_COLUMN, ProbabilisticRelation
 from repro.relational.algebra import Scan, Select
-from repro.relational.column import DataType
+from repro.relational.column import Column, DataType
 from repro.relational.database import Database
 from repro.relational.expressions import Expression, col, lit
 from repro.relational.relation import Relation
@@ -49,6 +51,48 @@ def _triple_schema(object_type: DataType = DataType.STRING) -> Schema:
             Field(PROBABILITY_COLUMN, DataType.FLOAT),
         ]
     )
+
+
+def _previous_resources(database: Database, tables: Sequence[str]) -> np.ndarray | None:
+    """The resource dictionary of a layout's tables still in memory, if any.
+
+    Reloading mostly the same triples (a batch appended, say) then sorts
+    little more than the new resources (see :meth:`Column.from_strings`).
+    """
+    for name in tables:
+        if database.catalog.is_hydrated(name):
+            subject = database.table(name).column("subject")
+            if subject.coded:
+                return subject.factorize()[1]
+    return None
+
+
+def _coded_columns(
+    triples: Sequence["Triple"], strings: Sequence[str], previous: np.ndarray | None
+) -> tuple[Column, Column, Column, Column]:
+    """``(subject, property, p, strings)`` columns of ``triples``, born coded.
+
+    Subjects are coded against one resource dictionary together with the
+    string objects ``strings`` (``previous`` is a sort hint for it);
+    properties get their own dictionary.
+    """
+    subjects = [triple.subject for triple in triples]
+    # slices of one coded column share its dictionary object, so joins,
+    # unions and grouping across them run on the codes as they are
+    resources = Column.from_strings(subjects + list(strings), previous)
+    subject = resources.slice(0, len(subjects))
+    string_objects = resources.slice(len(subjects), len(resources))
+    property_column = Column.from_strings([triple.property for triple in triples])
+    probability = Column([triple.probability for triple in triples], DataType.FLOAT)
+    return subject, property_column, probability, string_objects
+
+
+def _coded_table(triples: Sequence["Triple"], previous: np.ndarray | None) -> Relation:
+    """Every triple as a ``(subject, property, object, p)`` row, objects as strings."""
+    subject, property_column, probability, obj = _coded_columns(
+        triples, [str(triple.object) for triple in triples], previous
+    )
+    return Relation(_triple_schema(), [subject, property_column, obj, probability])
 
 
 def _pattern_predicate(
@@ -116,10 +160,8 @@ class SingleTableStorage(StorageStrategy):
         self.table_name = table_name
 
     def load(self, database: Database, triples: Sequence["Triple"]) -> None:
-        rows = [(t.subject, t.property, str(t.object), t.probability) for t in triples]
-        database.create_table(
-            self.table_name, Relation.from_rows(_triple_schema(), rows), replace=True
-        )
+        previous = _previous_resources(database, [self.table_name])
+        database.create_table(self.table_name, _coded_table(triples, previous), replace=True)
 
     def match(
         self,
@@ -163,16 +205,15 @@ class PropertyPartitionedStorage(StorageStrategy):
         return f"{self.prefix}{_sanitize(property_name)}"
 
     def load(self, database: Database, triples: Sequence["Triple"]) -> None:
-        partitions: dict[str, list[tuple[str, str, str, float]]] = {}
-        for triple in triples:
-            partitions.setdefault(triple.property, []).append(
-                (triple.subject, triple.property, str(triple.object), triple.probability)
-            )
-        self._properties = sorted(partitions)
-        for property_name, rows in partitions.items():
+        table = _coded_table(triples, _previous_resources(database, self.table_names(database)))
+        rows_of: dict[str, list[int]] = {}
+        for row, triple in enumerate(triples):
+            rows_of.setdefault(triple.property, []).append(row)
+        self._properties = sorted(rows_of)
+        for property_name, rows in rows_of.items():
             database.create_table(
                 self._table_for(property_name),
-                Relation.from_rows(_triple_schema(), rows),
+                table.take(np.asarray(rows, dtype=np.int64)),
                 replace=True,
             )
 
@@ -251,19 +292,25 @@ class TypePartitionedStorage(StorageStrategy):
         return DataType.STRING
 
     def load(self, database: Database, triples: Sequence["Triple"]) -> None:
-        partitions: dict[DataType, list[tuple[str, str, Any, float]]] = {}
-        for triple in triples:
-            dtype = self._object_type(triple.object)
-            value = triple.object if dtype is not DataType.STRING else str(triple.object)
-            partitions.setdefault(dtype, []).append(
-                (triple.subject, triple.property, value, triple.probability)
-            )
-        self._partitions = sorted(partitions, key=lambda dtype: dtype.value)
-        for dtype, rows in partitions.items():
+        rows_of: dict[DataType, list[int]] = {}
+        for row, triple in enumerate(triples):
+            rows_of.setdefault(self._object_type(triple.object), []).append(row)
+        subject, property_column, probability, strings = _coded_columns(
+            triples,
+            [str(triples[row].object) for row in rows_of.get(DataType.STRING, [])],
+            _previous_resources(database, self.table_names(database)),
+        )
+        self._partitions = sorted(rows_of, key=lambda dtype: dtype.value)
+        for dtype, rows in rows_of.items():
+            if dtype is DataType.STRING:
+                obj = strings
+            else:
+                obj = Column([triples[row].object for row in rows], dtype)
+            index = np.asarray(rows, dtype=np.int64)
+            columns = [subject.take(index), property_column.take(index), obj]
+            columns.append(probability.take(index))
             database.create_table(
-                self._table_for(dtype),
-                Relation.from_rows(_triple_schema(dtype), rows),
-                replace=True,
+                self._table_for(dtype), Relation(_triple_schema(dtype), columns), replace=True
             )
 
     def match(

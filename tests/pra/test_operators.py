@@ -2,18 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PRAError, ProbabilityError
 from repro.pra import operators as ops
 from repro.pra.assumptions import Assumption
 from repro.pra.expressions import PositionalRef
 from repro.pra.relation import ProbabilisticRelation
-from repro.relational.column import DataType
+from repro.relational.column import Column, DataType
 from repro.relational.expressions import col, lit
 from repro.relational.functions import default_registry
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
-from tests.reference_kernels import bayes_rows, project_merge_rows, unite_rows
+from tests.reference_kernels import bayes_rows, project_merge_rows, string_columns, unite_rows
 
 
 def prob_relation(columns, rows):
@@ -356,3 +358,70 @@ class TestWeight:
             ops.weight(relation, 1.5)
         with pytest.raises(ProbabilityError):
             ops.weight(relation, -0.1)
+
+
+NODES = ["a", "ab", "b", "lot1", "lot10", "lot2", "é"]
+CODINGS = ["uncoded", "own", "shared"]
+
+
+def node_relations(sides, coding):
+    """``(node, tag, p)`` relations, one per side of ``(node, tag, p)`` rows,
+    whose STRING columns are uncoded, coded on their own, or coded against
+    one dictionary object shared by every side (holding unused values too)."""
+    nodes = string_columns([[row[0] for row in rows] for rows in sides], coding)
+    tags = string_columns([[row[1] for row in rows] for rows in sides], coding)
+    schema = Schema(
+        [Field("node", DataType.STRING), Field("tag", DataType.STRING), Field("p", DataType.FLOAT)]
+    )
+    return [
+        ProbabilisticRelation(
+            Relation(schema, [node, tag, Column([row[2] for row in rows], DataType.FLOAT)])
+        )
+        for node, tag, rows in zip(nodes, tags, sides)
+    ]
+
+
+NODE_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(NODES),
+        st.sampled_from(["t", "u"]),
+        st.sampled_from([0.125, 0.25, 0.5, 0.75, 1.0]),
+    ),
+    max_size=20,
+)
+
+
+class TestCodedStringInputs:
+    """Coded and uncoded STRING inputs give the reference kernels' results."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(NODE_ROWS, NODE_ROWS, st.sampled_from(CODINGS), st.sampled_from(list(Assumption)))
+    def test_unite_agrees_with_reference(self, left_rows, right_rows, coding, assumption):
+        left, right = node_relations([left_rows, right_rows], coding)
+        for columns in (["node"], ["node", "tag"]):
+            narrowed = [
+                ProbabilisticRelation(side.relation.select_columns(columns + ["p"]))
+                for side in (left, right)
+            ]
+            result = ops.unite(*narrowed, assumption)
+            assert_same_rows(result, unite_rows(*narrowed, assumption))
+
+    @settings(max_examples=40, deadline=None)
+    @given(NODE_ROWS, st.sampled_from(CODINGS), st.sampled_from(list(Assumption)))
+    def test_project_agrees_with_reference(self, rows, coding, assumption):
+        (relation,) = node_relations([rows], coding)
+        for columns in (["node"], ["tag", "node"]):
+            result = ops.project(relation, columns, assumption)
+            reference = project_merge_rows(
+                relation.relation.select_columns(columns), relation.probabilities(), assumption
+            )
+            assert_same_rows(result, reference, rtol=1e-12)
+
+    def test_union_of_shared_dictionary_keeps_the_codes(self):
+        left, right = node_relations(
+            [[("b", "t", 0.5), ("a", "t", 0.25)], [("a", "u", 0.5), ("c", "u", 0.5)]], "shared"
+        )
+        dictionary = left.relation.column("node").factorize()[1]
+        united = ops.unite(left, right, Assumption.DISJOINT)
+        assert united.relation.column("node").factorize()[1] is dictionary
+        assert united.sorted_by_probability().relation.column("node").coded

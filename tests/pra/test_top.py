@@ -56,6 +56,20 @@ class TestTopKernel:
         relation = prob_relation([])
         assert relation.top(3).num_rows == 0
 
+    def test_a_sorted_relation_is_not_sorted_again(self, monkeypatch):
+        relation = prob_relation(
+            [("d", 0.4), ("a", 0.9), ("c", 0.4), ("b", 0.9), ("e", 0.1), ("f", 0.4)]
+        )
+        ranked = relation.sorted_by_probability()
+        expected = {k: list(relation.top(k).rows()) for k in range(8)}
+
+        def no_sort(self, keys):
+            raise AssertionError("a sorted relation was sorted again")
+
+        monkeypatch.setattr(Relation, "sort_by", no_sort)
+        for k in range(8):
+            assert list(ranked.top(k).rows()) == expected[k]
+
     def test_operator_rejects_negative_k(self):
         with pytest.raises(PRAError, match="non-negative"):
             ops.top(prob_relation([("a", 0.5)]), -1)

@@ -9,7 +9,9 @@ segmented reduction in between.  The production kernels in
 :mod:`repro.pra.operators` must agree with these on every input, orderable
 or not; ``tests/relational/test_kernel_equivalence.py``,
 ``tests/pra/test_operators.py`` and ``tests/property/test_plan_equivalence.py``
-hold them to it.
+hold them to it.  :func:`str_sort_order` is the string order the sort kernel
+kept before STRING columns carried their codes, and :func:`string_columns`
+builds the same values uncoded, coded and coded against a shared dictionary.
 """
 
 from __future__ import annotations
@@ -213,3 +215,41 @@ def bayes_rows(
         total = totals[key]
         normalised[index] = float(probability) / total if total > 0 else 0.0
     return input_relation.with_probabilities(normalised)
+
+
+def string_columns(parts: Sequence[Sequence[Any]], coding: str) -> list[Column]:
+    """One STRING column per part: uncoded, each coded on its own, or all coded
+    against one dictionary object that also holds values no part has."""
+    if coding == "uncoded":
+        return [Column(part, DataType.STRING) for part in parts]
+    if coding == "own":
+        columns = [Column(part, DataType.STRING) for part in parts]
+        for column in columns:
+            column.factorize()
+        return columns
+    unused = ["zz-unused", "0-unused"]
+    whole = Column([value for part in parts for value in part] + unused, DataType.STRING)
+    whole.factorize()
+    columns, start = [], 0
+    for part in parts:
+        columns.append(whole.slice(start, start + len(part)))
+        start += len(part)
+    return columns
+
+
+def str_sort_order(relation: Relation, keys: Sequence[tuple[str, bool]]) -> np.ndarray:
+    """The row order ``Relation.sort_by`` gave before columns carried codes:
+    every STRING key compared as NumPy fixed-width ``str``."""
+    order = np.arange(relation.num_rows)
+    for name, ascending in reversed(keys):
+        column = relation.column(name)
+        values = column.values[order]
+        if column.dtype is DataType.STRING:
+            values = np.asarray(values, dtype=str)
+        if ascending:
+            positions = np.argsort(values, kind="stable")
+        else:
+            _, codes = np.unique(values, return_inverse=True)
+            positions = np.argsort(-codes, kind="stable")
+        order = order[positions]
+    return order

@@ -79,6 +79,11 @@ class TestColumnConstruction:
         assert column[0] == "hello"
         assert column[1] == "world"
 
+    def test_string_column_keeps_tuple_values_whole(self):
+        column = Column([("a", 1), ("b", 2), "c"], DataType.STRING)
+        assert len(column) == 3 and column.values.shape == (3,)
+        assert column.to_list() == [("a", 1), ("b", 2), "c"]
+
     def test_from_numpy_array(self):
         column = Column(np.array([1, 2, 3]), DataType.INT)
         assert column.to_list() == [1, 2, 3]

@@ -19,7 +19,13 @@ from repro.relational.column import Column, DataType, combine_codes
 from repro.relational.operators import aggregate_relation, hash_join_indices
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
-from tests.reference_kernels import aggregate_relation_rows, distinct_rows, join_indices_rows
+from tests.reference_kernels import (
+    aggregate_relation_rows,
+    distinct_rows,
+    join_indices_rows,
+    str_sort_order,
+    string_columns,
+)
 
 KEY_SCHEMA = Schema(
     [
@@ -225,3 +231,203 @@ class TestFactorization:
     def test_combine_codes_empty_column_list_gives_one_group(self):
         codes = combine_codes([], 4)
         assert codes.tolist() == [0, 0, 0, 0]
+
+
+# -- STRING columns: coded and uncoded inputs agree ---------------------------
+
+WORDS = ["a", "ab", "b", "ba", "lot1", "lot10", "lot2", "Z", "é", "a b"]
+#: literals no column value equals: between values, below and above them all
+ABSENT = ["aa", "", "\uffff"]
+CODINGS = ["uncoded", "own", "shared"]
+
+
+class TestCodedStrings:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(WORDS), max_size=25), st.sampled_from(CODINGS))
+    def test_comparisons_against_literals_match_python(self, values, coding):
+        from repro.relational.expressions import col, lit
+        from repro.relational.functions import default_registry
+
+        (column,) = string_columns([values], coding)
+        relation = Relation(Schema([Field("s", DataType.STRING)]), [column])
+        functions = default_registry()
+        operators = {
+            "eq": lambda a, b: a == b, "ne": lambda a, b: a != b,
+            "lt": lambda a, b: a < b, "le": lambda a, b: a <= b,
+            "gt": lambda a, b: a > b, "ge": lambda a, b: a >= b,
+        }
+        mirrored = {"eq": "eq", "ne": "ne", "lt": "gt", "le": "ge", "gt": "lt", "ge": "le"}
+        for literal in values[:2] + ABSENT:
+            for name, compare in operators.items():
+                expected = [compare(value, literal) for value in values]
+                forward = getattr(col("s"), name)(lit(literal)).evaluate(relation, functions)
+                backward = getattr(lit(literal), mirrored[name])(col("s")).evaluate(
+                    relation, functions
+                )
+                assert forward.dtype is DataType.BOOL
+                assert forward.values.tolist() == expected, (name, literal)
+                assert backward.values.tolist() == expected, (name, literal)
+
+    def test_comparison_type_rule_is_unchanged(self):
+        from repro.errors import TypeMismatchError
+        from repro.relational.expressions import col, lit
+        from repro.relational.functions import default_registry
+
+        (column,) = string_columns([["a", "b"]], "own")
+        relation = Relation(Schema([Field("s", DataType.STRING)]), [column])
+        for expression in (col("s").eq(lit(1)), lit(1.5).lt(col("s"))):
+            with pytest.raises(TypeMismatchError):
+                expression.evaluate(relation, default_registry())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.sampled_from(WORDS), max_size=25),
+        st.lists(st.sampled_from(WORDS), max_size=25),
+    )
+    def test_column_against_column(self, left, right):
+        from repro.relational.expressions import col
+        from repro.relational.functions import default_registry
+
+        size = min(len(left), len(right))
+        expected = [a < b for a, b in zip(left[:size], right[:size])]
+        for coding in CODINGS:
+            columns = string_columns([left[:size], right[:size]], coding)
+            relation = Relation(
+                Schema([Field("l", DataType.STRING), Field("r", DataType.STRING)]), columns
+            )
+            mask = col("l").lt(col("r")).evaluate(relation, default_registry())
+            assert mask.values.tolist() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=40), max_size=60), st.integers(0, 30))
+    def test_group_by_counting_matches_sorting(self, codes, spare):
+        from repro.relational.column import group_by_counting, group_by_sorting
+
+        codes = np.asarray(codes, dtype=np.int64)
+        domain = int(codes.max()) + 1 + spare if len(codes) else spare
+        counted = group_by_counting(codes, domain)
+        sorted_ = group_by_sorting(codes)
+        np.testing.assert_array_equal(counted[0], sorted_[0])
+        np.testing.assert_array_equal(counted[1], sorted_[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.sampled_from(WORDS), max_size=25),
+        st.lists(st.sampled_from(WORDS), max_size=25),
+        st.sampled_from(CODINGS),
+    )
+    def test_group_rows_numbers_first_seen(self, left, right, coding):
+        from repro.relational.column import group_rows
+
+        seen: dict[str, int] = {}
+        expected = [seen.setdefault(value, len(seen)) for value in left + right]
+        first_rows = [(left + right).index(value) for value in seen]
+        codes, firsts = group_rows(*([column] for column in string_columns([left, right], coding)))
+        assert codes.tolist() == expected
+        assert firsts.tolist() == first_rows
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(WORDS), st.sampled_from(WORDS)), max_size=30),
+        st.sampled_from(CODINGS),
+    )
+    def test_distinct_matches_reference(self, rows, coding):
+        first = [row[0] for row in rows]
+        second = [row[1] for row in rows]
+        relation = Relation(
+            Schema([Field("a", DataType.STRING), Field("b", DataType.STRING)]),
+            string_columns([first, second], coding),
+        )
+        assert list(relation.distinct().rows()) == list(distinct_rows(relation).rows())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(WORDS), st.sampled_from(WORDS), st.integers(0, 3)),
+            max_size=30,
+        ),
+        st.sampled_from(CODINGS),
+        st.lists(
+            st.tuples(st.sampled_from(["a", "b", "k"]), st.booleans()), min_size=1, max_size=3
+        ),
+    )
+    def test_sort_by_matches_str_argsort(self, rows, coding, keys):
+        columns = string_columns([[row[0] for row in rows], [row[1] for row in rows]], coding)
+        columns.append(Column([row[2] for row in rows], DataType.INT))
+        relation = Relation(
+            Schema(
+                [Field("a", DataType.STRING), Field("b", DataType.STRING), Field("k", DataType.INT)]
+            ),
+            columns,
+        )
+        expected = relation.take(str_sort_order(relation, keys)) if rows else relation
+        assert list(relation.sort_by(keys).rows()) == list(expected.rows())
+
+    def test_trailing_nul_orders_as_python_when_coded(self):
+        # NumPy's fixed-width str strips trailing NULs, so the uncoded sort
+        # ties "a\0" with "a"; the codes order them as Python does
+        values = ["a\x00", "a", "a\x00"]
+        schema = Schema([Field("s", DataType.STRING)])
+        (uncoded,) = string_columns([values], "uncoded")
+        (coded,) = string_columns([values], "own")
+        for ascending in (True, False):
+            keys = [("s", ascending)]
+            plain = Relation(schema, [uncoded]).sort_by(keys)
+            assert plain.column("s").to_list() == values
+        assert Relation(schema, [coded]).sort_by([("s", True)]).column("s").to_list() == [
+            "a", "a\x00", "a\x00"
+        ]
+        assert Relation(schema, [coded]).sort_by([("s", False)]).column("s").to_list() == [
+            "a\x00", "a\x00", "a"
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(WORDS), max_size=40))
+    def test_factorize_fast_path_is_np_unique(self, values):
+        column = Column(values, DataType.STRING)
+        codes, dictionary = column.factorize()
+        expected_dictionary, expected_codes = np.unique(
+            np.asarray(values, dtype=object).reshape(-1), return_inverse=True
+        )
+        assert codes.dtype == np.int64 and dictionary.dtype == object
+        np.testing.assert_array_equal(codes, expected_codes.reshape(-1))
+        assert dictionary.tolist() == expected_dictionary.tolist()
+        assert column.coded
+
+    @pytest.mark.parametrize(
+        "dtype, values",
+        [
+            (DataType.STRING, ["a", 1, "b"]),
+            (DataType.STRING, ["a", float("nan")]),
+            (DataType.FLOAT, [1.0, float("nan")]),
+        ],
+    )
+    def test_factorize_still_raises_on_mixed_values_and_nan(self, dtype, values):
+        column = Column(values, dtype)
+        with pytest.raises(TypeError):
+            column.factorize()
+        assert not column.coded
+
+    def test_string_column_of_numbers_codes_without_caching(self):
+        # cached codes on a STRING column promise str order; numbers keep none
+        column = Column([10, 9, 10], DataType.STRING)
+        codes, dictionary = column.factorize()
+        assert codes.tolist() == [1, 0, 1] and dictionary.tolist() == [9, 10]
+        assert not column.coded
+
+    def test_concat_keeps_codes_only_for_one_shared_dictionary(self):
+        left, right = string_columns([["b", "a"], ["a", "c"]], "shared")
+        joined = left.concat(right)
+        assert joined.coded
+        assert joined.factorize()[1] is left.factorize()[1]
+        assert joined.factorize()[1][joined.factorize()[0]].tolist() == ["b", "a", "a", "c"]
+        own_left, own_right = string_columns([["b", "a"], ["a", "c"]], "own")
+        assert not own_left.concat(own_right).coded
+
+    def test_compact_codes_keeps_only_used_entries(self):
+        from repro.relational.column import compact_codes
+
+        (column,) = string_columns([["lot2", "a", "lot2"]], "shared")
+        codes, dictionary = compact_codes(*column.factorize())
+        assert dictionary.tolist() == ["a", "lot2"]
+        assert codes.tolist() == [1, 0, 1]

@@ -13,6 +13,7 @@ from repro.relational.column import Column, DataType
 from repro.relational.partitioner import HashRangePartitioner, fnv1a_64
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
+from repro.storage.columnio import read_column
 from repro.storage.shards import (
     is_sharded_snapshot,
     read_shard_map,
@@ -132,6 +133,27 @@ class TestShardedLayout:
         result = shard.search("docs", query).execute()
         assert len(result.ranked) <= fragment_docs.num_rows
         assert shard.store.num_triples < engine.store.num_triples
+
+    def test_string_dictionaries_hold_only_their_columns_values(
+        self, auction_engine_with_docs, tmp_path
+    ):
+        # fragments carry the whole table's (shared) dictionary in memory;
+        # each fragment file must hold only the values it uses
+        engine, _query = auction_engine_with_docs
+        path = engine.save(tmp_path / "snap", shards=2)
+        checked = 0
+        for manifest_path in sorted(path.rglob("manifest.json")):
+            manifest = json.loads(manifest_path.read_text())
+            if manifest["kind"] != "database":
+                continue
+            for table in manifest["tables"]:
+                for entry in table["columns"]:
+                    if entry.get("encoding") != "dictionary":
+                        continue
+                    column = read_column(manifest_path.parent / table["directory"], entry)
+                    assert entry["dictionary_size"] == len(set(column.to_list())), table["name"]
+                    checked += 1
+        assert checked >= 2 * 5  # per shard: triples' three, docs' two
 
     def test_gathered_tables_are_bit_exact(self, auction_engine_with_docs, tmp_path):
         engine, _query = auction_engine_with_docs

@@ -56,6 +56,37 @@ class TestAllStrategiesBehaveIdentically:
         assert store.match(property_name="colour").num_rows == 0
 
 
+class TestBornCoded:
+    """Every layout codes subject and object against one shared dictionary."""
+
+    def test_subject_and_object_share_one_dictionary(self, store):
+        subject = store.match().relation.column("subject")
+        assert subject.coded
+        dictionary = subject.factorize()[1]
+        # a string object; numeric partitions' objects leave as uncoded str
+        described = store.match(property_name="description").relation.column("object")
+        assert described.factorize()[1] is dictionary
+        assert dictionary.tolist() == sorted(set(dictionary.tolist()))
+        assert set(subject.to_list()) | set(described.to_list()) <= set(dictionary.tolist())
+        assert store.match(property_name="category").relation.column("property").coded
+
+    @pytest.mark.parametrize(
+        "layout", ["single-table", "property-partitioned", "type-partitioned"]
+    )
+    def test_accessors_keep_the_shared_dictionary(self, layout):
+        store = TripleStore(storage=make_storage(layout))
+        store.add_all(TRIPLES + [Triple("p2", "type", "product")])
+        store.load()
+        dictionary = store.match().relation.column("subject").factorize()[1]
+        typed = store.subjects_of_type("product")
+        described = store.select_property("description")
+        assert typed.value_rows() == [("p2",)]
+        assert described.relation.column("subject").factorize()[1] is dictionary
+        assert described.relation.column("object").factorize()[1] is dictionary
+        assert typed.relation.column("subject").coded
+        assert typed.relation.column("subject").factorize()[1] is dictionary
+
+
 class TestLayoutSpecifics:
     def test_single_table_creates_one_table(self):
         database = Database()
