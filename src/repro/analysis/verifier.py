@@ -9,7 +9,8 @@ metadata alone, without touching any data.  Along the way it emits
 * **errors** are findings that make evaluation raise (or, for
   ``reserved-column-name``, silently corrupt the result): unknown tables,
   out-of-range positional references, dtype mismatches evaluation rejects,
-  unbound parameters, DISJOINT joins, out-of-range weight factors;
+  unbound parameters, DISJOINT joins, out-of-range weight factors, a RANK
+  over anything but two value columns (``rank-input-arity``);
 * **warnings** are statically suspicious but evaluable: comparisons numpy
   resolves silently, lossy UNITE coercions, DISJOINT/SUBSUMED merges over
   inputs that may contain duplicates (the duplicate-freeness lattice),
@@ -42,6 +43,7 @@ from repro.pra.plan import (
     PraParam,
     PraPlan,
     PraProject,
+    PraRank,
     PraScan,
     PraSelect,
     PraSubtract,
@@ -246,6 +248,8 @@ class PlanVerifier:
             return self._visit_weight(plan, path)
         if isinstance(plan, PraTop):
             return self._visit_top(plan, path)
+        if isinstance(plan, PraRank):
+            return self._visit_rank(plan, path)
         self._error(
             "unknown-node", f"unrecognized plan node {type(plan).__name__}", path, plan
         )
@@ -433,6 +437,18 @@ class PlanVerifier:
         child = self._visit(plan.child, path + (0,))
         self._note_top_pushdown(plan, path)
         return child
+
+    def _visit_rank(self, plan: PraRank, path: tuple[int, ...]) -> NodeFacts:
+        child = self._visit(plan.child, path + (0,))
+        if child.schema is not None and len(child.schema) != 2:
+            self._error(
+                "rank-input-arity",
+                f"RANK expects a two-column (id, text) input; got columns "
+                f"{list(child.schema.names)}",
+                path,
+                plan,
+            )
+        return NodeFacts(Schema([Field("node", DataType.STRING)]), duplicate_free=False)
 
     def _note_top_pushdown(self, plan: PraTop, path: tuple[int, ...]) -> None:
         """Record what the optimizer's rank-aware rewrites may do with this TOP."""

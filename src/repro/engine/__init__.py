@@ -13,7 +13,8 @@ lazy :class:`~repro.engine.query.Query`:
   shared across queries);
 * ``engine.traverse(property, seeds)`` — graph traversal;
 * ``engine.strategy("auction", query=...)`` — block-based strategies, by
-  name or as a :class:`~repro.strategy.graph.StrategyGraph`;
+  name or as a :class:`~repro.strategy.graph.StrategyGraph`, each block
+  lowered to a PRA plan;
 * ``engine.table("docs").where(...).rank(...)`` — the fluent builder.
 
 Internally every relation-producing front end lowers to one shared pipeline:
@@ -95,18 +96,17 @@ from repro.engine.query import (
     TableQuery,
     _coerce_bindings,
     as_probabilistic,
-    scan_tables,
 )
 from repro.ir.registry import StatisticsRegistry
 from repro.pra.evaluator import PRAEvaluator
 from repro.pra.optimizer import optimize_pra
-from repro.pra.plan import PraParam, PraPlan, PraScan
+from repro.pra.plan import PraParam, PraPlan, PraScan, scan_tables
 from repro.pra.relation import PROBABILITY_COLUMN, ProbabilisticRelation
 from repro.relational.cache import VersionedLRU
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.spinql.compiler import CompiledScript, compile_script
-from repro.strategy.executor import StrategyExecutor
+from repro.strategy.executor import LoweredStrategy, StrategyExecutor
 from repro.strategy.graph import StrategyGraph
 from repro.text.analyzers import StandardAnalyzer
 from repro.triples.triple_store import TripleStore
@@ -196,23 +196,20 @@ class Engine:
             cache for cache in (self.plan_cache, self.result_cache) if cache is not None
         )
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self._evaluator = PRAEvaluator(self.database)
         # what survives a request (see "What is reused" in the README): one
-        # statistics registry for keyword search, rank() and every strategy
-        # rank block, the executor's per-graph memos, and one graph per name
+        # statistics registry for keyword search, rank() and every strategy's
+        # rank nodes; strategy block outputs live in the database's
+        # materialization cache, keyed by plan content
         self.statistics_registry = StatisticsRegistry()
+        self._evaluator = PRAEvaluator(self.database, self.statistics_registry)
         self.executor = StrategyExecutor(self.store, self.statistics_registry)
         self._search_engines: dict[tuple, Any] = {}
-        self._rank_blocks: dict[tuple, Any] = {}
-        # prebuilt name -> (graph, its version when built)
-        self._strategy_graphs: dict[str, tuple[StrategyGraph, int]] = {}
         self._plan_executor: PlanExecutor = LocalExecutor(self)
         self._thread_pool: ThreadPoolExecutor | None = None
         self._thread_pool_size = 0
         self._retired_pools: list[ThreadPoolExecutor] = []
         self._lifecycle_lock = threading.Lock()
-        # guards _search_engines/_rank_blocks/_strategy_graphs; Engine is
-        # shareable across threads
+        # guards _search_engines; Engine is shareable across threads
         self._registry_lock = threading.Lock()
         # online-reconfiguration state: requests check the executor out for
         # their whole run, so an atomic swap drains in-flight work on the old
@@ -249,17 +246,18 @@ class Engine:
             "reuse": self.reuse_statistics(),
         }
 
-    def reuse_statistics(self) -> dict[str, dict[str, int]]:
+    def reuse_statistics(self) -> dict[str, dict[str, Any]]:
         """Counters of everything kept between requests and across writes.
 
-        ``block_memo``: request-independent strategy blocks served from the
-        executor's memo, run, and memos retired by a data or graph change;
-        ``statistics_registry``: collection statistics served as they were
-        (``hits``), extended by the appended rows only (``extends``), built in
-        full (``rebuilds``) or evicted.
+        ``materialization_cache``: results kept by plan fingerprint (strategy
+        blocks and subplans without a request binding, store reads) served
+        (``hits``), computed (``misses``) and dropped by a write
+        (``invalidations``); ``statistics_registry``: collection statistics
+        served as they were (``hits``), extended by the appended rows only
+        (``extends``), built in full (``rebuilds``) or evicted.
         """
         return {
-            "block_memo": self.executor.counters(),
+            "materialization_cache": self.database.cache.statistics.to_dict(),
             "statistics_registry": self.statistics_registry.counters(),
         }
 
@@ -309,9 +307,7 @@ class Engine:
             cache.clear()
         self.database.clear_cache()
         self._invalidate_search_statistics()
-        with self._registry_lock:
-            self._strategy_graphs.clear()
-        self.executor.clear()  # the block memos and the statistics registry
+        self.statistics_registry.clear()
 
     # -- lifecycle --------------------------------------------------------------------
 
@@ -356,9 +352,7 @@ class Engine:
             self.workload_log.close()
             with self._registry_lock:
                 self._search_engines.clear()
-                self._rank_blocks.clear()
-                self._strategy_graphs.clear()
-            self.executor.clear()
+            self.statistics_registry.clear()
             self.database.clear_cache()
             self.database.catalog.release()
             self.store._triples_list = []
@@ -730,15 +724,15 @@ class Engine:
         """A lazy strategy execution; ``graph`` is a graph or a prebuilt name.
 
         Known names: ``toy``, ``auction``, ``expanded-auction``, ``experts``.
-        A name without ``builder_kwargs`` resolves to one graph the engine
-        builds on first use and keeps, so every request by name reuses the
-        executor's block memo for it; that graph is engine-owned and
-        read-only (a caller that adds a block or a connection to it gets a
-        freshly built one on the next call by name).  ``builder_kwargs`` are
-        forwarded to the prebuilt builder for a fresh graph per call, which
-        is neither kept nor replayable by name.
+        A name without ``builder_kwargs`` resolves to the strategy's lowering,
+        one plan per block, kept in the plan cache until a table it scans
+        changes, so a request by name neither builds nor lowers a graph.
+        ``builder_kwargs`` are forwarded to the prebuilt builder for a fresh
+        graph per call.  Either way, blocks whose plans read nothing of the
+        request are served from the materialization cache by plan content.
         """
         name: str | None = None
+        lowered: LoweredStrategy | None = None
         if isinstance(graph, str):
             builders = _strategy_builders()
             try:
@@ -750,29 +744,36 @@ class Engine:
             if builder_kwargs:
                 graph = builder(**builder_kwargs)
             else:
-                name, graph = graph, self._strategy_graph(graph, builder)
+                name, lowered = graph, self._named_strategy(graph, builder)
+                graph = lowered.graph
         elif builder_kwargs:
             raise EngineError(
                 "builder keyword arguments are only valid with a strategy name, "
                 "not a pre-built graph"
             )
         return StrategyQuery(
-            self, graph, query, result_block=result_block, parameters=parameters, name=name
+            self,
+            graph,
+            query,
+            result_block=result_block,
+            parameters=parameters,
+            name=name,
+            lowered=lowered,
         )
 
-    def _strategy_graph(self, name: str, builder: Any) -> StrategyGraph:
-        """The engine's graph for prebuilt ``name``, rebuilt if a caller changed it."""
-        with self._registry_lock:
-            kept = self._strategy_graphs.get(name)
-            if kept is not None and kept[0].version != kept[1]:
-                del self._strategy_graphs[name]
-                kept = None
-        if kept is None:
-            built = builder()
-            with self._registry_lock:
-                # a concurrent first call may have won the race; keep its graph
-                kept = self._strategy_graphs.setdefault(name, (built, built.version))
-        return kept[0]
+    def _named_strategy(self, name: str, builder: Any) -> LoweredStrategy:
+        """The lowering of prebuilt ``name``, from the plan cache."""
+        key = f"strategy::{name}"
+        cached = self.plan_cache.get(key)
+        if cached is not None:
+            return cached
+        self.store.ensure_loaded()
+        still_valid = self.database.catalog.unchanged()
+        lowered = self.executor.lower(builder())
+        self.plan_cache.put(
+            key, lowered, dependencies=lowered.tables(), still_valid=still_valid
+        )
+        return lowered
 
     def explain(self, source: str, *, top_k: int | None = None, **bindings: Any) -> str:
         """Shorthand for ``engine.spinql(source, **bindings).explain()``.
@@ -859,9 +860,7 @@ class Engine:
         if cached is not None:
             return cached
         still_valid = self.database.catalog.unchanged()
-        compiled = compile_script(
-            source, parameters=parameters, triples_table=self.triples_table
-        )
+        compiled = compile_script(source, parameters=parameters, storage=self.store.storage)
         plan = compiled.final_plan
         program = CompiledProgram(
             source=source,
@@ -1226,38 +1225,6 @@ class Engine:
                 # a concurrent builder may have won the race; keep its searcher
                 searcher = self._search_engines.setdefault(key, searcher)
         return searcher
-
-    def _rank_documents(
-        self,
-        docs: ProbabilisticRelation,
-        query: str,
-        *,
-        model: Any | None,
-        top_k: int | None,
-    ) -> ProbabilisticRelation:
-        from repro.strategy.blocks import StrategyContext
-        from repro.strategy.library import RankByTextBlock
-
-        model_key = repr(model.describe()) if model is not None else "default"
-        key = (model_key, top_k)
-        with self._registry_lock:
-            block = self._rank_blocks.get(key)
-        if block is None:
-            block = RankByTextBlock(model, language=self.language, top_k=top_k)
-            with self._registry_lock:
-                block = self._rank_blocks.setdefault(key, block)
-        # the rank block expects (docID, data, p) column names
-        relation = docs.relation
-        id_name, text_name = docs.value_columns
-        if (id_name, text_name) != ("docID", "data"):
-            relation = relation.rename({id_name: "docID", text_name: "data"})
-            docs = ProbabilisticRelation(relation, validate=False)
-        context = StrategyContext(
-            store=self.store, query=query, statistics=self.statistics_registry
-        )
-        terms = self.analyzer.analyze_query(query)
-        ranked = block.execute(context, {"documents": docs, "query": terms})
-        return ranked.sorted_by_probability()
 
 
 def _short_digest(text: str) -> str:

@@ -40,13 +40,13 @@ from repro.errors import EngineError
 from repro.pra.assumptions import Assumption
 from repro.pra.expressions import PositionalRef
 from repro.pra.plan import (
-    PraJoin,
-    PraParam,
+    QUERY_PARAM,
     PraPlan,
     PraProject,
-    PraScan,
+    PraRank,
     PraSelect,
     PraTop,
+    plan_parameters,
 )
 from repro.pra.relation import PROBABILITY_COLUMN, ProbabilisticRelation
 from repro.relational.column import DataType
@@ -54,6 +54,7 @@ from repro.relational.expressions import BinaryOp, Expression, Literal
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
 from repro.spinql.sql_translator import to_sql
+from repro.triples.graph import traverse_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine import Engine
@@ -92,30 +93,6 @@ def as_probabilistic(value: Any) -> ProbabilisticRelation:
 
 def _coerce_bindings(bindings: Mapping[str, Any]) -> dict[str, ProbabilisticRelation]:
     return {name: as_probabilistic(value) for name, value in bindings.items()}
-
-
-def scan_tables(plan: PraPlan) -> frozenset[str]:
-    """The names of every table scanned anywhere in ``plan``."""
-    names: set[str] = set()
-    stack: list[PraPlan] = [plan]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, PraScan):
-            names.add(node.table)
-        stack.extend(node.children())
-    return frozenset(names)
-
-
-def plan_parameters(plan: PraPlan) -> frozenset[str]:
-    """The names of every :class:`PraParam` placeholder anywhere in ``plan``."""
-    names: set[str] = set()
-    stack: list[PraPlan] = [plan]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, PraParam):
-            names.add(node.name)
-        stack.extend(node.children())
-    return frozenset(names)
 
 
 def result_pairs(result: Any, k: int | None = None) -> list[tuple[Any, float]]:
@@ -445,20 +422,14 @@ class TableQuery(Query):
         """Follow one property edge from the first column, as SpinQL TRAVERSE does."""
         if direction not in ("forward", "backward"):
             raise EngineError(f"direction must be 'forward' or 'backward', got {direction!r}")
-        assumption = merge if isinstance(merge, Assumption) else Assumption.parse(merge)
-        edges = PraSelect(
-            PraScan(self._engine.triples_table),
-            BinaryOp("=", PositionalRef(2), Literal(property_name)),
+        plan = traverse_plan(
+            self._plan,
+            property_name,
+            self._engine.store.storage,
+            backward=direction == "backward",
+            merge=merge if isinstance(merge, Assumption) else Assumption.parse(merge),
+            arity=len(self._columns),
         )
-        arity = len(self._columns)
-        if direction == "backward":
-            join_condition = (1, 3)  # node = object
-            projected = 1  # subject of the triple
-        else:
-            join_condition = (1, 1)  # node = subject
-            projected = 3  # object of the triple
-        joined = PraJoin(self._plan, edges, [join_condition], Assumption.INDEPENDENT)
-        plan = PraProject(joined, [arity + projected], assumption, output_names=["node"])
         return self._derive(plan, ["node"])
 
     def rank(
@@ -493,16 +464,20 @@ class TableQuery(Query):
     def _prepare(self) -> None:
         self._engine._optimize_plan(self._plan)
 
-    def execute(self, **parameters: Any) -> ProbabilisticRelation:
+    def _bound(self, parameters: Mapping[str, Any]) -> dict[str, Any]:
+        """The stored bindings overridden by ``parameters`` (declared ones only)."""
         undeclared = set(parameters) - plan_parameters(self._plan)
         if undeclared:
             raise EngineError(
                 f"undeclared parameters {sorted(undeclared)}; this query's plan "
                 f"has parameters {sorted(plan_parameters(self._plan))}"
             )
-        bindings = dict(self._bindings)
+        bindings: dict[str, Any] = dict(self._bindings)
         bindings.update(_coerce_bindings(parameters))
-        return self._engine._execute_plan(self._plan, bindings)
+        return bindings
+
+    def execute(self, **parameters: Any) -> ProbabilisticRelation:
+        return self._engine._execute_plan(self._plan, self._bound(parameters))
 
     def top(self, k: int, **parameters: Any) -> list[tuple[Any, float]]:
         """Rank-aware top-k: execute under a pushed-down ``TOP k`` node."""
@@ -528,7 +503,7 @@ class TableQuery(Query):
 
 
 class RankedQuery(Query):
-    """A table query ranked by a keyword query (the Rank-by-Text step)."""
+    """A table query ranked by a keyword query: a :class:`~repro.pra.plan.PraRank` plan."""
 
     def __init__(
         self,
@@ -538,32 +513,43 @@ class RankedQuery(Query):
         model: Any | None = None,
         top_k: int | None = None,
     ):
+        from repro.ir.ranking import BM25Model
+
         super().__init__(docs.engine)
         self._docs = docs
         self._query = query
         self._model = model
-        self._top_k = top_k
+        self.plan: PraPlan = PraRank(
+            docs.plan,
+            QUERY_PARAM,
+            model if model is not None else BM25Model(),
+            docs.engine.language,
+            top_k,
+        )
 
     def _prepare(self) -> None:
-        self._docs._prepare()
+        self._engine._optimize_plan(self.plan)
 
     def execute(self, *, query: str | None = None, **parameters: Any) -> ProbabilisticRelation:
         effective = query if query is not None else self._query
         if effective is None:
             raise EngineError("rank() has no query; pass one to rank() or execute()")
-        docs = self._docs.execute(**parameters)
-        if len(docs.value_columns) != 2:
+        if len(self._docs.columns) != 2:
             raise EngineError(
                 "rank() expects a two-column (id, text) input; got columns "
-                f"{docs.value_columns} — use .select() to shape the query first"
+                f"{self._docs.columns} — use .select() to shape the query first"
             )
-        return self._engine._rank_documents(
-            docs, effective, model=self._model, top_k=self._top_k
-        )
+        bindings = self._docs._bound(parameters)
+        bindings[QUERY_PARAM] = effective
+        return self._engine._execute_plan(self.plan, bindings).sorted_by_probability()
 
     def check(self, *, hydrate: bool = True, **parameters: Any):
-        """Statically verify the underlying docs query (ranking is schema-free)."""
-        return self._docs.check(hydrate=hydrate, **parameters)
+        """Statically verify the ranked plan; the query is bound per request."""
+        return self._engine._verify_plan(
+            self._engine._optimize_plan(self.plan),
+            bindings=self._docs._bound(parameters),
+            hydrate=hydrate,
+        )
 
     def explain(self) -> str:
         model = self._model.describe() if self._model is not None else "BM25 (default)"
@@ -711,7 +697,7 @@ class SearchQuery(Query):
 
 
 class StrategyQuery(Query):
-    """Lazy execution of a block-based strategy graph."""
+    """Lazy execution of a block-based strategy graph, lowered to PRA plans."""
 
     def __init__(
         self,
@@ -722,13 +708,20 @@ class StrategyQuery(Query):
         result_block: str | None = None,
         parameters: Mapping[str, Any] | None = None,
         name: str | None = None,
+        lowered: Any | None = None,
     ):
         super().__init__(engine)
         self.graph = graph
+        self._lowering = lowered  # a strategy by name: its kept lowering
         self._query = query
         self._result_block = result_block
         self._parameters = dict(parameters or {})
         self._name = name  # prebuilt strategy name, when built from one
+
+    def _lowered(self) -> Any:
+        if self._lowering is not None:
+            return self._lowering
+        return self._engine.executor.lower(self.graph)
 
     def execute(self, *, query: str | None = None, **parameters: Any):
         import time
@@ -744,7 +737,7 @@ class StrategyQuery(Query):
         started = time.perf_counter()
         try:
             run = self._engine.executor.run(
-                self.graph,
+                self._lowered(),
                 query=effective,
                 result_block=self._result_block,
                 parameters=merged,
@@ -768,21 +761,33 @@ class StrategyQuery(Query):
         )
         return run
 
+    def check(self, *, hydrate: bool = True, **parameters: Any):
+        """Statically verify the result block's plan (its ancestors included).
+
+        The keyword query and the outputs of blocks that run by ``execute``
+        are bound per request, so their schemas stay opaque.
+        """
+        lowered = self._lowered()
+        plan = lowered.plan(lowered.result_block(self._result_block))
+        return self._engine._verify_plan(
+            plan, parameters=plan_parameters(plan), hydrate=hydrate
+        )
+
     def explain(self) -> str:
-        """The strategy diagram plus what of it the next request reuses."""
-        from repro.strategy.executor import request_independent_blocks
+        """The strategy diagram, then each block's own plan (its inputs as
+        ``Param(block:<name>)``) and whether the cache serves it."""
         from repro.strategy.render import render_ascii
 
-        executor = self._engine.executor
-        independent = request_independent_blocks(self.graph)
-        memoized = set(executor.memoized_blocks(self.graph))
-        lines = [render_ascii(self.graph), "", "reuse across requests:"]
-        for name in self.graph.execution_order():
-            if name in memoized:
-                state = "request-independent, served from the memo"
-            elif name in independent:
-                state = "request-independent, memoized on its next run"
-            else:
+        lowered = self._lowered()
+        cache = self._engine.database.cache
+        lines = [render_ascii(self.graph), "", "block plans:"]
+        for step in lowered.blocks:
+            if step.key is None:
                 state = "runs per request"
-            lines.append(f"  {name}: {state}")
+            elif step.key in cache:
+                state = "served from the materialization cache"
+            else:
+                state = "computed on its next run, then served from the cache"
+            lines.append(f"  {step.name}: {state}")
+            lines.extend("    " + line for line in step.local.describe().splitlines())
         return "\n".join(lines)

@@ -12,6 +12,24 @@ from collections.abc import Mapping, Sequence
 from typing import Any
 
 from repro.errors import RankingError
+from repro.text.analyzers import Analyzer
+
+
+def expanded_terms(
+    analyzer: Analyzer, expander: "QueryExpander", query: str, terms: Sequence[str]
+) -> list[str]:
+    """The analyzed terms ``expander`` adds to ``query`` (analyzed: ``terms``).
+
+    Expansion dictionaries are written in natural language, so the expander
+    sees both the raw (lower-cased) query tokens and the analyzed terms; its
+    additions are then analyzed like any other query text.
+    """
+    raw_tokens = [token.lower() for token in analyzer.tokenizer.iter_tokens(query)]
+    additions: list[str] = []
+    for addition in expander.expand(list(dict.fromkeys(raw_tokens + list(terms)))):
+        analyzed = analyzer.analyze(addition)
+        additions.extend(analyzed if analyzed else [addition])
+    return list(dict.fromkeys(additions))
 
 
 class QueryExpander:

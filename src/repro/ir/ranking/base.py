@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -15,30 +14,54 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
 
 
-@dataclass
 class RankedList:
     """A ranked list of documents: parallel identifiers, scores and indices.
 
     ``indices`` are the documents' dense indices in the ranked collection
     (:class:`~repro.ir.statistics.CollectionStatistics`), which map a ranked
-    document back to its row without looking its identifier up.
+    document back to its row without looking its identifier up.  A list
+    ranked over a collection takes the collection's identifiers
+    (``collection_ids``) and derives ``doc_ids`` from ``indices`` on first
+    use, so a consumer that reads only the indices never builds them.
     """
 
-    doc_ids: list[Any]
-    scores: np.ndarray
-    indices: np.ndarray
+    __slots__ = ("scores", "indices", "_doc_ids", "_collection_ids")
+
+    def __init__(
+        self,
+        doc_ids: list[Any] | None,
+        scores: np.ndarray,
+        indices: np.ndarray,
+        *,
+        collection_ids: Sequence[Any] | None = None,
+    ):
+        self.scores = scores
+        self.indices = indices
+        self._doc_ids = doc_ids
+        self._collection_ids = collection_ids
 
     @classmethod
     def empty(cls) -> "RankedList":
         """A ranked list of no documents."""
         return cls([], np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64))
 
+    @property
+    def doc_ids(self) -> list[Any]:
+        """The ranked documents' identifiers, in rank order."""
+        if self._doc_ids is None:
+            assert self._collection_ids is not None
+            self._doc_ids = list(map(self._collection_ids.__getitem__, self.indices.tolist()))
+        return self._doc_ids
+
     def __len__(self) -> int:
-        return len(self.doc_ids)
+        return len(self.indices)
 
     def top(self, k: int) -> "RankedList":
         """Return the ``k`` highest-scoring entries (already sorted)."""
-        return RankedList(self.doc_ids[:k], self.scores[:k], self.indices[:k])
+        doc_ids = self._doc_ids[:k] if self._doc_ids is not None else None
+        return RankedList(
+            doc_ids, self.scores[:k], self.indices[:k], collection_ids=self._collection_ids
+        )
 
     def as_pairs(self) -> list[tuple[Any, float]]:
         """Return ``(docID, score)`` pairs in rank order."""
@@ -82,7 +105,9 @@ class RankedList:
             scores = scores / scores.sum()
         else:
             raise RankingError(f"unknown normalisation method {method!r}")
-        return RankedList(list(self.doc_ids), scores, self.indices)
+        return RankedList(
+            self._doc_ids, scores, self.indices, collection_ids=self._collection_ids
+        )
 
 
 class _BatchTermCache:
@@ -261,8 +286,9 @@ class RankingModel:
         if top_k is not None:
             ranked_indices = ranked_indices[:top_k]
             ranked_scores = ranked_scores[:top_k]
-        doc_ids = list(map(statistics.doc_ids.__getitem__, ranked_indices.tolist()))
-        return RankedList(doc_ids, ranked_scores, ranked_indices)
+        return RankedList(
+            None, ranked_scores, ranked_indices, collection_ids=statistics.doc_ids
+        )
 
     def term_score(
         self,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import IndexingError, RankingError
-from repro.ir.query_expansion import QueryExpander
+from repro.ir.query_expansion import QueryExpander, expanded_terms
 from repro.ir.ranking import BM25Model, RankingModel
 from repro.ir.ranking.base import RankedList
 from repro.ir.registry import StatisticsRegistry
@@ -177,24 +177,11 @@ class KeywordSearchEngine:
         the shards.
         """
         base_terms = self.analyze_query(query)
-        expanded_terms: list[str] = []
-        terms: list[str] = list(base_terms)
+        added: list[str] = []
         if self.expander is not None:
-            # Expansion dictionaries are written in natural language, so the
-            # expander sees both the raw (lower-cased) query tokens and the
-            # analyzed terms; its additions are then analyzed like any other
-            # query text before ranking.
-            raw_tokens = [token.lower() for token in self.analyzer.tokenizer.iter_tokens(query)]
-            seeds = list(dict.fromkeys(raw_tokens + list(base_terms)))
-            additions = self.expander.expand(seeds)
-            for addition in additions:
-                analyzed = self.analyzer.analyze(addition)
-                expanded_terms.extend(analyzed if analyzed else [addition])
-            expanded_terms = list(dict.fromkeys(expanded_terms))
-            terms = list(base_terms) + [
-                term for term in expanded_terms if term not in base_terms
-            ]
-        return list(base_terms), expanded_terms, terms
+            added = expanded_terms(self.analyzer, self.expander, query, base_terms)
+        terms = base_terms + [term for term in added if term not in base_terms]
+        return list(base_terms), added, terms
 
     def search(self, query: str, *, top_k: int | None = None) -> SearchResult:
         """Run a keyword query and return the ranked result.

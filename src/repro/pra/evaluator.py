@@ -9,13 +9,19 @@ the value columns of each intermediate relation.
 :class:`~repro.pra.plan.PraParam` nodes are resolved against the ``bindings``
 mapping passed to :meth:`PRAEvaluator.evaluate`, which is how the engine
 facade executes one compiled plan against many different parameter values.
+A :class:`~repro.pra.plan.PraRank` node reads its keyword query from the same
+mapping (a string) and its collection statistics from the evaluator's
+:class:`~repro.ir.registry.StatisticsRegistry`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from typing import Any
 
 from repro.errors import PRAError
+from repro.ir.query_expansion import expanded_terms
+from repro.ir.registry import StatisticsRegistry
 from repro.pra import operators as pra_operators
 from repro.pra.plan import (
     PraBayes,
@@ -23,6 +29,7 @@ from repro.pra.plan import (
     PraParam,
     PraPlan,
     PraProject,
+    PraRank,
     PraScan,
     PraSelect,
     PraSubtract,
@@ -31,26 +38,33 @@ from repro.pra.plan import (
     PraValues,
     PraWeight,
 )
-from repro.pra.relation import ProbabilisticRelation
+from repro.pra.relation import PROBABILITY_COLUMN, ProbabilisticRelation
+from repro.relational.column import Column, DataType
 from repro.relational.database import Database
+from repro.relational.relation import Relation
+from repro.relational.schema import Field, Schema
+from repro.text.analyzers import StandardAnalyzer
 
 
 class PRAEvaluator:
     """Evaluates PRA plans against a :class:`~repro.relational.database.Database`."""
 
-    def __init__(self, database: Database):
+    def __init__(self, database: Database, statistics: StatisticsRegistry | None = None):
         self.database = database
+        #: where RANK nodes get the statistics of the collections they rank
+        self.statistics = statistics if statistics is not None else StatisticsRegistry()
 
     def evaluate(
         self,
         plan: PraPlan,
         *,
-        bindings: Mapping[str, ProbabilisticRelation] | None = None,
+        bindings: Mapping[str, Any] | None = None,
     ) -> ProbabilisticRelation:
         """Evaluate ``plan`` and return the resulting probabilistic relation.
 
         ``bindings`` maps :class:`~repro.pra.plan.PraParam` names to the
-        probabilistic relations to substitute for them.
+        probabilistic relations to substitute for them, and the query name
+        of each :class:`~repro.pra.plan.PraRank` to its keyword query.
         """
         if isinstance(plan, PraScan):
             relation = self.database.query(plan.table)
@@ -102,7 +116,46 @@ class PRAEvaluator:
         if isinstance(plan, PraTop):
             child = self.evaluate(plan.child, bindings=bindings)
             return pra_operators.top(child, plan.k)
+        if isinstance(plan, PraRank):
+            child = self.evaluate(plan.child, bindings=bindings)
+            query = (bindings or {}).get(plan.query)
+            if not isinstance(query, (str, list)):
+                raise PRAError(
+                    f"RANK needs its query {plan.query!r} bound to a string or a term list"
+                )
+            return self._rank(plan, child, query)
         raise PRAError(f"unknown PRA plan node {type(plan).__name__}")
+
+    def _rank(
+        self, plan: PraRank, docs: ProbabilisticRelation, query: str | list[str]
+    ) -> ProbabilisticRelation:
+        """Rank ``docs`` (two value columns: id, text) against ``query``.
+
+        ``query`` is the query text, or its terms already analyzed.  The
+        statistics index the documents in row order, so a ranked document
+        maps back to its row (its prior, its id) by index.
+        """
+        if len(docs.value_columns) != 2:
+            raise PRAError(f"RANK expects (id, text) columns, got {docs.value_columns}")
+        analyzer = StandardAnalyzer(plan.language)
+        if isinstance(query, str):
+            text, terms = query, analyzer.analyze_query(query)
+        else:
+            text, terms = "", list(query)
+        if plan.expander is not None:
+            added = expanded_terms(analyzer, plan.expander, text, terms)
+            terms = terms + [term for term in added if term not in terms]
+        id_name, text_name = docs.value_columns
+        doc_ids = docs.relation.column(id_name)
+        statistics = self.statistics.get(doc_ids, docs.relation.column(text_name), analyzer)
+        ranked = plan.model.rank(statistics, terms, top_k=plan.top_k)
+        rows = statistics.doc_rows()[ranked.indices]
+        combined = ranked.to_probabilities().scores * docs.probabilities()[rows]
+        relation = Relation(
+            _RANKED_SCHEMA,
+            [doc_ids.take(rows).cast(DataType.STRING), Column(combined, DataType.FLOAT)],
+        )
+        return ProbabilisticRelation(relation, validate=False)
 
     # -- helpers --------------------------------------------------------------------
 
@@ -121,3 +174,7 @@ class PRAEvaluator:
         cls, relation: ProbabilisticRelation, positions: tuple[int, ...]
     ) -> list[str]:
         return [cls._resolve_position(relation, position) for position in positions]
+
+
+_RANKED_SCHEMA = Schema([Field("node", DataType.STRING), Field(PROBABILITY_COLUMN, DataType.FLOAT)])
+

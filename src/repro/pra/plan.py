@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import PRAError
 from repro.pra.assumptions import Assumption
@@ -58,11 +59,19 @@ class PraScan(PraPlan):
 
 
 class PraValues(PraPlan):
-    """A literal probabilistic relation embedded in the plan."""
+    """A literal probabilistic relation embedded in the plan.
 
-    def __init__(self, relation: ProbabilisticRelation, label: str = "values"):
+    ``tables`` names tables the literal stands in for (say, the partition a
+    storage layout has not created yet), so that whatever depends on the
+    plan is dropped when one of them is created.
+    """
+
+    def __init__(
+        self, relation: ProbabilisticRelation, label: str = "values", tables: Sequence[str] = ()
+    ):
         self.relation = relation
         self.label = label
+        self.tables = tuple(tables)
 
     def fingerprint(self) -> str:
         rows = ";".join(",".join(map(repr, row)) for row in self.relation.rows())
@@ -309,3 +318,88 @@ class PraTop(PraPlan):
 
     def _describe_self(self) -> str:
         return f"TOP [{self.k}]"
+
+
+#: the request binding that carries a strategy's (or ``rank()``'s) keyword query
+QUERY_PARAM = "query"
+
+
+class PraRank(PraPlan):
+    """``RANK [model] (docs)``: rank the child's ``(id, text)`` rows against a query.
+
+    The keyword query is the request binding named by ``query`` (the text,
+    or its terms already analyzed), analyzed in ``language`` and optionally
+    widened by ``expander``.  Evaluation ranks the rows against collection statistics
+    keyed on their content, normalises the scores into probabilities and
+    multiplies them with the rows' own: the output is ``(node, p)``.
+    """
+
+    def __init__(
+        self,
+        child: PraPlan,
+        query: str,
+        model: Any,
+        language: str = "english",
+        top_k: int | None = None,
+        expander: Any = None,
+    ):
+        self.child = child
+        self.query = query
+        self.model = model
+        self.language = language
+        self.top_k = top_k
+        self.expander = expander
+
+    def children(self) -> list[PraPlan]:
+        return [self.child]
+
+    def with_children(self, children: Sequence[PraPlan]) -> "PraRank":
+        (child,) = children
+        return PraRank(child, self.query, self.model, self.language, self.top_k, self.expander)
+
+    def fingerprint(self) -> str:
+        # an expander's describe() summarises it, so it is keyed by identity
+        expander = f"expander@{id(self.expander)}" if self.expander is not None else None
+        model = f"{type(self.model).__name__}{self.model.describe()}"
+        configuration = f"{self.query};{model};{self.language};{self.top_k};{expander}"
+        return f"prarank({configuration})[{self.child.fingerprint()}]"
+
+    def _describe_self(self) -> str:
+        top = f" TOP {self.top_k}" if self.top_k is not None else ""
+        expanded = " EXPANDED" if self.expander is not None else ""
+        return f"RANK {self.model.name.upper()}{top}{expanded} [${self.query}]"
+
+
+def scan_tables(plan: PraPlan) -> frozenset[str]:
+    """The names of every table ``plan`` scans or has a literal stand in for."""
+    names: set[str] = set()
+    for node in _nodes(plan):
+        if isinstance(node, PraScan):
+            names.add(node.table)
+        elif isinstance(node, PraValues):
+            names.update(node.tables)
+    return frozenset(names)
+
+
+def node_parameters(node: PraPlan) -> frozenset[str]:
+    """The request bindings ``node`` itself reads: its parameter or rank query."""
+    if isinstance(node, PraParam):
+        return frozenset([node.name])
+    if isinstance(node, PraRank):
+        return frozenset([node.query])
+    return frozenset()
+
+
+def plan_parameters(plan: PraPlan) -> frozenset[str]:
+    """The names of every request binding in ``plan``: parameters and rank queries."""
+    return frozenset().union(*map(node_parameters, _nodes(plan)))
+
+
+def _nodes(plan: PraPlan) -> list[PraPlan]:
+    nodes: list[PraPlan] = []
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node.children())
+    return nodes

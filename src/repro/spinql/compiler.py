@@ -7,9 +7,10 @@ Names referenced in a script resolve, in order, to
    this is how the strategy layer feeds ranked lists into SpinQL), or
 3. a table or view of the database catalog (a :class:`~repro.pra.plan.PraScan`).
 
-The ``TRAVERSE`` convenience operator is lowered into the JOIN/SELECT/PROJECT
-combination over the triples table, so the PRA evaluator never needs to know
-about graphs.
+The ``TRAVERSE`` convenience operator is lowered into the JOIN/PROJECT
+combination over the property's triples, read through the store's layout
+(:func:`~repro.triples.graph.traverse_plan`), so the PRA evaluator never
+needs to know about graphs.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ from repro.spinql.ast import (
     SpinQLNode,
 )
 from repro.spinql.parser import parse
+from repro.triples.graph import traverse_plan
+from repro.triples.partitioning import SingleTableStorage, StorageStrategy
 
 #: how many value columns the triples table has (subject, property, object)
 _TRIPLE_ARITY = 3
@@ -84,11 +87,12 @@ class SpinQLCompiler:
         *,
         bindings: dict[str, ProbabilisticRelation] | None = None,
         parameters: Iterable[str] | None = None,
-        triples_table: str = "triples",
+        storage: StorageStrategy | None = None,
     ):
         self.bindings = bindings or {}
         self.parameters = frozenset(parameters or ())
-        self.triples_table = triples_table
+        #: the triple store's layout, through which TRAVERSE reads the edges
+        self.storage = storage if storage is not None else SingleTableStorage()
 
     # -- entry points ------------------------------------------------------------------
 
@@ -230,7 +234,7 @@ class SpinQLCompiler:
         return PraWeight(child, float(call.arguments[0].value))
 
     def _compile_traverse(self, call: OperatorCall, compiled: CompiledScript) -> PraPlan:
-        """Lower ``TRAVERSE ['prop'] (nodes)`` into JOIN + SELECT + PROJECT.
+        """Lower ``TRAVERSE ['prop'] (nodes)`` through :func:`traverse_plan`.
 
         Forward traversal joins the node column ($1 of the input) with the
         subject of the property's triples and projects the object; backward
@@ -239,24 +243,12 @@ class SpinQLCompiler:
         child = self._single_operand(call, compiled)
         if len(call.arguments) != 1 or not isinstance(call.arguments[0], LiteralValue):
             raise SpinQLCompileError("TRAVERSE requires a property name argument")
-        property_name = str(call.arguments[0].value)
-        backward = call.options.get("direction") == "backward"
-
-        edges = PraSelect(
-            PraScan(self.triples_table),
-            BinaryOp("=", PositionalRef(2), Literal(property_name)),
-        )
-        if backward:
-            join_condition = (1, 3)  # node = object
-            projected_position = 1  # subject of the triple
-        else:
-            join_condition = (1, 1)  # node = subject
-            projected_position = 3  # object of the triple
-        joined = PraJoin(child, edges, [join_condition], Assumption.INDEPENDENT)
-        # the triple columns follow the (single) node column of the input
-        output_position = 1 + projected_position
-        return PraProject(
-            joined, [output_position], self._assumption(call), output_names=["node"]
+        return traverse_plan(
+            child,
+            str(call.arguments[0].value),
+            self.storage,
+            backward=call.options.get("direction") == "backward",
+            merge=self._assumption(call),
         )
 
     # -- predicates ------------------------------------------------------------------------------
@@ -286,10 +278,8 @@ def compile_script(
     *,
     bindings: dict[str, ProbabilisticRelation] | None = None,
     parameters: Iterable[str] | None = None,
-    triples_table: str = "triples",
+    storage: StorageStrategy | None = None,
 ) -> CompiledScript:
     """Convenience wrapper: parse (if needed) and compile a SpinQL script."""
-    compiler = SpinQLCompiler(
-        bindings=bindings, parameters=parameters, triples_table=triples_table
-    )
+    compiler = SpinQLCompiler(bindings=bindings, parameters=parameters, storage=storage)
     return compiler.compile(source)

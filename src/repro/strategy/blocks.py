@@ -11,7 +11,8 @@ Port payloads at execution time:
   column: a set of graph resources with probabilities;
 * ``DOCUMENTS`` — a probabilistic relation ``(docID, data, p)``: a text
   sub-collection defined on the fly;
-* ``QUERY`` — a list of query terms (strings);
+* ``QUERY`` — a list of query terms (strings); in plans, the request's
+  keyword query binding (:data:`~repro.pra.plan.QUERY_PARAM`);
 * ``RANKED`` — the same shape as ``RESOURCES``; the distinction is semantic
   (probabilities carry relevance information) and kept for diagram fidelity,
   the two kinds are mutually connectable.
@@ -26,8 +27,11 @@ from typing import Any
 
 from repro.errors import BlockError, PortError
 from repro.ir.registry import StatisticsRegistry
+from repro.pra.evaluator import PRAEvaluator
+from repro.pra.plan import QUERY_PARAM, PraParam, PraPlan
 from repro.pra.relation import ProbabilisticRelation
 from repro.relational.database import Database
+from repro.triples.partitioning import StorageStrategy
 from repro.triples.triple_store import TripleStore
 
 
@@ -63,8 +67,8 @@ class StrategyContext:
     store: TripleStore
     query: str = ""
     parameters: dict[str, Any] = field(default_factory=dict)
-    #: where ranking blocks get collection statistics; the executor passes
-    #: its own registry, so indexes outlive the request
+    #: where ranking gets collection statistics; the executor passes its own
+    #: registry, so indexes outlive the request
     statistics: StatisticsRegistry = field(default_factory=StatisticsRegistry)
 
     @property
@@ -76,24 +80,24 @@ class Block:
     """Base class of all strategy building blocks.
 
     Subclasses declare their ports via :meth:`input_ports` / :meth:`output_port`
-    and implement :meth:`execute`, which receives the context and a mapping of
-    input-port name to payload and returns the output payload.
+    and say what the block computes in one of two ways:
+
+    * :meth:`to_plan` lowers the block to a PRA plan over its inputs' plans.
+      The executor evaluates that plan, and a block whose plan (with its
+      ancestors') reads nothing of the request is served from the database's
+      materialization cache, keyed by the plan's fingerprint, until a table
+      it scans changes.  Whatever configures the block must show in the plan.
+    * :meth:`execute` computes the output payload from the input payloads.
+      It runs on every request and is never cached.
+
+    The most derived of the two definitions is the one the executor uses, so
+    a subclass that overrides :meth:`execute` of a library block runs its own
+    code.  :meth:`execute` of a block that defines only :meth:`to_plan`
+    evaluates the plan over the given payloads.
     """
 
     #: human-readable label shown in rendered diagrams
     label = "Block"
-
-    #: True when :meth:`execute` reads nothing of the request — neither
-    #: ``context.query`` nor ``context.parameters`` — so its output depends
-    #: only on its inputs and the stored data.  The executor reuses the output
-    #: of such a block across requests while all its ancestors are
-    #: request-independent too and the data is unchanged.  The default is
-    #: *dependent*: a block that does not say otherwise is run every time,
-    #: and a subclass that overrides :meth:`execute` has to say it again — the
-    #: declaration covers the ``execute`` of the class that made it.  Whatever
-    #: configures the block must show in :meth:`describe`, which the executor
-    #: compares to tell a reconfigured block from the one it memoized.
-    request_independent = False
 
     def input_ports(self) -> Sequence[Port]:
         """The block's input ports, in display order (left to right)."""
@@ -103,9 +107,33 @@ class Block:
         """The block's single output port."""
         raise NotImplementedError
 
-    def execute(self, context: StrategyContext, inputs: dict[str, Any]) -> Any:
-        """Produce the output payload from the input payloads."""
+    def to_plan(self, inputs: dict[str, PraPlan], storage: StorageStrategy) -> PraPlan:
+        """The block's PRA plan over its inputs' plans; ``storage`` is the
+        store's layout, through which the store is read."""
         raise NotImplementedError
+
+    def execute(self, context: StrategyContext, inputs: dict[str, Any]) -> Any:
+        """Produce the output payload from the input payloads.
+
+        Evaluates :meth:`to_plan` with every input port bound to its payload
+        (a query port to its terms) and the request's query bound to
+        :data:`~repro.pra.plan.QUERY_PARAM`.
+        """
+        context.store.ensure_loaded()
+        bindings: dict[str, Any] = {QUERY_PARAM: context.query}
+        placeholders: dict[str, PraPlan] = {}
+        for port in self.input_ports():
+            payload = self._require_input(inputs, port.name)
+            if port.kind is PortKind.QUERY:
+                if not isinstance(payload, list):
+                    raise BlockError(f"the {port.name!r} input must be a list of terms")
+            else:
+                self._require_resources(payload, port=port.name)
+            bindings[port.name] = payload
+            placeholders[port.name] = PraParam(port.name)
+        plan = self.to_plan(placeholders, context.store.storage)
+        evaluator = PRAEvaluator(context.database, context.statistics)
+        return evaluator.evaluate(plan, bindings=bindings)
 
     def describe(self) -> dict[str, Any]:
         """Return the block's configuration (used by the renderer)."""

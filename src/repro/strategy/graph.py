@@ -32,9 +32,6 @@ class StrategyGraph:
         self.name = name
         self._blocks: dict[str, Block] = {}
         self._connections: list[Connection] = []
-        #: bumped by every structural change, so anything derived from the
-        #: graph's shape (the executor's block memo) can tell it is stale
-        self.version = 0
 
     # -- construction -----------------------------------------------------------------
 
@@ -43,7 +40,6 @@ class StrategyGraph:
         if name in self._blocks:
             raise StrategyError(f"a block named {name!r} already exists")
         self._blocks[name] = block
-        self.version += 1
         return name
 
     def connect(self, source: str, target: str, *, port: str | None = None) -> None:
@@ -84,7 +80,6 @@ class StrategyGraph:
         if duplicate:
             raise StrategyError(f"input port {target!r}.{port} is already connected")
         self._connections.append(Connection(source=source, target=target, target_port=port))
-        self.version += 1
 
     # -- accessors ----------------------------------------------------------------------
 
@@ -117,8 +112,11 @@ class StrategyGraph:
 
     # -- validation and ordering ----------------------------------------------------------
 
-    def validate(self) -> None:
-        """Check port completeness and acyclicity; raise :class:`StrategyError` on problems."""
+    def validate(self) -> list[str]:
+        """Check port completeness and acyclicity and return the execution order.
+
+        Raises :class:`StrategyError` on problems.
+        """
         for name, block in self._blocks.items():
             required = {port.name for port in block.input_ports()}
             connected = set(self.inputs_of(name))
@@ -127,7 +125,7 @@ class StrategyGraph:
                 raise StrategyError(
                     f"block {name!r} has unconnected input ports: {sorted(missing)}"
                 )
-        self.execution_order()  # raises on cycles
+        return self.execution_order()  # raises on cycles
 
     def execution_order(self) -> list[str]:
         """Topological order of the blocks (Kahn's algorithm)."""

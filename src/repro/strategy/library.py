@@ -8,9 +8,12 @@ These are the building blocks that appear in the paper's two strategies:
   (hasAuction, forward and backward), *Extract text*, two *Rank by Text*
   blocks and a weighted *Mix*.
 
-Every block consumes and produces probabilistic relations, so "all the
-operations in this strategy propagate probabilities through the graph"
-(Section 3) without any block-specific code.
+Every block lowers to a PRA plan over its inputs' plans (``to_plan``), so a
+strategy is one plan per block in the probabilistic relational algebra, and
+"all the operations in this strategy propagate probabilities through the
+graph" (Section 3) without any block-specific code.  The store is read
+through its layout (:meth:`StorageStrategy.pattern_plan
+<repro.triples.partitioning.StorageStrategy.pattern_plan>`).
 """
 
 from __future__ import annotations
@@ -21,21 +24,32 @@ from typing import Any
 from repro.errors import BlockError
 from repro.ir.query_expansion import QueryExpander
 from repro.ir.ranking import RankingModel
-from repro.ir.ranking.base import RankedList
-from repro.pra import operators as pra_operators
 from repro.pra.assumptions import Assumption
-from repro.pra.relation import PROBABILITY_COLUMN, ProbabilisticRelation
-from repro.relational.column import Column, DataType
-from repro.relational.relation import Relation
-from repro.relational.schema import Field, Schema
+from repro.pra.plan import (
+    QUERY_PARAM,
+    PraJoin,
+    PraParam,
+    PraPlan,
+    PraProject,
+    PraRank,
+    PraTop,
+    PraUnite,
+    PraWeight,
+)
 from repro.strategy.blocks import Block, Port, PortKind, StrategyContext
 from repro.text.analyzers import StandardAnalyzer
-from repro.triples.graph import GraphNavigator
+from repro.triples.graph import traverse_plan
+from repro.triples.partitioning import StorageStrategy
+from repro.triples.triple_store import TYPE_PROPERTY
 
 
-def _nodes_relation(rows: list[tuple[str, float]]) -> ProbabilisticRelation:
-    schema = Schema([Field("node", DataType.STRING), Field(PROBABILITY_COLUMN, DataType.FLOAT)])
-    return ProbabilisticRelation(Relation.from_rows(schema, rows), validate=False)
+def _subjects(matched: PraPlan) -> PraPlan:
+    """The subjects of a triple pattern as ``(node, p)``.
+
+    A resource matched twice is one resource with its most probable match
+    (SUBSUMED), so every other resource keeps its probability bit for bit.
+    """
+    return PraProject(matched, [1], Assumption.SUBSUMED, output_names=["node"])
 
 
 class QueryInputBlock(Block):
@@ -50,7 +64,12 @@ class QueryInputBlock(Block):
     def output_port(self) -> Port:
         return Port("query", PortKind.QUERY, "analyzed query terms")
 
+    def to_plan(self, inputs: dict[str, PraPlan], storage: StorageStrategy) -> PraPlan:
+        """The request's keyword query, bound per request."""
+        return PraParam(QUERY_PARAM)
+
     def execute(self, context: StrategyContext, inputs: dict[str, Any]) -> list[str]:
+        """The port payload: the analyzed query terms."""
         return self.analyzer.analyze_query(context.query)
 
     def describe(self) -> dict[str, Any]:
@@ -61,7 +80,6 @@ class SelectByTypeBlock(Block):
     """Select graph resources of a given type (``(?, type, <type>)`` triples)."""
 
     label = "Select by type"
-    request_independent = True
 
     def __init__(self, type_name: str):
         self.type_name = type_name
@@ -69,10 +87,8 @@ class SelectByTypeBlock(Block):
     def output_port(self) -> Port:
         return Port("resources", PortKind.RESOURCES, f"resources of type {self.type_name}")
 
-    def execute(self, context: StrategyContext, inputs: dict[str, Any]) -> ProbabilisticRelation:
-        selected = context.store.subjects_of_type(self.type_name)
-        relation = selected.relation.rename({"subject": "node"})
-        return ProbabilisticRelation(relation, validate=False)
+    def to_plan(self, inputs: dict[str, PraPlan], storage: StorageStrategy) -> PraPlan:
+        return _subjects(storage.pattern_plan(TYPE_PROPERTY, self.type_name))
 
     def describe(self) -> dict[str, Any]:
         return {"type": self.type_name}
@@ -82,7 +98,6 @@ class SelectByPropertyBlock(Block):
     """Select resources whose ``property`` equals ``value`` (the category=toy filter)."""
 
     label = "Select by property"
-    request_independent = True
 
     def __init__(self, property_name: str, value: str):
         self.property_name = property_name
@@ -95,11 +110,8 @@ class SelectByPropertyBlock(Block):
             f"resources with {self.property_name} = {self.value}",
         )
 
-    def execute(self, context: StrategyContext, inputs: dict[str, Any]) -> ProbabilisticRelation:
-        matched = context.store.match(property_name=self.property_name, obj=self.value)
-        relation = matched.relation.select_columns(["subject", PROBABILITY_COLUMN])
-        relation = relation.rename({"subject": "node"})
-        return ProbabilisticRelation(relation, validate=False)
+    def to_plan(self, inputs: dict[str, PraPlan], storage: StorageStrategy) -> PraPlan:
+        return _subjects(storage.pattern_plan(self.property_name, self.value))
 
     def describe(self) -> dict[str, Any]:
         return {"property": self.property_name, "value": self.value}
@@ -109,7 +121,6 @@ class IntersectBlock(Block):
     """Keep resources present in both inputs (probabilities multiplied)."""
 
     label = "Intersect"
-    request_independent = True
 
     def input_ports(self) -> Sequence[Port]:
         return [
@@ -120,20 +131,20 @@ class IntersectBlock(Block):
     def output_port(self) -> Port:
         return Port("resources", PortKind.RESOURCES, "resources in both inputs")
 
-    def execute(self, context: StrategyContext, inputs: dict[str, Any]) -> ProbabilisticRelation:
-        left = self._require_resources(self._require_input(inputs, "left"), port="left")
-        right = self._require_resources(self._require_input(inputs, "right"), port="right")
-        joined = pra_operators.join(left, right, [("node", "node")], Assumption.INDEPENDENT)
-        return pra_operators.project(
-            joined, [joined.value_columns[0]], Assumption.INDEPENDENT, output_names=["node"]
+    def to_plan(self, inputs: dict[str, PraPlan], storage: StorageStrategy) -> PraPlan:
+        joined = PraJoin(
+            self._require_input(inputs, "left"),
+            self._require_input(inputs, "right"),
+            [(1, 1)],
+            Assumption.INDEPENDENT,
         )
+        return PraProject(joined, [1], Assumption.INDEPENDENT, output_names=["node"])
 
 
 class TraversePropertyBlock(Block):
     """Traverse one property edge, forward or backward, propagating probabilities."""
 
     label = "Traverse property"
-    request_independent = True
 
     def __init__(self, property_name: str, *, backward: bool = False, merge: str = "independent"):
         self.property_name = property_name
@@ -151,10 +162,14 @@ class TraversePropertyBlock(Block):
             f"resources reached via {self.property_name} ({direction})",
         )
 
-    def execute(self, context: StrategyContext, inputs: dict[str, Any]) -> ProbabilisticRelation:
-        start = self._require_resources(self._require_input(inputs, "resources"), port="resources")
-        navigator = GraphNavigator(context.store, assumption=self.merge)
-        return navigator.traverse(start, self.property_name, backward=self.backward)
+    def to_plan(self, inputs: dict[str, PraPlan], storage: StorageStrategy) -> PraPlan:
+        return traverse_plan(
+            self._require_input(inputs, "resources"),
+            self.property_name,
+            storage,
+            backward=self.backward,
+            merge=self.merge,
+        )
 
     def describe(self) -> dict[str, Any]:
         return {
@@ -172,7 +187,6 @@ class ExtractTextBlock(Block):
     """
 
     label = "Extract text"
-    request_independent = True
 
     def __init__(self, text_property: str = "description"):
         self.text_property = text_property
@@ -183,22 +197,17 @@ class ExtractTextBlock(Block):
     def output_port(self) -> Port:
         return Port("documents", PortKind.DOCUMENTS, f"text of property {self.text_property}")
 
-    def execute(self, context: StrategyContext, inputs: dict[str, Any]) -> ProbabilisticRelation:
-        resources = self._require_resources(
-            self._require_input(inputs, "resources"), port="resources"
-        )
-        texts = context.store.select_property(self.text_property)
-        joined = pra_operators.join(
-            resources, texts, [("node", "subject")], Assumption.INDEPENDENT
-        )
-        object_column = [name for name in joined.value_columns if name.startswith("object")][-1]
-        docs = pra_operators.project(
-            joined,
-            [joined.value_columns[0], object_column],
+    def to_plan(self, inputs: dict[str, PraPlan], storage: StorageStrategy) -> PraPlan:
+        joined = PraJoin(
+            self._require_input(inputs, "resources"),
+            storage.pattern_plan(self.text_property),
+            [(1, 1)],
             Assumption.INDEPENDENT,
-            output_names=["docID", "data"],
         )
-        return docs
+        # the node, then the triple's object (after its subject and property)
+        return PraProject(
+            joined, [1, 4], Assumption.INDEPENDENT, output_names=["docID", "data"]
+        )
 
     def describe(self) -> dict[str, Any]:
         return {"text_property": self.text_property}
@@ -210,10 +219,12 @@ class RankByTextBlock(Block):
     The block ranks the sub-collection it receives against on-demand
     collection statistics (two distinct inputs are two distinct indexes, as
     in Section 3), normalises the scores into probabilities and multiplies
-    them with the documents' prior probabilities.  Statistics come from the
-    context's :class:`~repro.ir.registry.StatisticsRegistry`, keyed on the
+    them with the documents' prior probabilities (a
+    :class:`~repro.pra.plan.PraRank` node).  Statistics come from the
+    evaluator's :class:`~repro.ir.registry.StatisticsRegistry`, keyed on the
     content of the id and text columns: repeated queries over the same
     sub-collection reuse the index (hot vs. cold), an edited text never does.
+    The query text is analyzed in the block's ``language``.
     """
 
     label = "Rank by Text"
@@ -232,7 +243,6 @@ class RankByTextBlock(Block):
         self.language = language
         self.top_k = top_k
         self.expander = expander
-        self.analyzer = StandardAnalyzer(language)
 
     def input_ports(self) -> Sequence[Port]:
         return [
@@ -243,43 +253,18 @@ class RankByTextBlock(Block):
     def output_port(self) -> Port:
         return Port("ranked", PortKind.RANKED, f"documents ranked by {self.model.name}")
 
-    def execute(self, context: StrategyContext, inputs: dict[str, Any]) -> ProbabilisticRelation:
-        docs = self._require_resources(self._require_input(inputs, "documents"), port="documents")
-        query_terms = self._require_input(inputs, "query")
-        if not isinstance(query_terms, list):
-            raise BlockError("the 'query' input must be a list of terms")
-        if self.expander is not None:
-            # Expansion dictionaries use natural-language terms, so seed the
-            # expander with the raw query tokens from the context as well as
-            # the analyzed terms, and analyze whatever it adds.
-            raw_tokens = [
-                token.lower()
-                for token in self.analyzer.tokenizer.iter_tokens(context.query)
-            ]
-            seeds = list(dict.fromkeys(raw_tokens + list(query_terms)))
-            additions: list[str] = []
-            for addition in self.expander.expand(seeds):
-                analyzed = self.analyzer.analyze(addition)
-                additions.extend(analyzed if analyzed else [addition])
-            query_terms = list(query_terms) + [
-                term for term in dict.fromkeys(additions) if term not in query_terms
-            ]
-
-        doc_ids = docs.relation.column("docID")
-        statistics = context.statistics.get(
-            doc_ids, docs.relation.column("data"), self.analyzer
+    def to_plan(self, inputs: dict[str, PraPlan], storage: StorageStrategy) -> PraPlan:
+        # the query port only says where the request enters the diagram: the
+        # node ranks against the request's query binding
+        self._require_input(inputs, "query")
+        return PraRank(
+            self._require_input(inputs, "documents"),
+            QUERY_PARAM,
+            self.model,
+            self.language,
+            self.top_k,
+            self.expander,
         )
-        ranked: RankedList = self.model.rank(statistics, query_terms, top_k=self.top_k)
-        # the statistics index documents in the collection's row order, so a
-        # ranked document maps back to its row (its prior, its node) by index
-        rows = statistics.doc_rows()[ranked.indices]
-        combined = ranked.to_probabilities().scores * docs.probabilities()[rows]
-        schema = Schema([Field("node", DataType.STRING), Field(PROBABILITY_COLUMN, DataType.FLOAT)])
-        relation = Relation(
-            schema,
-            [doc_ids.take(rows).cast(DataType.STRING), Column(combined, DataType.FLOAT)],
-        )
-        return ProbabilisticRelation(relation, validate=False)
 
     def describe(self) -> dict[str, Any]:
         return {
@@ -294,7 +279,6 @@ class MixBlock(Block):
     """Mix several ranked lists via a weighted linear combination (Figure 3, step 4)."""
 
     label = "Mix"
-    request_independent = True
 
     def __init__(self, weights: Sequence[float], *, normalize: bool = True):
         if not weights:
@@ -315,19 +299,15 @@ class MixBlock(Block):
     def output_port(self) -> Port:
         return Port("ranked", PortKind.RANKED, "weighted linear combination")
 
-    def execute(self, context: StrategyContext, inputs: dict[str, Any]) -> ProbabilisticRelation:
-        combined: ProbabilisticRelation | None = None
-        for index, weight in enumerate(self.weights):
-            payload = self._require_resources(
-                self._require_input(inputs, f"ranked_{index}"), port=f"ranked_{index}"
-            )
-            weighted = pra_operators.weight(payload, weight)
-            if combined is None:
-                combined = weighted
-            else:
-                combined = pra_operators.unite(combined, weighted, Assumption.DISJOINT)
-        assert combined is not None
-        return combined.sorted_by_probability()
+    def to_plan(self, inputs: dict[str, PraPlan], storage: StorageStrategy) -> PraPlan:
+        weighted = [
+            PraWeight(self._require_input(inputs, f"ranked_{index}"), weight)
+            for index, weight in enumerate(self.weights)
+        ]
+        combined = weighted[0]
+        for other in weighted[1:]:
+            combined = PraUnite(combined, other, Assumption.DISJOINT)
+        return combined
 
     def describe(self) -> dict[str, Any]:
         return {"weights": self.weights}
@@ -337,7 +317,6 @@ class LimitBlock(Block):
     """Keep only the top-k results of a ranked list."""
 
     label = "Limit"
-    request_independent = True
 
     def __init__(self, count: int):
         if count < 1:
@@ -350,9 +329,8 @@ class LimitBlock(Block):
     def output_port(self) -> Port:
         return Port("ranked", PortKind.RANKED, f"top {self.count} results")
 
-    def execute(self, context: StrategyContext, inputs: dict[str, Any]) -> ProbabilisticRelation:
-        ranked = self._require_resources(self._require_input(inputs, "ranked"), port="ranked")
-        return ranked.top(self.count)
+    def to_plan(self, inputs: dict[str, PraPlan], storage: StorageStrategy) -> PraPlan:
+        return PraTop(self._require_input(inputs, "ranked"), self.count)
 
     def describe(self) -> dict[str, Any]:
         return {"count": self.count}

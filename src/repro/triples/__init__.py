@@ -20,7 +20,7 @@ design:
 """
 
 from repro.triples.emergent_schema import CharacteristicSet, EmergentSchemaDetector
-from repro.triples.graph import GraphNavigator
+from repro.triples.graph import traverse_plan
 from repro.triples.loader import parse_triple_line, load_triples
 from repro.triples.partitioning import (
     PropertyPartitionedStorage,
@@ -33,7 +33,6 @@ from repro.triples.triple_store import Triple, TripleStore
 __all__ = [
     "CharacteristicSet",
     "EmergentSchemaDetector",
-    "GraphNavigator",
     "PropertyPartitionedStorage",
     "SingleTableStorage",
     "StorageStrategy",
@@ -42,4 +41,5 @@ __all__ = [
     "TypePartitionedStorage",
     "load_triples",
     "parse_triple_line",
+    "traverse_plan",
 ]

@@ -3,99 +3,38 @@
 The auction strategy of Section 3 traverses the ``hasAuction`` property
 forward (lot → auction) and backward (auction → lot), with the probabilities
 of the traversed tuples propagating transparently: a lot reached through a
-ranked auction inherits a probability that depends on the auction's.  The
-:class:`GraphNavigator` implements those steps on top of the PRA join.
+ranked auction inherits a probability that depends on the auction's.
+:func:`traverse_plan` is that step as a PRA plan — a join with the
+property's triples, read through the store's layout, and a merging
+projection — shared by the strategy blocks, SpinQL ``TRAVERSE`` and the
+engine's ``traverse()``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-from repro.errors import TripleStoreError
-from repro.pra import operators as pra_operators
 from repro.pra.assumptions import Assumption
-from repro.pra.relation import PROBABILITY_COLUMN, ProbabilisticRelation
-from repro.relational.column import DataType
-from repro.relational.relation import Relation
-from repro.relational.schema import Field, Schema
-from repro.triples.triple_store import TripleStore
+from repro.pra.plan import PraJoin, PraPlan, PraProject
+from repro.triples.partitioning import StorageStrategy
 
 
-def _node_relation(nodes: ProbabilisticRelation | Sequence[str]) -> ProbabilisticRelation:
-    """Normalise the input node set into a single-column ``(node, p)`` relation."""
-    if isinstance(nodes, ProbabilisticRelation):
-        value_columns = nodes.value_columns
-        if len(value_columns) != 1:
-            raise TripleStoreError(
-                f"node relations must have exactly one value column, got {value_columns}"
-            )
-        relation = nodes.relation.rename({value_columns[0]: "node"})
-        return ProbabilisticRelation(relation, validate=False)
-    schema = Schema([Field("node", DataType.STRING), Field(PROBABILITY_COLUMN, DataType.FLOAT)])
-    rows = [(node, 1.0) for node in nodes]
-    return ProbabilisticRelation(Relation.from_rows(schema, rows), validate=False)
+def traverse_plan(
+    start: PraPlan,
+    property_name: str,
+    storage: StorageStrategy,
+    *,
+    backward: bool = False,
+    merge: Assumption = Assumption.INDEPENDENT,
+    arity: int = 1,
+) -> PraPlan:
+    """Follow ``property_name`` from the first of ``start``'s ``arity`` columns.
 
-
-class GraphNavigator:
-    """Traversal steps over a :class:`~repro.triples.triple_store.TripleStore`."""
-
-    def __init__(self, store: TripleStore, *, assumption: Assumption = Assumption.INDEPENDENT):
-        self.store = store
-        self.assumption = assumption
-
-    # -- single-step traversals --------------------------------------------------------------
-
-    def traverse(
-        self,
-        nodes: ProbabilisticRelation | Sequence[str],
-        property_name: str,
-        *,
-        backward: bool = False,
-        merge: Assumption | None = None,
-    ) -> ProbabilisticRelation:
-        """Follow ``property_name`` from the given nodes (forward: subject → object).
-
-        The result is a ``(node, p)`` relation of reached nodes whose
-        probabilities are the product of the start node's probability and the
-        traversed triple's probability (independent join), merged over
-        multiple paths with ``merge`` (defaults to the navigator's assumption).
-        """
-        start = _node_relation(nodes)
-        edges = self.store.select_property(property_name)
-        if backward:
-            edges_relation = edges.relation.rename({"subject": "target", "object": "source"})
-        else:
-            edges_relation = edges.relation.rename({"subject": "source", "object": "target"})
-        edges_relation = edges_relation.select_columns(["source", "target", PROBABILITY_COLUMN])
-        edges_prob = ProbabilisticRelation(edges_relation, validate=False)
-
-        joined = pra_operators.join(
-            start, edges_prob, [("node", "source")], Assumption.INDEPENDENT
-        )
-        # keep the reached node (the 'target' column) and merge alternative paths
-        target_column = [name for name in joined.value_columns if name.startswith("target")][0]
-        merged = pra_operators.project(
-            joined,
-            [target_column],
-            merge if merge is not None else self.assumption,
-            output_names=["node"],
-        )
-        return merged
-
-    def neighbors(self, node: str, property_name: str, *, backward: bool = False) -> list[str]:
-        """Return the nodes reachable from ``node`` over one property edge."""
-        reached = self.traverse([node], property_name, backward=backward)
-        return reached.relation.column("node").to_list()
-
-    # -- multi-step traversal ----------------------------------------------------------------------
-
-    def traverse_path(
-        self,
-        nodes: ProbabilisticRelation | Sequence[str],
-        path: Sequence[tuple[str, bool]],
-    ) -> ProbabilisticRelation:
-        """Follow a path of ``(property, backward)`` steps, propagating probabilities."""
-        current = _node_relation(nodes)
-        for property_name, backward in path:
-            current = self.traverse(current, property_name, backward=backward)
-        return current
+    Forward joins the start nodes with the triples' subjects and keeps the
+    objects; backward joins with the objects and keeps the subjects.  A
+    reached node's probability is the product of its start node's and the
+    traversed triple's (independent join), merged over alternative paths
+    under ``merge``; the output is ``(node, p)``.
+    """
+    edges = storage.pattern_plan(property_name)
+    condition, reached = ((1, 3), 1) if backward else ((1, 1), 3)
+    joined = PraJoin(start, edges, [condition], Assumption.INDEPENDENT)
+    return PraProject(joined, [arity + reached], merge, output_names=["node"])

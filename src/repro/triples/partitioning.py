@@ -30,11 +30,13 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.errors import PartitioningError
+from repro.pra.expressions import PositionalRef
+from repro.pra.plan import PraPlan, PraScan, PraSelect, PraValues
 from repro.pra.relation import PROBABILITY_COLUMN, ProbabilisticRelation
 from repro.relational.algebra import Scan, Select
 from repro.relational.column import Column, DataType
 from repro.relational.database import Database
-from repro.relational.expressions import Expression, col, lit
+from repro.relational.expressions import Expression, Literal, col, lit
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
 
@@ -114,6 +116,22 @@ def _pattern_predicate(
     return predicate
 
 
+def _pattern_plan(table: str, property_name: str | None, obj: Any | None) -> PraPlan:
+    """``SELECT [$2=property and $3=object] (table)``, unbound parts left out."""
+    predicate: Expression | None = None
+    for position, value in ((2, property_name), (3, obj)):
+        if value is not None:
+            clause = PositionalRef(position).eq(Literal(value))
+            predicate = clause if predicate is None else predicate.and_(clause)
+    return PraScan(table) if predicate is None else PraSelect(PraScan(table), predicate)
+
+
+def _no_triples(table: str, object_type: DataType = DataType.STRING) -> PraPlan:
+    """No triples, standing in for ``table`` until a load creates it."""
+    empty = ProbabilisticRelation(Relation.empty(_triple_schema(object_type)), validate=False)
+    return PraValues(empty, table, tables=[table])
+
+
 class StorageStrategy:
     """Interface of a triple storage layout."""
 
@@ -131,6 +149,15 @@ class StorageStrategy:
         obj: Any | None,
     ) -> ProbabilisticRelation:
         """Return the triples matching a pattern as ``(subject, property, object, p)``."""
+        raise NotImplementedError
+
+    def pattern_plan(self, property_name: str, obj: Any | None = None) -> PraPlan:
+        """The triples of ``property_name`` (and ``obj``) as a PRA plan.
+
+        The plan yields ``(subject, property, object, p)`` rows in the order
+        :meth:`match` returns them; it is how strategies, ``TRAVERSE`` and the
+        builder's ``traverse()`` read the store, so they run on every layout.
+        """
         raise NotImplementedError
 
     def table_names(self, database: Database) -> list[str]:
@@ -177,6 +204,9 @@ class SingleTableStorage(StorageStrategy):
         if predicate is not None:
             plan = Select(plan, predicate)
         return ProbabilisticRelation(database.execute(plan), validate=False)
+
+    def pattern_plan(self, property_name: str, obj: Any | None = None) -> PraPlan:
+        return _pattern_plan(self.table_name, property_name, str(obj) if obj is not None else None)
 
     def table_names(self, database: Database) -> list[str]:
         return [self.table_name]
@@ -245,6 +275,12 @@ class PropertyPartitionedStorage(StorageStrategy):
         if result is None:
             result = Relation.empty(_triple_schema())
         return ProbabilisticRelation(result, validate=False)
+
+    def pattern_plan(self, property_name: str, obj: Any | None = None) -> PraPlan:
+        table = self._table_for(property_name)
+        if property_name not in self._properties:
+            return _no_triples(table)
+        return _pattern_plan(table, None, str(obj) if obj is not None else None)
 
     def table_names(self, database: Database) -> list[str]:
         return [self._table_for(name) for name in self._properties]
@@ -353,6 +389,21 @@ class TypePartitionedStorage(StorageStrategy):
         if result is None:
             result = Relation.empty(_triple_schema())
         return ProbabilisticRelation(result, validate=False)
+
+    def pattern_plan(self, property_name: str, obj: Any | None = None) -> PraPlan:
+        """Reads one partition: the bound object's, else the strings.
+
+        Resources and texts are strings, so an unbound object reads the
+        string partition only; :meth:`match` also lists the numeric
+        partitions' triples, their objects cast to strings.
+        """
+        dtype = self._object_type(obj) if obj is not None else DataType.STRING
+        table = self._table_for(dtype)
+        if dtype not in self._partitions:
+            return _no_triples(table, dtype)
+        if dtype is DataType.STRING and obj is not None:
+            obj = str(obj)
+        return _pattern_plan(table, property_name, obj)
 
     def table_names(self, database: Database) -> list[str]:
         return [self._table_for(dtype) for dtype in self._partitions]

@@ -4,9 +4,8 @@ Triples are uncertain events ``(subject, property, object, p)`` (Section 2.3).
 The store keeps them in the relational engine through a pluggable
 :class:`~repro.triples.partitioning.StorageStrategy` and offers:
 
-* pattern matching (``match``) returning probabilistic relations,
-* convenience accessors used by the strategy blocks (``select_property``,
-  ``subjects_of_type``, ``objects_of``),
+* pattern matching (``match``) returning probabilistic relations (plans
+  read the store through the layout's ``pattern_plan`` instead),
 * registration of SQL-level views such as the paper's ``docs`` view that
   joins category filtering with description extraction.
 """
@@ -20,6 +19,9 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import TripleStoreError
+from repro.pra.assumptions import Assumption
+from repro.pra.evaluator import PRAEvaluator
+from repro.pra.plan import PraJoin, PraProject
 from repro.pra.relation import PROBABILITY_COLUMN, ProbabilisticRelation
 from repro.relational.column import DataType
 from repro.relational.database import Database
@@ -133,7 +135,9 @@ class TripleStore:
     def load(self) -> None:
         """Materialise the buffered triples into the storage strategy's tables."""
         with self._load_lock:
-            self.storage.load(self.database, self._triples)
+            # a copy: a layout reads the triples in several passes, and a
+            # concurrent add_all must not grow the list between them
+            self.storage.load(self.database, list(self._triples))
             self._loaded = True
 
     def ensure_loaded(self) -> None:
@@ -166,23 +170,6 @@ class TripleStore:
         self.ensure_loaded()
         return self.storage.match(self.database, subject, property_name, obj)
 
-    def select_property(self, property_name: str) -> ProbabilisticRelation:
-        """Return ``(subject, object, p)`` for one property (a vertical partition)."""
-        matched = self.match(property_name=property_name)
-        relation = matched.relation.select_columns(["subject", "object", PROBABILITY_COLUMN])
-        return ProbabilisticRelation(relation, validate=False)
-
-    def subjects_of_type(self, type_name: str) -> ProbabilisticRelation:
-        """Return ``(subject, p)`` for resources with ``(subject, type, type_name)``."""
-        matched = self.match(property_name=TYPE_PROPERTY, obj=type_name)
-        relation = matched.relation.select_columns(["subject", PROBABILITY_COLUMN])
-        return ProbabilisticRelation(relation, validate=False)
-
-    def objects_of(self, subject: str, property_name: str) -> list[Any]:
-        """Return the objects of all ``(subject, property, ?)`` triples."""
-        matched = self.match(subject=subject, property_name=property_name)
-        return matched.relation.column("object").to_list()
-
     # -- persistence ---------------------------------------------------------------------
 
     def save(self, path: str | Path) -> Path:
@@ -211,42 +198,6 @@ class TripleStore:
         normalised = [(s, p, str(o), prob) for s, p, o, prob in rows]
         return Relation.from_rows(TRIPLE_SCHEMA, normalised)
 
-    def register_docs_view(
-        self,
-        view_name: str,
-        *,
-        filter_property: str,
-        filter_value: str,
-        text_property: str,
-    ) -> None:
-        """Register the paper's ``docs`` view (Section 2.2/2.3) in the database.
-
-        The view joins the triples table with itself: subjects whose
-        ``filter_property`` equals ``filter_value`` paired with the object of
-        their ``text_property``, with probabilities multiplied (independent
-        join), producing ``(docID, data, p)``.
-        """
-        self.ensure_loaded()
-        filtered = self.match(property_name=filter_property, obj=filter_value)
-        described = self.match(property_name=text_property)
-        # probabilistic self-join on subject, then project (docID, data)
-        from repro.pra import operators as pra_operators
-        from repro.pra.assumptions import Assumption
-
-        joined = pra_operators.join(
-            filtered, described, [("subject", "subject")], Assumption.INDEPENDENT
-        )
-        value_columns = joined.value_columns
-        # the right-hand object column carries the text
-        right_object = [name for name in value_columns if name.startswith("object")][-1]
-        docs = pra_operators.project(
-            joined,
-            [value_columns[0], right_object],
-            Assumption.INDEPENDENT,
-            output_names=["docID", "data"],
-        )
-        self.database.create_table(view_name, docs.relation, replace=True)
-
     def docs_relation(
         self,
         *,
@@ -254,14 +205,21 @@ class TripleStore:
         filter_value: str,
         text_property: str,
     ) -> ProbabilisticRelation:
-        """Return the docs relation of :meth:`register_docs_view` without registering it."""
-        temporary_name = "__docs_tmp__"
-        self.register_docs_view(
-            temporary_name,
-            filter_property=filter_property,
-            filter_value=filter_value,
-            text_property=text_property,
+        """The paper's ``docs(docID, data, p)`` sub-collection (Section 2.2/2.3).
+
+        Subjects whose ``filter_property`` equals ``filter_value``, joined
+        with the object of their ``text_property`` (probabilities multiplied,
+        an independent join) and projected to ``(docID, data)``.
+        """
+        self.ensure_loaded()
+        joined = PraJoin(
+            self.storage.pattern_plan(filter_property, filter_value),
+            self.storage.pattern_plan(text_property),
+            [(1, 1)],
         )
-        relation = self.database.table(temporary_name)
-        self.database.drop_table(temporary_name)
-        return ProbabilisticRelation(relation, validate=False)
+        plan = PraProject(joined, [1, 6], Assumption.INDEPENDENT, ["docID", "data"])
+        return PRAEvaluator(self.database).evaluate(plan)
+
+    def register_docs_view(self, view_name: str, **docs: str) -> None:
+        """Register :meth:`docs_relation` (same keywords) as table ``view_name``."""
+        self.database.create_table(view_name, self.docs_relation(**docs).relation, replace=True)

@@ -278,8 +278,9 @@ class TestConcurrentBatches:
 class TestStrategyReuseStress:
     """8 threads run one auction graph while a writer keeps loading lots.
 
-    What the engine keeps between requests (the graph's block memo, the one
-    statistics registry of every rank block) is shared by all of them.  A request that
+    What the engine keeps between requests (block outputs in the
+    materialization cache, the one statistics registry of every rank node)
+    is shared by all of them.  A request that
     overlaps a load may see either side of it; the contract under test is
     that nothing of that is *kept*: once the writer is done every answer is
     bit-identical to an engine bulk-built over the final data, and every
@@ -367,16 +368,13 @@ class TestStrategyReuseStress:
 
         total_runs = sum(runs)
         assert total_runs >= self.THREADS * (self.LOADS + 1)
-        # four store-only blocks per run, each served from the memo or run
-        memo = engine.reuse_statistics()["block_memo"]
-        assert memo["hits"] + memo["misses"] == 4 * total_runs and memo["graphs"] == 1
         # two rank blocks per run, each one lookup in the engine's registry
         registry = engine.statistics_registry.counters()
         assert registry["hits"] + registry["extends"] + registry["rebuilds"] == 2 * total_runs
 
         final = self._base() + [t for i in range(self.LOADS) for t in self._batch(i)]
         oracle = Engine.from_triples(final)
-        for _ in range(2):  # the second pass is served from the memo
+        for _ in range(2):  # the second pass is served from the cache
             for query in self.QUERIES:
                 served = engine.strategy(graph, query=query).execute()
                 expected = oracle.strategy("auction", query=query).execute()
@@ -385,12 +383,11 @@ class TestStrategyReuseStress:
             ["select_lots", "lot_descriptions", "to_auctions", "auction_descriptions"]
         )
 
-    def test_by_name_from_a_cold_engine_the_threads_share_one_graph(self):
+    def test_by_name_from_a_cold_engine_the_threads_share_one_lowering(self):
         import sys
 
         engine = Engine.from_triples(self._base())
         barrier = threading.Barrier(self.THREADS)
-        graphs: dict[int, object] = {}
         answers: dict[int, list] = {}
         errors: list = []
 
@@ -401,8 +398,6 @@ class TestStrategyReuseStress:
                 for round_ in range(3):
                     query = self.QUERIES[(worker + round_) % len(self.QUERIES)]
                     named = engine.strategy("auction", query=query)
-                    graphs.setdefault(worker, named.graph)
-                    assert named.graph is graphs[worker]
                     rows.append((query, list(named.execute().result.rows())))
                 answers[worker] = rows
             except Exception as error:  # pragma: no cover - failure reporting
@@ -421,9 +416,9 @@ class TestStrategyReuseStress:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
 
-        # the first-call race settled on one graph, and one memo for it
-        assert len({id(graph) for graph in graphs.values()}) == 1
-        assert engine.reuse_statistics()["block_memo"]["graphs"] == 1
+        # the first-call race settled on one lowering in the plan cache
+        assert "strategy::auction" in engine.plan_cache
+        assert engine.strategy("auction").graph is engine.strategy("auction").graph
         oracle = Engine.from_triples(self._base())
         for rows in answers.values():
             for query, served in rows:

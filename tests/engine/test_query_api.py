@@ -167,12 +167,13 @@ class TestExplain:
     def test_strategy_explain_reports_what_is_reused(self, engine):
         query = engine.strategy("toy", query="train")
         cold = query.explain()
-        assert "select_category: request-independent, memoized on its next run" in cold
+        assert "select_category: computed on its next run, then served from the cache" in cold
         assert "rank_bm25: runs per request" in cold
+        assert "RANK BM25 [$query]" in cold  # each block's plan is printed
         query.execute()
         warm = query.explain()
-        assert "select_category: request-independent, served from the memo" in warm
-        assert "extract_description: request-independent, served from the memo" in warm
+        assert "select_category: served from the materialization cache" in warm
+        assert "extract_description: served from the materialization cache" in warm
         assert "query: runs per request" in warm
 
     def test_search_explain_reports_statistics_state(self, engine):
@@ -299,52 +300,52 @@ class TestEngineSession:
         engine.clear_caches()
         assert len(engine.plan_cache) == 0
 
-    def test_reuse_lives_and_dies_with_the_graph(self, engine):
-        # a name is one engine-owned graph: the same object on every call
+    def test_reuse_is_keyed_by_plan_content(self, engine):
+        # a name is one lowering in the plan cache: the same graph on every call
         first = engine.strategy("toy", query="train")
         assert engine.strategy("toy", query="car").graph is first.graph
         assert first.execute().memoized_blocks == []
         again = engine.strategy("toy", query="car").execute()
         assert again.memoized_blocks == ["select_category", "extract_description"]
-        # builder kwargs build a fresh graph per call, kept by nobody
-        kwargs = engine.strategy("toy", category="toy").graph
-        assert engine.strategy("toy", category="toy").graph is not kwargs
-        assert kwargs is not first.graph
-        # clear_caches and close drop the engine's graph
+        # builder kwargs build a fresh graph per call; its blocks lower to the
+        # same plans, so they are served from the same entries
+        kwargs = engine.strategy("toy", category="toy")
+        assert kwargs.graph is not first.graph
+        assert kwargs.execute().memoized_blocks == ["select_category", "extract_description"]
+        # clear_caches drops the lowering and the outputs
         engine.clear_caches()
         cleared = engine.strategy("toy", query="train")
         assert cleared.graph is not first.graph
         assert cleared.execute().memoized_blocks == []
-        engine.close()
-        assert engine._strategy_graphs == {}
 
-    def test_reuse_statistics_counts_memo_and_registry(self, engine):
+    def test_reuse_statistics_counts_cache_and_registry(self, engine):
         for query in ("wooden train", "remote control", "history"):
             engine.strategy("toy", query=query).execute()
         reuse = engine.reuse_statistics()
-        assert reuse["block_memo"] == {"hits": 4, "misses": 2, "invalidations": 0, "graphs": 1}
+        assert set(reuse) == {"materialization_cache", "statistics_registry"}
+        assert reuse["materialization_cache"] == engine.database.cache.statistics.to_dict()
         assert engine.statistics_registry.counters() == {
             "hits": 2, "extends": 0, "rebuilds": 1, "evictions": 0, "entries": 1
         }
         assert engine.connect_info()["reuse"] == reuse
+        before = reuse["materialization_cache"]["invalidations"]
         engine.load_triples([("product4", "type", "product")])
-        engine.strategy("toy", query="train").execute()
-        assert engine.reuse_statistics()["block_memo"]["invalidations"] == 1
+        # the write dropped the two stored blocks (and the reads below them)
+        assert engine.reuse_statistics()["materialization_cache"]["invalidations"] >= before + 2
+        assert engine.strategy("toy", query="train").execute().memoized_blocks == []
         engine.clear_caches()
         assert engine.statistics_registry.counters()["entries"] == 0
-        assert engine.reuse_statistics()["block_memo"]["graphs"] == 0
+        assert engine.reuse_statistics()["materialization_cache"]["entries"] == 0
 
-    def test_a_caller_mutating_the_named_graph_gets_a_fresh_one(self, engine):
+    def test_mutating_the_named_graph_does_not_change_what_the_name_runs(self, engine):
         from repro.strategy.library import SelectByTypeBlock
 
         shared = engine.strategy("toy", query="wooden train")
         expected = list(shared.execute().result.rows())
         shared.graph.add_block("intruder", SelectByTypeBlock("product"))
-        rebuilt = engine.strategy("toy", query="wooden train")
-        assert rebuilt.graph is not shared.graph
-        assert "intruder" not in rebuilt.graph.block_names()
-        assert list(rebuilt.execute().result.rows()) == expected
-        assert engine.strategy("toy").graph is rebuilt.graph
+        # the name runs its lowering: the plans, not the graph object
+        again = engine.strategy("toy", query="wooden train")
+        assert list(again.execute().result.rows()) == expected
 
     def test_by_name_kept_and_fresh_graphs_agree_bit_for_bit(self, engine):
         from repro.strategy.prebuilt import build_toy_strategy

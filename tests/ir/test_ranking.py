@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import RankingError
-from repro.ir.ranking import BM25Model, BooleanModel, LanguageModel, TfIdfModel, get_model
+from repro.ir.ranking import (
+    BM25Model,
+    BooleanModel,
+    LanguageModel,
+    RankedList,
+    TfIdfModel,
+    get_model,
+)
 from repro.ir.statistics import build_statistics
 
 DOCS = [
@@ -200,6 +207,20 @@ class TestRankAwareTopK:
 
 
 class TestRankedList:
+    def test_doc_ids_derive_from_indices_on_first_use(self, stats):
+        ranked = BM25Model().rank(stats, ["wooden", "toy", "train"])
+        explicit = RankedList(
+            [stats.doc_ids[i] for i in ranked.indices.tolist()], ranked.scores, ranked.indices
+        )
+        # ranking and its derived lists build no identifiers until asked
+        derived = [ranked, ranked.top(2), ranked.to_probabilities()]
+        assert all(item._doc_ids is None for item in derived)
+        assert ranked.as_pairs() == explicit.as_pairs()
+        assert ranked.top(2).as_pairs() == explicit.top(2).as_pairs()
+        assert list(ranked.to_relation().rows()) == list(explicit.to_relation().rows())
+        assert ranked.to_probabilities().doc_ids == explicit.doc_ids
+        assert len(ranked) == len(explicit)
+
     def test_sorted_descending(self, stats):
         ranked = BM25Model().rank(stats, ["wooden", "toy"])
         scores = [score for _, score in ranked.as_pairs()]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import PRAError
+from repro.ir.ranking import BM25Model
 from repro.pra.assumptions import Assumption
 from repro.pra.evaluator import PRAEvaluator
 from repro.pra.expressions import PositionalRef, positional
@@ -12,6 +13,7 @@ from repro.pra.plan import (
     PraParam,
     PraPlan,
     PraProject,
+    PraRank,
     PraScan,
     PraSelect,
     PraSubtract,
@@ -157,6 +159,7 @@ EVERY_NODE_TYPE = [
     PraBayes(PraScan("t"), [2]),
     PraWeight(PraScan("t"), 0.25),
     PraTop(PraScan("t"), 3),
+    PraRank(PraScan("docs"), "query", BM25Model(), "english", 5),
 ]
 
 

@@ -172,8 +172,8 @@ class TestRouter:
             if item["fingerprint"].startswith("serve::")
         ]
         assert serves  # the handled request was logged as a serve record
-        # the engine's reuse counters ride along (block memo, registry)
-        assert {"block_memo", "statistics_registry"} == set(stats["reuse"])
+        # the engine's reuse counters ride along (materialization cache, registry)
+        assert {"materialization_cache", "statistics_registry"} == set(stats["reuse"])
 
     def test_http_front_end(self, source_and_snapshot, pool_engine):
         engine, _path, query = source_and_snapshot

@@ -1,7 +1,5 @@
 """Unit tests for strategy execution, the pre-built strategies and rendering."""
 
-import gc
-
 import pytest
 
 from repro.errors import StrategyError
@@ -70,31 +68,44 @@ class TestExecutor:
 STORE_ONLY = ["select_lots", "lot_descriptions", "to_auctions", "auction_descriptions"]
 
 
-class TestBlockMemo:
-    """Request-independent blocks run once per data and graph version."""
+class TestPlanCache:
+    """Blocks whose plans read nothing of the request are served by plan content."""
 
-    def test_store_only_blocks_are_served_from_the_memo(self, auction_store):
+    def test_store_only_blocks_are_served_from_the_cache(self, auction_store):
         executor = StrategyExecutor(auction_store)
         graph = build_auction_strategy()
         cold = executor.run(graph, query="wooden table")
         warm = executor.run(graph, query="bronze statue")
         assert cold.memoized_blocks == []
         assert sorted(warm.memoized_blocks) == sorted(STORE_ONLY)
-        # the ladder indexes every block: memoized ones keep a (near-zero) timing
+        # the ladder indexes every block: served ones keep a (near-zero) timing
         assert set(warm.block_timings) == set(graph.block_names())
         for name in STORE_ONLY:
             assert warm.block_outputs[name] is cold.block_outputs[name]
-        assert executor.counters() == {
-            "hits": 4, "misses": 4, "invalidations": 0, "graphs": 1
-        }
         fresh = StrategyExecutor(auction_store).run(build_auction_strategy(), "bronze statue")
         assert list(warm.result.rows()) == list(fresh.result.rows())
 
-    def test_a_block_that_does_not_declare_independence_is_never_memoized(self, toy_store):
+    def test_a_fresh_graph_per_request_is_served_like_a_kept_one(self, auction_store):
+        from repro.engine import Engine
+
+        executor = StrategyExecutor(auction_store)
+        executor.run(build_auction_strategy(), query="wooden table")
+        fresh = executor.run(build_auction_strategy(), query="bronze statue")
+        assert sorted(fresh.memoized_blocks) == sorted(STORE_ONLY)
+        engine = Engine.from_triples(auction_store._triples)
+        try:
+            engine.strategy("auction", query="wooden table").execute()
+            named = engine.strategy("auction", query="bronze statue").execute()
+            again = engine.strategy(build_auction_strategy(), query="bronze statue").execute()
+        finally:
+            engine.close()
+        assert named.memoized_blocks == fresh.memoized_blocks == again.memoized_blocks
+
+    def test_a_block_that_reads_the_request_is_never_cached(self, toy_store):
         calls = []
 
         class QueryTaggedSelect(Block):
-            """Reads the request like an unknown user block would: default-dependent."""
+            """Reads the request like an unknown user block would: runs by execute."""
 
             def input_ports(self):
                 return [Port("resources", PortKind.RESOURCES)]
@@ -109,7 +120,7 @@ class TestBlockMemo:
         graph = StrategyGraph()
         graph.add_block("select", SelectByTypeBlock("product"))
         graph.add_block("custom", QueryTaggedSelect())
-        graph.add_block("texts", ExtractTextBlock())  # independent, but below a dependent block
+        graph.add_block("texts", ExtractTextBlock())  # store-only, but below a request
         graph.connect("select", "custom")
         graph.connect("custom", "texts")
         executor = StrategyExecutor(toy_store)
@@ -117,35 +128,36 @@ class TestBlockMemo:
             run = executor.run(graph, query=query)
         assert calls == ["first", "second", "third"]
         assert run.memoized_blocks == ["select"]
+        lowered = executor.lower(graph)
+        assert [step.name for step in lowered.blocks if step.key is not None] == ["select"]
 
-    def test_an_execute_override_does_not_inherit_the_library_declaration(self, toy_store):
+    def test_an_execute_override_runs_its_own_code_every_time(self, toy_store):
         calls = []
 
         class QueryFilteredSelect(SelectByTypeBlock):
-            """Overrides ``execute`` of an independent library block and reads the request."""
+            """Overrides ``execute`` of a library block and reads the request."""
 
             def execute(self, context, inputs):
                 calls.append(context.query)
                 return super().execute(context, inputs)
 
         class RenamedSelect(SelectByTypeBlock):
-            """Runs the library's own ``execute``: the declaration still covers it."""
-
-        class DeclaredSelect(QueryFilteredSelect):
-            request_independent = True
+            """Keeps the library's plan: cached like the library block."""
 
         graph = StrategyGraph()
         graph.add_block("override", QueryFilteredSelect("product"))
         graph.add_block("plain", RenamedSelect("product"))
-        graph.add_block("declared", DeclaredSelect("product"))
         executor = StrategyExecutor(toy_store)
         for query in ("first", "second"):
             run = executor.run(graph, query=query, result_block="override")
-        # the override ran for every request, the redeclared subclass once
-        assert calls == ["first", "first", "second"]
-        assert sorted(run.memoized_blocks) == ["declared", "plain"]
+        assert calls == ["first", "second"]
+        assert run.memoized_blocks == ["plain"]
+        # the override's own execute evaluates the library plan: same rows
+        assert list(run.block_outputs["override"].rows()) == list(
+            run.block_outputs["plain"].rows()
+        )
 
-    def test_reconfiguring_a_memoized_block_retires_the_memo(self, toy_store):
+    def test_reconfiguring_a_block_changes_its_plan(self, toy_store):
         graph = StrategyGraph()
         graph.add_block("select", SelectByPropertyBlock("category", "toy"))
         executor = StrategyExecutor(toy_store)
@@ -158,32 +170,16 @@ class TestBlockMemo:
         assert run.memoized_blocks == []
         assert list(run.result.rows()) == list(StrategyExecutor(toy_store).run(fresh).result.rows())
 
-    def test_a_memo_dies_with_its_graph(self, toy_store):
-        executor = StrategyExecutor(toy_store)
-        kept = StrategyGraph()
-        kept.add_block("select", SelectByTypeBlock("product"))
-        executor.run(kept)
-        for _ in range(20):
-            throwaway = StrategyGraph()
-            throwaway.add_block("select", SelectByTypeBlock("product"))
-            executor.run(throwaway)
-        del throwaway
-        gc.collect()
-        assert executor.counters()["graphs"] == 1
-        assert executor.run(kept).memoized_blocks == ["select"]
-
-    def test_structural_change_retires_the_memo(self, toy_store):
+    def test_a_structural_change_keeps_the_unchanged_blocks(self, toy_store):
         graph = StrategyGraph()
         graph.add_block("select", SelectByTypeBlock("product"))
         executor = StrategyExecutor(toy_store)
         executor.run(graph)
-        assert executor.run(graph).memoized_blocks == ["select"]
         graph.add_block("toys", SelectByPropertyBlock("category", "toy"))
-        run = executor.run(graph, result_block="toys")
-        assert run.memoized_blocks == []
-        assert executor.counters()["invalidations"] == 1
+        assert executor.run(graph, result_block="toys").memoized_blocks == ["select"]
+        assert executor.run(graph, result_block="toys").memoized_blocks == ["select", "toys"]
 
-    def test_data_change_retires_the_memo(self, toy_store):
+    def test_data_change_drops_the_cached_outputs(self, toy_store):
         graph = StrategyGraph()
         graph.add_block("select", SelectByTypeBlock("product"))
         executor = StrategyExecutor(toy_store)
@@ -194,7 +190,7 @@ class TestBlockMemo:
         run = executor.run(graph)
         assert run.memoized_blocks == [] and run.result.num_rows == 5
         assert executor.run(graph).memoized_blocks == ["select"]
-        executor.clear()
+        toy_store.database.clear_cache()
         assert executor.run(graph).memoized_blocks == []
 
 

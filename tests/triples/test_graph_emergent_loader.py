@@ -2,65 +2,70 @@
 
 import pytest
 
+from repro.engine.query import as_probabilistic
 from repro.errors import TripleStoreError
+from repro.pra.evaluator import PRAEvaluator
+from repro.pra.plan import PraParam
 from repro.pra.relation import ProbabilisticRelation
 from repro.relational.column import DataType
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
 from repro.triples.emergent_schema import EmergentSchemaDetector
-from repro.triples.graph import GraphNavigator
+from repro.triples.graph import traverse_plan
 from repro.triples.loader import load_triples, parse_triple_line
 from repro.triples.triple_store import Triple, TripleStore
 
 
-class TestGraphNavigator:
+def traverse(store, nodes, property_name, *, backward=False, arity=1):
+    """Evaluate one :func:`traverse_plan` step from ``nodes`` over ``store``."""
+    plan = traverse_plan(
+        PraParam("nodes"), property_name, store.storage, backward=backward, arity=arity
+    )
+    start = nodes if isinstance(nodes, ProbabilisticRelation) else as_probabilistic(nodes)
+    return PRAEvaluator(store.database).evaluate(plan, bindings={"nodes": start})
+
+
+class TestTraversePlan:
     def test_forward_traversal(self, auction_store):
-        navigator = GraphNavigator(auction_store)
-        reached = navigator.traverse(["lot1", "lot2"], "hasAuction")
+        reached = traverse(auction_store, ["lot1", "lot2"], "hasAuction")
         assert reached.relation.column("node").to_list() == ["auction1"]
 
     def test_backward_traversal(self, auction_store):
-        navigator = GraphNavigator(auction_store)
-        reached = navigator.traverse(["auction1"], "hasAuction", backward=True)
+        reached = traverse(auction_store, ["auction1"], "hasAuction", backward=True)
         assert set(reached.relation.column("node").to_list()) == {"lot1", "lot2"}
 
     def test_neighbors(self, auction_store):
-        navigator = GraphNavigator(auction_store)
-        assert navigator.neighbors("lot3", "hasAuction") == ["auction2"]
-        assert set(navigator.neighbors("auction2", "hasAuction", backward=True)) == {
-            "lot3",
-            "lot4",
-        }
+        reached = traverse(auction_store, ["lot3"], "hasAuction")
+        assert reached.relation.column("node").to_list() == ["auction2"]
+        back = traverse(auction_store, ["auction2"], "hasAuction", backward=True)
+        assert set(back.relation.column("node").to_list()) == {"lot3", "lot4"}
 
     def test_probability_propagation(self, auction_store):
-        navigator = GraphNavigator(auction_store)
         schema = Schema([Field("node", DataType.STRING), Field("p", DataType.FLOAT)])
         start = ProbabilisticRelation(
             Relation.from_rows(schema, [("lot1", 0.5), ("lot2", 0.25)])
         )
-        reached = navigator.traverse(start, "hasAuction")
+        reached = traverse(auction_store, start, "hasAuction")
         # both lots reach auction1; the merged probability must exceed either path alone
         probability = reached.probabilities()[0]
         assert probability == pytest.approx(1 - (1 - 0.5) * (1 - 0.25))
 
     def test_round_trip_forward_then_backward(self, auction_store):
-        navigator = GraphNavigator(auction_store)
-        reached = navigator.traverse_path(["lot1"], [("hasAuction", False), ("hasAuction", True)])
+        auctions = traverse(auction_store, ["lot1"], "hasAuction")
+        reached = traverse(auction_store, auctions, "hasAuction", backward=True)
         nodes = set(reached.relation.column("node").to_list())
         assert nodes == {"lot1", "lot2"}  # all lots of auction1
 
-    def test_traverse_requires_single_value_column(self, auction_store):
-        navigator = GraphNavigator(auction_store)
+    def test_traverses_from_the_first_of_several_columns(self, auction_store):
         schema = Schema(
             [Field("a", DataType.STRING), Field("b", DataType.STRING), Field("p", DataType.FLOAT)]
         )
-        start = ProbabilisticRelation(Relation.from_rows(schema, [("x", "y", 1.0)]))
-        with pytest.raises(TripleStoreError):
-            navigator.traverse(start, "hasAuction")
+        start = ProbabilisticRelation(Relation.from_rows(schema, [("lot3", "x", 1.0)]))
+        reached = traverse(auction_store, start, "hasAuction", arity=2)
+        assert reached.relation.column("node").to_list() == ["auction2"]
 
     def test_unknown_property_reaches_nothing(self, auction_store):
-        navigator = GraphNavigator(auction_store)
-        assert navigator.traverse(["lot1"], "ownedBy").num_rows == 0
+        assert traverse(auction_store, ["lot1"], "ownedBy").num_rows == 0
 
 
 class TestEmergentSchema:

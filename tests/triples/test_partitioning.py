@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import PartitioningError
+from repro.pra.evaluator import PRAEvaluator
 from repro.relational.database import Database
 from repro.triples.partitioning import (
     PropertyPartitionedStorage,
@@ -73,14 +74,15 @@ class TestBornCoded:
     @pytest.mark.parametrize(
         "layout", ["single-table", "property-partitioned", "type-partitioned"]
     )
-    def test_accessors_keep_the_shared_dictionary(self, layout):
+    def test_pattern_plans_keep_the_shared_dictionary(self, layout):
         store = TripleStore(storage=make_storage(layout))
         store.add_all(TRIPLES + [Triple("p2", "type", "product")])
         store.load()
         dictionary = store.match().relation.column("subject").factorize()[1]
-        typed = store.subjects_of_type("product")
-        described = store.select_property("description")
-        assert typed.value_rows() == [("p2",)]
+        evaluator = PRAEvaluator(store.database)
+        typed = evaluator.evaluate(store.storage.pattern_plan("type", "product"))
+        described = evaluator.evaluate(store.storage.pattern_plan("description"))
+        assert [row[0] for row in typed.value_rows()] == ["p2"]
         assert described.relation.column("subject").factorize()[1] is dictionary
         assert described.relation.column("object").factorize()[1] is dictionary
         assert typed.relation.column("subject").coded

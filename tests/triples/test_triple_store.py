@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import TripleStoreError
+from repro.pra.evaluator import PRAEvaluator
 from repro.triples.triple_store import Triple, TripleStore
 
 
@@ -66,19 +67,18 @@ class TestMatching:
         matched = store.match(property_name="extracted")
         assert list(matched.probabilities()) == [0.6]
 
-    def test_select_property(self, toy_store):
-        descriptions = toy_store.select_property("description")
-        assert descriptions.value_columns == ["subject", "object"]
+    def test_pattern_plan_reads_one_property(self, toy_store):
+        plan = toy_store.storage.pattern_plan("description")
+        descriptions = PRAEvaluator(toy_store.database).evaluate(plan)
+        assert descriptions.value_columns == ["subject", "property", "object"]
         assert descriptions.num_rows == 4
 
-    def test_subjects_of_type(self, toy_store):
-        products = toy_store.subjects_of_type("product")
-        assert products.num_rows == 4
-        assert products.value_columns == ["subject"]
-
-    def test_objects_of(self, toy_store):
-        assert toy_store.objects_of("product1", "category") == ["toy"]
-        assert toy_store.objects_of("product1", "missing") == []
+    def test_pattern_plan_binds_the_object(self, toy_store):
+        plan = toy_store.storage.pattern_plan("type", "product")
+        products = PRAEvaluator(toy_store.database).evaluate(plan)
+        assert products.relation.column("subject").to_list() == [
+            "product1", "product2", "product3", "product4"
+        ]
 
 
 class TestRelationalIntegration:
