@@ -254,11 +254,15 @@ class Engine:
         (``hits``), computed (``misses``) and dropped by a write
         (``invalidations``); ``statistics_registry``: collection statistics
         served as they were (``hits``), extended by the appended rows only
-        (``extends``), built in full (``rebuilds``) or evicted.
+        (``extends``), built in full (``rebuilds``) or evicted;
+        ``triple_store``: writes that extended the store's tables
+        (``appends``, adding ``rows_appended`` triples) or rebuilt them from
+        every triple (``full_loads``).
         """
         return {
             "materialization_cache": self.database.cache.statistics.to_dict(),
             "statistics_registry": self.statistics_registry.counters(),
+            "triple_store": self.store.counters(),
         }
 
     # -- data loading ----------------------------------------------------------------
@@ -615,7 +619,9 @@ class Engine:
         storage.restore_state(store_manifest["storage"]["state"])
         engine.store.storage = storage
         engine.store.table_name = store_manifest["table_name"]
-        engine.store.adopt_snapshot(lambda: gather_triples(engine._plan_executor.backends))
+        stores = [shard_map.shard_directory(shard) / "store" for shard in shard_map.shards()]
+        count = sum(read_manifest(store, "triple-store")["num_triples"] for store in stores)
+        engine.store.adopt_snapshot(lambda: gather_triples(engine._plan_executor.backends), count)
 
         for entry in manifest["spinql"]:
             engine._compile_spinql(entry["source"], frozenset(entry["parameters"]))
@@ -725,8 +731,9 @@ class Engine:
 
         Known names: ``toy``, ``auction``, ``expanded-auction``, ``experts``.
         A name without ``builder_kwargs`` resolves to the strategy's lowering,
-        one plan per block, kept in the plan cache until a table it scans
-        changes, so a request by name neither builds nor lowers a graph.
+        one plan per block, kept in the plan cache until the set of tables
+        the store's layout holds changes, so a request by name neither
+        builds nor lowers a graph.
         ``builder_kwargs`` are forwarded to the prebuilt builder for a fresh
         graph per call.  Either way, blocks whose plans read nothing of the
         request are served from the materialization cache by plan content.
@@ -762,18 +769,29 @@ class Engine:
         )
 
     def _named_strategy(self, name: str, builder: Any) -> LoweredStrategy:
-        """The lowering of prebuilt ``name``, from the plan cache."""
+        """The lowering of prebuilt ``name``, from the plan cache.
+
+        A lowering reads which tables the layout holds, never their data, so
+        the entry outlives a write unless the write changes that table set.
+        """
         key = f"strategy::{name}"
-        cached = self.plan_cache.get(key)
-        if cached is not None:
-            return cached
         self.store.ensure_loaded()
-        still_valid = self.database.catalog.unchanged()
+        tables = self._layout_tables()
+        cached = self.plan_cache.get(key)
+        if cached is not None and cached[0] == tables:
+            return cached[1]
         lowered = self.executor.lower(builder())
         self.plan_cache.put(
-            key, lowered, dependencies=lowered.tables(), still_valid=still_valid
+            key,
+            (tables, lowered),
+            dependencies=frozenset(),
+            still_valid=lambda: self._layout_tables() == tables,
         )
         return lowered
+
+    def _layout_tables(self) -> tuple[str, ...]:
+        storage = self.store.storage
+        return (storage.name, *storage.table_names(self.database))
 
     def explain(self, source: str, *, top_k: int | None = None, **bindings: Any) -> str:
         """Shorthand for ``engine.spinql(source, **bindings).explain()``.

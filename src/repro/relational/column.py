@@ -9,7 +9,7 @@ columns rather than rows.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
 import numpy as np
@@ -103,9 +103,9 @@ class Column:
     aggregations over the same (or derived) columns skip the encoding step.
     :meth:`concat` keeps the codes when both sides hold the *same* dictionary
     object, which is how the triple store hands them out: its subject and
-    object columns are slices of one column born coded
-    (:meth:`from_strings`), so joins, unions, grouping, sorting and string
-    selects on anything derived from them run on integer codes.
+    object columns are born coded against one dictionary object, grown by
+    each write (:func:`extend_coding`), so joins, unions, grouping, sorting
+    and string selects on anything derived from them run on integer codes.
 
     A STRING column caches codes only over a dictionary of ``str`` values,
     so the order of its codes is the order of its strings; a STRING column
@@ -151,19 +151,6 @@ class Column:
         column._codes = codes
         column._dictionary = dictionary
         return column
-
-    @classmethod
-    def from_strings(cls, values: Sequence[Any], hint: np.ndarray | None = None) -> "Column":
-        """A STRING column over ``values``, born coded when they are all ``str``.
-
-        ``hint``, a sorted array of ``str`` such as the dictionary of a
-        previous load of similar values, only speeds the coding up: the
-        distinct values are sorted starting from the ones it holds.
-        """
-        coded = _code_strings(values, hint)
-        if coded is None:
-            return cls(values, DataType.STRING)
-        return cls.from_dictionary(*coded)
 
     @classmethod
     def constant(cls, value: Any, length: int, dtype: DataType | None = None) -> "Column":
@@ -281,7 +268,7 @@ class Column:
 
     # -- vectorised manipulation ------------------------------------------
 
-    def take(self, indices: np.ndarray) -> "Column":
+    def take(self, indices: np.ndarray | slice) -> "Column":
         """Return a new column containing the rows at ``indices``."""
         return self._derive(self._values[indices], indices)
 
@@ -436,6 +423,46 @@ def compact_codes(codes: np.ndarray, dictionary: np.ndarray) -> tuple[np.ndarray
     return remapped.astype(np.int64, copy=False).reshape(-1), dictionary[used]
 
 
+def extend_coding(
+    dictionary: np.ndarray | None, values: Sequence[Any]
+) -> tuple[Column, Callable[[Column], Column]]:
+    """``values`` coded against ``dictionary`` grown by the ones it lacks, and a recoder.
+
+    The grown dictionary is ``np.unique`` over ``dictionary`` (sorted ``str``)
+    and ``values``, but only ``values`` are hashed and sorted: unseen strings
+    go in at their ``searchsorted`` positions, and the recoder moves a column
+    coded against ``dictionary`` by one integer gather.  With ``dictionary``
+    ``None`` (not coded) or a value not a ``str``, nothing is coded.
+    """
+    coded = None if dictionary is None else _code_strings(values)
+    if coded is None:
+        plain = Column(values, DataType.STRING)
+        return plain, lambda column: Column(column.values, DataType.STRING)
+    codes, own = coded
+    if not len(dictionary):  # only empty columns are coded against it
+        return Column.from_dictionary(codes, own), lambda column: column
+    position = np.searchsorted(dictionary, own)
+    known = position < len(dictionary)
+    known[known] = dictionary[position[known]] == own[known]
+    at = position[~known]
+    if not len(at):
+        return Column.from_dictionary(position[codes], dictionary), lambda column: column
+    grown = np.insert(dictionary, at, own[~known])
+    old = np.arange(len(dictionary), dtype=np.int64)
+    remap = old + np.searchsorted(at, old, side="right")
+    own_codes = np.empty(len(own), dtype=np.int64)
+    own_codes[known] = remap[position[known]]
+    own_codes[~known] = at + np.arange(len(at), dtype=np.int64)
+
+    def recode(column: Column) -> Column:
+        recoded = Column(column.values, DataType.STRING)
+        recoded._codes = remap[column.factorize()[0]]
+        recoded._dictionary = grown
+        return recoded
+
+    return Column.from_dictionary(own_codes[codes], grown), recode
+
+
 def first_seen_codes(keys: Iterable[Any], count: int) -> np.ndarray:
     """Number ``count`` hashable ``keys`` densely, in order of first occurrence."""
     seen: dict[Any, int] = {}
@@ -487,23 +514,16 @@ def _position_codes(columns: Sequence["Column"]) -> tuple[np.ndarray, int]:
     return codes, len(domain)
 
 
-def _code_strings(
-    values: Sequence[Any], hint: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray] | None:
+def _code_strings(values: Sequence[Any]) -> tuple[np.ndarray, np.ndarray] | None:
     """``(codes, sorted dictionary)`` of ``str`` values, or ``None`` for any other.
 
     One hash pass, a sort of the distinct values and one dict lookup per
-    row: the result ``np.unique`` gives, without sorting every row.  The
-    distinct values a sorted ``hint`` of ``str`` holds are handed to the
-    sort as one sorted run, which it merges with the rest in linear time
-    (and, being ``str``, are not type-checked again).
+    row: the result ``np.unique`` gives, without sorting every row.
     """
     distinct = set(values)
-    known = [] if hint is None else [value for value in hint.tolist() if value in distinct]
-    unknown = distinct.difference(known) if known else distinct
-    if not set(map(type, unknown)) <= {str}:
+    if not set(map(type, distinct)) <= {str}:
         return None
-    ordered = sorted(known + list(unknown))
+    ordered = sorted(distinct)
     position = dict(zip(ordered, range(len(ordered))))
     codes = np.fromiter(map(position.__getitem__, values), dtype=np.int64, count=len(values))
     return codes, np.array(ordered, dtype=object)

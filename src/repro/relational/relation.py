@@ -23,7 +23,8 @@ from repro.relational.schema import Field, Schema
 class Relation:
     """An immutable columnar table."""
 
-    __slots__ = ("_schema", "_columns", "_num_rows", "_fingerprint")
+    # weakly referenced: a storage layout recognises the tables it wrote
+    __slots__ = ("_schema", "_columns", "_num_rows", "_fingerprint", "__weakref__")
 
     def __init__(self, schema: Schema, columns: Sequence[Column]):
         self._fingerprint: int | None = None

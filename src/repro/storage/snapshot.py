@@ -264,5 +264,5 @@ def restore_triple_store(
             )
         ]
 
-    store.adopt_snapshot(load_triples)
+    store.adopt_snapshot(load_triples, manifest["num_triples"])
     return store

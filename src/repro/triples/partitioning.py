@@ -14,7 +14,10 @@ relational engine:
   :class:`TypePartitionedStorage`.
 
 All strategies implement the same interface so the partitioning benchmark
-(E3) can swap them under an identical query workload.  The *on-demand*
+(E3) can swap them under an identical query workload.  Each materialises
+triples by one append (``_materialize``) that codes only the new strings,
+so a write costs what it adds and a full load is an append onto no tables.
+The *on-demand*
 query-driven materialization the paper ultimately relies on is orthogonal:
 it is provided by the database's materialization cache (``Database.cache``, a
 :class:`~repro.relational.cache.VersionedLRU`) and measured in the same
@@ -24,6 +27,7 @@ benchmark.
 from __future__ import annotations
 
 import re
+import weakref
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
@@ -34,7 +38,7 @@ from repro.pra.expressions import PositionalRef
 from repro.pra.plan import PraPlan, PraScan, PraSelect, PraValues
 from repro.pra.relation import PROBABILITY_COLUMN, ProbabilisticRelation
 from repro.relational.algebra import Scan, Select
-from repro.relational.column import Column, DataType
+from repro.relational.column import Column, DataType, extend_coding
 from repro.relational.database import Database
 from repro.relational.expressions import Expression, Literal, col, lit
 from repro.relational.relation import Relation
@@ -55,46 +59,12 @@ def _triple_schema(object_type: DataType = DataType.STRING) -> Schema:
     )
 
 
-def _previous_resources(database: Database, tables: Sequence[str]) -> np.ndarray | None:
-    """The resource dictionary of a layout's tables still in memory, if any.
-
-    Reloading mostly the same triples (a batch appended, say) then sorts
-    little more than the new resources (see :meth:`Column.from_strings`).
-    """
-    for name in tables:
-        if database.catalog.is_hydrated(name):
-            subject = database.table(name).column("subject")
-            if subject.coded:
-                return subject.factorize()[1]
-    return None
-
-
-def _coded_columns(
-    triples: Sequence["Triple"], strings: Sequence[str], previous: np.ndarray | None
-) -> tuple[Column, Column, Column, Column]:
-    """``(subject, property, p, strings)`` columns of ``triples``, born coded.
-
-    Subjects are coded against one resource dictionary together with the
-    string objects ``strings`` (``previous`` is a sort hint for it);
-    properties get their own dictionary.
-    """
-    subjects = [triple.subject for triple in triples]
-    # slices of one coded column share its dictionary object, so joins,
-    # unions and grouping across them run on the codes as they are
-    resources = Column.from_strings(subjects + list(strings), previous)
-    subject = resources.slice(0, len(subjects))
-    string_objects = resources.slice(len(subjects), len(resources))
-    property_column = Column.from_strings([triple.property for triple in triples])
-    probability = Column([triple.probability for triple in triples], DataType.FLOAT)
-    return subject, property_column, probability, string_objects
-
-
-def _coded_table(triples: Sequence["Triple"], previous: np.ndarray | None) -> Relation:
-    """Every triple as a ``(subject, property, object, p)`` row, objects as strings."""
-    subject, property_column, probability, obj = _coded_columns(
-        triples, [str(triple.object) for triple in triples], previous
-    )
-    return Relation(_triple_schema(), [subject, property_column, obj, probability])
+def _dictionary(tables: dict[str, Relation], name: str) -> np.ndarray | None:
+    """The dictionary the ``name`` columns of ``tables`` share (``None``: not coded)."""
+    for table in tables.values():
+        column = table.column(name)
+        return column.factorize()[1] if column.coded else None
+    return np.empty(0, dtype=object)
 
 
 def _pattern_predicate(
@@ -136,9 +106,17 @@ class StorageStrategy:
     """Interface of a triple storage layout."""
 
     name = "abstract"
+    #: the tables this layout last wrote, by name
+    _written: tuple[tuple[str, "weakref.ref[Relation]"], ...] = ()
 
-    def load(self, database: Database, triples: Sequence["Triple"]) -> None:
-        """(Re)materialise ``triples`` into the database tables of this layout."""
+    def load(
+        self, database: Database, triples: Sequence["Triple"], *, append: bool = False
+    ) -> None:
+        """Materialise ``triples`` into the database tables of this layout.
+
+        With ``append`` they follow the triples the tables hold (:meth:`held`);
+        otherwise they replace them: a full load is an append onto no tables.
+        """
         raise NotImplementedError
 
     def match(
@@ -177,6 +155,71 @@ class StorageStrategy:
         """
         raise NotImplementedError
 
+    def held(self, database: Database) -> int:
+        """How many triples this layout's tables in ``database`` hold as it wrote them.
+
+        0 when it wrote none, or one of them was replaced or dropped since.
+        """
+        catalog, rows = database.catalog, 0
+        for name, written in self._written:
+            table = written()
+            if table is None or not catalog.is_hydrated(name) or catalog.table(name) is not table:
+                return 0
+            rows += table.num_rows
+        return rows
+
+    def _materialize(
+        self,
+        database: Database,
+        triples: Sequence["Triple"],
+        append: bool,
+        groups: dict[tuple[str, DataType], Sequence[int]],
+    ) -> None:
+        """Append ``triples`` to the tables this layout wrote (or, unless ``append``, to none).
+
+        ``groups`` maps each table and its object type (STRING objects are
+        stored as their ``str``) to the rows of ``triples`` it receives.
+        Subject and string-object columns of every table share one dictionary
+        object, properties another; only the new triples' strings are coded,
+        and held columns move to the grown dictionaries by one integer gather
+        (:func:`extend_coding`).
+        """
+        written = {name: database.table(name) for name, _ in self._written} if append else {}
+        strings = (r for (_, kind), rows in groups.items() if kind is DataType.STRING for r in rows)
+        count = len(triples)
+        resources, recode_resources = extend_coding(
+            _dictionary(written, "subject"),
+            [triple.subject for triple in triples] + [str(triples[row].object) for row in strings],
+        )
+        properties, recode_properties = extend_coding(
+            _dictionary(written, "property"), [triple.property for triple in triples]
+        )
+        subject = resources.slice(0, count)
+        probability = Column([triple.probability for triple in triples], DataType.FLOAT)
+
+        tables = {}
+        for name, table in written.items():
+            subjects, property_column, objects, probabilities = table.columns().values()
+            if objects.dtype is DataType.STRING:
+                objects = recode_resources(objects)
+            columns = [recode_resources(subjects), recode_properties(property_column), objects]
+            tables[name] = Relation(table.schema, [*columns, probabilities])
+        start = count  # each STRING table's objects follow the subjects in ``resources``
+        for (name, dtype), rows in groups.items():
+            if dtype is DataType.STRING:
+                objects = resources.slice(start, start + len(rows))
+                start += len(rows)
+            else:
+                objects = Column([triples[row].object for row in rows], dtype)
+            # every triple, in order, is a view, not a copy
+            index = slice(None) if len(rows) == count else np.asarray(rows, dtype=np.int64)
+            columns = [subject.take(index), properties.take(index), objects]
+            added = Relation(_triple_schema(dtype), [*columns, probability.take(index)])
+            tables[name] = tables[name].concat(added) if name in tables else added
+        for name, table in tables.items():
+            database.create_table(name, table, replace=True)
+        self._written = tuple((name, weakref.ref(table)) for name, table in tables.items())
+
 
 class SingleTableStorage(StorageStrategy):
     """All triples in one ``(subject, property, object, p)`` table."""
@@ -186,9 +229,11 @@ class SingleTableStorage(StorageStrategy):
     def __init__(self, table_name: str = "triples"):
         self.table_name = table_name
 
-    def load(self, database: Database, triples: Sequence["Triple"]) -> None:
-        previous = _previous_resources(database, [self.table_name])
-        database.create_table(self.table_name, _coded_table(triples, previous), replace=True)
+    def load(
+        self, database: Database, triples: Sequence["Triple"], *, append: bool = False
+    ) -> None:
+        table = (self.table_name, DataType.STRING)
+        self._materialize(database, triples, append, {table: range(len(triples))})
 
     def match(
         self,
@@ -234,18 +279,15 @@ class PropertyPartitionedStorage(StorageStrategy):
     def _table_for(self, property_name: str) -> str:
         return f"{self.prefix}{_sanitize(property_name)}"
 
-    def load(self, database: Database, triples: Sequence["Triple"]) -> None:
-        table = _coded_table(triples, _previous_resources(database, self.table_names(database)))
+    def load(
+        self, database: Database, triples: Sequence["Triple"], *, append: bool = False
+    ) -> None:
         rows_of: dict[str, list[int]] = {}
         for row, triple in enumerate(triples):
             rows_of.setdefault(triple.property, []).append(row)
-        self._properties = sorted(rows_of)
-        for property_name, rows in rows_of.items():
-            database.create_table(
-                self._table_for(property_name),
-                table.take(np.asarray(rows, dtype=np.int64)),
-                replace=True,
-            )
+        groups = {(self._table_for(name), DataType.STRING): rows for name, rows in rows_of.items()}
+        self._materialize(database, triples, append, groups)
+        self._properties = sorted(set(self._properties if append else ()).union(rows_of))
 
     def match(
         self,
@@ -327,27 +369,16 @@ class TypePartitionedStorage(StorageStrategy):
             return DataType.FLOAT
         return DataType.STRING
 
-    def load(self, database: Database, triples: Sequence["Triple"]) -> None:
+    def load(
+        self, database: Database, triples: Sequence["Triple"], *, append: bool = False
+    ) -> None:
         rows_of: dict[DataType, list[int]] = {}
         for row, triple in enumerate(triples):
             rows_of.setdefault(self._object_type(triple.object), []).append(row)
-        subject, property_column, probability, strings = _coded_columns(
-            triples,
-            [str(triples[row].object) for row in rows_of.get(DataType.STRING, [])],
-            _previous_resources(database, self.table_names(database)),
-        )
-        self._partitions = sorted(rows_of, key=lambda dtype: dtype.value)
-        for dtype, rows in rows_of.items():
-            if dtype is DataType.STRING:
-                obj = strings
-            else:
-                obj = Column([triples[row].object for row in rows], dtype)
-            index = np.asarray(rows, dtype=np.int64)
-            columns = [subject.take(index), property_column.take(index), obj]
-            columns.append(probability.take(index))
-            database.create_table(
-                self._table_for(dtype), Relation(_triple_schema(dtype), columns), replace=True
-            )
+        groups = {(self._table_for(dtype), dtype): rows for dtype, rows in rows_of.items()}
+        self._materialize(database, triples, append, groups)
+        known = set(self._partitions if append else ()).union(rows_of)
+        self._partitions = sorted(known, key=lambda dtype: dtype.value)
 
     def match(
         self,

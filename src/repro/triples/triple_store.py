@@ -76,6 +76,9 @@ class TripleStore:
         # finish after, and so overwrite, a later load over more triples
         self._load_lock = threading.Lock()
         self._loaded = False
+        #: how many of the buffered triples the storage tables hold
+        self._materialized = 0
+        self._counters = {"appends": 0, "full_loads": 0, "rows_appended": 0}
 
     @property
     def _triples(self) -> list[Triple]:
@@ -96,16 +99,17 @@ class TripleStore:
                 self._triples_loader = None
             return self._triples_list
 
-    def adopt_snapshot(self, loader: Callable[[], list[Triple]]) -> None:
+    def adopt_snapshot(self, loader: Callable[[], list[Triple]], count: int) -> None:
         """Mark the store as loaded from a snapshot whose tables are in place.
 
-        ``loader`` reproduces the triple list on first access (properties,
-        ``num_triples``, re-materialisation); pattern matching never needs it
-        because the storage strategy's partition tables already exist in the
-        database.
+        ``loader`` reproduces the ``count`` triples on first access
+        (properties, a write); pattern matching and :attr:`num_triples`
+        never need it because the storage strategy's partition tables
+        already exist in the database and hold ``count`` triples.
         """
         self._triples_list = None
         self._triples_loader = loader
+        self._materialized = count
         self._loaded = True
 
     # -- loading ----------------------------------------------------------------------
@@ -133,12 +137,25 @@ class TripleStore:
         self._loaded = False
 
     def load(self) -> None:
-        """Materialise the buffered triples into the storage strategy's tables."""
+        """Materialise the buffered triples into the storage strategy's tables.
+
+        Appends the triples buffered since the last load, or loads every
+        triple anew when the layout no longer holds its tables as it wrote
+        them (a replaced table, a swapped layout, a snapshot's tables).
+        """
         with self._load_lock:
+            start = self._materialized
+            if self.storage.held(self.database) != start:
+                start = 0
             # a copy: a layout reads the triples in several passes, and a
             # concurrent add_all must not grow the list between them
-            self.storage.load(self.database, list(self._triples))
-            self._loaded = True
+            added = self._triples[start:]
+            self.storage.load(self.database, added, append=start > 0)
+            self._materialized = start + len(added)
+            self._counters["appends" if start else "full_loads"] += 1
+            self._counters["rows_appended"] += len(added) if start else 0
+            # a triple buffered while the layout ran waits for the next load
+            self._loaded = len(self._triples) == self._materialized
 
     def ensure_loaded(self) -> None:
         """Materialise the buffered triples unless the tables are current."""
@@ -149,7 +166,13 @@ class TripleStore:
 
     @property
     def num_triples(self) -> int:
-        return len(self._triples)
+        """How many triples the store holds, without hydrating a snapshot's list."""
+        triples = self._triples_list
+        return self._materialized if triples is None else len(triples)
+
+    def counters(self) -> dict[str, int]:
+        """Loads that appended to the tables (and the rows they added) or rebuilt them."""
+        return dict(self._counters)
 
     def properties(self) -> list[str]:
         """The distinct property names present in the store."""

@@ -322,7 +322,8 @@ class TestEngineSession:
         for query in ("wooden train", "remote control", "history"):
             engine.strategy("toy", query=query).execute()
         reuse = engine.reuse_statistics()
-        assert set(reuse) == {"materialization_cache", "statistics_registry"}
+        assert set(reuse) == {"materialization_cache", "statistics_registry", "triple_store"}
+        assert reuse["triple_store"] == {"appends": 0, "full_loads": 1, "rows_appended": 0}
         assert reuse["materialization_cache"] == engine.database.cache.statistics.to_dict()
         assert engine.statistics_registry.counters() == {
             "hits": 2, "extends": 0, "rebuilds": 1, "evictions": 0, "entries": 1
@@ -332,6 +333,9 @@ class TestEngineSession:
         engine.load_triples([("product4", "type", "product")])
         # the write dropped the two stored blocks (and the reads below them)
         assert engine.reuse_statistics()["materialization_cache"]["invalidations"] >= before + 2
+        assert engine.reuse_statistics()["triple_store"] == {
+            "appends": 1, "full_loads": 1, "rows_appended": 1
+        }
         assert engine.strategy("toy", query="train").execute().memoized_blocks == []
         engine.clear_caches()
         assert engine.statistics_registry.counters()["entries"] == 0

@@ -172,8 +172,14 @@ class TestRouter:
             if item["fingerprint"].startswith("serve::")
         ]
         assert serves  # the handled request was logged as a serve record
-        # the engine's reuse counters ride along (materialization cache, registry)
-        assert {"materialization_cache", "statistics_registry"} == set(stats["reuse"])
+        # the engine's reuse counters ride along (materialization cache,
+        # registry, and the store's writes: none on an opened snapshot)
+        assert {"materialization_cache", "statistics_registry", "triple_store"} == set(
+            stats["reuse"]
+        )
+        assert stats["reuse"]["triple_store"] == {
+            "appends": 0, "full_loads": 0, "rows_appended": 0
+        }
 
     def test_http_front_end(self, source_and_snapshot, pool_engine):
         engine, _path, query = source_and_snapshot
