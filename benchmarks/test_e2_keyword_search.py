@@ -16,8 +16,10 @@ import pytest
 from repro.bench.harness import measure_latency
 from repro.bench.reporting import ResultTable
 from repro.ir import KeywordSearchEngine
+from repro.ir.statistics import RelationalStatisticsBuilder
 from repro.relational.database import Database
 from repro.workloads import generate_collection, generate_queries
+from tests.statistics_equality import assert_statistics_equal
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +61,7 @@ def test_e2_cold_statistics_build(benchmark, text_collection):
 def test_e2_sweep_collection_size_and_terms(benchmark):
     """Latency vs collection size (cold and hot) and vs number of query terms."""
     table = ResultTable(
-        "E2 — keyword search latency (BM25, direct pipeline)",
+        "E2 — keyword search latency (BM25)",
         ["docs", "terms/query", "cold first query (ms)", "hot mean (ms)", "hot p95 (ms)"],
     )
     for num_docs in (250, 1000, 4000):
@@ -90,14 +92,17 @@ def test_e2_sweep_collection_size_and_terms(benchmark):
     benchmark(engine.search, query)
 
 
-def test_e2_relational_pipeline_agrees_with_direct(benchmark, text_database, text_queries):
-    """The faithful SQL-view pipeline produces the same ranking as the direct path."""
-    direct = KeywordSearchEngine(text_database, "docs", pipeline="direct")
-    relational = KeywordSearchEngine(text_database, "docs", pipeline="relational")
-    direct.warm_up()
-    relational.warm_up()
-    query = text_queries.queries[0]
-    assert [d for d, _ in direct.search(query).top(10)] == [
-        d for d, _ in relational.search(query).top(10)
-    ]
-    benchmark(relational.search, query)
+def test_e2_relational_views_equal_served_statistics(benchmark, hot_engine, text_database):
+    """The Section 2.1 SQL-view chain builds exactly the statistics search serves.
+
+    Times a cold ``materialize()``: every round starts from an empty
+    materialization cache, so each one tokenizes, stems and counts the
+    whole collection through the views.
+    """
+    database = Database()
+    database.create_table("docs", text_database.table("docs"))
+    builder = RelationalStatisticsBuilder(database, "docs")
+    statistics = benchmark.pedantic(
+        builder.materialize, setup=database.clear_cache, rounds=2, iterations=1
+    )
+    assert_statistics_equal(statistics, hot_engine.statistics)

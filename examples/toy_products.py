@@ -9,16 +9,20 @@ and checks they agree:
 * the **SpinQL** path: the sub-collection filter written in SpinQL
   (``engine.spinql``), its SQL translation printed, and keyword search run
   over the resulting docs view (``engine.search``);
-* the **SQL-view** path: the docs view registered in the database and the
-  paper's BM25 pipeline (the view chain of Section 2.1) run over it with the
-  faithful relational statistics builder.
+* the **SQL-view** path: the docs view registered in the database, the
+  paper's CREATE VIEW chain of Section 2.1 printed and materialised over it
+  with the relational statistics builder, its statistics checked against the
+  ones keyword search serves, and BM25 ranked over them.
 
 Run with:  python examples/toy_products.py [num_products]
 """
 
 import sys
 
-from repro import Engine
+import numpy as np
+
+from repro import Engine, KeywordSearchEngine
+from repro.ir.statistics import RelationalStatisticsBuilder
 from repro.workloads import generate_product_triples
 
 SPINQL_DOCS = """
@@ -27,6 +31,15 @@ docs = PROJECT [$1 AS docID, $6 AS data] (
     SELECT [$2="category" and $3="toy"] (triples),
     SELECT [$2="description"] (triples) ) );
 """
+
+
+def first_five(pairs: list) -> list:
+    """The five best ids of a ranking; equal scores are ordered by id.
+
+    The strategy orders tied probabilities by node id and keyword search by
+    document position, so the paths are compared with one tie rule.
+    """
+    return [node for node, _ in sorted(pairs, key=lambda pair: (-round(pair[1], 9), pair[0]))][:5]
 
 
 def main() -> None:
@@ -45,7 +58,7 @@ def main() -> None:
 
     # -- path 1: the strategy ------------------------------------------------------
     run = engine.strategy("toy", query=query, category="toy").execute()
-    strategy_top = run.top(10)
+    strategy_top = run.top(run.result.num_rows)
     print("Strategy path (Figure 2):")
     for node, probability in strategy_top[:5]:
         print(f"    {node:<12} p = {probability:.3f}")
@@ -60,8 +73,8 @@ def main() -> None:
     docs = docs_query.execute()
     print(f"    the docs view holds {docs.num_rows} toy descriptions")
     engine.create_table("spinql_docs", docs.relation, replace=True)
-    spinql_top = [doc for doc, _ in engine.search("spinql_docs", query).top(10)]
-    print(f"    top-5 by BM25 over that view: {spinql_top[:5]}")
+    spinql_top = engine.search("spinql_docs", query).execute().ranked.as_pairs()
+    print(f"    top-5 by BM25 over that view: {first_five(spinql_top)}")
     print()
 
     # -- path 3: the SQL view chain of Section 2.1 ----------------------------------
@@ -72,15 +85,30 @@ def main() -> None:
         filter_value="toy",
         text_property="description",
     )
-    sql_top = [doc for doc, _ in engine.search("docs_sql", query, pipeline="relational").top(10)]
-    print(f"    top-5: {sql_top[:5]}")
+    builder = RelationalStatisticsBuilder(engine.database, "docs_sql")
+    for sql in builder.view_sql().values():
+        print("    " + sql.replace("\n", "\n    "))
+    views = builder.materialize()
+    served = KeywordSearchEngine(
+        engine.database, "docs_sql", registry=engine.statistics_registry
+    )
+    identical = (
+        views.doc_ids == served.statistics.doc_ids
+        and views.term_ids == served.statistics.term_ids
+        and all(
+            np.array_equal(getattr(views, name), getattr(served.statistics, name))
+            for name in ("doc_lengths", "offsets", "doc_indices", "frequencies")
+        )
+    )
+    print(f"    the views' statistics equal the served ones, array for array: {identical}")
+    sql_top = served.model.rank(views, served.analyze_query(query)).as_pairs()
+    print(f"    top-5 by BM25 over the views' statistics: {first_five(sql_top)}")
     print()
 
     # -- agreement -------------------------------------------------------------------
-    strategy_ids = [node for node, _ in strategy_top]
-    agreement = strategy_ids[:5] == spinql_top[:5] == sql_top[:5]
+    agreement = first_five(strategy_top) == first_five(spinql_top) == first_five(sql_top)
     print(f"All three paths agree on the top-5: {agreement}")
-    in_category = all(node in toy_products for node in strategy_ids)
+    in_category = all(node in toy_products for node, _ in strategy_top)
     print(f"Every result is a toy product (category filter respected): {in_category}")
 
 

@@ -2,8 +2,9 @@
 
 Checks every Python file under ``src/``, ``benchmarks/`` and ``scripts/``
 against the RL-series rules: stable sorts in kernel modules, deterministic
-gather merges, lock-guarded cache mutation, no wall-clock in benchmarks, and
-length-prefixed wire writes.  Prints one line per violation and exits
+gather merges, lock-guarded cache mutation, no wall-clock in benchmarks,
+length-prefixed wire writes, bounded log buffers and the module/class line
+budget under ``src/``.  Prints one line per violation and exits
 non-zero when any are found, so CI can gate on it.
 
 Usage::

@@ -110,7 +110,7 @@ never renamed or removed, an error never silently becomes a warning, and
 new codes may appear in any minor release.  The human-readable message
 *text* is not part of the stable surface — match on ``Diagnostic.code``
 and ``severity``, not on message strings.  The lint rule names
-(``RL001``–``RL006``) follow the same append-only rule.
+(``RL001``–``RL007``) follow the same append-only rule.
 
 The workload-record schema (:class:`repro.workload.WorkloadRecord` and the
 JSONL lines ``WorkloadLog.export`` writes) is **stable** from 1.5 and
@@ -155,6 +155,26 @@ The three caches share one class,
 ``Engine.plan_cache``, ``Engine.result_cache`` and ``Database.cache``;
 their former per-cache classes were internals and are gone without
 aliases (``CHANGES.md`` lists them).
+
+Version 4.0 keeps one statistics path and one plan rewriter.  Every search
+ranks against :func:`~repro.ir.statistics.build_statistics`; the Section 2.1
+view chain, :class:`~repro.ir.statistics.RelationalStatisticsBuilder`, stays
+public and is tested array-identical to it.  Removed without a shim: the
+``pipeline=`` keyword of ``Engine.search``, ``Engine.search_many``,
+:class:`~repro.engine.query.SearchQuery` and :class:`KeywordSearchEngine`,
+with ``KeywordSearchEngine.pipeline``, its ``statistics_prefix=`` keyword,
+the ``"pipeline"`` key of its ``describe()`` and ``SearchSpec.pipeline``;
+the module ``repro.relational.optimizer`` (``optimize``), with the
+``optimize_plans=`` keyword and attribute of :class:`Database` — plan
+rewriting lives in :mod:`repro.pra.optimizer`; the
+``CollectionStatistics`` methods ``doc_len_relation``,
+``termdict_relation``, ``tf_relation`` and ``idf_relation``, and
+``repro.ir.statistics.statistics_from_relation``.  Engine snapshots no
+longer write a ``pipeline`` field; a 3.x snapshot's relational statistics
+entry is skipped on open and rebuilt on first search.  A property partition
+whose name is not made of letters, digits and ``_`` gets a new, one-to-one
+table name, so a 3.x property-partitioned snapshot holding one is rebuilt
+from source data.
 """
 
 from repro.errors import EngineError, ReproError
@@ -178,7 +198,7 @@ from repro.strategy import (
     build_toy_strategy,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     # the public facade

@@ -11,6 +11,7 @@ from repro.analysis.lint.rules import (
     ALL_RULES,
     BoundedLogBufferRule,
     LengthPrefixedWriteRule,
+    LineBudgetRule,
     LockedCacheMutationRule,
     NoWallClockRule,
     OrderedGatherRule,
@@ -21,6 +22,7 @@ __all__ = [
     "ALL_RULES",
     "BoundedLogBufferRule",
     "LengthPrefixedWriteRule",
+    "LineBudgetRule",
     "LintRule",
     "LintViolation",
     "LockedCacheMutationRule",

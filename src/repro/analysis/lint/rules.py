@@ -637,6 +637,57 @@ class BoundedLogBufferRule(LintRule):
         return None
 
 
+class LineBudgetRule(LintRule):
+    """RL007: a module under ``src/`` has at most 1,300 lines, a class 1,100.
+
+    The tree grew by accretion: each feature landed where its caller lived,
+    and the engine facade and the worker pool outgrew the shape a reader can
+    hold.  The budget turns "split it" from a review comment into a gate, so
+    a later change cannot regrow a module or class past it silently.  A
+    class counts from its ``class`` line to its last line.
+
+    Regression note: clean at introduction.  The largest module was
+    ``repro/engine/__init__.py`` (1,245 lines) and the largest class
+    ``Engine`` (1,072 lines); the budget sits just above both.
+    """
+
+    name = "RL007"
+    description = "modules under src/ stay within 1,300 lines and classes within 1,100"
+
+    MODULE_LINES = 1300
+    CLASS_LINES = 1100
+
+    def applies_to(self, path: Path) -> bool:
+        return _in_scope(path, ("src/",))
+
+    def check(self, tree: ast.Module, source: str, path: Path) -> list[LintViolation]:
+        violations: list[LintViolation] = []
+        lines = len(source.splitlines())
+        if lines > self.MODULE_LINES:
+            violations.append(
+                LintViolation(
+                    rule=self.name,
+                    path=path.as_posix(),
+                    line=1,
+                    message=f"module has {lines} lines; the budget is {self.MODULE_LINES}",
+                )
+            )
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            size = (node.end_lineno or node.lineno) - node.lineno + 1
+            if size > self.CLASS_LINES:
+                violations.append(
+                    self.violation(
+                        path,
+                        node,
+                        f"class '{node.name}' has {size} lines; the budget is "
+                        f"{self.CLASS_LINES}",
+                    )
+                )
+        return violations
+
+
 #: the rule set scripts/repro_lint.py runs, in report order
 ALL_RULES: list[LintRule] = [
     StableSortRule(),
@@ -645,4 +696,5 @@ ALL_RULES: list[LintRule] = [
     NoWallClockRule(),
     LengthPrefixedWriteRule(),
     BoundedLogBufferRule(),
+    LineBudgetRule(),
 ]

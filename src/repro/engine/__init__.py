@@ -177,6 +177,9 @@ class Engine:
         cost_model: CostModel | None = None,
     ):
         self.store = TripleStore(database, storage=storage, table_name=triples_table)
+        # every load of the store's tables, an explicit load() or one a reader
+        # triggers, drops what the engine cached over the old tables
+        self.store.on_load = self._on_data_changed
         self.database = self.store.database
         self.triples_table = triples_table
         self.language = language
@@ -275,7 +278,6 @@ class Engine:
     def load(self) -> "Engine":
         """(Re)materialize buffered triples and invalidate dependent caches."""
         self.store.load()
-        self._on_data_changed()
         return self
 
     def load_triples(self, triples: Iterable) -> "Engine":
@@ -675,7 +677,6 @@ class Engine:
         query: str | None = None,
         *,
         model: Any | None = None,
-        pipeline: str = "direct",
         top_k: int | None = None,
         expander: Any | None = None,
         id_column: str = "docID",
@@ -687,7 +688,6 @@ class Engine:
             table,
             query,
             model=model,
-            pipeline=pipeline,
             top_k=top_k,
             expander=expander,
             id_column=id_column,
@@ -1067,7 +1067,6 @@ class Engine:
         table: str,
         queries: Sequence[str],
         model: Any | None,
-        pipeline: str,
         top_k: int | None,
         expander: Any | None,
         id_column: str,
@@ -1092,7 +1091,6 @@ class Engine:
             searcher = self._search_engine(
                 table,
                 model=model,
-                pipeline=pipeline,
                 expander=expander,
                 id_column=id_column,
                 text_column=text_column,
@@ -1103,7 +1101,6 @@ class Engine:
                     table=table,
                     terms=list(terms),
                     top_k=top_k,
-                    pipeline=pipeline,
                     id_column=id_column,
                     text_column=text_column,
                     model=model,
@@ -1137,7 +1134,6 @@ class Engine:
         queries: Sequence[str],
         *,
         model: Any | None = None,
-        pipeline: str = "direct",
         top_k: int | None = None,
         expander: Any | None = None,
         id_column: str = "docID",
@@ -1166,7 +1162,6 @@ class Engine:
                 table=table,
                 queries=queries,
                 model=model,
-                pipeline=pipeline,
                 top_k=top_k,
                 expander=expander,
                 id_column=id_column,
@@ -1176,7 +1171,6 @@ class Engine:
                 searcher = self._search_engine(
                     table,
                     model=model,
-                    pipeline=pipeline,
                     expander=expander,
                     id_column=id_column,
                     text_column=text_column,
@@ -1215,7 +1209,6 @@ class Engine:
         table: str,
         *,
         model: Any | None,
-        pipeline: str,
         expander: Any | None,
         id_column: str,
         text_column: str,
@@ -1224,7 +1217,7 @@ class Engine:
 
         model_key = repr(model.describe()) if model is not None else "default"
         expander_key = id(expander) if expander is not None else None
-        key = (table, pipeline, model_key, expander_key, id_column, text_column)
+        key = (table, model_key, expander_key, id_column, text_column)
         with self._registry_lock:
             searcher = self._search_engines.get(key)
         if searcher is None:
@@ -1232,7 +1225,6 @@ class Engine:
                 self.database,
                 table,
                 model=model,
-                pipeline=pipeline,
                 language=self.language,
                 id_column=id_column,
                 text_column=text_column,

@@ -90,7 +90,6 @@ class SearchSpec:
     table: str
     terms: list[str]
     top_k: int | None = None
-    pipeline: str = "direct"
     id_column: str = "docID"
     text_column: str = "data"
     model: RankingModel | None = None
@@ -103,7 +102,7 @@ def statistics_key(spec: SearchSpec) -> tuple:
     groups a batch by it: specs with one key rank against the same df/cf
     tables, so they can share one shard request.
     """
-    return (spec.table, spec.pipeline, spec.id_column, spec.text_column)
+    return (spec.table, spec.id_column, spec.text_column)
 
 
 def model_from_descriptor(descriptor: dict[str, Any] | None) -> RankingModel | None:
@@ -333,7 +332,6 @@ class InProcessShard:
         return self.engine._search_engine(
             spec.table,
             model=None,
-            pipeline=spec.pipeline,
             expander=None,
             id_column=spec.id_column,
             text_column=spec.text_column,

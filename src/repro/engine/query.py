@@ -571,7 +571,6 @@ class SearchQuery(Query):
         query: str | None = None,
         *,
         model: Any | None = None,
-        pipeline: str = "direct",
         top_k: int | None = None,
         expander: Any | None = None,
         id_column: str = "docID",
@@ -581,7 +580,6 @@ class SearchQuery(Query):
         self.table = table
         self._query = query
         self._model = model
-        self._pipeline = pipeline
         self._top_k = top_k
         self._expander = expander
         self._id_column = id_column
@@ -591,7 +589,6 @@ class SearchQuery(Query):
         return self._engine._search_engine(
             self.table,
             model=self._model,
-            pipeline=self._pipeline,
             expander=self._expander,
             id_column=self._id_column,
             text_column=self._text_column,
@@ -642,7 +639,6 @@ class SearchQuery(Query):
             self.table,
             queries,
             model=self._model,
-            pipeline=self._pipeline,
             top_k=top_k,
             expander=self._expander,
             id_column=self._id_column,

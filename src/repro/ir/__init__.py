@@ -5,8 +5,8 @@ as relational queries over a column store.
 
 * :mod:`repro.ir.statistics` builds the collection statistics the BM25 SQL
   listing materialises as views (``term_doc``, ``doc_len``, ``termdict``,
-  ``tf``, ``idf``) — both as faithful logical plans over the database and as
-  a fast vectorised builder that produces identical relations.
+  ``tf``, ``idf``) — in one pass for every search, and as the listing's
+  logical plans over the database, which a property test holds identical.
 * :mod:`repro.ir.inverted_index` exposes the term-partitioned posting lists
   of Figure 1 and the "term lookup is a relational join" demonstration.
 * :mod:`repro.ir.ranking` provides BM25 (the paper's listing), TF-IDF,

@@ -5,11 +5,10 @@ of Section 2.1.  Given a database and the name of a ``docs(docID, data)``
 table or view (possibly defined on the fly by structured filtering, as in the
 toy scenario), the engine
 
-1. materialises the collection statistics on demand — either through the
-   faithful relational view chain (the paper's CREATE VIEW listing, served by
-   the database's materialization cache: *cold* the first time, *hot*
-   afterwards) or through a fast vectorised builder producing identical
-   statistics;
+1. materialises the collection statistics on demand (*cold* the first time,
+   *hot* afterwards) with :func:`~repro.ir.statistics.build_statistics`,
+   which a property test holds array-identical to the paper's CREATE VIEW
+   chain (:class:`~repro.ir.statistics.RelationalStatisticsBuilder`);
 2. analyses the query string with the same analyzer used for the documents
    (the paper's ``qterms`` view);
 3. ranks documents with the configured ranking model (BM25 by default) and
@@ -25,16 +24,12 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import IndexingError, RankingError
+from repro.errors import IndexingError
 from repro.ir.query_expansion import QueryExpander, expanded_terms
 from repro.ir.ranking import BM25Model, RankingModel
 from repro.ir.ranking.base import RankedList
 from repro.ir.registry import StatisticsRegistry
-from repro.ir.statistics import (
-    CollectionStatistics,
-    RelationalStatisticsBuilder,
-    docs_columns,
-)
+from repro.ir.statistics import CollectionStatistics, docs_columns
 from repro.relational.column import Column, DataType
 from repro.relational.database import Database
 from repro.relational.relation import Relation
@@ -64,7 +59,11 @@ class SearchResult:
 
 
 class KeywordSearchEngine:
-    """Keyword search over a ``docs(docID, data)`` table or view."""
+    """Keyword search over a ``docs(docID, data)`` table or view.
+
+    Each docs row is one document, in docs order: a docID that occurs twice
+    is ranked as two documents.
+    """
 
     def __init__(
         self,
@@ -73,29 +72,21 @@ class KeywordSearchEngine:
         *,
         analyzer: Analyzer | None = None,
         model: RankingModel | None = None,
-        pipeline: str = "direct",
         language: str = "english",
         id_column: str = "docID",
         text_column: str = "data",
         expander: QueryExpander | None = None,
-        statistics_prefix: str = "",
         registry: StatisticsRegistry | None = None,
     ):
-        if pipeline not in ("direct", "relational"):
-            raise RankingError(
-                f"unknown pipeline {pipeline!r}; use 'direct' or 'relational'"
-            )
         self.database = database
         self.docs_source = docs_source
         self.analyzer = analyzer if analyzer is not None else StandardAnalyzer(language)
         self.model = model if model is not None else BM25Model()
-        self.pipeline = pipeline
         self.language = language
         self.id_column = id_column
         self.text_column = text_column
         self.expander = expander
-        self.statistics_prefix = statistics_prefix or f"{docs_source}_"
-        # where direct-pipeline statistics come from; an engine passes its own
+        # where statistics come from; an engine passes its own
         # so searchers and rank() over the same documents share one index
         self.registry = registry if registry is not None else StatisticsRegistry()
         self._statistics: CollectionStatistics | None = None
@@ -151,14 +142,6 @@ class KeywordSearchEngine:
             raise IndexingError(
                 f"docs source {self.docs_source!r} is empty; nothing to index"
             )
-        if self.pipeline == "relational":
-            builder = RelationalStatisticsBuilder(
-                self.database,
-                self.docs_source,
-                language=self.language,
-                prefix=self.statistics_prefix,
-            )
-            return builder.materialize()
         ids, texts = docs_columns(docs, self.id_column, self.text_column)
         return self.registry.get(ids, texts, self.analyzer)
 
@@ -237,7 +220,6 @@ class KeywordSearchEngine:
         """Return a description of the engine configuration."""
         return {
             "docs_source": self.docs_source,
-            "pipeline": self.pipeline,
             "language": self.language,
             "model": self.model.describe(),
             "analyzer": self.analyzer.describe(),

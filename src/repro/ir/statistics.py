@@ -4,20 +4,21 @@ Section 2.1 derives keyword search from a ``docs(docID, data)`` table through
 a chain of views::
 
     term_doc  — stemmed, lower-cased (term, docID) pairs from ``tokenize``
-    doc_len   — document lengths
+    doc_len   — document lengths, 0 for a document without terms
     termdict  — distinct terms numbered with ``row_number()``
     tf        — integer term frequencies per (termID, docID)
     idf       — Robertson/Sparck-Jones inverse document frequency per termID
 
 Two builders produce these statistics:
 
+* :func:`build_statistics` computes them in a single pass over the
+  documents; every search ranks against its result;
 * :class:`RelationalStatisticsBuilder` constructs the *literal* logical plans
   (the reproduction's equivalent of the CREATE VIEW statements) and executes
-  them through the database, exercising the on-demand materialization cache —
-  this is the faithful, paper-shaped path;
-* :func:`build_statistics` computes the same numbers in a single vectorised
-  pass over the documents — the fast path used for larger synthetic
-  collections.  Tests assert that both paths produce identical statistics.
+  them through the database, exercising the on-demand materialization cache.
+  It is the executable form of "keyword search as relational queries": a
+  property test holds its statistics array-identical to
+  :func:`build_statistics`.
 
 The resulting :class:`CollectionStatistics` is the input of every ranking
 model in :mod:`repro.ir.ranking`.  It stores the ``tf`` view once, packed:
@@ -48,11 +49,10 @@ from repro.relational.algebra import (
     Scan,
     TableFunctionScan,
 )
-from repro.relational.column import Column, DataType
+from repro.relational.column import Column
 from repro.relational.database import Database
 from repro.relational.expressions import FunctionCall, col
 from repro.relational.relation import Relation
-from repro.relational.schema import Field, Schema
 from repro.text.analyzers import Analyzer, StandardAnalyzer
 
 
@@ -200,59 +200,6 @@ class CollectionStatistics:
         from repro.storage.index_io import open_statistics
 
         return open_statistics(path, mmap=mmap)
-
-    # -- relation views ----------------------------------------------------------
-
-    def doc_len_relation(self) -> Relation:
-        """The ``doc_len(docID, len)`` view as a relation."""
-        schema = Schema([Field("docID", _dtype_of(self.doc_ids)), Field("len", DataType.INT)])
-        return Relation(
-            schema,
-            [
-                Column(self.doc_ids, schema.dtype_of("docID")),
-                Column(self.doc_lengths.astype(np.int64), DataType.INT),
-            ],
-        )
-
-    def termdict_relation(self) -> Relation:
-        """The ``termdict(termID, term)`` view as a relation."""
-        terms = sorted(self.term_ids, key=lambda term: self.term_ids[term])
-        ids = [self.term_ids[term] for term in terms]
-        schema = Schema([Field("termID", DataType.INT), Field("term", DataType.STRING)])
-        return Relation(schema, [Column(ids, DataType.INT), Column(terms, DataType.STRING)])
-
-    def tf_relation(self) -> Relation:
-        """The ``tf(termID, docID, tf)`` view as a relation (term-major order)."""
-        doc_column = [self.doc_ids[index] for index in self.doc_indices.tolist()]
-        schema = Schema(
-            [
-                Field("termID", DataType.INT),
-                Field("docID", _dtype_of(self.doc_ids)),
-                Field("tf", DataType.INT),
-            ]
-        )
-        return Relation(
-            schema,
-            [
-                Column(_term_column(self.offsets).tolist(), DataType.INT),
-                Column(doc_column, schema.dtype_of("docID")),
-                Column(self.frequencies.tolist(), DataType.INT),
-            ],
-        )
-
-    def idf_relation(self) -> Relation:
-        """The ``idf(termID, idf)`` view as a relation (Robertson IDF)."""
-        terms = sorted(self.term_ids, key=lambda term: self.term_ids[term])
-        ids = [self.term_ids[term] for term in terms]
-        idfs = [self.robertson_idf(term) for term in terms]
-        schema = Schema([Field("termID", DataType.INT), Field("idf", DataType.FLOAT)])
-        return Relation(schema, [Column(ids, DataType.INT), Column(idfs, DataType.FLOAT)])
-
-
-def _dtype_of(values: Sequence[Any]) -> DataType:
-    if not values:
-        return DataType.INT
-    return DataType.of_value(values[0])
 
 
 def _term_column(offsets: np.ndarray) -> np.ndarray:
@@ -504,7 +451,12 @@ def build_statistics(
     documents: Sequence[tuple[Any, str]],
     analyzer: Analyzer | None = None,
 ) -> CollectionStatistics:
-    """Compute collection statistics in one pass over ``(docID, text)`` pairs."""
+    """Compute collection statistics in one pass over ``(docID, text)`` pairs.
+
+    Each pair is one document, in the order given — also a pair whose text
+    analyzes to no term (its length is 0) and a docID given twice (two
+    documents).
+    """
     empty = CollectionStatistics(
         doc_ids=[],
         doc_lengths=np.empty(0, dtype=np.int64),
@@ -585,18 +537,6 @@ def docs_columns(
     return docs.column(id_column), docs.column(text_column)
 
 
-def statistics_from_relation(
-    docs: Relation,
-    analyzer: Analyzer | None = None,
-    *,
-    id_column: str = "docID",
-    text_column: str = "data",
-) -> CollectionStatistics:
-    """Build statistics from a ``docs(docID, data)`` relation."""
-    ids, texts = docs_columns(docs, id_column, text_column)
-    return build_statistics(list(zip(ids.to_list(), texts.to_list())), analyzer)
-
-
 # ---------------------------------------------------------------------------
 # Faithful relational builder (the paper's CREATE VIEW chain)
 # ---------------------------------------------------------------------------
@@ -605,11 +545,14 @@ def statistics_from_relation(
 class RelationalStatisticsBuilder:
     """Builds the paper's statistics views as logical plans over a database.
 
-    The builder registers the views ``<prefix>term_doc``, ``<prefix>doc_len``,
-    ``<prefix>termdict``, ``<prefix>tf`` and ``<prefix>idf`` in the database
-    catalog, each defined exactly as in Section 2.1, and can materialise them
-    through the database's on-demand cache (so the first materialisation is
-    "cold" and later ones are "hot").
+    The builder registers the views ``<prefix>term_doc``, ``<prefix>doc_len``
+    and ``<prefix>termdict`` in the database catalog, defined as in Section
+    2.1 except that ``doc_len`` keeps every docs row (see
+    :meth:`doc_len_plan`), and materialises them through the database's
+    on-demand cache (so the first materialisation is "cold" and later ones
+    are "hot").  :meth:`view_sql` prints those views and the ``tf`` and
+    ``idf`` views of the listing.  With unique docIDs, :meth:`materialize`
+    equals :func:`build_statistics` with ``StandardAnalyzer(language)``.
     """
 
     def __init__(
@@ -671,11 +614,27 @@ class RelationalStatisticsBuilder:
         return stemmed
 
     def doc_len_plan(self) -> LogicalPlan:
-        """``SELECT docID, count(*) AS len FROM term_doc GROUP BY docID``."""
-        return Aggregate(
+        """Every docs row with its length: ``docs LEFT JOIN`` the paper's counts.
+
+        The paper's ``SELECT docID, count(*) AS len FROM term_doc GROUP BY
+        docID`` drops a document whose text has no term, so it is left-joined
+        to the docs relation; ``coalesce`` makes such a document's length 0
+        (the engine's left join already yields 0, a SQL database NULL).
+        """
+        counted = Aggregate(
             Scan(self.term_doc_view),
             keys=["docID"],
             aggregates=[AggregateSpec("count", None, "len")],
+        )
+        joined = Join(
+            Project(Scan(self.docs_source), [("docID", col("docID"))]),
+            Project(counted, [("counted", col("docID")), ("len", col("len"))]),
+            conditions=[("docID", "counted")],
+            how="left",
+        )
+        return Project(
+            joined,
+            [("docID", col("docID")), ("len", FunctionCall("coalesce", [col("len"), 0]))],
         )
 
     def termdict_plan(self) -> LogicalPlan:

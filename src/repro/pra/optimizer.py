@@ -1,10 +1,10 @@
-"""A rule-based optimizer for logical PRA plans.
+"""A rule-based optimizer for logical PRA plans: the one home of plan rewriting.
 
-The relational layer already optimizes the physical plans it executes
-(:mod:`repro.relational.optimizer`); this module applies the analogous
-rewrites one level up, on the probabilistic algebra, before a plan reaches
-the evaluator.  Only rewrites that provably preserve the probability
-semantics of :mod:`repro.pra.operators` are implemented:
+Every engine request is a PRA plan, so the rewrites run here, on the
+probabilistic algebra, before a plan reaches the evaluator; the relational
+layer executes the plans it is given as written.  Only rewrites that provably
+preserve the probability semantics of :mod:`repro.pra.operators` are
+implemented:
 
 * **selection fusion** — ``SELECT p2 (SELECT p1 (x))`` becomes
   ``SELECT [p1 AND p2] (x)``: selections keep tuple probabilities untouched,

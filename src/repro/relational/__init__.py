@@ -7,9 +7,9 @@ column-at-a-time relational engine.  It provides
 * relations (tables) and schemas (:mod:`repro.relational.relation`,
   :mod:`repro.relational.schema`),
 * scalar expressions and predicates (:mod:`repro.relational.expressions`),
-* a logical algebra with an executor and a rule-based optimizer
-  (:mod:`repro.relational.algebra`, :mod:`repro.relational.operators`,
-  :mod:`repro.relational.optimizer`),
+* a logical algebra and its executor (:mod:`repro.relational.algebra`,
+  :mod:`repro.relational.operators`); plans are executed as written — plan
+  rewriting lives one level up, in :mod:`repro.pra.optimizer`,
 * views, a catalog and an on-demand materialization cache
   (:mod:`repro.relational.views`, :mod:`repro.relational.catalog`,
   :mod:`repro.relational.cache`),

@@ -1,9 +1,8 @@
 """Logical relational algebra plans.
 
 A query in the engine is a tree of :class:`LogicalPlan` nodes.  Plans are
-immutable descriptions; they are executed by
-:mod:`repro.relational.operators`, optimised by
-:mod:`repro.relational.optimizer`, rendered to SQL by
+immutable descriptions; they are executed as written by
+:mod:`repro.relational.operators`, rendered to SQL by
 :mod:`repro.relational.sqlgen`, and fingerprinted by
 :mod:`repro.relational.cache` for on-demand materialization.
 

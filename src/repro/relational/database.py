@@ -1,4 +1,4 @@
-"""The :class:`Database` facade: catalog + executor + optimizer + cache.
+"""The :class:`Database` facade: catalog + executor + cache.
 
 A :class:`Database` is the reproduction's equivalent of a MonetDB instance:
 it holds base tables and views, registers user-defined functions (the
@@ -17,7 +17,6 @@ from repro.relational.cache import VersionedLRU
 from repro.relational.catalog import Catalog
 from repro.relational.functions import FunctionRegistry, default_registry
 from repro.relational.operators import Executor
-from repro.relational.optimizer import optimize
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
@@ -30,14 +29,12 @@ class Database:
         functions: FunctionRegistry | None = None,
         *,
         cache_enabled: bool = True,
-        optimize_plans: bool = True,
     ):
         self.catalog = Catalog()
         self.functions = functions if functions is not None else default_registry()
         # materialised plan results by plan fingerprint (Section 2.2); unbounded
         self.cache: VersionedLRU[str, Relation] = VersionedLRU()
         self.cache_enabled = cache_enabled
-        self.optimize_plans = optimize_plans
         self._executor = Executor(self.catalog.resolve, self.functions)
 
     # -- data definition ------------------------------------------------------------
@@ -99,8 +96,6 @@ class Database:
     def execute(self, plan: LogicalPlan, *, use_cache: bool | None = None) -> Relation:
         """Execute a logical plan, consulting the materialization cache."""
         caching = self.cache_enabled if use_cache is None else use_cache
-        if self.optimize_plans:
-            plan = optimize(plan)
         if caching:
             key = plan.fingerprint()
             cached = self.cache.get(key)

@@ -10,7 +10,7 @@ default registry pre-populated with them.
 Two kinds of functions are distinguished:
 
 * **scalar functions** map N input columns to one output column of the same
-  length (``lcase``, ``stem``, ``log``, ``length``);
+  length (``lcase``, ``stem``, ``log``, ``length``, ``coalesce``);
 * **table functions** map a whole input relation to a new relation with a
   different number of rows (``tokenize`` explodes documents into tokens).
 """
@@ -213,6 +213,12 @@ def default_registry() -> FunctionRegistry:
         "sqrt", lambda value: math.sqrt(max(value, 0.0)), DataType.FLOAT, arity=1
     )
     registry.register_scalar("abs", lambda value: abs(value), DataType.FLOAT, arity=1)
+    registry.register_scalar(
+        "coalesce",
+        lambda value, default: default if value is None else value,
+        DataType.INT,
+        arity=2,
+    )
     registry.register_scalar("stem", _stem, DataType.STRING, arity=2)
     registry.register_scalar(
         "concat", lambda left, right: f"{left}{right}", DataType.STRING, arity=2

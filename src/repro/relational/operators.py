@@ -135,13 +135,9 @@ class Executor:
         )
         joined_left = left.take(left_indices)
         combined_schema = left.schema.concat(right.schema)
-        right_rows = right.take(np.where(right_indices >= 0, right_indices, 0))
         columns = list(joined_left.columns().values())
-        for position, field in enumerate(right.schema):
-            column = right_rows.column_at(position)
-            if plan.how == "left":
-                column = _null_out(column, right_indices < 0)
-            columns.append(column)
+        for position in range(right.num_columns):
+            columns.append(_take_or_null(right.column_at(position), right_indices))
         return Relation(combined_schema, columns)
 
     def _execute_aggregate(self, plan: Aggregate) -> Relation:
@@ -205,21 +201,27 @@ def hash_join_indices(
     return left_out, right_out.astype(np.int64, copy=False)
 
 
-def _null_out(column: Column, mask: np.ndarray) -> Column:
-    """Replace masked entries with a type-appropriate null surrogate.
+def _take_or_null(column: Column, indices: np.ndarray) -> Column:
+    """``column`` at ``indices``, with a type-appropriate null surrogate at each -1.
 
     The engine has no true NULL; left-join misses become 0 / 0.0 / "" / False,
     which is sufficient for the plans used in this reproduction.
     """
-    values = column.values.copy()
+    misses = indices < 0
+    if not misses.any():
+        return column.take(indices)
     if column.dtype is DataType.STRING:
-        values[mask] = ""
+        surrogate: Any = ""
     elif column.dtype is DataType.FLOAT:
-        values[mask] = 0.0
+        surrogate = 0.0
     elif column.dtype is DataType.INT:
-        values[mask] = 0
+        surrogate = 0
     else:
-        values[mask] = False
+        surrogate = False
+    if len(column) == 0:
+        return Column.constant(surrogate, len(indices), column.dtype)
+    values = column.take(np.where(misses, 0, indices)).values.copy()
+    values[misses] = surrogate
     return Column(values, column.dtype)
 
 

@@ -315,7 +315,7 @@ class PoolShard:
     ) -> _PendingReply:
         """One wire request ranking a whole query batch on this shard.
 
-        All specs must share one statistics key (same table/pipeline/columns)
+        All specs must share one statistics key (same table and columns)
         — the executor groups before calling — and ``global_statistics``
         holds the df/cf of their terms.  The worker answers through its
         vectorized multi-query kernel with a single reply.

@@ -54,7 +54,7 @@ def _warm_search_entries(engine: "Engine", directory: Path) -> list[dict[str, An
     """Save the statistics of every warm, reconstructible search engine."""
     entries = []
     for key, searcher in engine._search_engines.items():
-        table, pipeline, model_key, expander_key, id_column, text_column = key
+        table, model_key, expander_key, id_column, text_column = key
         if model_key != "default" or expander_key is not None:
             continue
         # statistics_available also counts a pending snapshot loader, so
@@ -68,7 +68,6 @@ def _warm_search_entries(engine: "Engine", directory: Path) -> list[dict[str, An
             {
                 "directory": stats_dir,
                 "table": table,
-                "pipeline": pipeline,
                 "id_column": id_column,
                 "text_column": text_column,
             }
@@ -119,7 +118,9 @@ def open_engine(path: str | Path, *, mmap: bool = True, **engine_kwargs: Any) ->
         for entry in manifest["spinql"]:
             engine._compile_spinql(entry["source"], frozenset(entry["parameters"]))
         for entry in manifest["search_statistics"]:
-            _adopt_statistics(engine, directory, entry, mmap=mmap)
+            # a 3.x entry saved by the removed relational pipeline is rebuilt
+            if entry.get("pipeline", "direct") == "direct":
+                _adopt_statistics(engine, directory, entry, mmap=mmap)
     except SnapshotVersionError:
         raise
     except (OSError, StorageError, KeyError, TypeError, ValueError) as error:
@@ -138,7 +139,6 @@ def _adopt_statistics(
     searcher = engine._search_engine(
         entry["table"],
         model=None,
-        pipeline=entry["pipeline"],
         expander=None,
         id_column=entry["id_column"],
         text_column=entry["text_column"],

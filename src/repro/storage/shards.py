@@ -212,7 +212,7 @@ def _split_warm_statistics(
 
     pieces: dict[tuple, list] = {}
     for key, searcher in engine._search_engines.items():
-        table, _pipeline, model_key, expander_key, _id_column, _text_column = key
+        table, model_key, expander_key, _id_column, _text_column = key
         if model_key != "default" or expander_key is not None:
             continue
         if not searcher.statistics_available or table not in table_indices:
@@ -303,12 +303,11 @@ def save_sharded_engine(
         for entry in compiled_sources:
             shard_engine._compile_spinql(entry["source"], frozenset(entry["parameters"]))
         for key, pieces in statistics_pieces.items():
-            table, pipeline, _model, _expander, id_column, text_column = key
+            table, _model, _expander, id_column, text_column = key
             piece = pieces[shard]
             searcher = shard_engine._search_engine(
                 table,
                 model=None,
-                pipeline=pipeline,
                 expander=None,
                 id_column=id_column,
                 text_column=text_column,

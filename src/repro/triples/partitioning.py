@@ -264,7 +264,14 @@ class SingleTableStorage(StorageStrategy):
 
 
 def _sanitize(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_]", "_", name)
+    """``name`` as a table-name suffix, one-to-one.
+
+    A name of letters, digits and ``_`` is kept.  Any other name is its
+    sanitized form, a ``-`` and the hex of its UTF-8 bytes: the ``-`` sets it
+    apart from every kept name and the hex from every other such name.
+    """
+    safe = re.sub(r"[^A-Za-z0-9_]", "_", name)
+    return name if safe == name else f"{safe}-{name.encode('utf-8').hex()}"
 
 
 class PropertyPartitionedStorage(StorageStrategy):

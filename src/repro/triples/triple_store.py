@@ -79,6 +79,8 @@ class TripleStore:
         #: how many of the buffered triples the storage tables hold
         self._materialized = 0
         self._counters = {"appends": 0, "full_loads": 0, "rows_appended": 0}
+        #: called after every load, whoever triggered it (an engine drops its caches)
+        self.on_load: Callable[[], None] | None = None
 
     @property
     def _triples(self) -> list[Triple]:
@@ -156,6 +158,8 @@ class TripleStore:
             self._counters["rows_appended"] += len(added) if start else 0
             # a triple buffered while the layout ran waits for the next load
             self._loaded = len(self._triples) == self._materialized
+        if self.on_load is not None:
+            self.on_load()
 
     def ensure_loaded(self) -> None:
         """Materialise the buffered triples unless the tables are current."""

@@ -13,6 +13,7 @@ from repro.analysis.lint import (
     ALL_RULES,
     BoundedLogBufferRule,
     LengthPrefixedWriteRule,
+    LineBudgetRule,
     LockedCacheMutationRule,
     NoWallClockRule,
     OrderedGatherRule,
@@ -261,6 +262,40 @@ class TestBoundedLogBuffer:
     def test_reads_are_not_flagged(self):
         source = LOG_CLASS.format(body="return list(self._records)")
         assert lint_source(source, ENGINE_PATH, [BoundedLogBufferRule()]) == []
+
+
+class TestLineBudget:
+    @staticmethod
+    def module(lines: int) -> str:
+        return "".join(f"x{number} = {number}\n" for number in range(lines))
+
+    @staticmethod
+    def klass(lines: int) -> str:
+        body = "".join(f"    x{number} = {number}\n" for number in range(lines - 1))
+        return "class Big:\n" + body
+
+    def test_module_at_budget_is_clean(self):
+        assert lint_source(self.module(1300), ENGINE_PATH, [LineBudgetRule()]) == []
+
+    def test_flags_module_over_budget(self):
+        violations = lint_source(self.module(1301), ENGINE_PATH, [LineBudgetRule()])
+        assert rule_names(violations) == ["RL007"]
+        assert violations[0].line == 1
+        assert "1301 lines" in violations[0].message
+
+    def test_class_at_budget_is_clean(self):
+        assert lint_source(self.klass(1100), ENGINE_PATH, [LineBudgetRule()]) == []
+
+    def test_flags_class_over_budget(self):
+        source = "import os\n\n" + self.klass(1101)
+        violations = lint_source(source, ENGINE_PATH, [LineBudgetRule()])
+        assert rule_names(violations) == ["RL007"]
+        assert violations[0].line == 3
+        assert "class 'Big' has 1101 lines" in violations[0].message
+
+    def test_only_applies_under_src(self):
+        assert lint_source(self.module(1400), BENCH_PATH, [LineBudgetRule()]) == []
+        assert lint_source(self.module(1400), Path("tests/test_big.py"), [LineBudgetRule()]) == []
 
 
 class TestSuppression:

@@ -88,6 +88,24 @@ class TestInvalidation:
         # the query transparently recompiles and sees the new data
         assert query.execute(seeds=["lot3"]).value_rows() == [("auction3",)]
 
+    def test_load_a_reader_triggers_invalidates_cached_results(self):
+        engine = Engine.from_triples(
+            [
+                ("lot1", "type", "lot"),
+                ("auction1", "type", "auction"),
+                ("lot1", "hasAuction", "auction1"),
+            ]
+        )
+        select = 'hits = SELECT [$2="type"] (triples);'
+        for _ in range(3):  # seen often enough for the result cache to admit it
+            assert engine.spinql(select).execute().num_rows == 2
+        assert engine.result_cache.statistics.hits > 0
+        engine.add_triples([("lot2", "type", "lot")])
+        engine.store.ensure_loaded()  # what every strategy run calls
+        assert engine.database.table("triples").num_rows == 4
+        assert engine.spinql(select).execute().num_rows == 3
+        assert engine.store.counters()["appends"] == 1
+
     def test_unrelated_table_does_not_invalidate(self, engine):
         query = engine.spinql(TRAVERSE, seeds=["lot1"])
         query.execute()

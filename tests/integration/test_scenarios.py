@@ -9,6 +9,7 @@ import pytest
 
 from repro.ir import KeywordSearchEngine
 from repro.ir.query_expansion import SynonymExpander
+from repro.ir.statistics import RelationalStatisticsBuilder
 from repro.spinql import evaluate
 from repro.strategy import StrategyExecutor, build_auction_strategy, build_toy_strategy
 from repro.triples import TripleStore
@@ -16,6 +17,7 @@ from repro.workloads import (
     generate_collection,
     generate_queries,
 )
+from tests.statistics_equality import assert_statistics_equal
 
 
 class TestToyScenarioEndToEnd:
@@ -133,22 +135,23 @@ class TestAuctionScenarioEndToEnd:
 class TestKeywordSearchScaling:
     """Section 2.1: hot (materialised statistics) beats cold, and results agree."""
 
-    def test_hot_vs_cold_and_pipeline_agreement(self):
+    def test_view_chain_serves_the_same_rankings(self):
         collection = generate_collection(150, average_length=30, seed=7)
-        database_docs = collection.to_relation()
 
         from repro.relational.database import Database
 
         db = Database()
-        db.create_table("docs", database_docs)
+        db.create_table("docs", collection.to_relation())
         queries = generate_queries(collection.vocabulary, 5, terms_per_query=3, seed=3)
 
-        direct = KeywordSearchEngine(db, "docs", pipeline="direct")
-        relational = KeywordSearchEngine(db, "docs", pipeline="relational")
+        engine = KeywordSearchEngine(db, "docs")
+        views = RelationalStatisticsBuilder(db, "docs").materialize()
+        assert_statistics_equal(views, engine.statistics)
         for query in queries:
-            direct_top = [doc for doc, _ in direct.search(query).top(10)]
-            relational_top = [doc for doc, _ in relational.search(query).top(10)]
-            assert direct_top == relational_top
+            served = engine.search(query).ranked
+            ranked = engine.model.rank(views, engine.analyze_query(query))
+            assert served.doc_ids == ranked.doc_ids
+            assert served.scores.tolist() == ranked.scores.tolist()
 
     def test_cache_makes_second_statistics_build_cheap(self):
         import time
@@ -158,18 +161,18 @@ class TestKeywordSearchScaling:
 
         db = Database()
         db.create_table("docs", collection.to_relation())
-        engine = KeywordSearchEngine(db, "docs", pipeline="relational")
+        builder = RelationalStatisticsBuilder(db, "docs")
 
         started = time.perf_counter()
-        engine.warm_up()
+        cold_statistics = builder.materialize()
         cold = time.perf_counter() - started
 
-        engine.invalidate()
         started = time.perf_counter()
-        engine.warm_up()
+        hot_statistics = builder.materialize()
         hot = time.perf_counter() - started
         # the second build reuses the database's materialised views
         assert hot < cold
+        assert_statistics_equal(hot_statistics, cold_statistics)
 
 
 class TestProductCatalogAcrossStorageLayouts:

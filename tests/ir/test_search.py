@@ -2,14 +2,16 @@
 
 import pytest
 
-from repro.errors import IndexingError, RankingError
+from repro.errors import IndexingError
 from repro.ir.query_expansion import SynonymExpander
 from repro.ir.ranking import TfIdfModel
 from repro.ir.search import KeywordSearchEngine
+from repro.ir.statistics import RelationalStatisticsBuilder
 from repro.relational.column import DataType
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
+from tests.statistics_equality import assert_statistics_equal
 
 
 class TestSearchEngine:
@@ -19,19 +21,15 @@ class TestSearchEngine:
         assert len(result.ranked) > 0
         assert result.query_terms == ["histori", "of", "train"]
 
-    def test_relational_pipeline_matches_direct(self, docs_database):
-        direct = KeywordSearchEngine(docs_database, "docs", pipeline="direct")
-        relational = KeywordSearchEngine(docs_database, "docs", pipeline="relational")
+    def test_searches_rank_the_view_chain_statistics(self, docs_database):
+        engine = KeywordSearchEngine(docs_database, "docs")
+        views = RelationalStatisticsBuilder(docs_database, "docs").materialize()
+        assert_statistics_equal(views, engine.statistics)
         for query in ("book about history", "model trains", "cake recipe"):
-            direct_pairs = direct.search(query).top(5)
-            relational_pairs = relational.search(query).top(5)
-            assert [doc for doc, _ in direct_pairs] == [doc for doc, _ in relational_pairs]
-            for (_, a), (_, b) in zip(direct_pairs, relational_pairs):
-                assert a == pytest.approx(b)
-
-    def test_unknown_pipeline_rejected(self, docs_database):
-        with pytest.raises(RankingError):
-            KeywordSearchEngine(docs_database, "docs", pipeline="magic")
+            served = engine.search(query, top_k=5).ranked
+            ranked = engine.model.rank(views, engine.analyze_query(query), top_k=5)
+            assert served.doc_ids == ranked.doc_ids
+            assert served.scores.tolist() == ranked.scores.tolist()
 
     def test_statistics_cached_between_queries(self, docs_database):
         engine = KeywordSearchEngine(docs_database, "docs")

@@ -7,13 +7,14 @@ from repro.errors import IndexingError
 from repro.ir.statistics import (
     RelationalStatisticsBuilder,
     build_statistics,
-    statistics_from_relation,
+    docs_columns,
 )
 from repro.relational.column import DataType
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
 from repro.text.analyzers import StandardAnalyzer
+from tests.statistics_equality import assert_statistics_equal
 
 DOCS = [
     (1, "a book about history"),
@@ -95,53 +96,25 @@ class TestFastBuilder:
         assert stats.doc_lengths[0] == 0
 
 
-class TestRelationViews:
-    def test_doc_len_relation(self):
-        stats = build_statistics(DOCS)
-        relation = stats.doc_len_relation()
-        assert relation.schema.names == ["docID", "len"]
-        lengths = {row["docID"]: row["len"] for row in relation.to_dicts()}
-        assert lengths[1] == 4
-
-    def test_termdict_relation_has_unique_terms(self):
-        stats = build_statistics(DOCS)
-        relation = stats.termdict_relation()
-        terms = relation.column("term").to_list()
-        assert len(terms) == len(set(terms)) == stats.num_terms
-
-    def test_tf_relation_row_count(self):
-        stats = build_statistics(DOCS)
-        relation = stats.tf_relation()
-        expected_rows = sum(len(stats.postings_for(term)[0]) for term in stats.term_ids)
-        assert relation.num_rows == expected_rows
-        assert relation.schema.names == ["termID", "docID", "tf"]
-
-    def test_idf_relation_matches_robertson_idf(self):
-        stats = build_statistics(DOCS)
-        relation = stats.idf_relation()
-        term_by_id = {term_id: term for term, term_id in stats.term_ids.items()}
-        for row in relation.to_dicts():
-            assert row["idf"] == pytest.approx(stats.robertson_idf(term_by_id[row["termID"]]))
-
-
-class TestStatisticsFromRelation:
+class TestDocsColumns:
     def test_from_relation(self):
         schema = Schema([Field("docID", DataType.INT), Field("data", DataType.STRING)])
-        docs = Relation.from_rows(schema, DOCS)
-        stats = statistics_from_relation(docs)
+        ids, texts = docs_columns(Relation.from_rows(schema, DOCS))
+        stats = build_statistics(list(zip(ids.to_list(), texts.to_list())))
         assert stats.num_docs == 3
 
     def test_missing_columns_rejected(self):
         schema = Schema([Field("id", DataType.INT), Field("text", DataType.STRING)])
         docs = Relation.from_rows(schema, DOCS)
         with pytest.raises(IndexingError):
-            statistics_from_relation(docs)
+            docs_columns(docs)
 
     def test_custom_column_names(self):
         schema = Schema([Field("id", DataType.INT), Field("text", DataType.STRING)])
         docs = Relation.from_rows(schema, DOCS)
-        stats = statistics_from_relation(docs, id_column="id", text_column="text")
-        assert stats.num_docs == 3
+        ids, texts = docs_columns(docs, id_column="id", text_column="text")
+        assert ids.to_list() == [1, 2, 3]
+        assert texts.to_list() == [text for _, text in DOCS]
 
 
 class TestRelationalBuilder:
@@ -154,14 +127,17 @@ class TestRelationalBuilder:
 
     def test_matches_fast_builder(self, db):
         builder = RelationalStatisticsBuilder(db, "docs")
-        relational = builder.materialize()
-        fast = build_statistics(DOCS)
-        assert relational.num_docs == fast.num_docs
-        assert set(relational.term_ids) == set(fast.term_ids)
-        for term in fast.term_ids:
-            assert relational.df(term) == fast.df(term)
-            assert relational.robertson_idf(term) == pytest.approx(fast.robertson_idf(term))
-        assert sorted(relational.doc_lengths) == sorted(fast.doc_lengths)
+        assert_statistics_equal(builder.materialize(), build_statistics(DOCS))
+
+    def test_documents_without_terms_are_counted(self):
+        rows = [(1, "a chair"), (2, ""), (3, "?!"), (4, "chairs and tables")]
+        database = Database()
+        schema = Schema([Field("docID", DataType.INT), Field("data", DataType.STRING)])
+        database.create_table_from_rows("docs", schema, rows)
+        statistics = RelationalStatisticsBuilder(database, "docs").materialize()
+        assert statistics.num_docs == 4
+        assert statistics.doc_lengths.tolist() == [2, 0, 0, 3]
+        assert_statistics_equal(statistics, build_statistics(rows))
 
     def test_views_are_registered(self, db):
         builder = RelationalStatisticsBuilder(db, "docs", prefix="docs_")

@@ -18,7 +18,6 @@ from repro.relational.algebra import (
 from repro.relational.column import DataType
 from repro.relational.database import Database
 from repro.relational.expressions import col, lit
-from repro.relational.optimizer import optimize
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
 
@@ -111,25 +110,6 @@ def test_join_matches_nested_loop_semantics(rows, right_rows):
     for row in rows:
         expected += sum(1 for other in right_rows if other[0] == row[0])
     assert joined.num_rows == expected
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(ROW_STRATEGY, min_size=0, max_size=30))
-def test_optimizer_preserves_selection_over_join_results(rows):
-    """Optimised and unoptimised plans must produce identical result sets."""
-    from repro.relational.algebra import Project
-    from repro.relational.expressions import col as column_ref
-
-    database = make_database(rows)
-    left = Project(Scan("items"), [("id", column_ref("id")), ("category", column_ref("category"))])
-    right = Project(Scan("items"), [("ref", column_ref("id")), ("value", column_ref("value"))])
-    plan = Select(Join(left, right, [("id", "ref")]), column_ref("category").eq(lit("toy")))
-    raw = Database(cache_enabled=False, optimize_plans=False)
-    raw.create_table("items", database.table("items"))
-    unoptimized = raw.execute(plan)
-    optimized_plan = optimize(plan)
-    optimized = raw.execute(optimized_plan)
-    assert sorted(unoptimized.rows()) == sorted(optimized.rows())
 
 
 @settings(max_examples=40, deadline=None)

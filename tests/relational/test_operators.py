@@ -117,6 +117,15 @@ class TestJoin:
         unmatched = [row for row in result.to_dicts() if row["order_id"] == 103]
         assert unmatched[0]["category"] == ""  # null surrogate
 
+    def test_left_join_onto_empty_relation(self, db):
+        empty = Select(Scan("products"), col("price").gt(lit(10**6)))
+        plan = Join(Scan("orders"), empty, [("product_id", "id")], how="left")
+        result = db.execute(plan)
+        assert result.num_rows == 4
+        assert {(row["id"], row["category"], row["price"]) for row in result.to_dicts()} == {
+            (0, "", 0)
+        }
+
     def test_join_name_clash_suffixed(self, db):
         plan = Join(Scan("products"), Scan("products"), [("id", "id")])
         result = db.execute(plan)

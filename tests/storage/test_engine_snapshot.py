@@ -11,6 +11,7 @@ from repro.cli import main
 from repro.relational.column import Column, DataType
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
+from repro.storage.format import MANIFEST_NAME
 from repro.workloads import generate_auction_triples, generate_product_triples
 
 
@@ -53,12 +54,38 @@ def test_engine_snapshot_warms_search_statistics(tmp_path):
     engine.save(tmp_path / "snap")
     reopened = Engine.open(tmp_path / "snap")
     searcher = reopened._search_engine(
-        "docs", model=None, pipeline="direct", expander=None,
-        id_column="docID", text_column="data",
+        "docs", model=None, expander=None, id_column="docID", text_column="data"
     )
     assert not searcher.is_warm  # statistics hydrate lazily...
     assert reopened.search("docs", query).top(5) == expected
     assert searcher.is_warm  # ...and came from the snapshot, not a rebuild
+    manifest = json.loads((tmp_path / "snap" / MANIFEST_NAME).read_text())
+    assert [set(entry) for entry in manifest["search_statistics"]] == [
+        {"directory", "table", "id_column", "text_column"}
+    ]
+
+
+@pytest.mark.parametrize("pipeline, adopted", [("direct", True), ("relational", False)])
+def test_3x_search_statistics_entries(tmp_path, pipeline, adopted):
+    """A 3.x entry of the removed relational pipeline is skipped and rebuilt."""
+    workload = generate_auction_triples(60, seed=41)
+    engine = Engine.from_triples(workload.triples)
+    engine.create_table("docs", _docs_relation(workload.lot_descriptions))
+    query = " ".join(workload.lot_descriptions["lot1"].split()[:3])
+    expected = engine.search("docs", query).top(5)
+    engine.save(tmp_path / "snap")
+    manifest_path = tmp_path / "snap" / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    for entry in manifest["search_statistics"]:
+        entry["pipeline"] = pipeline
+    manifest_path.write_text(json.dumps(manifest))
+
+    reopened = Engine.open(tmp_path / "snap")
+    searcher = reopened._search_engine(
+        "docs", model=None, expander=None, id_column="docID", text_column="data"
+    )
+    assert searcher.statistics_available is adopted
+    assert reopened.search("docs", query).top(5) == expected
 
 
 def test_engine_snapshot_warms_plan_cache(tmp_path, product_engine):

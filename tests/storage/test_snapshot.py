@@ -24,6 +24,7 @@ from repro.triples.partitioning import (
     TypePartitionedStorage,
 )
 from repro.triples.triple_store import TripleStore
+from tests.statistics_equality import assert_statistics_equal
 
 DOCS = [
     (1, "a book about history"),
@@ -163,13 +164,11 @@ def test_opened_statistics_postings_are_views_of_the_mapped_buffers(tmp_path):
         assert np.shares_memory(frequencies, reopened.frequencies)
 
 
-def test_statistics_relations_match_after_round_trip(tmp_path):
+def test_statistics_arrays_match_after_round_trip(tmp_path):
     statistics = build_statistics(DOCS)
     statistics.save(tmp_path / "stats")
     reopened = statistics.open(tmp_path / "stats")
-    assert reopened.tf_relation() == statistics.tf_relation()
-    assert reopened.idf_relation() == statistics.idf_relation()
-    assert reopened.doc_len_relation() == statistics.doc_len_relation()
+    assert_statistics_equal(reopened, statistics)
 
 
 # -- triple store -------------------------------------------------------------

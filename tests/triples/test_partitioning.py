@@ -109,8 +109,24 @@ class TestLayoutSpecifics:
     def test_property_partition_names_are_sanitised(self):
         database = Database()
         storage = PropertyPartitionedStorage()
-        storage.load(database, [Triple("a", "has-auction", "b")])
-        assert storage.table_names(database) == ["prop_has_auction"]
+        storage.load(database, [Triple("a", "has-auction", "b"), Triple("a", "has_lot", "c")])
+        assert storage.table_names(database) == [
+            "prop_has_auction-6861732d61756374696f6e",
+            "prop_has_lot",
+        ]
+
+    def test_properties_that_sanitize_alike_keep_their_own_tables(self):
+        store = TripleStore(storage=PropertyPartitionedStorage())
+        store.add_all([("x", "a-b", "1"), ("y", "a_b", "2")])
+        store.load()
+        for name, subject in (("a-b", "x"), ("a_b", "y")):
+            rows = list(store.match(property_name=name).relation.rows())
+            assert [row[:3] for row in rows] == [(subject, name, "1" if subject == "x" else "2")]
+        store.add_all([("z", "a-b", "3")])
+        store.load()
+        assert store.match(property_name="a-b").num_rows == 2
+        assert store.counters()["full_loads"] == 1
+        assert store.counters()["appends"] == 1
 
     def test_type_partitioning_separates_physical_types(self):
         database = Database()
