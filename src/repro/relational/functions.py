@@ -213,6 +213,7 @@ def default_registry() -> FunctionRegistry:
         "sqrt", lambda value: math.sqrt(max(value, 0.0)), DataType.FLOAT, arity=1
     )
     registry.register_scalar("abs", lambda value: abs(value), DataType.FLOAT, arity=1)
+    # INT only: its one use fills the length of a document without terms
     registry.register_scalar(
         "coalesce",
         lambda value, default: default if value is None else value,
