@@ -149,16 +149,25 @@ def test_e10_top_pushdown_through_mix(benchmark, scaled_auction_ranking):
 
     assert list(pushed_down().rows()) == list(full_materialisation().rows())
 
-    naive = measure_latency(full_materialisation, repetitions=3, warmup=0)
-    pushed = measure_latency(pushed_down, repetitions=3, warmup=0)
-    speedup = naive.min_ms / pushed.min_ms
+    # one warm-up each, then the two sides interleaved so a burst of load
+    # from elsewhere on the box slows both alike; the minimum of each side
+    # is its uncontended time
+    full_materialisation()
+    pushed_down()
+    naive_ms, pushed_ms = [], []
+    for _ in range(7):
+        for timings, run in ((naive_ms, full_materialisation), (pushed_ms, pushed_down)):
+            started = time.perf_counter()
+            run()
+            timings.append((time.perf_counter() - started) * 1000.0)
+    speedup = min(naive_ms) / min(pushed_ms)
 
     table = ResultTable(
         f"E10 — TOP pushdown through the weighted mix ({SCALED_ROWS:,} rows/branch)",
-        ["path", "mean (ms)", "speedup"],
+        ["path", "min of 7 (ms)", "speedup"],
     )
-    table.add_row("materialise mix, sort, slice", f"{naive.min_ms:.1f}", "1.0x")
-    table.add_row("TOP pushed into both branches", f"{pushed.min_ms:.1f}", f"{speedup:.1f}x")
+    table.add_row("materialise mix, sort, slice", f"{min(naive_ms):.1f}", "1.0x")
+    table.add_row("TOP pushed into both branches", f"{min(pushed_ms):.1f}", f"{speedup:.1f}x")
     table.print()
 
     assert speedup >= 3.0

@@ -59,9 +59,9 @@ The package is organised along the paper's sections:
   log with a JSONL sink (``Engine.workload_log``, ``GET /statz``), a
   deterministic replay/load generator (verbatim or Zipf-synthesized,
   closed- or open-loop), a calibrated per-operator cost model whose
-  estimates surface in ``explain`` and the log, and an adaptive
-  result cache (``Engine.result_cache``) whose answers are bit-identical
-  to recomputation by construction;
+  estimates surface in ``explain`` and the log, and a result cache
+  (``Engine.result_cache``) whose answers are bit-identical to
+  recomputation by construction;
 * :mod:`repro.workloads` — synthetic data generators standing in for the
   paper's proprietary collections;
 * :mod:`repro.bench` — the benchmark harness.
@@ -175,6 +175,17 @@ entry is skipped on open and rebuilt on first search.  A property partition
 whose name is not made of letters, digits and ``_`` gets a new, one-to-one
 table name, so a 3.x property-partitioned snapshot holding one is rebuilt
 from source data.
+
+Version 5.0 keeps only the serving mechanisms the traffic uses.  The router
+no longer collapses identical in-flight requests: every admitted request
+takes an execution slot, dispatches and logs one ``serve`` record.  Removed
+without a shim: ``ServingConfig.collapse_requests``, the ``serve`` flag
+``--no-collapse``, and the ``collapse_hits``/``collapse_leaders`` router
+counters.  ``Engine.result_cache`` is a plain
+:class:`~repro.relational.cache.VersionedLRU` that stores a result on its
+first miss; ``repro.workload.ResultCache`` (with ``admission_threshold``
+and the ``admitted``/``bypassed`` counters) is gone.  The workload-record
+field ``collapsed`` stays in the schema, append-only, and is never set.
 """
 
 from repro.errors import EngineError, ReproError
@@ -198,7 +209,7 @@ from repro.strategy import (
     build_toy_strategy,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     # the public facade

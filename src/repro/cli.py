@@ -641,10 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds between supervisor health checks of the workers")
     serve.add_argument("--retry-budget", dest="retry_budget", type=int, default=None,
                        help="failover re-routes allowed per request beyond the first try")
-    serve.add_argument("--no-collapse", dest="collapse_requests", action="store_false",
-                       default=None,
-                       help="disable in-flight collapsing of identical concurrent "
-                            "requests onto one execution")
     _add_common(serve, top=False)
     serve.set_defaults(handler=_cmd_serve)
 

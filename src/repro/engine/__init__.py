@@ -110,7 +110,7 @@ from repro.strategy.executor import LoweredStrategy, StrategyExecutor
 from repro.strategy.graph import StrategyGraph
 from repro.text.analyzers import StandardAnalyzer
 from repro.triples.triple_store import TripleStore
-from repro.workload.cache import ResultCache, binding_fingerprint
+from repro.workload.cache import binding_fingerprint
 from repro.workload.cost import CostModel
 from repro.workload.log import WorkloadLog
 
@@ -191,8 +191,8 @@ class Engine:
         # evaluations may be answered from the result cache, and the cost
         # model (calibratable from the log) estimates plans for explain
         self.workload_log = WorkloadLog(capacity=workload_log_capacity)
-        self.result_cache = (
-            ResultCache(max_entries=result_cache_size) if result_cache_size else None
+        self.result_cache: VersionedLRU[tuple[str, str], ProbabilisticRelation] | None = (
+            VersionedLRU(result_cache_size) if result_cache_size else None
         )
         # the caches whose entries depend on tables (the database keeps its own)
         self._table_caches = tuple(
@@ -243,7 +243,7 @@ class Engine:
             "plan_cache": self.plan_cache.statistics.to_dict(),
             "materialization_cache": self.database.cache.statistics.to_dict(),
             "result_cache": (
-                self.result_cache.to_dict() if self.result_cache is not None else None
+                self.result_cache.statistics.to_dict() if self.result_cache is not None else None
             ),
             "workload_log": self.workload_log.statistics(),
             "reuse": self.reuse_statistics(),
@@ -1000,7 +1000,7 @@ class Engine:
             params = binding_fingerprint(bound)
             if params is not None:
                 cache_key = (plan.fingerprint(), params)
-                cached = self.result_cache.lookup(cache_key)
+                cached = self.result_cache.get(cache_key)
                 if cached is not None:
                     self._record_execution(
                         kind=kind,
@@ -1034,10 +1034,10 @@ class Engine:
         finally:
             self._release_executor(executor)
         if cache_key is not None and self.result_cache is not None:
-            admitted = self.result_cache.store(
+            stored = self.result_cache.put(
                 cache_key, result, dependencies=scan_tables(plan), still_valid=still_valid
             )
-            cache_status = "miss" if admitted else "bypass"
+            cache_status = "miss" if stored else "bypass"
         self._record_execution(
             kind=kind,
             fingerprint=fingerprint,

@@ -370,32 +370,3 @@ class TableFunctionScan(LogicalPlan):
 
     def _describe_self(self) -> str:
         return f"TableFunctionScan({self.function})"
-
-
-@dataclass(frozen=True)
-class Rename(LogicalPlan):
-    """Rename columns of the child plan."""
-
-    child: LogicalPlan
-    mapping: tuple[tuple[str, str], ...]
-
-    def __init__(self, child: LogicalPlan, mapping: dict[str, str] | Sequence[tuple[str, str]]):
-        if isinstance(mapping, dict):
-            mapping = tuple(sorted(mapping.items()))
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "mapping", tuple(mapping))
-
-    def children(self) -> list[LogicalPlan]:
-        return [self.child]
-
-    def with_children(self, children: Sequence[LogicalPlan]) -> "Rename":
-        (child,) = children
-        return Rename(child, self.mapping)
-
-    def fingerprint(self) -> str:
-        mapping = ",".join(f"{old}->{new}" for old, new in self.mapping)
-        return f"rename({mapping})[{self.child.fingerprint()}]"
-
-    def _describe_self(self) -> str:
-        mapping = ", ".join(f"{old} AS {new}" for old, new in self.mapping)
-        return f"Rename({mapping})"

@@ -12,8 +12,9 @@ once and used three times:
   queries above are independent of query-terms"*: the first query of a
   session is "cold" and later ones are "hot";
 * ``Engine.plan_cache`` — compiled SpinQL programs and optimized PRA plans;
-* ``Engine.result_cache`` — evaluated PRA plans, behind the admission
-  policy of :class:`~repro.workload.cache.ResultCache`.
+* ``Engine.result_cache`` — evaluated PRA plans keyed by plan and
+  :func:`~repro.workload.cache.binding_fingerprint`, stored on the first
+  miss.
 
 Every entry records the tables and views it was derived from, so replacing
 a table drops exactly the dependent entries.  A result computed while a
@@ -80,7 +81,7 @@ class VersionedLRU(Generic[K, V]):
 
     def __init__(self, max_entries: int | None = None):
         self._entries: OrderedDict[K, tuple[V, frozenset[str]]] = OrderedDict()
-        self._max_entries = max_entries
+        self.max_entries = max_entries
         self._lock = threading.RLock()
         self.statistics = CacheStatistics()
 
@@ -115,8 +116,8 @@ class VersionedLRU(Generic[K, V]):
                 return False
             self._entries[key] = (value, dependencies)
             self._entries.move_to_end(key)
-            if self._max_entries is not None:
-                while len(self._entries) > self._max_entries:
+            if self.max_entries is not None:
+                while len(self._entries) > self.max_entries:
                     self._entries.popitem(last=False)
                     self.statistics.evictions += 1
             self.statistics.entries = len(self._entries)

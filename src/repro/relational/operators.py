@@ -41,7 +41,6 @@ from repro.relational.algebra import (
     Limit,
     LogicalPlan,
     Project,
-    Rename,
     Scan,
     Select,
     Sort,
@@ -92,8 +91,6 @@ class Executor:
             return self.execute(plan.left).concat(self.execute(plan.right))
         if isinstance(plan, TableFunctionScan):
             return self._execute_table_function(plan)
-        if isinstance(plan, Rename):
-            return self.execute(plan.child).rename(dict(plan.mapping))
         raise PlanError(f"unknown plan node {type(plan).__name__}")
 
     # -- node implementations --------------------------------------------------

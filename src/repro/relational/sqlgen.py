@@ -18,7 +18,6 @@ from repro.relational.algebra import (
     Limit,
     LogicalPlan,
     Project,
-    Rename,
     Scan,
     Select,
     Sort,
@@ -71,13 +70,6 @@ def _render(plan: LogicalPlan) -> str:
         return f"{_render(plan.left)}\nUNION ALL\n{_render(plan.right)}"
     if isinstance(plan, TableFunctionScan):
         return f"SELECT * FROM {plan.function}((\n{_indent(_render(plan.child))}\n))"
-    if isinstance(plan, Rename):
-        mapping = dict(plan.mapping)
-        return (
-            "SELECT "
-            + ", ".join(f"{old} AS {new}" for old, new in mapping.items())
-            + f" FROM (\n{_indent(_render(plan.child))}\n) AS t"
-        )
     raise PlanError(f"cannot render plan node {type(plan).__name__} to SQL")
 
 

@@ -9,8 +9,6 @@
   ``max_restarts``, ``restart_backoff_seconds`` (doubled per consecutive
   restart, capped at ``restart_backoff_cap_seconds``), ``retry_budget``
   (failover re-routes per request beyond the first attempt);
-* **request collapsing** — ``collapse_requests`` (identical in-flight
-  router requests share one execution);
 * **admission** — ``max_concurrent``, ``max_queue``;
 * **HTTP** — ``host``, ``port``.
 
@@ -46,9 +44,6 @@ class ServingConfig:
     restart_backoff_seconds: float = 0.25
     restart_backoff_cap_seconds: float = 10.0
     retry_budget: int = 2  # failover re-routes per request beyond the first try
-
-    # -- request collapsing -----------------------------------------------------
-    collapse_requests: bool = True  # identical in-flight requests share one execution
 
     # -- router admission -------------------------------------------------------
     max_concurrent: int = 4

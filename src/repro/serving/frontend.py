@@ -66,9 +66,7 @@ class AsyncHTTPFrontEnd:
         self.server_address = self._socket.getsockname()[:2]
         # size the blocking-call pool from the deployment's ServingConfig:
         # max_concurrent admitted requests plus slack for /healthz and /statz
-        # probes, which must keep answering while every slot is busy, and for
-        # collapse followers, which wait on a leader's future without holding
-        # an execution slot but do occupy a pool thread
+        # probes, which must keep answering while every slot is busy
         configured = getattr(router, "config", None)
         admitted = configured.max_concurrent if configured is not None else router.max_concurrent
         workers = max_workers if max_workers is not None else admitted + 4

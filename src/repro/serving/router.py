@@ -40,7 +40,6 @@ only for genuinely unexpected engine-side failures.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import threading
@@ -74,12 +73,6 @@ class Router:
         self._admitted_lock = threading.Lock()
         self._served = 0
         self._shed = 0
-        # in-flight request collapsing: identical concurrent requests attach
-        # to the first runner's future instead of re-executing
-        self._inflight: dict[str, _Inflight] = {}
-        self._inflight_lock = threading.Lock()
-        self._collapse_hits = 0
-        self._collapse_leaders = 0
 
     # -- admission ----------------------------------------------------------------
 
@@ -97,9 +90,6 @@ class Router:
             self._served += 1
 
     def statistics(self) -> dict[str, Any]:
-        with self._inflight_lock:
-            collapse_hits = self._collapse_hits
-            collapse_leaders = self._collapse_leaders
         with self._admitted_lock:
             return {
                 "in_flight": self._admitted,
@@ -108,8 +98,6 @@ class Router:
                 "queue_depth": max(0, self._admitted - self.max_concurrent),
                 "max_concurrent": self.max_concurrent,
                 "max_queue": self.max_queue,
-                "collapse_hits": collapse_hits,
-                "collapse_leaders": collapse_leaders,
             }
 
     # -- introspection ------------------------------------------------------------
@@ -128,7 +116,9 @@ class Router:
             "degraded": bool(executor.get("replication", {}).get("degraded", False)),
             "router": self.statistics(),
             "plan_cache": engine.plan_cache.statistics.to_dict(),
-            "result_cache": result_cache.to_dict() if result_cache is not None else None,
+            "result_cache": (
+                result_cache.statistics.to_dict() if result_cache is not None else None
+            ),
         }
 
     def stats(self) -> dict[str, Any]:
@@ -161,23 +151,6 @@ class Router:
             ),
         }
 
-    def _collapse_key(self, request: dict[str, Any]) -> str | None:
-        """The in-flight collapse key of ``request``, or ``None`` if exempt.
-
-        Only deterministic, repeatable kinds collapse (``search`` and
-        ``spinql`` — the plan/binding fingerprint is the canonical request
-        payload itself); ``info`` and unknown kinds always run alone.
-        """
-        if not self.config.collapse_requests:
-            return None
-        if request.get("kind") not in ("search", "spinql"):
-            return None
-        try:
-            canonical = json.dumps(request, sort_keys=True, default=str)
-        except Exception:  # noqa: BLE001 - unhashable payloads run alone
-            return None
-        return hashlib.sha1(canonical.encode("utf-8")).hexdigest()
-
     def _run_admitted(self, request: dict[str, Any]) -> dict[str, Any]:
         """Execute a request that already holds an admission slot.
 
@@ -185,70 +158,25 @@ class Router:
         shed) on the event loop and push only admitted work onto executor
         threads.  Callers must have taken a slot via ``_admit``; this
         method always releases it.
-
-        Identical concurrent requests collapse: the first to run becomes the
-        *leader* and executes normally; later arrivals with the same
-        canonical payload become *followers* that wait on the leader's
-        future without occupying an execution slot (the leader already holds
-        a thread, so followers can never starve it).  Every request —
-        leader and follower alike — still records its own workload entry.
         """
         started = time.perf_counter()
-        key = self._collapse_key(request)
-        entry: _Inflight | None = None
-        if key is not None:
-            with self._inflight_lock:
-                entry = self._inflight.get(key)
-                if entry is None:
-                    self._inflight[key] = entry = _Inflight()
-                else:
-                    entry.followers += 1
-                    self._collapse_hits += 1
-                    follower_of = entry
-                    entry = None
-            if entry is None:
-                reply = follower_of.future.result()
-                self._release()
-                self._record(request, reply, started, collapsed="follower")
-                return reply
-        reply: dict[str, Any] | None = None
-        followers = 0
         try:
-            try:
-                with self._execution_slots:
-                    reply = self._dispatch(request)
-            except ReproError as error:
-                reply = {"ok": False, "status": 400, "error": str(error)}
-            except Exception as error:  # noqa: BLE001 - the router must not die
-                reply = {
-                    "ok": False,
-                    "status": 500,
-                    "error": f"{type(error).__name__}: {error}",
-                }
+            with self._execution_slots:
+                reply = self._dispatch(request)
+        except ReproError as error:
+            reply = {"ok": False, "status": 400, "error": str(error)}
+        except Exception as error:  # noqa: BLE001 - the router must not die
+            reply = {
+                "ok": False,
+                "status": 500,
+                "error": f"{type(error).__name__}: {error}",
+            }
         finally:
             self._release()
-            if entry is not None:
-                with self._inflight_lock:
-                    self._inflight.pop(key, None)
-                    followers = entry.followers
-                    if followers:
-                        self._collapse_leaders += 1
-                if reply is None:  # pragma: no cover - BaseException mid-dispatch
-                    reply = {"ok": False, "status": 500, "error": "request aborted"}
-                entry.future.set_result(reply)
-        self._record(
-            request, reply, started, collapsed="leader" if followers else None
-        )
+        self._record(request, reply, started)
         return reply
 
-    def _record(
-        self,
-        request: dict[str, Any],
-        reply: dict[str, Any],
-        started: float,
-        *,
-        collapsed: str | None = None,
-    ) -> None:
+    def _record(self, request: dict[str, Any], reply: dict[str, Any], started: float) -> None:
         """Append a ``serve`` record for this request to the engine's log."""
         try:
             canonical = json.dumps(request, sort_keys=True, default=str)
@@ -260,7 +188,6 @@ class Router:
                 request=request,
                 executor=self.engine.executor_info().get("executor"),
                 status="ok" if reply.get("ok") else "error",
-                collapsed=collapsed,
             )
         except Exception:  # noqa: BLE001 - logging must never fail a request
             pass
@@ -373,16 +300,6 @@ class Router:
     def close(self) -> None:
         """Close the engine (and with it any worker pool it owns)."""
         self.engine.close()
-
-
-class _Inflight:
-    """One collapsible in-flight execution: the leader's future + follower count."""
-
-    __slots__ = ("future", "followers")
-
-    def __init__(self) -> None:
-        self.future: concurrent.futures.Future = concurrent.futures.Future()
-        self.followers = 0
 
 
 def _jsonable(value: Any) -> Any:

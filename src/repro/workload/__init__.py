@@ -20,17 +20,17 @@ each usable on its own, designed to feed each other:
   logged latencies (:meth:`~repro.workload.cost.CostModel.calibrate`).
   ``explain`` surfaces the estimate and every logged record carries the
   plan's ``cost_units``; the model steers no plan choice.
-* :mod:`repro.workload.cache` — an adaptive result cache keyed by
-  (plan fingerprint, bound parameters): size-bounded, lock-guarded,
-  invalidated by table dependency exactly like the plan cache, admitting
-  a key only once its fingerprint repeats (one-shot queries never evict
-  hot entries).  Cached results are bit-identical to recomputation.
+* :mod:`repro.workload.cache` — the key of the result cache
+  (``Engine.result_cache``, a :class:`~repro.relational.cache.VersionedLRU`
+  keyed by plan fingerprint and bound parameters, storing on the first
+  miss and invalidated by table dependency exactly like the plan cache).
+  Cached results are bit-identical to recomputation.
 
 The JSONL record schema is part of the public API surface — see the
 stability policy in :mod:`repro`.
 """
 
-from repro.workload.cache import ResultCache, binding_fingerprint
+from repro.workload.cache import binding_fingerprint
 from repro.workload.cost import CostEstimate, CostModel
 from repro.workload.log import (
     WorkloadLog,
@@ -58,7 +58,6 @@ __all__ = [
     "HttpTarget",
     "LoadReport",
     "RequestSpec",
-    "ResultCache",
     "RouterTarget",
     "Schedule",
     "WorkloadLog",

@@ -31,8 +31,8 @@ from pathlib import Path
 from typing import Any, IO
 
 #: the shape every record serialises to; see the stability note in ``repro``.
-#: v2 (additive, 1.8): ``collapsed`` — "leader"/"follower" under in-flight
-#: request collapsing, ``None`` for requests that executed alone
+#: v2 (additive, 1.8): ``collapsed`` — "leader"/"follower" under the 1.8–4.x
+#: in-flight request collapsing; 5.0 removed collapsing and leaves it ``None``
 RECORD_SCHEMA_VERSION = 2
 
 DEFAULT_CAPACITY = 2048
@@ -60,7 +60,7 @@ class WorkloadRecord:
     shard_fanout: int = 0
     status: str = "ok"
     cost_units: dict[str, float] = field(default_factory=dict)
-    collapsed: str | None = None  # "leader" | "follower" | None (ran alone)
+    collapsed: str | None = None  # "leader" | "follower" in logs written before 5.0
 
     def to_dict(self) -> dict[str, Any]:
         payload = asdict(self)

@@ -55,8 +55,7 @@ class TestResultCacheEquivalence:
         for seeds, clear in script:
             if clear:
                 cached.clear_caches()
-            # repeat so the adaptive admission (bypass -> store -> hit)
-            # cycles through every cache state within one script step
+            # repeat so every script step sees a miss (store) and hits
             for _ in range(3):
                 hot = cached.spinql(TRAVERSE, seeds=seeds).execute(seeds=seeds)
                 cold = plain.spinql(TRAVERSE, seeds=seeds).execute(seeds=seeds)

@@ -10,7 +10,6 @@ from repro.relational.algebra import (
     Join,
     Limit,
     Project,
-    Rename,
     Scan,
     Select,
     Sort,
@@ -200,10 +199,6 @@ class TestOtherOperators:
     def test_values(self, db):
         relation = Relation.from_rows(Schema.of(x=DataType.INT), [(1,), (2,)])
         assert db.execute(Values(relation, label="inline")).num_rows == 2
-
-    def test_rename(self, db):
-        plan = Rename(Scan("products"), {"id": "productID"})
-        assert "productID" in db.execute(plan).schema.names
 
     def test_table_function_tokenize(self, db):
         docs = Relation.from_rows(

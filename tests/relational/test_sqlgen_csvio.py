@@ -11,7 +11,6 @@ from repro.relational.algebra import (
     Join,
     Limit,
     Project,
-    Rename,
     Scan,
     Select,
     Sort,
@@ -75,10 +74,6 @@ class TestSqlGeneration:
         relation = Relation.from_rows(Schema.of(term=DataType.STRING), [("book",), ("cake",)])
         sql = to_sql(Values(relation, label="query"), pretty=False)
         assert "VALUES ('book'), ('cake')" in sql
-
-    def test_rename(self):
-        sql = to_sql(Rename(Scan("t"), {"a": "b"}), pretty=False)
-        assert "a AS b" in sql
 
     def test_view_definition(self):
         text = view_definition("docs", Scan("raw"))

@@ -1,15 +1,14 @@
-"""The batch API through the pool, and in-flight request collapsing.
+"""The batch API through the pool, and a burst of identical router requests.
 
-Both are result-invisible by contract: ``search_many`` over the worker
-pool is bit-identical to request-at-a-time execution, and a collapsed
-follower gets the leader's exact reply.  The wire carries no batch frames:
-the kind that coalesced requests until 2.0 is refused.
+``search_many`` over the worker pool is bit-identical to request-at-a-time
+execution, and every request of an identical concurrent burst executes and
+answers exactly like the serial one.  The wire carries no batch frames: the
+kind that coalesced requests until 2.0 is refused.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
@@ -124,71 +123,37 @@ class TestBatchedPoolBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# router: in-flight request collapsing
+# router: a burst of identical requests
 # ---------------------------------------------------------------------------
 
 
-class TestRequestCollapsing:
-    def test_identical_concurrent_requests_collapse(self, pool_engine):
+class TestIdenticalRequestBurst:
+    def test_burst_answers_like_serial_and_logs_every_request(self, pool_engine):
         router = Router(pool_engine, ServingConfig())
-        request = {"kind": "search", "table": "docs", "query": "first lot", "top_k": 3}
-        release = threading.Event()
-        original = router._dispatch
+        search = {"kind": "search", "table": "docs", "query": "first lot", "top_k": 3}
+        spinql = {"kind": "spinql", "source": PROGRAM, "top_k": 3}
+        serial = {"search": router.handle(dict(search)), "spinql": router.handle(dict(spinql))}
+        assert serial["search"]["ok"] and serial["spinql"]["ok"]
+        burst = [search, spinql] * 8
+        served_before = len(
+            [entry for entry in pool_engine.workload_log.snapshot() if entry.kind == "serve"]
+        )
+        barrier = threading.Barrier(len(burst))
+        replies: list = [None] * len(burst)
 
-        def slow_dispatch(payload):
-            reply = original(payload)
-            release.wait(timeout=10)
-            return reply
+        def send(index: int) -> None:
+            barrier.wait()
+            replies[index] = router.handle(dict(burst[index]))
 
-        router._dispatch = slow_dispatch
-        replies: list[dict] = []
+        threads = [threading.Thread(target=send, args=(index,)) for index in range(len(burst))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
 
-        def leader():
-            assert router._admit()
-            replies.append(router._run_admitted(request))
-
-        thread = threading.Thread(target=leader)
-        thread.start()
-        # wait until the leader has registered its in-flight entry, then
-        # join it as a follower — deterministic overlap, no sleeps raced
-        deadline = time.time() + 10
-        while not router._inflight and time.time() < deadline:
-            time.sleep(0.005)
-        assert router._inflight
-
-        follower_reply: list[dict] = []
-
-        def follower():
-            follower_reply.append(router.handle(dict(request)))
-
-        follower_thread = threading.Thread(target=follower)
-        follower_thread.start()
-        deadline = time.time() + 10
-        while router._collapse_hits == 0 and time.time() < deadline:
-            time.sleep(0.005)
-        release.set()
-        thread.join(timeout=10)
-        follower_thread.join(timeout=10)
-
-        assert replies and follower_reply
-        assert follower_reply[0] == replies[0]
-        stats = router.statistics()
-        assert stats["collapse_hits"] == 1
-        assert stats["collapse_leaders"] == 1
-        # both requests recorded their own workload entry with attribution
-        records = [
-            entry
-            for entry in pool_engine.workload_log.snapshot()
-            if entry.kind == "serve" and entry.collapsed is not None
-        ]
-        outcomes = sorted(entry.collapsed for entry in records[-2:])
-        assert outcomes == ["follower", "leader"]
-
-    def test_collapsing_disabled_by_config(self, pool_engine):
-        router = Router(pool_engine, ServingConfig(collapse_requests=False))
-        request = {"kind": "search", "table": "docs", "query": "first lot", "top_k": 3}
-        assert router._collapse_key(request) is None
-
-    def test_info_requests_never_collapse(self, pool_engine):
-        router = Router(pool_engine, ServingConfig())
-        assert router._collapse_key({"kind": "info"}) is None
+        for request, reply in zip(burst, replies):
+            assert reply == serial[request["kind"]]
+        serves = [entry for entry in pool_engine.workload_log.snapshot() if entry.kind == "serve"]
+        assert len(serves) - served_before == len(burst)
+        assert [entry.request for entry in serves[served_before:]].count(search) == 8
+        assert all(entry.collapsed is None for entry in serves)

@@ -1,4 +1,5 @@
-"""The adaptive result cache: admission, LRU bound, invalidation, engine wiring."""
+"""The result cache: a VersionedLRU storing on the first miss, LRU bound,
+invalidation, the binding fingerprint and the engine wiring."""
 
 from __future__ import annotations
 
@@ -6,10 +7,11 @@ import pytest
 
 from repro.engine import Engine
 from repro.pra.relation import ProbabilisticRelation
+from repro.relational.cache import VersionedLRU
 from repro.relational.column import DataType
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
-from repro.workload.cache import ResultCache, binding_fingerprint
+from repro.workload.cache import binding_fingerprint
 
 TRIPLES = [
     ("lot1", "type", "lot"),
@@ -31,65 +33,33 @@ def engine():
     return Engine.from_triples(TRIPLES)
 
 
-class TestAdmission:
-    def test_first_sighting_is_bypassed_second_admitted(self):
-        cache = ResultCache(max_entries=4)
-        value = _relation([("a",)])
-        assert cache.store(("fp", ""), value) is False
-        assert cache.bypassed == 1
-        assert len(cache) == 0
-        assert cache.store(("fp", ""), value) is True
-        assert cache.admitted == 1
-        assert cache.lookup(("fp", "")) is value
-
-    def test_distinct_bindings_share_the_sighting_count(self):
-        cache = ResultCache(max_entries=4)
-        value = _relation([("a",)])
-        assert cache.store(("fp", "x=1"), value) is False
-        # same plan fingerprint, different bindings: second sighting admits
-        assert cache.store(("fp", "x=2"), value) is True
-
-    def test_threshold_one_admits_immediately(self):
-        cache = ResultCache(max_entries=4, admission_threshold=1)
-        assert cache.store(("fp", ""), _relation([("a",)])) is True
-
-
 class TestBounds:
     def test_lru_eviction_never_exceeds_max_entries(self):
-        cache = ResultCache(max_entries=2, admission_threshold=1)
+        cache = VersionedLRU(2)
         for index in range(5):
-            cache.store((f"fp{index}", ""), _relation([(str(index),)]))
+            cache.put((f"fp{index}", ""), _relation([(str(index),)]), dependencies=frozenset())
         assert len(cache) == 2
         assert cache.statistics.evictions == 3
         assert ("fp4", "") in cache and ("fp3", "") in cache
 
-    def test_sightings_tracker_is_bounded(self):
-        cache = ResultCache(max_entries=4)
-        for index in range(1000):
-            cache.store((f"fp{index}", ""), _relation([("a",)]))
-        assert len(cache._sightings) <= cache._sightings_capacity
-
 
 class TestInvalidation:
     def test_invalidate_table_drops_dependent_entries(self):
-        cache = ResultCache(max_entries=4, admission_threshold=1)
-        cache.store(("a", ""), _relation([("a",)]), dependencies=frozenset({"triples"}))
-        cache.store(("b", ""), _relation([("b",)]), dependencies=frozenset({"docs"}))
+        cache = VersionedLRU(4)
+        cache.put(("a", ""), _relation([("a",)]), dependencies=frozenset({"triples"}))
+        cache.put(("b", ""), _relation([("b",)]), dependencies=frozenset({"docs"}))
         assert cache.invalidate_table("triples") == 1
         assert ("a", "") not in cache
         assert ("b", "") in cache
         assert cache.statistics.invalidations == 1
 
-    def test_clear_resets_entries_and_sightings(self):
-        cache = ResultCache(max_entries=4, admission_threshold=1)
-        cache.store(("a", ""), _relation([("a",)]))
-        cache.clear()
-        assert len(cache) == 0
-        # sightings were cleared too: the next store starts from scratch
-        cache2 = ResultCache(max_entries=4)
-        cache2.store(("a", ""), _relation([("a",)]))
-        cache2.clear()
-        assert cache2.store(("a", ""), _relation([("a",)])) is False
+    def test_still_valid_vetoes_the_store(self):
+        cache = VersionedLRU(4)
+        stored = cache.put(
+            ("a", ""), _relation([("a",)]), dependencies=frozenset(), still_valid=lambda: False
+        )
+        assert stored is False
+        assert ("a", "") not in cache
 
 
 class TestBindingFingerprint:
@@ -111,13 +81,12 @@ class TestBindingFingerprint:
 
 
 class TestEngineWiring:
-    def test_third_execution_returns_the_cached_object(self, engine):
+    def test_second_execution_returns_the_cached_object(self, engine):
         first = engine.spinql(TRAVERSE, seeds=["lot1"]).execute()
         second = engine.spinql(TRAVERSE, seeds=["lot1"]).execute()
-        third = engine.spinql(TRAVERSE, seeds=["lot1"]).execute()
-        assert third is second  # served from cache: the identical object
-        assert first is not second
+        assert second is first  # stored on the first miss: the identical object
         assert engine.result_cache.statistics.hits == 1
+        assert engine.result_cache.statistics.misses == 1
 
     def test_cached_result_is_bit_identical(self, engine):
         baseline = Engine.from_triples(TRIPLES, result_cache_size=None)
@@ -138,9 +107,6 @@ class TestEngineWiring:
     def test_result_computed_across_a_table_replace_is_not_cached(self, engine):
         """Regression: a result computed on the old triples was stored after the
         replace had invalidated the result cache, and then served forever."""
-        assert engine.spinql(TRAVERSE, seeds=["lot1"]).execute().value_rows() == [
-            ("auction1",)
-        ]  # the first sighting
         triples = engine.database.table(engine.triples_table)
         renamed = Relation.from_rows(
             triples.schema,
@@ -158,8 +124,12 @@ class TestEngineWiring:
             return result
 
         executor.execute_plan = execute_while_a_writer_replaces_the_triples
-        engine.spinql(TRAVERSE, seeds=["lot1"]).execute()  # the racing reader
+        racing = engine.spinql(TRAVERSE, seeds=["lot1"]).execute()  # the racing reader
         executor.execute_plan = execute_plan
+        assert racing.value_rows() == [("auction1",)]  # computed before the write
+        statuses = [entry.result_cache for entry in engine.workload_log.snapshot()]
+        assert statuses == ["bypass"]  # the still_valid veto is logged as a bypass
+        assert len(engine.result_cache) == 0
         for _ in range(2):
             result = engine.spinql(TRAVERSE, seeds=["lot1"]).execute()
             assert result.value_rows() == [("auction9",)]
