@@ -2,8 +2,9 @@
 
 ``search_many`` over the worker pool is bit-identical to request-at-a-time
 execution, and every request of an identical concurrent burst executes and
-answers exactly like the serial one.  The wire carries no batch frames: the
-kind that coalesced requests until 2.0 is refused.
+answers exactly like the serial one; a repeated request is a result-cache
+hit.  The wire carries no batch frames: the kind that coalesced requests
+until 2.0 is refused.
 """
 
 from __future__ import annotations
@@ -157,3 +158,16 @@ class TestIdenticalRequestBurst:
         assert len(serves) - served_before == len(burst)
         assert [entry.request for entry in serves[served_before:]].count(search) == 8
         assert all(entry.collapsed is None for entry in serves)
+
+    def test_repeated_spinql_is_a_result_cache_hit(self, pool_engine):
+        router = Router(pool_engine, ServingConfig())
+        request = {"kind": "spinql", "source": 'out = SELECT [$2="type"] (triples);', "top_k": 5}
+        first = router.handle(dict(request))
+        before = router.health()["result_cache"]
+        second = router.handle(dict(request))
+        after = router.health()["result_cache"]
+        assert first["ok"] and second == first
+        assert after["hits"] - before["hits"] == 1
+        assert after["misses"] == before["misses"]
+        serve = [entry for entry in pool_engine.workload_log.snapshot() if entry.kind == "serve"]
+        assert serve[-1].request == request

@@ -61,6 +61,17 @@ class TestInvalidation:
         assert stored is False
         assert ("a", "") not in cache
 
+    def test_clear_forces_a_recompute(self, engine):
+        first = engine.spinql(TRAVERSE, seeds=["lot1"]).execute()
+        engine.result_cache.clear()
+        assert len(engine.result_cache) == 0
+        again = engine.spinql(TRAVERSE, seeds=["lot1"]).execute()
+        assert again is not first
+        assert again.value_rows() == first.value_rows()
+        statuses = [entry.result_cache for entry in engine.workload_log.snapshot()]
+        assert statuses == ["miss", "miss"]
+        assert engine.spinql(TRAVERSE, seeds=["lot1"]).execute() is again
+
 
 class TestBindingFingerprint:
     def test_empty_bindings(self):
@@ -87,6 +98,36 @@ class TestEngineWiring:
         assert second is first  # stored on the first miss: the identical object
         assert engine.result_cache.statistics.hits == 1
         assert engine.result_cache.statistics.misses == 1
+
+    def test_third_execution_returns_the_cached_object(self, engine):
+        results = [engine.spinql(TRAVERSE, seeds=["lot1"]).execute() for _ in range(3)]
+        assert results[2] is results[1] is results[0]  # a hit does not re-store
+        assert engine.result_cache.statistics.hits == 2
+        assert engine.result_cache.statistics.misses == 1
+        assert len(engine.result_cache) == 1
+
+    def test_distinct_bindings_are_distinct_entries(self, engine):
+        lot1 = engine.spinql(TRAVERSE, seeds=["lot1"]).execute()
+        lot2 = engine.spinql(TRAVERSE, seeds=["lot2"]).execute()
+        assert lot1.value_rows() == [("auction1",)]
+        assert lot2.value_rows() == [("auction2",)]
+        assert len(engine.result_cache) == 2
+        assert engine.spinql(TRAVERSE, seeds=["lot2"]).execute() is lot2
+        assert engine.spinql(TRAVERSE, seeds=["lot1"]).execute() is lot1
+        statuses = [entry.result_cache for entry in engine.workload_log.snapshot()]
+        assert statuses == ["miss", "miss", "hit", "hit"]
+
+    def test_result_cache_size_bounds_the_engine_cache(self):
+        engine = Engine.from_triples(TRIPLES, result_cache_size=1)
+        assert engine.result_cache.max_entries == 1
+        engine.spinql(TRAVERSE, seeds=["lot1"]).execute()
+        engine.spinql(TRAVERSE, seeds=["lot2"]).execute()
+        assert len(engine.result_cache) == 1
+        assert engine.result_cache.statistics.evictions == 1
+        result = engine.spinql(TRAVERSE, seeds=["lot1"]).execute()  # evicted: recomputed
+        assert result.value_rows() == [("auction1",)]
+        statuses = [entry.result_cache for entry in engine.workload_log.snapshot()]
+        assert statuses == ["miss", "miss", "miss"]
 
     def test_cached_result_is_bit_identical(self, engine):
         baseline = Engine.from_triples(TRIPLES, result_cache_size=None)
