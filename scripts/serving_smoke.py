@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import sys
 import tempfile
@@ -34,6 +35,15 @@ from pathlib import Path
 
 
 def main() -> int:
+    scratch = Path(tempfile.mkdtemp(prefix="repro-serving-smoke-"))
+    try:
+        return run(scratch)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+def run(scratch: Path) -> int:
+    """The smoke check, writing its snapshot under ``scratch``."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--workers", type=int, default=2)
@@ -92,7 +102,7 @@ def main() -> int:
     ]
     source.search("docs", queries[0]).execute()
 
-    snapshot = Path(tempfile.mkdtemp(prefix="repro-serving-smoke-")) / "snapshot"
+    snapshot = scratch / "snapshot"
     source.save(snapshot, shards=args.shards)
     print(f"sharded snapshot: {snapshot} ({args.shards} shards)")
 

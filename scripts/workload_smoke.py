@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -25,6 +26,15 @@ from pathlib import Path
 
 
 def main() -> int:
+    scratch = Path(tempfile.mkdtemp(prefix="repro-workload-smoke-"))
+    try:
+        return run(scratch)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+def run(scratch: Path) -> int:
+    """The smoke check, exporting its log under ``scratch``."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--lots", type=int, default=200)
     parser.add_argument("--requests", type=int, default=60)
@@ -80,7 +90,7 @@ def main() -> int:
     # the most frequent template, so the replay's threads race for its first call
     for _ in range(2):
         recorder.strategy("auction", query=queries[0]).execute()
-    log_path = Path(tempfile.mkdtemp(prefix="repro-workload-smoke-")) / "workload.jsonl"
+    log_path = scratch / "workload.jsonl"
     recorder.workload_log.export(log_path)
     print(f"recorded {recorder.workload_log.statistics()['appended']} records -> {log_path}")
 

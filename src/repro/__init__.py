@@ -51,10 +51,10 @@ The package is organised along the paper's sections:
   over sharded snapshots, scatter-gather executors, and an
   admission-controlled HTTP router (``python -m repro serve``); 1.7 adds
   shard replicas with transparent failover, a self-healing worker
-  supervisor, online re-sharding (``python -m repro reshard``), and the
-  unified :class:`~repro.serving.ServingConfig`; 1.8 adds vectorized
-  multi-query search (``search_many``) and in-flight request collapsing,
-  both result-invisible by construction;
+  supervisor, and the unified :class:`~repro.serving.ServingConfig`; 1.8
+  adds vectorized multi-query search (``search_many``), result-invisible
+  by construction.  A served engine keeps the layout it was opened with;
+  re-partitioning is offline (``python -m repro shard``);
 * :mod:`repro.workload` — workload awareness, new in 1.5: a bounded query
   log with a JSONL sink (``Engine.workload_log``, ``GET /statz``), a
   deterministic replay/load generator (verbatim or Zipf-synthesized,
@@ -127,7 +127,7 @@ are comparable across hosts and runs.
 Version 1.7 unifies serving configuration under one frozen dataclass,
 :class:`repro.serving.ServingConfig`: every serving entry point
 (:class:`~repro.serving.WorkerPool`, ``Engine.open_sharded``,
-:class:`~repro.serving.Router`, the ``serve``/``reshard`` CLI) accepts
+:class:`~repro.serving.Router`, the ``serve`` CLI) accepts
 ``config=ServingConfig(...)``.  The 1.7 shim for the superseded per-call
 keyword arguments (``workers=``, ``mmap=``, ``transport=``,
 ``shm_threshold=``, ``max_concurrent=``, ``max_queue=``) was removed in
@@ -186,6 +186,18 @@ counters.  ``Engine.result_cache`` is a plain
 first miss; ``repro.workload.ResultCache`` (with ``admission_threshold``
 and the ``admitted``/``bypassed`` counters) is gone.  The workload-record
 field ``collapsed`` stays in the schema, append-only, and is never set.
+
+Version 6.0 serves a sharded engine on the layout it was opened with: its
+executor is set by ``Engine.open_sharded`` and closed by ``Engine.close``,
+and requests read it without a lease.  To change the shard count,
+re-partition offline (``Engine.save(path, shards=N)`` or ``python -m repro
+shard``) and open or serve the new snapshot.  Removed without a shim: the
+online re-sharding API (its CLI subcommand, the engine's re-sharding,
+executor-swap and layout-manager methods, and the module that held the
+layout manager, with its two ``repro.serving`` exports), and the shard
+map's layout version counter, with its key in ``executor_info()``, in
+``/statz``'s ``executor`` entry and in a worker's ping reply.
+``CHANGES.md`` names every removed name.
 """
 
 from repro.errors import EngineError, ReproError
@@ -209,7 +221,7 @@ from repro.strategy import (
     build_toy_strategy,
 )
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     # the public facade

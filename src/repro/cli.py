@@ -266,12 +266,15 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
     if not args.from_snapshot:
         raise EngineError("shard needs --from-snapshot DIR (the snapshot to re-partition)")
+    shard_keys: dict[str, str] = {}
     if is_sharded_snapshot(args.from_snapshot):
+        # a sharded source keeps the shard keys it was partitioned on
+        shard_keys = read_shard_map(args.from_snapshot).shard_keys
         engine = Engine.open_sharded(args.from_snapshot)
     else:
         engine = Engine.open(args.from_snapshot)
     try:
-        path = engine.save(args.out, shards=args.shards)
+        path = engine.save(args.out, shards=args.shards, shard_keys=shard_keys)
     finally:
         engine.close()
     shard_map = read_shard_map(path)
@@ -291,6 +294,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Boot a router (and worker pool) over a sharded snapshot and serve HTTP."""
+    import shutil
     import tempfile
 
     from repro.serving import Router, ServingConfig
@@ -299,92 +303,58 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not args.from_snapshot:
         raise EngineError("serve needs --from-snapshot DIR (a snapshot to serve)")
     path = args.from_snapshot
-    if not is_sharded_snapshot(path):
-        shards = args.shards or 2
-        staging = tempfile.mkdtemp(prefix="repro-serve-shards-")
-        print(f"partitioning {path} into {shards} shards under {staging} ...",
-              file=sys.stderr)
-        source = Engine.open(path)
-        try:
-            path = str(source.save(staging, shards=shards))
-        finally:
-            source.close()
-    elif args.shards:
+    if is_sharded_snapshot(path) and args.shards:
         raise EngineError(
             "--shards re-partitions an unsharded snapshot; this snapshot is already "
             "sharded (use the `shard` subcommand to change its layout)"
         )
-    config = ServingConfig.from_cli_args(args)
-    engine = Engine.open_sharded(
-        path,
-        executor="pool" if args.workers != 0 else "sharded",
-        config=config,
-    )
-    # the router and HTTP front end inherit the same config (admission
-    # limits, host/port) from the engine — one object, four entry points
-    router = Router(engine)
-    server = router.serve()
-    info = {
-        "command": "serve",
-        "endpoint": f"http://{config.host}:{server.server_address[1]}",
-        "snapshot": path,
-        "executor": engine.executor_info(),
-        "config": config.to_dict(),
-    }
-    # flushed: a parent reading the endpoint from a pipe must see the banner
-    # now, not when the block buffer fills or the server exits
-    if args.json:
-        print(json.dumps(info, indent=2), flush=True)
-    else:
-        print(f"serving {path} at {info['endpoint']} ({info['executor']})", flush=True)
+    staging: str | None = None
+    if not is_sharded_snapshot(path):
+        staging = tempfile.mkdtemp(prefix="repro-serve-shards-")
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        pass
-    finally:
-        server.server_close()
-        router.close()
-    return 0
-
-
-def _cmd_reshard(args: argparse.Namespace) -> int:
-    """Re-partition a served snapshot online: build N' shards, swap atomically."""
-    from repro.serving import ServingConfig
-    from repro.storage.shards import is_sharded_snapshot
-
-    if not args.from_snapshot:
-        raise EngineError("reshard needs --from-snapshot DIR (a sharded snapshot)")
-    if not is_sharded_snapshot(args.from_snapshot):
-        raise EngineError(
-            "reshard works on partitioned snapshots; use the `shard` subcommand "
-            "to create one first"
+        if staging is not None:
+            shards = args.shards or 2
+            print(f"partitioning {path} into {shards} shards under {staging} ...",
+                  file=sys.stderr)
+            source = Engine.open(path)
+            try:
+                path = str(source.save(staging, shards=shards))
+            finally:
+                source.close()
+        config = ServingConfig.from_cli_args(args)
+        engine = Engine.open_sharded(
+            path,
+            executor="pool" if args.workers != 0 else "sharded",
+            config=config,
         )
-    config = ServingConfig.from_cli_args(args)
-    engine = Engine.open_sharded(
-        args.from_snapshot,
-        executor="pool" if args.workers != 0 else "sharded",
-        config=config,
-    )
-    try:
-        before = engine.executor_info()
-        summary = engine.reshard(args.shards, out=args.out)
-        after = engine.executor_info()
+        # the router and HTTP front end inherit the same config (admission
+        # limits, host/port) from the engine — one object, four entry points
+        router = Router(engine)
+        server = router.serve()
+        info = {
+            "command": "serve",
+            "endpoint": f"http://{config.host}:{server.server_address[1]}",
+            "snapshot": path,
+            "executor": engine.executor_info(),
+            "config": config.to_dict(),
+        }
+        # flushed: a parent reading the endpoint from a pipe must see the
+        # banner now, not when the block buffer fills or the server exits
+        if args.json:
+            print(json.dumps(info, indent=2), flush=True)
+        else:
+            print(f"serving {path} at {info['endpoint']} ({info['executor']})", flush=True)
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
+            pass
+        finally:
+            server.server_close()
+            router.close()
     finally:
-        engine.close()
-    payload = {
-        "command": "reshard",
-        "before": before,
-        "after": after,
-        "swap": summary,
-    }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(
-            f"resharded {args.from_snapshot}: {summary['from_shards']} -> "
-            f"{summary['to_shards']} shards (epoch {summary['from_epoch']} -> "
-            f"{summary['to_epoch']}) at {summary['path']}"
-        )
+        # after router.close(): the workers memmap the staging copy
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
     return 0
 
 
@@ -643,25 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="failover re-routes allowed per request beyond the first try")
     _add_common(serve, top=False)
     serve.set_defaults(handler=_cmd_serve)
-
-    reshard = subparsers.add_parser(
-        "reshard",
-        help="re-partition a sharded snapshot online: background build + atomic swap",
-    )
-    reshard.add_argument("--shards", type=int, required=True,
-                         help="target shard count for the new layout")
-    reshard.add_argument("--out", required=True,
-                         help="directory for the new partitioned layout")
-    reshard.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="serve through a worker pool during the swap (0 = in-process executor)",
-    )
-    reshard.add_argument("--replicas", type=int, default=None,
-                         help="replicas per shard while serving through a pool")
-    _add_common(reshard, top=False)
-    reshard.set_defaults(handler=_cmd_reshard)
 
     workload = subparsers.add_parser(
         "workload",

@@ -214,16 +214,7 @@ class Engine:
         self._lifecycle_lock = threading.Lock()
         # guards _search_engines; Engine is shareable across threads
         self._registry_lock = threading.Lock()
-        # online-reconfiguration state: requests check the executor out for
-        # their whole run, so an atomic swap drains in-flight work on the old
-        # executor while new requests route on the new one (epoch semantics)
-        self._executor_lock = threading.Lock()
-        self._executor_drained = threading.Condition(self._executor_lock)
-        self._executor_leases: dict[int, int] = {}
-        self._retired_executors: dict[int, PlanExecutor] = {}
         self._serving_config: Any | None = None
-        self._snapshot_path: Path | None = None
-        self._blueprint_manager: Any | None = None
         self._closed = False
 
     # -- construction -----------------------------------------------------------------
@@ -341,15 +332,6 @@ class Engine:
         for pool in pools:
             if pool is not None:
                 pool.shutdown(wait=True)
-        with self._executor_lock:
-            retired = list(self._retired_executors.values())
-            self._retired_executors.clear()
-            self._executor_leases.clear()
-        for executor in retired:
-            try:
-                executor.close()
-            except ReproError:  # pragma: no cover - already-dead workers
-                pass
         try:
             self._plan_executor.close()
         finally:
@@ -374,98 +356,6 @@ class Engine:
     def _require_open(self) -> None:
         if self._closed:
             raise EngineError("engine is closed; open a new session to run queries")
-
-    # -- executor leases and online reconfiguration -----------------------------------
-
-    def _checkout_executor(self) -> PlanExecutor:
-        """The current executor, leased for one request (pair with release)."""
-        with self._executor_lock:
-            executor = self._plan_executor
-            key = id(executor)
-            self._executor_leases[key] = self._executor_leases.get(key, 0) + 1
-            return executor
-
-    def _release_executor(self, executor: PlanExecutor) -> None:
-        """Return a lease; the last lease of a retired executor closes it."""
-        retired: PlanExecutor | None = None
-        with self._executor_lock:
-            key = id(executor)
-            count = self._executor_leases.get(key, 0) - 1
-            if count > 0:
-                self._executor_leases[key] = count
-            else:
-                self._executor_leases.pop(key, None)
-                retired = self._retired_executors.pop(key, None)
-                self._executor_drained.notify_all()
-        if retired is not None:
-            retired.close()
-
-    def swap_executor(
-        self, new_executor: PlanExecutor, *, drain_timeout: float = 30.0
-    ) -> PlanExecutor:
-        """Atomically install ``new_executor``; drain and close the old one.
-
-        The install is the atomic step: every request that checks out after
-        it routes on the new executor (new epoch), while requests already
-        in flight finish on the old one.  This method then waits up to
-        ``drain_timeout`` seconds for those leases to drain; either way the
-        old executor is closed exactly once — immediately when drained, or
-        by the final lease holder's release.  Returns the old executor.
-        """
-        self._require_open()
-        with self._executor_lock:
-            old = self._plan_executor
-            self._plan_executor = new_executor
-            key = id(old)
-            if self._executor_leases.get(key, 0) > 0:
-                self._retired_executors[key] = old
-                deadline = time.monotonic() + drain_timeout
-                while self._executor_leases.get(key, 0) > 0:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        # still draining: the final release closes it
-                        return old
-                    self._executor_drained.wait(remaining)
-                self._retired_executors.pop(key, None)
-        # drained (or never leased): close here; executor close is idempotent,
-        # so a racing final release closing it first is harmless
-        old.close()
-        return old
-
-    def reshard(
-        self,
-        shards: int,
-        *,
-        out: str | Path | None = None,
-        drain_timeout: float = 30.0,
-    ) -> dict[str, Any]:
-        """Re-partition the served snapshot to ``shards`` shards, online.
-
-        Builds the new layout in the background from the current immutable
-        snapshot, then atomically swaps the versioned shard map (monotonic
-        epoch): in-flight requests drain on the old epoch, new requests
-        route on the new one — no downtime, bit-identical results.  Only
-        engines opened with :meth:`open_sharded` can reshard.  Returns a
-        summary dict (old/new epoch, shard counts, output path).
-        """
-        return self.blueprint_manager().reshard(
-            shards, out=out, drain_timeout=drain_timeout
-        )
-
-    def blueprint_manager(self) -> Any:
-        """The engine's blueprint manager (serialized serving transitions)."""
-        from repro.serving.blueprint import BlueprintManager
-
-        self._require_open()
-        if getattr(self._plan_executor, "shard_map", None) is None:
-            raise EngineError(
-                "online resharding needs a sharded engine; open the snapshot "
-                "with Engine.open_sharded first"
-            )
-        with self._executor_lock:
-            if self._blueprint_manager is None:
-                self._blueprint_manager = BlueprintManager(self)
-            return self._blueprint_manager
 
     def _batch_pool(self, max_workers: int) -> ThreadPoolExecutor:
         """The engine's one thread pool, behind ``execute_many``/``top_many``.
@@ -578,9 +468,10 @@ class Engine:
         to the unsharded engine: row-local plan segments (select/weight
         chains, rank-aware TOP) and keyword ranking scatter to the shards;
         everything else runs on the coordinator over gather-reconstructed
-        tables.  The engine supports online re-sharding via
-        :meth:`reshard`.  Raises :class:`~repro.errors.StorageError` for a
-        missing or corrupt shard map.
+        tables.  The engine serves this layout until :meth:`close`; to change
+        the shard count, re-partition offline with ``save(path, shards=N)``
+        and open the new snapshot.  Raises :class:`~repro.errors.StorageError`
+        for a missing or corrupt shard map.
         """
         from repro.serving.config import ServingConfig
         from repro.storage.format import read_manifest
@@ -597,15 +488,12 @@ class Engine:
             **engine_kwargs,
         )
         engine._serving_config = resolved
-        engine._snapshot_path = Path(path)
         engine._plan_executor = engine._build_shard_executor(shard_map, executor, resolved)
 
         # coordinator tables hydrate on demand by gathering shard fragments
         # back into exact original row order (the bit-identity fallback path);
         # fragment schemas equal the unsharded table's, so shard 0's manifest
         # declares each lazy table's schema for hydration-free verification.
-        # The closures read the executor through the engine so an online
-        # reshard re-points them at the new layout's backends automatically.
         schemas = read_table_schemas(shard_map.shard_directory(0) / "database")
         for name in shard_map.table_names:
             engine.database.catalog.create_lazy_table(
@@ -632,7 +520,7 @@ class Engine:
     def _build_shard_executor(
         self, shard_map: Any, executor: str, config: Any
     ) -> PlanExecutor:
-        """One scatter-gather executor over ``shard_map`` (shared with reshard)."""
+        """One scatter-gather executor over ``shard_map``."""
         from repro.storage.shards import shard_rowids
 
         if executor == "pool":
@@ -652,7 +540,7 @@ class Engine:
         raise EngineError(f"unknown executor {executor!r}; use 'sharded' or 'pool'")
 
     def _log_serving_event(self, name: str, detail: dict[str, Any]) -> None:
-        """Record a failover/restart/swap event in the workload log."""
+        """Record a failover/restart event in the workload log."""
         try:
             self.workload_log.record(
                 "event",
@@ -1015,7 +903,7 @@ class Engine:
                     return cached
                 cache_status = "miss"
         still_valid = self.database.catalog.unchanged()
-        executor = self._checkout_executor()
+        executor = self._plan_executor
         try:
             result = executor.execute_plan(plan, bound)
         except Exception:
@@ -1031,8 +919,6 @@ class Engine:
                 executor=executor,
             )
             raise
-        finally:
-            self._release_executor(executor)
         if cache_key is not None and self.result_cache is not None:
             stored = self.result_cache.put(
                 cache_key, result, dependencies=scan_tables(plan), still_valid=still_valid
@@ -1083,34 +969,31 @@ class Engine:
         from repro.ir.search import SearchResult
 
         self._require_open()
-        executor = self._checkout_executor()
-        try:
-            if not isinstance(executor, (ShardedExecutor, PoolExecutor)):
-                return None
-            started = time.perf_counter()
-            searcher = self._search_engine(
-                table,
-                model=model,
-                expander=expander,
+        executor = self._plan_executor
+        if not isinstance(executor, (ShardedExecutor, PoolExecutor)):
+            return None
+        started = time.perf_counter()
+        searcher = self._search_engine(
+            table,
+            model=model,
+            expander=expander,
+            id_column=id_column,
+            text_column=text_column,
+        )
+        analyzed = [searcher.query_terms(query) for query in queries]
+        specs = [
+            SearchSpec(
+                table=table,
+                terms=list(terms),
+                top_k=top_k,
                 id_column=id_column,
                 text_column=text_column,
+                model=model,
             )
-            analyzed = [searcher.query_terms(query) for query in queries]
-            specs = [
-                SearchSpec(
-                    table=table,
-                    terms=list(terms),
-                    top_k=top_k,
-                    id_column=id_column,
-                    text_column=text_column,
-                    model=model,
-                )
-                for _base, _expanded, terms in analyzed
-            ]
-            was_warm = executor.has_global_statistics(specs[0])
-            ranked_lists = executor.search_many(specs)
-        finally:
-            self._release_executor(executor)
+            for _base, _expanded, terms in analyzed
+        ]
+        was_warm = executor.has_global_statistics(specs[0])
+        ranked_lists = executor.search_many(specs)
         if ranked_lists is None:
             return None
         elapsed = time.perf_counter() - started

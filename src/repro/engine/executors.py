@@ -527,11 +527,7 @@ class ScatterGatherExecutor(PlanExecutor):
     # -- lifecycle ---------------------------------------------------------------
 
     def describe(self) -> dict[str, Any]:
-        return {
-            "executor": self.kind,
-            "shards": self.shard_map.num_shards,
-            "epoch": self.shard_map.epoch,
-        }
+        return {"executor": self.kind, "shards": self.shard_map.num_shards}
 
     def close(self) -> None:
         errors: list[BaseException] = []

@@ -13,7 +13,7 @@ into a serving deployment:
 * :mod:`repro.serving.worker` — the worker process main loop: memmap the
   assigned shards, answer segment-evaluation / statistics / batched
   search (``search_many``; one query is a batch of one) / fragment
-  requests, caching global statistics between searches;
+  requests, keeping nothing between requests but the opened shards;
 * :mod:`repro.serving.pool` — :class:`WorkerPool`: spawns persistent
   workers, assigns shards, multiplexes pipelined requests (the transport
   behind :class:`~repro.engine.executors.PoolExecutor`, whose scatter puts
@@ -25,13 +25,13 @@ into a serving deployment:
   (``POST /query``, ``GET /healthz``, ``GET /statz``): parse and admit on
   the event loop, execute admitted requests on a small thread pool.
 
-The CLI front end is ``python -m repro serve`` (and ``shard`` to
-re-partition an existing snapshot).
+The CLI front end is ``python -m repro serve``.  A served engine keeps the
+layout it was opened with: to change the shard count, re-partition the
+snapshot offline (``python -m repro shard``) and restart ``serve`` on it.
 """
 
-from repro.serving.blueprint import Blueprint, BlueprintManager
 from repro.serving.config import ServingConfig
 from repro.serving.pool import WorkerPool
 from repro.serving.router import Router
 
-__all__ = ["Blueprint", "BlueprintManager", "Router", "ServingConfig", "WorkerPool"]
+__all__ = ["Router", "ServingConfig", "WorkerPool"]

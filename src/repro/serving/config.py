@@ -106,8 +106,8 @@ class ServingConfig:
     def from_cli_args(cls, args: Any) -> "ServingConfig":
         """Build a config from an argparse namespace (the ``serve`` subcommand).
 
-        Only attributes present on the namespace override the defaults, so
-        subcommands with partial serving surfaces (``reshard``) reuse this.
+        Only attributes present (and not ``None``) on the namespace override
+        the defaults.
         """
         overrides: dict[str, Any] = {}
         for field in fields(cls):

@@ -414,7 +414,6 @@ class WorkerPool:
             kwargs={
                 "mmap": self.config.mmap,
                 "shm_threshold": self.config.shm_threshold,
-                "epoch": self.shard_map.epoch,
             },
             daemon=True,
             name=f"repro-shard-worker-{worker}",

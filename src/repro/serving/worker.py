@@ -15,7 +15,7 @@ only a control frame on the pipe.
 =========== =================================================================
 op          behaviour
 =========== =================================================================
-ping        liveness check; returns the worker's pid, shard set and epoch
+ping        liveness check; returns the worker's pid and shard set
 segment     evaluate a row-local plan segment against one shard's fragment
 stats       the shard's collection-statistics summary (df/cf/doc-count)
 search_many rank a query batch (a single search is a batch of one) against
@@ -63,7 +63,6 @@ def worker_main(
     *,
     mmap: bool = True,
     shm_threshold: int | None = None,
-    epoch: int = 0,
 ) -> None:
     """Serve shard requests until the connection closes or ``close`` arrives."""
     from repro.ir.statistics import GlobalStatistics
@@ -84,13 +83,7 @@ def worker_main(
     def handle(message: dict[str, Any]) -> dict[str, Any]:
         op = message["op"]
         if op == "ping":
-            # the epoch identifies which versioned shard layout this worker
-            # serves — after a blueprint swap, old- and new-epoch workers
-            # briefly coexist while in-flight requests drain
-            return {
-                "ok": True,
-                "value": {"pid": os.getpid(), "shards": list(shards), "epoch": epoch},
-            }
+            return {"ok": True, "value": {"pid": os.getpid(), "shards": list(shards)}}
         if op == "segment":
             result = backend(message["shard"]).evaluate_segment(
                 message["plan"], message["table"]

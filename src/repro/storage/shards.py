@@ -58,21 +58,16 @@ def shard_directory_name(index: int) -> str:
 
 
 class ShardMap:
-    """The parsed top-level manifest of a partitioned snapshot, versioned.
+    """The parsed top-level manifest of a partitioned snapshot.
 
-    Beyond the manifest fields, a shard map carries a serving **epoch** — a
-    monotonic version number for online reconfiguration.  FORMAT_VERSION 2
-    snapshots know nothing about epochs; they load at epoch 0 unchanged,
-    and :class:`~repro.serving.blueprint.BlueprintManager` stamps successor
-    layouts via :meth:`at_epoch` when it swaps them in.  All shard-routing
-    questions go through the accessors here (:meth:`shards`,
-    :meth:`shard_for`, :meth:`shard_directory`), so an atomic layout swap
-    has exactly one choke point.
+    All shard-routing questions go through the accessors here
+    (:meth:`shards`, :meth:`shard_for`, :meth:`shard_directory`).  A served
+    engine keeps the layout it was opened with; re-partitioning is offline
+    (``Engine.save(path, shards=N)``, ``python -m repro shard``).
     """
 
-    def __init__(self, path: Path, manifest: dict[str, Any], *, epoch: int = 0) -> None:
+    def __init__(self, path: Path, manifest: dict[str, Any]) -> None:
         self.path = Path(path)
-        self.epoch = int(epoch)
         self.num_shards = int(manifest["shards"])
         self.partitioner = dict(manifest["partitioner"])
         self.shard_keys: dict[str, str] = {
@@ -90,7 +85,6 @@ class ShardMap:
                 str(self.path),
             )
         self.shard_directories = [self.path / name for name in directories]
-        self._manifest = dict(manifest)
 
     @property
     def table_names(self) -> list[str]:
@@ -130,34 +124,6 @@ class ShardMap:
 
         hashes = np.asarray([fnv1a_64(str(key))], dtype=np.uint64)
         return int(HashRangePartitioner(self.num_shards).shard_of_hashes(hashes)[0])
-
-    def at_epoch(self, epoch: int) -> "ShardMap":
-        """This layout stamped with serving ``epoch`` (monotonic; enforced)."""
-        if epoch < self.epoch:
-            raise StorageError(
-                f"epoch must be monotonic: {epoch} < current {self.epoch}",
-                str(self.path),
-            )
-        return ShardMap(self.path, self._manifest, epoch=epoch)
-
-    def with_layout(self, shards: int, out: str | Path) -> "ShardMap":
-        """Materialize this snapshot's data as an ``shards``-shard layout.
-
-        Builds the new partitioned snapshot under ``out`` from the current
-        (immutable) one — the background half of an online reshard — and
-        returns its shard map stamped at ``epoch + 1``, ready for an atomic
-        swap.  The source layout is never touched.
-        """
-        from repro.engine import Engine
-
-        builder = Engine.open_sharded(self.path)
-        try:
-            # carry the source layout's shard keys forward so a reshard
-            # repartitions on the same columns the operator chose originally
-            path = builder.save(out, shards=shards, shard_keys=dict(self.shard_keys))
-        finally:
-            builder.close()
-        return read_shard_map(path).at_epoch(self.epoch + 1)
 
 
 class ShardRowids:

@@ -200,6 +200,21 @@ class TestShardingCommands:
         with Engine.open_sharded(out) as engine:
             assert engine.executor_info()["shards"] == 3
 
+    def test_shard_keeps_a_sharded_sources_shard_keys(self, tmp_path, capsys):
+        from repro.engine import Engine
+        from repro.storage.shards import read_shard_map
+
+        source = self._plain_snapshot(tmp_path)
+        with Engine.open(source) as engine:
+            four = engine.save(tmp_path / "four", shards=4, shard_keys={"triples": "property"})
+        out = str(tmp_path / "two")
+        code = main(["shard", "--from-snapshot", str(four), "--out", out, "--shards", "2"])
+        assert code == 0
+        capsys.readouterr()
+        shard_map = read_shard_map(out)
+        assert shard_map.num_shards == 2
+        assert shard_map.shard_keys["triples"] == "property"
+
     def test_shard_requires_source(self, capsys):
         code = main(["shard", "--out", "/tmp/nowhere", "--shards", "2"])
         assert code == 1

@@ -1,14 +1,16 @@
-"""What 4.0 and 5.0 removed stays removed: one statistics path, one plan
-rewriter, no request collapsing, no result-cache admission policy."""
+"""What 4.0, 5.0 and 6.0 removed stays removed: one statistics path, one
+plan rewriter, no request collapsing, no result-cache admission policy, and
+a sharded engine that serves the layout it was opened with."""
 
+import argparse
 import importlib
 
 import pytest
 
 import repro
-from repro import workload
+from repro import serving, workload
 from repro.cli import build_parser
-from repro.engine import connect
+from repro.engine import Engine, connect
 from repro.ir.search import KeywordSearchEngine
 from repro.relational import algebra
 from repro.relational.cache import VersionedLRU
@@ -24,7 +26,7 @@ def engine():
 
 
 def test_version():
-    assert repro.__version__ == "5.0.0"
+    assert repro.__version__ == "6.0.0"
 
 
 def test_search_has_no_pipeline_option(engine):
@@ -66,3 +68,18 @@ def test_result_cache_is_a_plain_versioned_lru(engine):
 
 def test_relational_algebra_has_no_rename_node():
     assert not hasattr(algebra, "Rename")
+
+
+def test_sharded_engine_keeps_its_layout(engine, tmp_path):
+    assert serving.__all__ == ["Router", "ServingConfig", "WorkerPool"]
+    (subcommands,) = (
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert sorted(subcommands) == [
+        "auction", "check", "experts", "explain", "serve", "shard", "snapshot",
+        "spinql", "toy", "workload",
+    ]
+    with Engine.open_sharded(engine.save(tmp_path / "snap", shards=2)) as sharded:
+        assert sharded.executor_info() == {"executor": "sharded", "shards": 2}

@@ -103,28 +103,6 @@ def sharded_engines(local_engine, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def swap_engine(local_engine, tmp_path_factory):
-    """A live sharded engine plus alternate layouts to swap through.
-
-    The alternate 2/3/4-shard layouts are materialized once; the test then
-    cycles the serving executor across them with atomic epoch-advancing
-    swaps *between and during* plan executions, proving the online-reshard
-    path preserves bit-identity for arbitrary plans.
-    """
-    from repro.storage.shards import read_shard_map
-
-    base = tmp_path_factory.mktemp("swap-equivalence")
-    engine = Engine.open_sharded(local_engine.save(base / "s4", shards=4))
-    layouts = [
-        read_shard_map(local_engine.save(base / f"alt{shards}", shards=shards))
-        for shards in (2, 3, 4)
-    ]
-    state = {"engine": engine, "layouts": layouts, "swaps": 0}
-    yield state
-    engine.close()
-
-
-@pytest.fixture(scope="module")
 def pool_engine(local_engine, tmp_path_factory):
     path = local_engine.save(tmp_path_factory.mktemp("pool-equivalence") / "p2", shards=2)
     engine = Engine.open_sharded(path, executor="pool")
@@ -262,27 +240,3 @@ class TestPoolBitIdentity:
         # the out-of-band result path must be bit-identical too
         expected = local_engine._execute_plan(plan)
         assert_bit_identical(shm_pool_engine._execute_plan(plan), expected)
-
-
-class TestSwapBitIdentity:
-    @POOL_SETTINGS
-    @given(plan=plans())
-    def test_mid_stream_swap_keeps_bit_identity(self, plan, local_engine, swap_engine):
-        """An online layout swap between executions never changes an answer.
-
-        Each Hypothesis example runs the plan, atomically swaps the serving
-        layout to a different shard count (epoch + 1), and runs the same
-        plan again: both answers must be bit-identical to the local engine.
-        Over the example stream this cycles 2 -> 3 -> 4 shards repeatedly,
-        so every transition direction is exercised mid-stream.
-        """
-        engine = swap_engine["engine"]
-        expected = local_engine._execute_plan(plan)
-        assert_bit_identical(engine._execute_plan(plan), expected)
-        layouts = swap_engine["layouts"]
-        swap_engine["swaps"] += 1
-        target = layouts[swap_engine["swaps"] % len(layouts)]
-        epoch = engine.executor_info()["epoch"]
-        engine.blueprint_manager().swap_to(target.at_epoch(epoch + 1))
-        assert engine.executor_info()["epoch"] == epoch + 1
-        assert_bit_identical(engine._execute_plan(plan), expected)

@@ -62,10 +62,9 @@ class TestReplicaTopology:
             # each shard is served by one slot per replica rank
             assert pool.replica_slots(0) == [0, 2]
             assert pool.replica_slots(1) == [1, 3]
-            # every worker reports its shard set + the epoch it serves
+            # every worker reports its shard set
             pings = pool.ping()
             assert [entry["shards"] for entry in pings] == [[0], [1], [0], [1]]
-            assert all(entry["epoch"] == 0 for entry in pings)
             assert {entry["replica"] for entry in pool.liveness()} == {0, 1}
 
     def test_executor_info_reports_replicas(self, source_and_snapshot):

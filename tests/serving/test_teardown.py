@@ -3,7 +3,8 @@
 * A pool whose replies all travel through shared memory
   (``shm_threshold=0``) must unlink every segment it was handed —
   including the worker's close acknowledgement, which ``WorkerPool.close``
-  drains on its own.
+  drains on its own — also after many threads shared the engine's one
+  executor (there is no per-request lease to return).
 * ``AsyncHTTPFrontEnd.shutdown()`` with a keep-alive client still
   connected must end that connection quietly instead of leaving its task
   for ``asyncio.run`` to cancel (which logs a ``CancelledError``).
@@ -14,11 +15,13 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from repro.engine import Engine
+from repro.pra.plan import PraTop
 from repro.relational.column import Column, DataType
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
@@ -33,11 +36,14 @@ def _segments() -> set[str]:
     return {path.name for path in SHM_DIR.glob("psm_*")}
 
 
-@pytest.mark.skipif(
+needs_shm = pytest.mark.skipif(
     not SHM_DIR.is_dir() or not shared_memory_available(),
     reason="needs POSIX shared memory under /dev/shm",
 )
-def test_shm_reply_pool_leaks_no_segment(tmp_path):
+
+
+def _source() -> tuple[Engine, str]:
+    """An auction engine with a ``docs`` table, and one of its queries."""
     workload = generate_auction_triples(60, seed=37)
     source = Engine.from_triples(workload.triples)
     schema = Schema([Field("docID", DataType.STRING), Field("data", DataType.STRING)])
@@ -51,9 +57,14 @@ def test_shm_reply_pool_leaks_no_segment(tmp_path):
             ],
         ),
     )
-    path = source.save(tmp_path / "snap", shards=2)
     query = " ".join(next(iter(workload.lot_descriptions.values())).split()[:3])
+    return source, query
 
+
+@needs_shm
+def test_shm_reply_pool_leaks_no_segment(tmp_path):
+    source, query = _source()
+    path = source.save(tmp_path / "snap", shards=2)
     before = _segments()
     engine = Engine.open_sharded(
         path, executor="pool", config=ServingConfig(shm_threshold=0)
@@ -63,6 +74,31 @@ def test_shm_reply_pool_leaks_no_segment(tmp_path):
         engine._plan_executor._pool.ping()
     finally:
         engine.close()
+    assert _segments() - before == set()
+
+
+@needs_shm
+def test_concurrent_plans_share_one_executor_and_leak_no_segment(tmp_path):
+    source, _query = _source()
+    path = source.save(tmp_path / "snap", shards=2)
+    select = source.spinql('out = SELECT [$2="hasAuction"] (triples);').plan
+    plans = [select, PraTop(select, 5)] * 8
+    expected = [source._execute_plan(plan) for plan in plans]
+
+    before = _segments()
+    # no result cache: every request goes through the executor
+    engine = Engine.open_sharded(
+        path, executor="pool", config=ServingConfig(shm_threshold=0), result_cache_size=None
+    )
+    try:
+        with ThreadPoolExecutor(max_workers=8) as threads:
+            answers = list(threads.map(engine._execute_plan, plans))
+    finally:
+        engine.close()
+    for answer, reference in zip(answers, expected):
+        assert answer.relation.schema.names == reference.relation.schema.names
+        assert answer.value_rows() == reference.value_rows()
+        assert answer.probabilities().tobytes() == reference.probabilities().tobytes()
     assert _segments() - before == set()
 
 

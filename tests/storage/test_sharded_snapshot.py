@@ -106,6 +106,21 @@ class TestShardedLayout:
         for directory in shard_map.shard_directories:
             assert (directory / "manifest.json").exists()
 
+    def test_routing_accessors(self, auction_engine_with_docs, tmp_path):
+        engine, _query = auction_engine_with_docs
+        path = engine.save(tmp_path / "snap", shards=4)
+        shard_map = read_shard_map(path)
+        assert shard_map.shards() == [0, 1, 2, 3]
+        assert shard_map.shard_directory(2) == shard_map.shard_directories[2]
+        for out_of_range in (4, -1):
+            with pytest.raises(StorageError):
+                shard_map.shard_directory(out_of_range)
+        # placement is a pure function of the key and the manifest
+        placements = {key: shard_map.shard_for(key) for key in ("lot1", "lot2", "a")}
+        assert all(0 <= shard < 4 for shard in placements.values())
+        again = read_shard_map(path)
+        assert {key: again.shard_for(key) for key in placements} == placements
+
     def test_fragments_partition_every_table(self, auction_engine_with_docs, tmp_path):
         engine, _query = auction_engine_with_docs
         path = engine.save(tmp_path / "snap", shards=3)
