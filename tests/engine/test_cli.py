@@ -3,6 +3,7 @@
 import json
 import os
 import select
+import signal
 import subprocess
 import sys
 import time
@@ -160,6 +161,20 @@ class TestErrors:
         assert code == 1
 
 
+def _read_banner(server: subprocess.Popen) -> dict:
+    """The JSON banner ``serve --json`` prints on its stdout pipe."""
+    banner = b""
+    deadline = time.monotonic() + 60.0
+    while not banner.rstrip().endswith(b"\n}"):
+        remaining = deadline - time.monotonic()
+        ready, _, _ = select.select([server.stdout], [], [], max(remaining, 0.0))
+        assert ready, f"no banner on the pipe within 60 s (got {banner!r})"
+        chunk = os.read(server.stdout.fileno(), 65536)
+        assert chunk, f"server exited before its banner (got {banner!r})"
+        banner += chunk
+    return json.loads(banner)
+
+
 class TestShardingCommands:
     def _plain_snapshot(self, tmp_path) -> str:
         out = str(tmp_path / "plain")
@@ -245,16 +260,7 @@ class TestShardingCommands:
             env={**environment, "PYTHONPATH": str(source)},
         )
         try:
-            banner = b""
-            deadline = time.monotonic() + 60.0
-            while not banner.rstrip().endswith(b"\n}"):
-                remaining = deadline - time.monotonic()
-                ready, _, _ = select.select([server.stdout], [], [], max(remaining, 0.0))
-                assert ready, f"no banner on the pipe within 60 s (got {banner!r})"
-                chunk = os.read(server.stdout.fileno(), 65536)
-                assert chunk, f"server exited before its banner (got {banner!r})"
-                banner += chunk
-            info = json.loads(banner)
+            info = _read_banner(server)
             assert info["command"] == "serve"
             assert info["endpoint"].startswith("http://")
         finally:
@@ -262,3 +268,37 @@ class TestShardingCommands:
             server.wait(timeout=30)
             server.stdout.close()
         assert server.returncode is not None
+
+    def test_serve_of_a_plain_snapshot_removes_its_staging_copy(self, tmp_path):
+        """``serve`` partitions an unsharded snapshot into a temp directory and
+        removes it once the router (and the workers memmapping it) closed."""
+        from repro.engine import Engine
+        from repro.workloads import generate_auction_triples
+
+        snapshot = tmp_path / "plain"
+        with Engine.from_triples(generate_auction_triples(30, seed=3).triples) as engine:
+            engine.save(snapshot)
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        source = Path(__file__).resolve().parents[2] / "src"
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--from-snapshot", str(snapshot),
+             "--shards", "2", "--workers", "1", "--port", "0", "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env={**os.environ, "PYTHONPATH": str(source), "TMPDIR": str(temp)},
+        )
+        try:
+            info = _read_banner(server)
+            staging = Path(info["snapshot"])
+            assert staging.parent == temp and staging.name.startswith("repro-serve-shards-")
+            assert info["executor"]["shards"] == 2
+            server.send_signal(signal.SIGINT)
+            assert server.wait(timeout=60) == 0
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=30)
+            server.stdout.close()
+        assert not staging.exists()
+        assert list(temp.glob("repro-*")) == []

@@ -15,7 +15,8 @@ from repro.ir.search import KeywordSearchEngine
 from repro.relational import algebra
 from repro.relational.cache import VersionedLRU
 from repro.relational.database import Database
-from repro.serving import Router, ServingConfig
+from repro.serving import Router, ServingConfig, WorkerPool
+from repro.storage.shards import read_shard_map
 
 
 @pytest.fixture
@@ -83,3 +84,30 @@ def test_sharded_engine_keeps_its_layout(engine, tmp_path):
     ]
     with Engine.open_sharded(engine.save(tmp_path / "snap", shards=2)) as sharded:
         assert sharded.executor_info() == {"executor": "sharded", "shards": 2}
+
+
+def test_engine_has_no_online_resharding():
+    for name in ("reshard", "swap_executor", "blueprint_manager"):
+        assert not hasattr(Engine, name)
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.serving.blueprint")
+
+
+def test_shard_map_has_no_serving_epoch(engine, tmp_path):
+    shard_map = read_shard_map(engine.save(tmp_path / "snap", shards=2))
+    for name in ("epoch", "at_epoch", "with_layout"):
+        assert not hasattr(shard_map, name)
+
+
+def test_pool_reports_no_epoch(engine, tmp_path):
+    path = engine.save(tmp_path / "snap", shards=2)
+    with WorkerPool(read_shard_map(path), ServingConfig(workers=2)) as pool:
+        assert [set(entry) for entry in pool.ping()] == [{"pid", "shards"}] * 2
+    router = Router(
+        Engine.open_sharded(path, executor="pool", config=ServingConfig(workers=2))
+    )
+    try:
+        assert "epoch" not in router.engine.executor_info()
+        assert "epoch" not in router.health()["executor"]
+    finally:
+        router.close()

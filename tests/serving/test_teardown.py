@@ -8,6 +8,8 @@
 * ``AsyncHTTPFrontEnd.shutdown()`` with a keep-alive client still
   connected must end that connection quietly instead of leaving its task
   for ``asyncio.run`` to cancel (which logs a ``CancelledError``).
+* The smoke scripts remove the temp directory they staged their snapshot
+  or log in, whether they pass or fail.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -30,6 +35,7 @@ from repro.serving.shm import shared_memory_available
 from repro.workloads import generate_auction_triples
 
 SHM_DIR = Path("/dev/shm")
+REPO = Path(__file__).resolve().parents[2]
 
 
 def _segments() -> set[str]:
@@ -120,3 +126,22 @@ def test_shutdown_with_a_keep_alive_client_logs_no_cancellation(caplog):
         client.close()
         router.close()
     assert "CancelledError" not in caplog.text
+
+
+@pytest.mark.parametrize(
+    "script, argv",
+    [
+        ("serving_smoke.py", ["--lots", "40", "--workers", "1"]),
+        ("workload_smoke.py", ["--lots", "40", "--requests", "10"]),
+    ],
+)
+def test_smoke_script_removes_its_temp_directory(tmp_path, script, argv):
+    completed = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script), *argv],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src"), "TMPDIR": str(tmp_path)},
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert list(tmp_path.glob("repro-*")) == []

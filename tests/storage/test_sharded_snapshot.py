@@ -106,15 +106,26 @@ class TestShardedLayout:
         for directory in shard_map.shard_directories:
             assert (directory / "manifest.json").exists()
 
-    def test_routing_accessors(self, auction_engine_with_docs, tmp_path):
+    def test_shards_lists_every_shard(self, auction_engine_with_docs, tmp_path):
+        engine, _query = auction_engine_with_docs
+        shard_map = read_shard_map(engine.save(tmp_path / "snap", shards=4))
+        assert shard_map.shards() == [0, 1, 2, 3]
+
+    def test_shard_directory_is_bounds_checked(self, auction_engine_with_docs, tmp_path):
+        engine, _query = auction_engine_with_docs
+        shard_map = read_shard_map(engine.save(tmp_path / "snap", shards=4))
+        assert shard_map.shard_directory(2) == shard_map.shard_directories[2]
+        with pytest.raises(StorageError):
+            shard_map.shard_directory(4)
+        with pytest.raises(StorageError):
+            shard_map.shard_directory(-1)
+
+    def test_shard_for_is_deterministic_and_in_range(
+        self, auction_engine_with_docs, tmp_path
+    ):
         engine, _query = auction_engine_with_docs
         path = engine.save(tmp_path / "snap", shards=4)
         shard_map = read_shard_map(path)
-        assert shard_map.shards() == [0, 1, 2, 3]
-        assert shard_map.shard_directory(2) == shard_map.shard_directories[2]
-        for out_of_range in (4, -1):
-            with pytest.raises(StorageError):
-                shard_map.shard_directory(out_of_range)
         # placement is a pure function of the key and the manifest
         placements = {key: shard_map.shard_for(key) for key in ("lot1", "lot2", "a")}
         assert all(0 <= shard < 4 for shard in placements.values())
