@@ -16,8 +16,10 @@ builds the same values uncoded, coded and coded against a shared dictionary.
 
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
-from collections.abc import Sequence
+import math
+from collections import Counter, OrderedDict, defaultdict
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -43,16 +45,25 @@ def join_indices_rows(
     how: str = "inner",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-at-a-time equi-join: ``hash_join_indices``' reference."""
-    right_key_columns = [right.column(name).to_list() for name in right_keys]
+    left_out, right_out = match_keys(
+        list(zip(*(left.column(name).to_list() for name in left_keys))),
+        list(zip(*(right.column(name).to_list() for name in right_keys))),
+        how,
+    )
+    return np.asarray(left_out, dtype=np.int64), np.asarray(right_out, dtype=np.int64)
+
+
+def match_keys(
+    left_keys: Sequence[tuple[Any, ...]], right_keys: Sequence[tuple[Any, ...]], how: str = "inner"
+) -> tuple[list[int], list[int]]:
+    """The matching ``(left, right)`` row pairs of two key lists: left rows in
+    order, each with its matches in right order (``-1`` for none, ``how="left"``)."""
     table: dict[tuple[Any, ...], list[int]] = defaultdict(list)
-    for row_index in range(right.num_rows):
-        key = tuple(column[row_index] for column in right_key_columns)
+    for row_index, key in enumerate(right_keys):
         table[key].append(row_index)
-    left_key_columns = [left.column(name).to_list() for name in left_keys]
     left_out: list[int] = []
     right_out: list[int] = []
-    for row_index in range(left.num_rows):
-        key = tuple(column[row_index] for column in left_key_columns)
+    for row_index, key in enumerate(left_keys):
         matches = table.get(key)
         if matches:
             for match in matches:
@@ -61,10 +72,7 @@ def join_indices_rows(
         elif how == "left":
             left_out.append(row_index)
             right_out.append(-1)
-    return (
-        np.asarray(left_out, dtype=np.int64),
-        np.asarray(right_out, dtype=np.int64),
-    )
+    return left_out, right_out
 
 
 def aggregate_relation_rows(
@@ -155,6 +163,26 @@ def distinct_rows(relation: Relation) -> Relation:
 # ---------------------------------------------------------------------------
 
 
+def merge_rows(
+    rows: Iterable[tuple[tuple[Any, ...], float]], assumption: Assumption
+) -> list[tuple[tuple[Any, ...], float]]:
+    """One ``(values, p)`` per distinct values, in first-seen order, each the
+    pairwise :meth:`Assumption.combine_or` fold of its occurrences in order."""
+    merged: "OrderedDict[tuple[Any, ...], float]" = OrderedDict()
+    for row, probability in rows:
+        if row in merged:
+            merged[row] = assumption.combine_or(merged[row], probability)
+        else:
+            merged[row] = probability
+    return list(merged.items())
+
+
+def _from_merged(fields: list[Field], merged: list[tuple[tuple[Any, ...], float]]):
+    fields = fields + [Field(PROBABILITY_COLUMN, DataType.FLOAT)]
+    rows = [tuple(row) + (probability,) for row, probability in merged]
+    return ProbabilisticRelation(Relation.from_rows(Schema(fields), rows), validate=False)
+
+
 def project_merge_rows(
     projected: Relation,
     probabilities: np.ndarray,
@@ -162,17 +190,8 @@ def project_merge_rows(
 ) -> ProbabilisticRelation:
     """Row-at-a-time duplicate merge of an already projected relation:
     ``project``'s reference."""
-    merged: "OrderedDict[tuple[Any, ...], float]" = OrderedDict()
-    for index, row in enumerate(projected.rows()):
-        probability = float(probabilities[index])
-        if row in merged:
-            merged[row] = assumption.combine_or(merged[row], probability)
-        else:
-            merged[row] = probability
-
-    fields = list(projected.schema.fields) + [Field(PROBABILITY_COLUMN, DataType.FLOAT)]
-    rows = [tuple(row) + (probability,) for row, probability in merged.items()]
-    return ProbabilisticRelation(Relation.from_rows(Schema(fields), rows), validate=False)
+    pairs = zip(projected.rows(), map(float, probabilities))
+    return _from_merged(list(projected.schema.fields), merge_rows(pairs, assumption))
 
 
 def unite_rows(
@@ -181,19 +200,13 @@ def unite_rows(
     assumption: Assumption,
 ) -> ProbabilisticRelation:
     """Row-at-a-time union: ``unite``'s reference."""
-    merged: "OrderedDict[tuple[Any, ...], float]" = OrderedDict()
-    for side in (left, right):
-        for row, probability in zip(side.value_rows(), side.probabilities()):
-            if row in merged:
-                merged[row] = assumption.combine_or(merged[row], float(probability))
-            else:
-                merged[row] = float(probability)
-
-    fields = list(left.values_relation().schema.fields) + [
-        Field(PROBABILITY_COLUMN, DataType.FLOAT)
+    pairs = [
+        (row, float(probability))
+        for side in (left, right)
+        for row, probability in zip(side.value_rows(), side.probabilities())
     ]
-    rows = [tuple(row) + (probability,) for row, probability in merged.items()]
-    return ProbabilisticRelation(Relation.from_rows(Schema(fields), rows), validate=False)
+    fields = list(left.values_relation().schema.fields)
+    return _from_merged(fields, merge_rows(pairs, assumption))
 
 
 def bayes_rows(
@@ -253,3 +266,114 @@ def str_sort_order(relation: Relation, keys: Sequence[tuple[str, bool]]) -> np.n
             positions = np.argsort(-codes, kind="stable")
         order = order[positions]
     return order
+
+
+# ---------------------------------------------------------------------------
+# list-of-tuples plans: a row is its values followed by its probability
+# ---------------------------------------------------------------------------
+
+Row = tuple[Any, ...]
+
+
+def select_tuples(rows: Sequence[Row], predicate: Callable[[Row], bool]) -> list[Row]:
+    """SELECT: the rows whose values satisfy ``predicate``, probabilities unchanged."""
+    return [row for row in rows if predicate(row[:-1])]
+
+
+def weight_tuples(rows: Sequence[Row], factor: float) -> list[Row]:
+    """WEIGHT: every probability times ``factor``."""
+    return [row[:-1] + (row[-1] * factor,) for row in rows]
+
+
+def project_tuples(
+    rows: Sequence[Row], positions: Sequence[int], assumption: Assumption
+) -> list[Row]:
+    """PROJECT on 1-based ``positions``, duplicates merged under ``assumption``."""
+    pairs = ((tuple(row[position - 1] for position in positions), row[-1]) for row in rows)
+    return [values + (p,) for values, p in merge_rows(pairs, assumption)]
+
+
+def join_tuples(
+    left: Sequence[Row], right: Sequence[Row], conditions: Sequence[tuple[int, int]]
+) -> list[Row]:
+    """JOIN INDEPENDENT on 1-based ``(left, right)`` positions: values side by
+    side, probabilities multiplied."""
+    left_out, right_out = match_keys(
+        [tuple(row[i - 1] for i, _ in conditions) for row in left],
+        [tuple(row[j - 1] for _, j in conditions) for row in right],
+    )
+    return [
+        left[i][:-1] + right[j][:-1] + (left[i][-1] * right[j][-1],)
+        for i, j in zip(left_out, right_out)
+    ]
+
+
+def unite_tuples(left: Sequence[Row], right: Sequence[Row], assumption: Assumption) -> list[Row]:
+    """UNITE: the rows of both sides, equal values merged under ``assumption``."""
+    pairs = ((row[:-1], row[-1]) for row in [*left, *right])
+    return [values + (p,) for values, p in merge_rows(pairs, assumption)]
+
+
+@dataclass
+class BM25Index:
+    """A BM25 index in plain Python: per-document term counts and lengths,
+    document frequencies, and the running totals the formula needs."""
+
+    doc_ids: list[Any] = field(default_factory=list)
+    doc_lengths: list[int] = field(default_factory=list)
+    doc_term_freqs: list[Counter] = field(default_factory=list)
+    doc_freq: Counter = field(default_factory=Counter)
+    total_docs: int = 0
+    avg_doc_length: float = 0.0
+
+    @classmethod
+    def build(cls, documents: Sequence[tuple[Any, str]], analyze: Callable[[str], list[str]]):
+        """One document per ``(id, text)`` pair, in order (a repeated id is two)."""
+        index = cls()
+        for doc_id, text in documents:
+            terms = analyze(text)
+            index.doc_ids.append(doc_id)
+            index.doc_lengths.append(len(terms))
+            index.doc_term_freqs.append(Counter(terms))
+            index.doc_freq.update(set(terms))
+        index.total_docs = len(index.doc_ids)
+        if index.total_docs:
+            index.avg_doc_length = sum(index.doc_lengths) / index.total_docs
+        return index
+
+    def bm25(self, terms: Sequence[str], k1: float = 1.2, b: float = 0.75) -> list[float | None]:
+        """Each document's score (the query terms in order, repeats included),
+        or None for a document that holds none of them."""
+        average = self.avg_doc_length or 1.0
+        scores: list[float | None] = []
+        for length, frequencies in zip(self.doc_lengths, self.doc_term_freqs):
+            score = None
+            for term in terms:
+                tf = frequencies.get(term, 0)
+                if tf:
+                    df = self.doc_freq[term]
+                    idf = math.log((self.total_docs - df + 0.5) / (df + 0.5))
+                    normaliser = tf + k1 * (1.0 - b + b * length / average)
+                    score = (score or 0.0) + tf / normaliser * idf
+            scores.append(score)
+        return scores
+
+
+def rank_tuples(docs: Sequence[Row], terms: Sequence[str], analyze: Callable[[str], list[str]]):
+    """RANK BM25 over ``(id, text, p)`` rows: ``(id, p)`` by score descending
+    (ties in row order), each score shifted positive when the lowest is not
+    (by 1 % of the spread), clipped at 1e-9, divided by the highest, and
+    multiplied by the prior of the id's last row."""
+    index = BM25Index.build([(doc_id, text) for doc_id, text, _p in docs], analyze)
+    scored = [(s, i) for i, s in enumerate(index.bm25(terms) if terms else []) if s is not None]
+    scored.sort(key=lambda pair: -pair[0])
+    if not scored:
+        return []
+    lowest, highest = min(s for s, _ in scored), max(s for s, _ in scored)
+    if lowest <= 0:
+        offset = (highest - lowest) * 0.01 if highest > lowest else 1.0
+        scored = [(s - lowest + offset, i) for s, i in scored]
+    scored = [(max(s, 1e-9), i) for s, i in scored]
+    top = max(s for s, _ in scored)
+    prior = {row[0]: row[-1] for row in docs}
+    return [(docs[i][0], s / top * prior[docs[i][0]]) for s, i in scored]
