@@ -198,6 +198,12 @@ layout manager, with its two ``repro.serving`` exports), and the shard
 map's layout version counter, with its key in ``executor_info()``, in
 ``/statz``'s ``executor`` entry and in a worker's ping reply.
 ``CHANGES.md`` names every removed name.
+
+Version 7.0 evaluates a strategy request as one plan, its result block's,
+through the path of every engine plan; only that block and the blocks above
+it run, and a request logs one record with a ``plan::`` fingerprint.  The
+lowering's per-block evaluation fields and its ``plan()``/``tables()``
+methods are gone (``CHANGES.md`` names them).
 """
 
 from repro.errors import EngineError, ReproError
@@ -221,7 +227,7 @@ from repro.strategy import (
     build_toy_strategy,
 )
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     # the public facade

@@ -338,13 +338,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "executor": engine.executor_info(),
             "config": config.to_dict(),
         }
-        # flushed: a parent reading the endpoint from a pipe must see the
-        # banner now, not when the block buffer fills or the server exits
-        if args.json:
-            print(json.dumps(info, indent=2), flush=True)
-        else:
-            print(f"serving {path} at {info['endpoint']} ({info['executor']})", flush=True)
         try:
+            # flushed: a parent reading the endpoint from a pipe must see the
+            # banner now, not when the block buffer fills or the server exits;
+            # inside the try, so an interrupt sent on reading it is caught
+            if args.json:
+                print(json.dumps(info, indent=2), flush=True)
+            else:
+                print(f"serving {path} at {info['endpoint']} ({info['executor']})", flush=True)
             server.serve_forever()
         except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
             pass

@@ -67,6 +67,7 @@ for advanced use; see the deprecation policy in :mod:`repro`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 import time
@@ -88,6 +89,7 @@ from repro.engine.executors import (
     gather_triples,
 )
 from repro.engine.query import (
+    EngineStrategyExecutor,
     Query,
     RankedQuery,
     SearchQuery,
@@ -98,7 +100,7 @@ from repro.engine.query import (
     as_probabilistic,
 )
 from repro.ir.registry import StatisticsRegistry
-from repro.pra.evaluator import PRAEvaluator
+from repro.pra.evaluator import PRAEvaluator, Record
 from repro.pra.optimizer import optimize_pra
 from repro.pra.plan import PraParam, PraPlan, PraScan, scan_tables
 from repro.pra.relation import PROBABILITY_COLUMN, ProbabilisticRelation
@@ -106,7 +108,7 @@ from repro.relational.cache import VersionedLRU
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.spinql.compiler import CompiledScript, compile_script
-from repro.strategy.executor import LoweredStrategy, StrategyExecutor
+from repro.strategy.executor import LoweredStrategy
 from repro.strategy.graph import StrategyGraph
 from repro.text.analyzers import StandardAnalyzer
 from repro.triples.triple_store import TripleStore
@@ -205,7 +207,7 @@ class Engine:
         # materialization cache, keyed by plan content
         self.statistics_registry = StatisticsRegistry()
         self._evaluator = PRAEvaluator(self.database, self.statistics_registry)
-        self.executor = StrategyExecutor(self.store, self.statistics_registry)
+        self.executor = EngineStrategyExecutor(self)
         self._search_engines: dict[tuple, Any] = {}
         self._plan_executor: PlanExecutor = LocalExecutor(self)
         self._thread_pool: ThreadPoolExecutor | None = None
@@ -619,12 +621,12 @@ class Engine:
 
         Known names: ``toy``, ``auction``, ``expanded-auction``, ``experts``.
         A name without ``builder_kwargs`` resolves to the strategy's lowering,
-        one plan per block, kept in the plan cache until the set of tables
-        the store's layout holds changes, so a request by name neither
-        builds nor lowers a graph.
-        ``builder_kwargs`` are forwarded to the prebuilt builder for a fresh
-        graph per call.  Either way, blocks whose plans read nothing of the
-        request are served from the materialization cache by plan content.
+        kept in the plan cache until the set of tables the store's layout
+        holds changes, so a request by name neither builds nor lowers a
+        graph.  ``builder_kwargs`` are forwarded to the prebuilt builder for
+        a fresh graph per call.  Either way a request is one plan, evaluated
+        once by :meth:`_evaluate` like every other, and the subplans that
+        read nothing of the request come from the materialization cache.
         """
         name: str | None = None
         lowered: LoweredStrategy | None = None
@@ -866,22 +868,34 @@ class Engine:
     def _evaluate(
         self,
         plan: PraPlan,
-        bindings: Mapping[str, ProbabilisticRelation] | None = None,
+        bindings: Mapping[str, Any] | None = None,
         *,
         kind: str = "plan",
         request: dict[str, Any] | None = None,
+        record: Record | None = None,
+        started: float | None = None,
     ) -> ProbabilisticRelation:
         """Run an (already optimized) plan through the engine's executor.
 
         Every call is logged to :attr:`workload_log`; with the result cache
         enabled, a repeat of the same (plan fingerprint, bound parameters)
         returns the previously computed relation — the identical object, so
-        a hit is bit-identical to recomputation by construction.
+        a hit is bit-identical to recomputation by construction.  ``record``
+        is the evaluation's record (see :meth:`PRAEvaluator.evaluate`);
+        ``started`` is when the request began, if before this call.
         """
         self._require_open()
-        started = time.perf_counter()
+        started = time.perf_counter() if started is None else started
         bound = bindings or None
-        fingerprint = "plan::" + _short_digest(plan.fingerprint())
+        tables = scan_tables(plan)
+        log = functools.partial(
+            self._record_execution,
+            kind=kind,
+            fingerprint=self._log_fingerprint(plan),
+            started=started,
+            request=request,
+            tables=tables,
+        )
         cache_key: tuple[str, str] | None = None
         cache_status: str | None = None
         if self.result_cache is not None:
@@ -890,53 +904,39 @@ class Engine:
                 cache_key = (plan.fingerprint(), params)
                 cached = self.result_cache.get(cache_key)
                 if cached is not None:
-                    self._record_execution(
-                        kind=kind,
-                        fingerprint=fingerprint,
-                        started=started,
-                        rows_out=cached.num_rows,
-                        request=request,
-                        parameters=params or None,
-                        result_cache="hit",
-                        tables=scan_tables(plan),
-                    )
+                    log(rows_out=cached.num_rows, parameters=params, result_cache="hit")
                     return cached
                 cache_status = "miss"
         still_valid = self.database.catalog.unchanged()
         executor = self._plan_executor
         try:
-            result = executor.execute_plan(plan, bound)
+            result = executor.execute_plan(plan, bound, record)
         except Exception:
-            self._record_execution(
-                kind=kind,
-                fingerprint=fingerprint,
-                started=started,
-                rows_out=None,
-                status="error",
-                request=request,
-                result_cache=cache_status,
-                tables=scan_tables(plan),
-                executor=executor,
-            )
+            log(rows_out=None, status="error", result_cache=cache_status, executor=executor)
             raise
         if cache_key is not None and self.result_cache is not None:
             stored = self.result_cache.put(
-                cache_key, result, dependencies=scan_tables(plan), still_valid=still_valid
+                cache_key, result, dependencies=tables, still_valid=still_valid
             )
             cache_status = "miss" if stored else "bypass"
-        self._record_execution(
-            kind=kind,
-            fingerprint=fingerprint,
-            started=started,
+        # a strategy's plan leaves out what its stored subplans and its
+        # ``execute`` blocks cost, so its units would mislead calibration
+        cost_units = None
+        if kind == "plan":
+            cost_units = self.cost_model.estimate(plan, self._table_rows).per_kind_units
+        log(
             rows_out=result.num_rows,
-            request=request,
             parameters=cache_key[1] if cache_key else None,
             result_cache=cache_status,
-            cost_units=self.cost_model.estimate(plan, self._table_rows).per_kind_units,
-            tables=scan_tables(plan),
+            cost_units=cost_units,
             executor=executor,
         )
         return result
+
+    @staticmethod
+    def _log_fingerprint(plan: PraPlan) -> str:
+        """How the workload log names ``plan``."""
+        return "plan::" + _short_digest(plan.fingerprint())
 
     def _execute_plan(
         self, plan: PraPlan, bindings: Mapping[str, ProbabilisticRelation] | None = None

@@ -64,7 +64,7 @@ from repro.ir.ranking import BM25Model, LanguageModel
 from repro.ir.ranking.base import RankedList, RankingModel
 from repro.ir.statistics import CollectionStatistics, GlobalStatistics, ShardCollectionStatistics
 from repro.pra import operators as pra_operators
-from repro.pra.evaluator import PRAEvaluator
+from repro.pra.evaluator import PRAEvaluator, Record
 from repro.pra.plan import PraPlan
 from repro.pra.relation import PROBABILITY_COLUMN, ProbabilisticRelation
 from repro.relational.column import Column, DataType
@@ -385,8 +385,11 @@ class PlanExecutor:
     def execute_plan(
         self,
         plan: PraPlan,
-        bindings: Mapping[str, ProbabilisticRelation] | None = None,
+        bindings: Mapping[str, Any] | None = None,
+        record: Record | None = None,
     ) -> ProbabilisticRelation:
+        """Evaluate ``plan``; ``record`` is the evaluation's record (see
+        :meth:`PRAEvaluator.evaluate`) wherever the coordinator evaluates."""
         raise NotImplementedError
 
     def search_many(self, specs: Sequence[SearchSpec]) -> list[RankedList] | None:
@@ -415,9 +418,10 @@ class LocalExecutor(PlanExecutor):
     def execute_plan(
         self,
         plan: PraPlan,
-        bindings: Mapping[str, ProbabilisticRelation] | None = None,
+        bindings: Mapping[str, Any] | None = None,
+        record: Record | None = None,
     ) -> ProbabilisticRelation:
-        return self._engine._evaluator.evaluate(plan, bindings=bindings or None)
+        return self._engine._evaluator.evaluate(plan, bindings=bindings or None, record=record)
 
 
 class ScatterGatherExecutor(PlanExecutor):
@@ -437,7 +441,8 @@ class ScatterGatherExecutor(PlanExecutor):
     def execute_plan(
         self,
         plan: PraPlan,
-        bindings: Mapping[str, ProbabilisticRelation] | None = None,
+        bindings: Mapping[str, Any] | None = None,
+        record: Record | None = None,
     ) -> ProbabilisticRelation:
         segments: list[tuple[str, ScatterSegment]] = []
         rewritten = extract_segments(plan, self.shard_map.is_partitioned, segments)
@@ -445,8 +450,6 @@ class ScatterGatherExecutor(PlanExecutor):
             "segments": len(segments),
             "tables": [segment.table for _name, segment in segments],
         }
-        if not segments:
-            return self._engine._evaluator.evaluate(rewritten, bindings=bindings or None)
         gathered: dict[str, ProbabilisticRelation] = {}
         shard_counts: list[list[int]] = []
         for name, segment in segments:
@@ -456,10 +459,10 @@ class ScatterGatherExecutor(PlanExecutor):
             )
             shard_counts.append([result.num_rows for result in results])
             gathered[name] = segment.gather(results)
-        self.last_scatter["per_shard_rows"] = shard_counts
-        merged = dict(bindings or {})
-        merged.update(gathered)
-        return self._engine._evaluator.evaluate(rewritten, bindings=merged)
+        if segments:
+            self.last_scatter["per_shard_rows"] = shard_counts
+        merged = {**(bindings or {}), **gathered}
+        return self._engine._evaluator.evaluate(rewritten, bindings=merged or None, record=record)
 
     def _fan_out(self, begin: Callable[[Any], Any]) -> list[Any]:
         """Start ``begin`` on every backend, then collect every result.

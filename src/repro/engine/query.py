@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.errors import EngineError
 from repro.pra.assumptions import Assumption
+from repro.pra.evaluator import Record
 from repro.pra.expressions import PositionalRef
 from repro.pra.plan import (
     QUERY_PARAM,
@@ -54,6 +55,7 @@ from repro.relational.expressions import BinaryOp, Expression, Literal
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
 from repro.spinql.sql_translator import to_sql
+from repro.strategy.executor import StrategyExecutor
 from repro.triples.graph import traverse_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -692,6 +694,46 @@ class SearchQuery(Query):
         return "\n".join(lines)
 
 
+class EngineStrategyExecutor(StrategyExecutor):
+    """Strategy requests through their engine.
+
+    A request's one evaluation is :meth:`Engine._evaluate` (logged, on the
+    engine's executor, like every other plan), and what it reads that the
+    request computes first — a stored subplan on a miss, an input of a block
+    that runs by ``execute`` — runs on the same executor.
+    """
+
+    def __init__(self, engine: "Engine"):
+        super().__init__(engine.store, engine.statistics_registry)
+        self._engine = engine
+
+    def _compute(self, plan: PraPlan, bindings: Any, record: Record) -> Any:
+        self._engine._require_open()
+        return self._engine._plan_executor.execute_plan(plan, bindings, record)
+
+    def _evaluate_request(
+        self,
+        plan: PraPlan,
+        bindings: Any,
+        record: Record,
+        request: dict[str, Any] | None,
+        started: float,
+    ) -> ProbabilisticRelation:
+        return self._engine._evaluate(
+            plan, bindings, kind="strategy", request=request, record=record, started=started
+        )
+
+    def _failed(self, plan: PraPlan, request: dict[str, Any] | None, started: float) -> None:
+        self._engine._record_execution(
+            kind="strategy",
+            fingerprint=self._engine._log_fingerprint(plan),
+            started=started,
+            rows_out=None,
+            status="error",
+            request=request,
+        )
+
+
 class StrategyQuery(Query):
     """Lazy execution of a block-based strategy graph, lowered to PRA plans."""
 
@@ -720,42 +762,19 @@ class StrategyQuery(Query):
         return self._engine.executor.lower(self.graph)
 
     def execute(self, *, query: str | None = None, **parameters: Any):
-        import time
-
         merged = dict(self._parameters)
         merged.update(parameters)
         effective = query if query is not None else self._query
-        label = self._name if self._name is not None else type(self.graph).__name__
-        fingerprint = f"strategy::{label}::{effective}"
         request = None
         if self._name is not None and not merged and self._result_block is None:
             request = {"kind": "strategy", "name": self._name, "query": effective}
-        started = time.perf_counter()
-        try:
-            run = self._engine.executor.run(
-                self._lowered(),
-                query=effective,
-                result_block=self._result_block,
-                parameters=merged,
-            )
-        except Exception:
-            self._engine._record_execution(
-                kind="strategy",
-                fingerprint=fingerprint,
-                started=started,
-                rows_out=None,
-                status="error",
-                request=request,
-            )
-            raise
-        self._engine._record_execution(
-            kind="strategy",
-            fingerprint=fingerprint,
-            started=started,
-            rows_out=run.result.num_rows,
+        return self._engine.executor.run(
+            self._lowered(),
+            query=effective,
+            result_block=self._result_block,
+            parameters=merged,
             request=request,
         )
-        return run
 
     def check(self, *, hydrate: bool = True, **parameters: Any):
         """Statically verify the result block's plan (its ancestors included).
@@ -764,26 +783,35 @@ class StrategyQuery(Query):
         are bound per request, so their schemas stay opaque.
         """
         lowered = self._lowered()
-        plan = lowered.plan(lowered.result_block(self._result_block))
+        plan = lowered.step(lowered.result_block(self._result_block)).plan
         return self._engine._verify_plan(
             plan, parameters=plan_parameters(plan), hydrate=hydrate
         )
 
     def explain(self) -> str:
-        """The strategy diagram, then each block's own plan (its inputs as
-        ``Param(block:<name>)``) and whether the cache serves it."""
+        """The strategy diagram, the blocks that run by ``execute``, the plan a
+        request evaluates once, and each stored subplan it reads, served from
+        the materialization cache or computed."""
         from repro.strategy.render import render_ascii
 
         lowered = self._lowered()
-        cache = self._engine.database.cache
-        lines = [render_ascii(self.graph), "", "block plans:"]
-        for step in lowered.blocks:
-            if step.key is None:
-                state = "runs per request"
-            elif step.key in cache:
-                state = "served from the materialization cache"
+        target = lowered.step(lowered.result_block(self._result_block))
+        plan = lowered.request_plan(target.name).describe()
+        labels = {step.key: step.name for step in lowered.blocks if step.key is not None}
+        executed = [s.name for s in lowered.blocks if s.executes and s.name in target.upstream]
+        stored: list[str] = []
+        unnamed = iter(range(1, len(target.reads) + 1))
+        for key in target.reads:
+            label = labels.get(key) or f"subplan {next(unnamed)}"
+            plan = plan.replace(f"Param({key})", f"Stored({label})")
+            if key in self._engine.database.cache:
+                stored.append(f"  {label}: served from the materialization cache")
             else:
-                state = "computed on its next run, then served from the cache"
-            lines.append(f"  {step.name}: {state}")
-            lines.extend("    " + line for line in step.local.describe().splitlines())
-        return "\n".join(lines)
+                stored.append(f"  {label}: computed on the next request, then served from it")
+            stored.extend("    " + line for line in lowered.stored[key].describe().splitlines())
+        return "\n".join(
+            [render_ascii(self.graph), "", "runs by execute, per request:"]
+            + [f"  {name}" for name in executed]
+            + ["", "plan, evaluated once per request:", plan, "", "stored subplans:"]
+            + stored
+        )

@@ -12,12 +12,19 @@ facade executes one compiled plan against many different parameter values.
 A :class:`~repro.pra.plan.PraRank` node reads its keyword query from the same
 mapping (a string) and its collection statistics from the evaluator's
 :class:`~repro.ir.registry.StatisticsRegistry`.
+
+An evaluation may keep a *record* of the nodes its caller names, by
+identity: each is evaluated once, so a subplan that two parents share runs
+once, and its entry (:class:`Evaluated`) gives its output and timing.  Only
+the named nodes' outputs are kept, so the others are freed as soon as their
+parents have read them.
 """
 
 from __future__ import annotations
 
+import time
 from collections.abc import Mapping
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import PRAError
 from repro.ir.query_expansion import expanded_terms
@@ -46,6 +53,20 @@ from repro.relational.schema import Field, Schema
 from repro.text.analyzers import StandardAnalyzer
 
 
+class Evaluated(NamedTuple):
+    """A node of an evaluation's record: its output, and the
+    ``time.perf_counter()`` its evaluation began at and the seconds it took,
+    its children's included."""
+
+    output: Any
+    started: float
+    seconds: float
+
+
+#: an evaluation's record: ``id(node)`` -> its entry, ``None`` until evaluated
+Record = dict[int, Evaluated | None]
+
+
 class PRAEvaluator:
     """Evaluates PRA plans against a :class:`~repro.relational.database.Database`."""
 
@@ -59,13 +80,29 @@ class PRAEvaluator:
         plan: PraPlan,
         *,
         bindings: Mapping[str, Any] | None = None,
+        record: Record | None = None,
     ) -> ProbabilisticRelation:
         """Evaluate ``plan`` and return the resulting probabilistic relation.
 
         ``bindings`` maps :class:`~repro.pra.plan.PraParam` names to the
         probabilistic relations to substitute for them, and the query name
         of each :class:`~repro.pra.plan.PraRank` to its keyword query.
+        ``record``, when given, serves each node it holds an entry for and
+        enters each node it names that this call evaluates.
         """
+        if record is None or id(plan) not in record:
+            return self._evaluate(plan, bindings, record)
+        entry = record[id(plan)]
+        if entry is not None:
+            return entry.output
+        started = time.perf_counter()
+        output = self._evaluate(plan, bindings, record)
+        record[id(plan)] = Evaluated(output, started, time.perf_counter() - started)
+        return output
+
+    def _evaluate(
+        self, plan: PraPlan, bindings: Mapping[str, Any] | None, record: Record | None
+    ) -> ProbabilisticRelation:
         if isinstance(plan, PraScan):
             relation = self.database.query(plan.table)
             return ProbabilisticRelation.lift(relation)
@@ -78,18 +115,20 @@ class PRAEvaluator:
                     f"unbound plan parameter {plan.name!r}; bound parameters: {available}"
                 )
             return bindings[plan.name]
+        if not isinstance(plan, PraPlan):
+            raise PRAError(f"unknown PRA plan node {type(plan).__name__}")
+        inputs = [
+            self.evaluate(child, bindings=bindings, record=record) for child in plan.children()
+        ]
         if isinstance(plan, PraSelect):
-            child = self.evaluate(plan.child, bindings=bindings)
-            return pra_operators.select(child, plan.predicate, self.database.functions)
+            return pra_operators.select(inputs[0], plan.predicate, self.database.functions)
         if isinstance(plan, PraProject):
-            child = self.evaluate(plan.child, bindings=bindings)
-            columns = self._resolve_positions(child, plan.positions)
+            columns = self._resolve_positions(inputs[0], plan.positions)
             return pra_operators.project(
-                child, columns, plan.assumption, output_names=plan.output_names
+                inputs[0], columns, plan.assumption, output_names=plan.output_names
             )
         if isinstance(plan, PraJoin):
-            left = self.evaluate(plan.left, bindings=bindings)
-            right = self.evaluate(plan.right, bindings=bindings)
+            left, right = inputs
             conditions = [
                 (
                     self._resolve_position(left, left_position),
@@ -99,31 +138,23 @@ class PRAEvaluator:
             ]
             return pra_operators.join(left, right, conditions, plan.assumption)
         if isinstance(plan, PraUnite):
-            left = self.evaluate(plan.left, bindings=bindings)
-            right = self.evaluate(plan.right, bindings=bindings)
-            return pra_operators.unite(left, right, plan.assumption)
+            return pra_operators.unite(*inputs, plan.assumption)
         if isinstance(plan, PraSubtract):
-            left = self.evaluate(plan.left, bindings=bindings)
-            right = self.evaluate(plan.right, bindings=bindings)
-            return pra_operators.subtract(left, right)
+            return pra_operators.subtract(*inputs)
         if isinstance(plan, PraBayes):
-            child = self.evaluate(plan.child, bindings=bindings)
-            evidence = self._resolve_positions(child, plan.evidence_positions)
-            return pra_operators.bayes(child, evidence)
+            evidence = self._resolve_positions(inputs[0], plan.evidence_positions)
+            return pra_operators.bayes(inputs[0], evidence)
         if isinstance(plan, PraWeight):
-            child = self.evaluate(plan.child, bindings=bindings)
-            return pra_operators.weight(child, plan.factor)
+            return pra_operators.weight(inputs[0], plan.factor)
         if isinstance(plan, PraTop):
-            child = self.evaluate(plan.child, bindings=bindings)
-            return pra_operators.top(child, plan.k)
+            return pra_operators.top(inputs[0], plan.k)
         if isinstance(plan, PraRank):
-            child = self.evaluate(plan.child, bindings=bindings)
             query = (bindings or {}).get(plan.query)
             if not isinstance(query, (str, list)):
                 raise PRAError(
                     f"RANK needs its query {plan.query!r} bound to a string or a term list"
                 )
-            return self._rank(plan, child, query)
+            return self._rank(plan, inputs[0], query)
         raise PRAError(f"unknown PRA plan node {type(plan).__name__}")
 
     def _rank(

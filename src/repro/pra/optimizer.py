@@ -53,7 +53,8 @@ merging can lift a low-ranked tuple above pruned ones) or JOIN (match
 probabilities combine across sides).
 
 Rules are applied bottom-up to a fixpoint, mirroring the relational
-optimizer's driver loop.
+optimizer's driver loop.  A node no rule changes, its subplan included, stays
+the same object, and a subplan two parents share stays shared.
 """
 
 from __future__ import annotations
@@ -81,15 +82,22 @@ def optimize_pra(plan: PraPlan) -> PraPlan:
     current = plan
     while current.fingerprint() != previous_fingerprint:
         previous_fingerprint = current.fingerprint()
-        current = _rewrite(current)
+        current = _rewrite(current, {})
     return current
 
 
-def _rewrite(plan: PraPlan) -> PraPlan:
+def _rewrite(plan: PraPlan, done: dict[int, PraPlan]) -> PraPlan:
+    """One bottom-up pass; ``done`` holds this pass's result by input node."""
+    if id(plan) in done:
+        return done[id(plan)]
+    original = plan
     # PraProject / PraBayes keep positional references that are only valid
     # against their direct child's column layout, so their subtree is
     # rewritten but no rule below reorders the node itself
-    plan = plan.with_children([_rewrite(child) for child in plan.children()])
+    children = plan.children()
+    rewritten = [_rewrite(child, done) for child in children]
+    if any(new is not old for new, old in zip(rewritten, children)):
+        plan = plan.with_children(rewritten)
     plan = _fold_weights(plan)
     plan = _push_select_past_weight(plan)
     plan = _push_select_into_unite(plan)
@@ -97,6 +105,7 @@ def _rewrite(plan: PraPlan) -> PraPlan:
     plan = _absorb_tops(plan)
     plan = _push_top_past_weight(plan)
     plan = _push_top_into_unite(plan)
+    done[id(original)] = plan
     return plan
 
 

@@ -42,6 +42,14 @@ class PraPlan:
         return type(self).__name__
 
     def fingerprint(self) -> str:
+        """A deterministic key of the plan's content, computed once per node
+        (nodes are immutable)."""
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            cached = self.__dict__["_fingerprint"] = self._fingerprint()
+        return cached
+
+    def _fingerprint(self) -> str:
         raise NotImplementedError
 
 
@@ -51,7 +59,7 @@ class PraScan(PraPlan):
 
     table: str
 
-    def fingerprint(self) -> str:
+    def _fingerprint(self) -> str:
         return f"prascan({self.table})"
 
     def _describe_self(self) -> str:
@@ -73,7 +81,7 @@ class PraValues(PraPlan):
         self.label = label
         self.tables = tuple(tables)
 
-    def fingerprint(self) -> str:
+    def _fingerprint(self) -> str:
         rows = ";".join(",".join(map(repr, row)) for row in self.relation.rows())
         return f"pravalues({self.label}:{hash(rows)})"
 
@@ -93,7 +101,7 @@ class PraParam(PraPlan):
 
     name: str
 
-    def fingerprint(self) -> str:
+    def _fingerprint(self) -> str:
         return f"praparam({self.name})"
 
     def _describe_self(self) -> str:
@@ -114,7 +122,7 @@ class PraSelect(PraPlan):
         (child,) = children
         return PraSelect(child, self.predicate)
 
-    def fingerprint(self) -> str:
+    def _fingerprint(self) -> str:
         return f"praselect({self.predicate.to_sql()})[{self.child.fingerprint()}]"
 
     def _describe_self(self) -> str:
@@ -145,7 +153,7 @@ class PraProject(PraPlan):
         (child,) = children
         return PraProject(child, self.positions, self.assumption, self.output_names)
 
-    def fingerprint(self) -> str:
+    def _fingerprint(self) -> str:
         rendered = ",".join(str(position) for position in self.positions)
         return (
             f"praproject({rendered};{self.assumption.value};{self.output_names})"
@@ -181,7 +189,7 @@ class PraJoin(PraPlan):
         left, right = children
         return PraJoin(left, right, self.conditions, self.assumption)
 
-    def fingerprint(self) -> str:
+    def _fingerprint(self) -> str:
         conditions = ",".join(f"{left}={right}" for left, right in self.conditions)
         return (
             f"prajoin({conditions};{self.assumption.value})"
@@ -213,7 +221,7 @@ class PraUnite(PraPlan):
         left, right = children
         return PraUnite(left, right, self.assumption)
 
-    def fingerprint(self) -> str:
+    def _fingerprint(self) -> str:
         return (
             f"praunite({self.assumption.value})"
             f"[{self.left.fingerprint()}|{self.right.fingerprint()}]"
@@ -237,7 +245,7 @@ class PraSubtract(PraPlan):
         left, right = children
         return PraSubtract(left, right)
 
-    def fingerprint(self) -> str:
+    def _fingerprint(self) -> str:
         return f"prasubtract[{self.left.fingerprint()}|{self.right.fingerprint()}]"
 
     def _describe_self(self) -> str:
@@ -258,7 +266,7 @@ class PraBayes(PraPlan):
         (child,) = children
         return PraBayes(child, self.evidence_positions)
 
-    def fingerprint(self) -> str:
+    def _fingerprint(self) -> str:
         rendered = ",".join(str(position) for position in self.evidence_positions)
         return f"prabayes({rendered})[{self.child.fingerprint()}]"
 
@@ -281,7 +289,7 @@ class PraWeight(PraPlan):
         (child,) = children
         return PraWeight(child, self.factor)
 
-    def fingerprint(self) -> str:
+    def _fingerprint(self) -> str:
         return f"praweight({self.factor})[{self.child.fingerprint()}]"
 
     def _describe_self(self) -> str:
@@ -313,7 +321,7 @@ class PraTop(PraPlan):
         (child,) = children
         return PraTop(child, self.k)
 
-    def fingerprint(self) -> str:
+    def _fingerprint(self) -> str:
         return f"pratop({self.k})[{self.child.fingerprint()}]"
 
     def _describe_self(self) -> str:
@@ -357,7 +365,7 @@ class PraRank(PraPlan):
         (child,) = children
         return PraRank(child, self.query, self.model, self.language, self.top_k, self.expander)
 
-    def fingerprint(self) -> str:
+    def _fingerprint(self) -> str:
         # an expander's describe() summarises it, so it is keyed by identity
         expander = f"expander@{id(self.expander)}" if self.expander is not None else None
         model = f"{type(self.model).__name__}{self.model.describe()}"

@@ -1,25 +1,23 @@
-"""Execution of strategy graphs: every block is a PRA plan.
+"""Execution of strategy graphs: a strategy request is one PRA plan.
 
 A strategy is lowered block by block, in topological order: each block's
-``to_plan`` receives its inputs as placeholders and returns its own plan, so
-every block has a *plan* — the PRA plan of its output over the stored data,
-its ancestors' plans substituted for the placeholders.  The executor then
-evaluates the blocks in the same order, each block's plan over its inputs'
-outputs, and records per-block timings so the benchmarks can report where
-time is spent (ranking vs. traversal vs. mixing).
+``to_plan`` receives its inputs as placeholders, and its ancestors' plans
+are substituted for them, so every block has a *plan* over the stored data.
+A request evaluates its result block's plan once: a block that feeds two
+blocks is one node of it, evaluated once, and each block's output and own
+time are read from the evaluation's record.  Inside an engine the evaluation
+is ``Engine._evaluate``, the path of SpinQL, ``traverse()`` and ``rank()``.
 
-**Reuse is keyed by plan content.**  A block whose plan has no request
-binding — no keyword query, no parameter, no block that runs by ``execute``
-above it — computes the same output for every request until a table it scans
-changes.  Its output is kept in the store database's materialization cache
-(``Database.cache``) under the plan's fingerprint, with the scanned tables as
-dependencies: replacing a table drops it, and any graph whose block lowers to
-the same plan, kept by its caller or built for one request, is served from
-the same entry (in the auction strategy: selecting the lots, extracting their
-descriptions, traversing to the auctions).  Within the blocks that do run,
-subplans without a request binding (the edges a traversal joins with) are
-served the same way.  A block that defines only ``execute`` runs on every
-request, and so does every block below it.
+**Reuse is keyed by plan content.**  The lowering replaces each largest
+subplan that reads no request binding (no query, no parameter, no block that
+runs by ``execute``) with a placeholder named by its key, ``"pra::" +
+fingerprint``, and so is every block plan that reads none.  A request takes
+these from the store database's materialization cache (``Database.cache``),
+where they stay until a table they scan changes, and computes one only on a
+miss; any graph whose blocks lower to the same plans, kept or built per
+request, is served from the same entries.  A block that runs by ``execute``
+(it has no ``to_plan``, or it provides the query) runs on every request
+before the evaluation, its output bound to its placeholder.
 
 The ranking nodes of every strategy get their indexes from the executor's one
 :class:`~repro.ir.registry.StatisticsRegistry` (an engine passes its own, the
@@ -33,16 +31,19 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.errors import StrategyError
 from repro.ir.registry import StatisticsRegistry
-from repro.pra.evaluator import PRAEvaluator
+from repro.pra.evaluator import Evaluated, PRAEvaluator, Record
+from repro.pra.optimizer import optimize_pra
 from repro.pra.plan import (
     QUERY_PARAM,
     PraParam,
     PraPlan,
     node_parameters,
+    plan_parameters,
     scan_tables,
 )
 from repro.pra.relation import ProbabilisticRelation
@@ -58,6 +59,7 @@ class StrategyRun:
     query: str
     result: ProbabilisticRelation
     block_outputs: dict[str, Any] = field(default_factory=dict)
+    #: each block's own time, its inputs' excluded (0.0 when it did not run)
     block_timings: dict[str, float] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
     #: blocks whose output came from the materialization cache instead of running
@@ -79,19 +81,24 @@ class LoweredBlock:
     block: Block
     #: input port -> source block
     sources: dict[str, str]
-    #: the block's own plan, over its inputs' placeholders
-    local: PraPlan
-    #: the materialization-cache key, when the block's plan (ancestors
-    #: included) has no request binding
+    #: the block's plan over the stored data, its ancestors' plans included (a
+    #: block that runs by ``execute`` is its placeholder)
+    plan: PraPlan
+    #: the materialization-cache key, when ``plan`` reads no request binding
     key: str | None
-    #: that plan, when it has no request binding (see :meth:`LoweredStrategy.plan`)
-    plan: PraPlan | None
-    #: what evaluation runs: ``local`` with each subplan that has no request
-    #: binding a placeholder named by its key; None when the block runs by
-    #: ``execute``
-    runnable: PraPlan | None = None
-    #: those subplans, by key
-    stored: tuple[tuple[str, PraPlan], ...] = ()
+    #: ``plan`` with its stored subplans as placeholders (``PraParam(key)``, keyed)
+    remainder: PraPlan
+    #: the keys of the stored subplans a request for the block reads, sorted
+    reads: tuple[str, ...]
+    #: the block and every block above it
+    upstream: frozenset[str]
+    #: whether the block runs by ``execute``
+    executes: bool
+
+    @property
+    def node(self) -> PraPlan:
+        """The node whose evaluation computes the block's output."""
+        return self.plan if self.key is not None else self.remainder
 
 
 @dataclass(frozen=True)
@@ -102,11 +109,25 @@ class LoweredStrategy:
     blocks: tuple[LoweredBlock, ...]
     #: the blocks whose output feeds no other block
     sinks: tuple[str, ...]
+    #: every stored subplan, by key
+    stored: dict[str, PraPlan]
+    #: the nodes a request records (see :class:`~repro.pra.evaluator.Evaluated`),
+    #: by identity: every stored subplan and every block's node
+    recorded: frozenset[int]
+    #: per result block, the optimized remainder its requests evaluate
+    _optimized: dict[str, PraPlan] = field(default_factory=dict, compare=False)
+
+    @cached_property
+    def _steps(self) -> dict[str, LoweredBlock]:
+        return {step.name: step for step in self.blocks}
+
+    def step(self, name: str) -> LoweredBlock:
+        return self._steps[name]
 
     def result_block(self, name: str | None = None) -> str:
         """``name``, or the single sink."""
         if name is not None:
-            if name not in {step.name for step in self.blocks}:
+            if name not in self._steps:
                 raise StrategyError(f"unknown block {name!r}")
             return name
         if len(self.sinks) != 1:
@@ -116,17 +137,12 @@ class LoweredStrategy:
             )
         return self.sinks[0]
 
-    def plan(self, name: str) -> PraPlan:
-        """Block ``name``'s plan over the stored data, its ancestors' plans included."""
-        step = next(step for step in self.blocks if step.name == name)
-        if step.plan is not None:
-            return step.plan
-        sources = {_placeholder(source): self.plan(source) for source in step.sources.values()}
-        return _substitute(step.local, sources)
-
-    def tables(self) -> frozenset[str]:
-        """Every table a block's plan scans."""
-        return frozenset().union(*(scan_tables(step.local) for step in self.blocks))
+    def request_plan(self, name: str) -> PraPlan:
+        """What a request for block ``name`` evaluates, optimized once."""
+        plan = self._optimized.get(name)
+        if plan is None:
+            plan = self._optimized.setdefault(name, optimize_pra(self.step(name).remainder))
+        return plan
 
 
 def _placeholder(block_name: str) -> str:
@@ -145,28 +161,34 @@ def _runs_as_plan(block: Block) -> bool:
 
 
 def _split_stored(
-    plan: PraPlan, stored: list[tuple[str, PraPlan]]
+    plan: PraPlan,
+    stored: dict[str, PraPlan],
+    done: dict[int, tuple[PraPlan, frozenset[str]]],
 ) -> tuple[PraPlan, frozenset[str]]:
     """``plan`` with each largest proper subplan that reads no binding replaced
     by a placeholder named by its cache key (the subplans collected into
-    ``stored``), and the bindings ``plan`` reads."""
+    ``stored``), and the bindings ``plan`` reads.  ``done`` holds what every
+    node split to, so a subplan that two parents share stays one node."""
+    if id(plan) in done:
+        return done[id(plan)]
     children = plan.children()
-    if not children:
-        return plan, node_parameters(plan)
-    split = [_split_stored(child, stored) for child in children]
+    split = [_split_stored(child, stored, done) for child in children]
     names = node_parameters(plan).union(*(child_names for _, child_names in split))
-    if not names:
-        return plan, names
-    rebuilt = []
-    for child, (new, child_names) in zip(children, split):
-        if not child_names and child.children():
-            key = "pra::" + child.fingerprint()
-            stored.append((key, child))
-            new = PraParam(key)
-        rebuilt.append(new)
-    if all(new is old for new, old in zip(rebuilt, children)):
-        return plan, names
-    return plan.with_children(rebuilt), names
+    rebuilt = [
+        _stored(child, stored) if names and not child_names and child.children() else new
+        for child, (new, child_names) in zip(children, split)
+    ]
+    new_plan = plan
+    if any(new is not old for new, old in zip(rebuilt, children)):
+        new_plan = plan.with_children(rebuilt)
+    done[id(plan)] = (new_plan, names)
+    return new_plan, names
+
+
+def _stored(plan: PraPlan, stored: dict[str, PraPlan]) -> PraParam:
+    key = "pra::" + plan.fingerprint()
+    stored.setdefault(key, plan)
+    return PraParam(key)
 
 
 def _substitute(plan: PraPlan, plans: dict[str, PraPlan]) -> PraPlan:
@@ -187,41 +209,46 @@ class StrategyExecutor:
         self.store = store
         #: where every strategy's ranking nodes get their indexes
         self.statistics = statistics if statistics is not None else StatisticsRegistry()
-        self._evaluator = PRAEvaluator(store.database, self.statistics)
+
+    @cached_property
+    def _evaluator(self) -> PRAEvaluator:
+        return PRAEvaluator(self.store.database, self.statistics)
 
     def lower(self, graph: StrategyGraph) -> LoweredStrategy:
-        """Validate ``graph`` and lower every block to its PRA plan."""
+        """Validate ``graph``, lower every block to its PRA plan and split the plans."""
         order = graph.validate()
         self.store.ensure_loaded()  # a layout lowers against the tables it holds
         storage = self.store.storage
-        plans: dict[str, PraPlan | None] = {}  # None: the plan reads the request
-        lowered: list[LoweredBlock] = []
+        stored: dict[str, PraPlan] = {}
+        done: dict[int, tuple[PraPlan, frozenset[str]]] = {}
+        lowered: dict[str, LoweredBlock] = {}
         for name in order:
             block = graph.block(name)
             sources = graph.inputs_of(name)
-            runnable: PraPlan | None = None
-            stored: list[tuple[str, PraPlan]] = []
-            plan: PraPlan | None = None
-            if _runs_as_plan(block):
+            above = [lowered[source] for source in sources.values()]
+            placeholder = PraParam(_placeholder(name))
+            plan = remainder = placeholder
+            key = None
+            # the query is a binding: its block runs by execute, like one without a plan
+            executes = not _runs_as_plan(block) or block.output_port().kind is PortKind.QUERY
+            if not executes:
                 inputs = {port: PraParam(_placeholder(source)) for port, source in sources.items()}
-                local = block.to_plan(inputs, storage)
-                split, names = _split_stored(local, stored)
-                if block.output_port().kind is not PortKind.QUERY:  # a query is a binding
-                    runnable = split
-                if not names - {param.name for param in inputs.values()} and all(
-                    plans[source] is not None for source in sources.values()
-                ):
-                    plan = _substitute(
-                        local, {_placeholder(s): plans[s] for s in sources.values()}
-                    )
-            else:
-                local = PraParam(_placeholder(name))
-            key = None if plan is None else "pra::" + plan.fingerprint()
-            plans[name] = plan
-            lowered.append(
-                LoweredBlock(name, block, sources, local, key, plan, runnable, tuple(stored))
+                plans = {_placeholder(step.name): step.plan for step in above}
+                plan = _substitute(block.to_plan(inputs, storage), plans)
+                remainder, names = _split_stored(plan, stored, done)
+                if not names:
+                    remainder = _stored(plan, stored)
+                    key = remainder.name
+            read = plan_parameters(remainder) & stored.keys()
+            reads = tuple(sorted(read.union(*(step.reads for step in above))))
+            upstream = frozenset([name]).union(*(step.upstream for step in above))
+            lowered[name] = LoweredBlock(
+                name, block, sources, plan, key, remainder, reads, upstream, executes
             )
-        return LoweredStrategy(graph, tuple(lowered), tuple(graph.sinks()))
+        recorded = frozenset(map(id, [*stored.values(), *(s.node for s in lowered.values())]))
+        return LoweredStrategy(
+            graph, tuple(lowered.values()), tuple(graph.sinks()), stored, recorded
+        )
 
     def run(
         self,
@@ -230,12 +257,18 @@ class StrategyExecutor:
         *,
         result_block: str | None = None,
         parameters: dict[str, Any] | None = None,
+        request: dict[str, Any] | None = None,
     ) -> StrategyRun:
-        """Execute ``graph`` for ``query`` and return the result of ``result_block``."""
+        """Execute ``graph`` for ``query`` and return the result of ``result_block``.
+
+        ``request`` is what an engine's workload log keeps to replay it.
+        """
         lowered = graph if isinstance(graph, LoweredStrategy) else self.lower(graph)
-        result_block = lowered.result_block(result_block)
+        target = lowered.step(lowered.result_block(result_block))
+        plan = lowered.request_plan(target.name)
+        needed = [step for step in lowered.blocks if step.name in target.upstream]
         # buffered triples are materialised first, then the catalog version is
-        # read before any block runs: an output computed while the data
+        # read before anything is computed: an output computed while the data
         # changes underneath is not kept
         self.store.ensure_loaded()
         still_valid = self.store.database.catalog.unchanged()
@@ -247,35 +280,43 @@ class StrategyExecutor:
         )
         bindings: dict[str, Any] = {QUERY_PARAM: query}
         outputs: dict[str, Any] = {}
-        timings: dict[str, float] = {}
-        memoized: list[str] = []
+        timings = {step.name: 0.0 for step in lowered.blocks}
+        record: Record = dict.fromkeys(lowered.recorded)
         started = time.perf_counter()
-        for step in lowered.blocks:
-            block_started = time.perf_counter()
-            if step.runnable is None:
-                inputs = {port: outputs[source] for port, source in step.sources.items()}
+        try:
+            memoized = self._fill(lowered, target.reads, needed, bindings, record, still_valid)
+            for step in [step for step in needed if step.executes]:
+                block_started = time.perf_counter()
+                inputs = {
+                    port: self._compute(lowered.step(source).remainder, bindings, record)
+                    for port, source in step.sources.items()
+                }
                 output = step.block.execute(context, inputs)
-            elif step.key is not None:
-                output, hit = self._stored(
-                    step.key,
-                    step.plan,
-                    lambda step=step: self._evaluate(step, bindings, still_valid),
-                    still_valid,
+                outputs[step.name] = bindings[_placeholder(step.name)] = output
+                timings[step.name] = time.perf_counter() - block_started
+            if target.executes and not isinstance(outputs[target.name], ProbabilisticRelation):
+                raise StrategyError(
+                    f"result block {target.name!r} produced "
+                    f"{type(outputs[target.name]).__name__}, expected a probabilistic relation"
                 )
-                if hit:
-                    memoized.append(step.name)
-            else:
-                output = self._evaluate(step, bindings, still_valid)
-            outputs[step.name] = bindings[_placeholder(step.name)] = output
-            timings[step.name] = time.perf_counter() - block_started
+        except Exception:
+            self._failed(plan, request, started)
+            raise
+        result = self._evaluate_request(plan, bindings, record, request, started)
         elapsed = time.perf_counter() - started
-
-        result = outputs[result_block]
-        if not isinstance(result, ProbabilisticRelation):
-            raise StrategyError(
-                f"result block {result_block!r} produced {type(result).__name__}, "
-                "expected a probabilistic relation"
+        for step in needed:
+            entry = record.get(id(step.node))
+            if step.executes or entry is None:
+                continue
+            outputs[step.name] = entry.output
+            # less the inputs evaluated within this block's evaluation
+            inputs = (record.get(id(lowered.step(s).node)) for s in step.sources.values())
+            timings[step.name] = entry.seconds - sum(
+                source.seconds
+                for source in inputs
+                if source and entry.started <= source.started < entry.started + entry.seconds
             )
+        outputs[target.name] = result
         return StrategyRun(
             query=query,
             result=result.sorted_by_probability(),
@@ -285,31 +326,54 @@ class StrategyExecutor:
             memoized_blocks=memoized,
         )
 
-    # -- evaluation through the materialization cache -------------------------------
-
-    def _stored(
+    def _fill(
         self,
-        key: str,
-        plan: PraPlan,
-        compute: Callable[[], ProbabilisticRelation],
+        lowered: LoweredStrategy,
+        reads: tuple[str, ...],
+        needed: list[LoweredBlock],
+        bindings: dict[str, Any],
+        record: Record,
         still_valid: Callable[[], bool],
-    ) -> tuple[ProbabilisticRelation, bool]:
-        """The cached output of ``plan`` (and True), or ``compute()`` stored."""
-        cache = self.store.database.cache
-        cached = cache.get(key)
-        if cached is not None:
-            return cached, True
-        result = compute()
-        cache.put(key, result, dependencies=scan_tables(plan), still_valid=still_valid)
-        return result, False
+    ) -> list[str]:
+        """Bind every stored subplan in ``reads``: from the materialization
+        cache, or computed and stored; return the blocks the cache served.
 
-    def _evaluate(
-        self, step: LoweredBlock, bindings: dict[str, Any], still_valid: Callable[[], bool]
+        Every hit enters the record first, so a miss reuses what the cache
+        holds below it.
+        """
+        cache = self.store.database.cache
+        hits: dict[str, Any] = {}
+        for key in reads:
+            output = cache.get(key)
+            if output is not None:
+                hits[key] = output
+                record[id(lowered.stored[key])] = Evaluated(output, 0.0, 0.0)
+        for key in reads:
+            plan = lowered.stored[key]
+            entry = record.get(id(plan))
+            bindings[key] = entry.output if entry else self._compute(plan, None, record)
+            if key not in hits:
+                tables = scan_tables(plan)
+                cache.put(key, bindings[key], dependencies=tables, still_valid=still_valid)
+        return [step.name for step in needed if step.key in hits]
+
+    # -- what an engine runs through its own path --------------------------------------
+
+    def _compute(self, plan: PraPlan, bindings: dict[str, Any] | None, record: Record) -> Any:
+        """Evaluate a part of a request: a stored subplan, or an input of a
+        block that runs by ``execute``."""
+        return self._evaluator.evaluate(plan, bindings=bindings, record=record)
+
+    def _evaluate_request(
+        self,
+        plan: PraPlan,
+        bindings: dict[str, Any],
+        record: Record,
+        request: dict[str, Any] | None,
+        started: float,
     ) -> ProbabilisticRelation:
-        """Evaluate ``step``'s plan over ``bindings``, its stored subplans from the cache."""
-        assert step.runnable is not None
-        for key, subplan in step.stored:
-            bindings[key], _hit = self._stored(
-                key, subplan, lambda subplan=subplan: self._evaluator.evaluate(subplan), still_valid
-            )
-        return self._evaluator.evaluate(step.runnable, bindings=bindings)
+        """The request's one evaluation, of its result block's plan."""
+        return self._evaluator.evaluate(plan, bindings=bindings, record=record)
+
+    def _failed(self, plan: PraPlan, request: dict[str, Any] | None, started: float) -> None:
+        """A block failed before the request's evaluation began."""

@@ -175,6 +175,7 @@ class TraversePropertyBlock(Block):
         return {
             "property": self.property_name,
             "direction": "backward" if self.backward else "forward",
+            "merge": self.merge.value,
         }
 
 

@@ -9,6 +9,7 @@ row order and ties included, for every shard count.
 from __future__ import annotations
 
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +164,60 @@ class TestShardedEquivalence:
             assert all(count <= 4 for count in scatter["per_shard_candidates"])
         finally:
             opened.close()
+
+
+def _strategy_bits(run) -> tuple[list, list[int]]:
+    result = run.result
+    return (
+        result.relation.column(result.value_columns[0]).to_list(),
+        result.probabilities().view(np.uint64).tolist(),
+    )
+
+
+def _psm_segments() -> set[str]:
+    shm = Path("/dev/shm")
+    return {entry.name for entry in shm.glob("psm_*")} if shm.is_dir() else set()
+
+
+class TestShardedStrategies:
+    """A strategy request is one plan on the engine's executor: in-process
+    shards and a worker pool answer the whole result relation bit for bit."""
+
+    @pytest.mark.parametrize("scenario", ["toy", "auction", "experts"])
+    def test_prebuilt_strategies_are_bit_identical_on_shards_and_a_pool(
+        self, scenario, tmp_path
+    ):
+        from repro.ir.query_expansion import SynonymExpander
+        from repro.serving import ServingConfig
+        from tests.strategy.test_lowering import _scenario, _uncertain
+
+        triples, _build, queries = _scenario(scenario)
+        triples = _uncertain(triples, 5)
+        requests = [(scenario, {})]
+        if scenario == "auction":
+            words = [w for t in triples if t.property == "description" for w in t.object.split()]
+            expander = SynonymExpander({words[0]: [words[3], "antique"], words[5]: [words[8]]})
+            requests.append(("expanded-auction", {"expander": expander}))
+        segments = _psm_segments()
+        local = Engine.from_triples(triples)
+        path = local.save(tmp_path / scenario, shards=2)
+        sharded = Engine.open_sharded(path)
+        pooled = Engine.open_sharded(path, executor="pool", config=ServingConfig(workers=2))
+        try:
+            for name, kwargs in requests:
+                for query in queries[:4]:
+                    expected = _strategy_bits(local.strategy(name, query, **kwargs).execute())
+                    assert expected[0]
+                    for engine in (sharded, pooled):
+                        served = engine.strategy(name, query, **kwargs).execute()
+                        assert _strategy_bits(served) == expected
+                        # the request's one record names the engine's executor
+                        executor = engine.workload_log.snapshot()[-1].executor
+                        assert executor == engine.executor_info()["executor"]
+        finally:
+            for engine in (local, sharded, pooled):
+                engine.close()
+        assert _psm_segments() <= segments
 
 
 class TestScatterPlanning:

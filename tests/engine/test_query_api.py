@@ -167,14 +167,15 @@ class TestExplain:
     def test_strategy_explain_reports_what_is_reused(self, engine):
         query = engine.strategy("toy", query="train")
         cold = query.explain()
-        assert "select_category: computed on its next run, then served from the cache" in cold
-        assert "rank_bm25: runs per request" in cold
-        assert "RANK BM25 [$query]" in cold  # each block's plan is printed
+        assert "select_category: computed on the next request, then served from it" in cold
+        # the plan that runs: the ranking over the stored descriptions
+        plan = cold.split("plan, evaluated once per request:")[1].split("stored subplans:")[0]
+        assert plan.split() == ["RANK", "BM25", "[$query]", "Stored(extract_description)"]
+        assert "runs by execute, per request:\n  query\n" in cold
         query.execute()
         warm = query.explain()
         assert "select_category: served from the materialization cache" in warm
         assert "extract_description: served from the materialization cache" in warm
-        assert "query: runs per request" in warm
 
     def test_search_explain_reports_statistics_state(self, engine):
         engine.store.register_docs_view(

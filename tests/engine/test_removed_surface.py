@@ -1,6 +1,7 @@
-"""What 4.0, 5.0 and 6.0 removed stays removed: one statistics path, one
-plan rewriter, no request collapsing, no result-cache admission policy, and
-a sharded engine that serves the layout it was opened with."""
+"""What 4.0, 5.0, 6.0 and 7.0 removed stays removed: one statistics path,
+one plan rewriter, no request collapsing, no result-cache admission policy,
+a sharded engine that serves the layout it was opened with, and strategies
+evaluated as one plan, not block by block."""
 
 import argparse
 import importlib
@@ -27,7 +28,7 @@ def engine():
 
 
 def test_version():
-    assert repro.__version__ == "6.0.0"
+    assert repro.__version__ == "7.0.0"
 
 
 def test_search_has_no_pipeline_option(engine):
@@ -111,3 +112,15 @@ def test_pool_reports_no_epoch(engine, tmp_path):
         assert "epoch" not in router.health()["executor"]
     finally:
         router.close()
+
+
+def test_strategies_have_no_block_by_block_evaluation(engine):
+    from repro.strategy.executor import LoweredBlock, LoweredStrategy, StrategyExecutor
+
+    lowered = engine.executor.lower(engine.strategy("toy").graph)
+    for name in ("plan", "tables"):
+        assert not hasattr(LoweredStrategy, name)
+    fields = set(LoweredBlock.__dataclass_fields__)
+    assert not fields & {"local", "runnable", "stored"}
+    assert not hasattr(StrategyExecutor, "_stored") and not hasattr(StrategyExecutor, "_evaluate")
+    assert lowered.step("rank_bm25").plan is not None

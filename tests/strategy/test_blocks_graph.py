@@ -17,6 +17,7 @@ from repro.strategy.library import (
     SelectByTypeBlock,
     TraversePropertyBlock,
 )
+from repro.strategy.render import render_ascii
 
 
 class TestPortKinds:
@@ -71,6 +72,21 @@ class TestBlockExecution:
             StrategyContext(store=auction_store), {"resources": resources}
         )
         assert set(auctions.relation.column("node").to_list()) == {"auction1", "auction2"}
+
+    def test_traverse_describes_its_merge(self):
+        independent = TraversePropertyBlock("hasAuction")
+        subsumed = TraversePropertyBlock("hasAuction", merge="subsumed")
+        assert independent.describe()["merge"] == "independent"
+        assert subsumed.describe()["merge"] == "subsumed"
+        diagrams = []
+        for block in (independent, subsumed):
+            graph = StrategyGraph()
+            graph.add_block("lots", SelectByTypeBlock("lot"))
+            graph.add_block("hop", block)
+            graph.connect("lots", "hop")
+            diagrams.append(render_ascii(graph))
+        assert diagrams[0] != diagrams[1]
+        assert "merge=subsumed" in diagrams[1]
 
     def test_rank_by_text(self, toy_store):
         context = StrategyContext(store=toy_store, query="wooden train")

@@ -151,10 +151,14 @@ class TestPlanCache:
         for query in ("first", "second"):
             run = executor.run(graph, query=query, result_block="override")
         assert calls == ["first", "second"]
-        assert run.memoized_blocks == ["plain"]
+        assert run.memoized_blocks == []
+        # a block that does not feed the result block does not run
+        executor.run(graph, result_block="plain")
+        plain = executor.run(graph, result_block="plain")
+        assert plain.memoized_blocks == ["plain"] and calls == ["first", "second"]
         # the override's own execute evaluates the library plan: same rows
         assert list(run.block_outputs["override"].rows()) == list(
-            run.block_outputs["plain"].rows()
+            plain.block_outputs["plain"].rows()
         )
 
     def test_reconfiguring_a_block_changes_its_plan(self, toy_store):
@@ -175,9 +179,10 @@ class TestPlanCache:
         graph.add_block("select", SelectByTypeBlock("product"))
         executor = StrategyExecutor(toy_store)
         executor.run(graph)
-        graph.add_block("toys", SelectByPropertyBlock("category", "toy"))
-        assert executor.run(graph, result_block="toys").memoized_blocks == ["select"]
-        assert executor.run(graph, result_block="toys").memoized_blocks == ["select", "toys"]
+        graph.add_block("texts", ExtractTextBlock())
+        graph.connect("select", "texts")
+        assert executor.run(graph).memoized_blocks == ["select"]
+        assert executor.run(graph).memoized_blocks == ["select", "texts"]
 
     def test_data_change_drops_the_cached_outputs(self, toy_store):
         graph = StrategyGraph()

@@ -159,8 +159,8 @@ class TestEngineWiring:
         executor = engine._plan_executor
         execute_plan = executor.execute_plan
 
-        def execute_while_a_writer_replaces_the_triples(plan, bindings):
-            result = execute_plan(plan, bindings)
+        def execute_while_a_writer_replaces_the_triples(plan, bindings, record=None):
+            result = execute_plan(plan, bindings, record)
             engine.create_table(engine.triples_table, renamed, replace=True)
             return result
 
