@@ -58,10 +58,8 @@ The package is organised along the paper's sections:
 * :mod:`repro.workload` — workload awareness, new in 1.5: a bounded query
   log with a JSONL sink (``Engine.workload_log``, ``GET /statz``), a
   deterministic replay/load generator (verbatim or Zipf-synthesized,
-  closed- or open-loop), a calibrated per-operator cost model whose
-  estimates surface in ``explain`` and the log, and a result cache
-  (``Engine.result_cache``) whose answers are bit-identical to
-  recomputation by construction;
+  closed- or open-loop), and a result cache (``Engine.result_cache``)
+  whose answers are bit-identical to recomputation by construction;
 * :mod:`repro.workloads` — synthetic data generators standing in for the
   paper's proprietary collections;
 * :mod:`repro.bench` — the benchmark harness.
@@ -204,6 +202,15 @@ through the path of every engine plan; only that block and the blocks above
 it run, and a request logs one record with a ``plan::`` fingerprint.  The
 lowering's per-block evaluation fields and its ``plan()``/``tables()``
 methods are gone (``CHANGES.md`` names them).
+
+Version 8.0 removes the per-operator cost model, which estimated plans and
+steered none.  Removed without a shim: the workload package's ``cost``
+module with its model and estimate classes, the ``cost_model=`` keyword and
+attribute of :class:`Engine` with its estimating and calibrating methods,
+the "Cost estimate" section of ``explain``, and the ``cost`` key of
+``explain_data()`` and of ``repro explain --json`` (``CHANGES.md`` names
+every removed name).  The workload-record field ``cost_units`` stays in the
+schema, append-only, and is always ``{}``.
 """
 
 from repro.errors import EngineError, ReproError
@@ -227,7 +234,7 @@ from repro.strategy import (
     build_toy_strategy,
 )
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     # the public facade

@@ -113,7 +113,6 @@ from repro.strategy.graph import StrategyGraph
 from repro.text.analyzers import StandardAnalyzer
 from repro.triples.triple_store import TripleStore
 from repro.workload.cache import binding_fingerprint
-from repro.workload.cost import CostModel
 from repro.workload.log import WorkloadLog
 
 __all__ = [
@@ -176,7 +175,6 @@ class Engine:
         plan_cache_size: int | None = None,  # None: the plan cache's default bound
         result_cache_size: int | None = 256,
         workload_log_capacity: int = 2048,
-        cost_model: CostModel | None = None,
     ):
         self.store = TripleStore(database, storage=storage, table_name=triples_table)
         # every load of the store's tables, an explicit load() or one a reader
@@ -189,9 +187,8 @@ class Engine:
         self.plan_cache: VersionedLRU[str, Any] = VersionedLRU(
             plan_cache_size if plan_cache_size is not None else DEFAULT_MAX_ENTRIES
         )
-        # the workload subsystem: every execution is logged, repeated plan
-        # evaluations may be answered from the result cache, and the cost
-        # model (calibratable from the log) estimates plans for explain
+        # the workload subsystem: every execution is logged, and repeated plan
+        # evaluations may be answered from the result cache
         self.workload_log = WorkloadLog(capacity=workload_log_capacity)
         self.result_cache: VersionedLRU[tuple[str, str], ProbabilisticRelation] | None = (
             VersionedLRU(result_cache_size) if result_cache_size else None
@@ -200,7 +197,6 @@ class Engine:
         self._table_caches = tuple(
             cache for cache in (self.plan_cache, self.result_cache) if cache is not None
         )
-        self.cost_model = cost_model if cost_model is not None else CostModel()
         # what survives a request (see "What is reused" in the README): one
         # statistics registry for keyword search, rank() and every strategy's
         # rank nodes; strategy block outputs live in the database's
@@ -796,13 +792,13 @@ class Engine:
         )
         return optimized
 
-    # -- the workload feedback loop -----------------------------------------------
+    # -- the workload log ----------------------------------------------------------
 
     def _table_rows(self, name: str) -> float | None:
-        """Row count for cost estimation — from memory only, never from disk.
+        """Row count for the log's ``rows_in`` — from memory only, never from disk.
 
         Lazy snapshot tables and views answer ``None`` (sizing them would
-        force hydration), which the cost model maps to its default estimate.
+        force hydration).
         """
         catalog = self.database.catalog
         try:
@@ -811,21 +807,6 @@ class Engine:
         except ReproError:
             return None
         return None
-
-    def estimate_cost(self, plan: PraPlan):
-        """The cost model's estimate for ``plan`` against this catalog."""
-        return self.cost_model.estimate(plan, self._table_rows)
-
-    def calibrate_cost_model(self, *, min_samples: int = 8) -> bool:
-        """Fit the cost model's coefficients from this engine's workload log.
-
-        Returns True when enough logged executions carried unit vectors to
-        solve the fit.  Coefficients only affect *estimates* — never which
-        plan runs, and never results.
-        """
-        return self.cost_model.calibrate(
-            self.workload_log.snapshot(), min_samples=min_samples
-        )
 
     def _record_execution(
         self,
@@ -838,7 +819,6 @@ class Engine:
         request: dict[str, Any] | None = None,
         parameters: str | None = None,
         result_cache: str | None = None,
-        cost_units: dict[str, float] | None = None,
         tables: Iterable[str] = (),
         executor: PlanExecutor | None = None,
     ) -> None:
@@ -862,7 +842,6 @@ class Engine:
             executor=used.kind,
             shard_fanout=fanout,
             status=status,
-            cost_units=cost_units or {},
         )
 
     def _evaluate(
@@ -919,16 +898,10 @@ class Engine:
                 cache_key, result, dependencies=tables, still_valid=still_valid
             )
             cache_status = "miss" if stored else "bypass"
-        # a strategy's plan leaves out what its stored subplans and its
-        # ``execute`` blocks cost, so its units would mislead calibration
-        cost_units = None
-        if kind == "plan":
-            cost_units = self.cost_model.estimate(plan, self._table_rows).per_kind_units
         log(
             rows_out=result.num_rows,
             parameters=cache_key[1] if cache_key else None,
             result_cache=cache_status,
-            cost_units=cost_units,
             executor=executor,
         )
         return result

@@ -59,6 +59,7 @@ from repro.strategy.executor import StrategyExecutor
 from repro.triples.graph import traverse_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.analysis.diagnostics import AnalysisReport
     from repro.engine import Engine
 
 
@@ -203,7 +204,6 @@ def _explain_plan_sections(engine: "Engine", plan: PraPlan) -> list[str]:
     sections = ["PRA plan:", plan.describe()]
     sections += ["", "Optimized PRA plan:", optimized.describe()]
     sections += ["", "SQL translation:", to_sql(optimized)]
-    sections += ["", "Cost estimate:", engine.estimate_cost(optimized).describe()]
     return sections
 
 
@@ -313,32 +313,31 @@ class SpinQLQuery(Query):
 
     def explain_data(self, *, top_k: int | None = None) -> dict[str, Any]:
         """The explain report as structured data (used by the CLI's --json)."""
+        return self._explain_data(top_k)[0]
+
+    def _explain_data(self, top_k: int | None) -> tuple[dict[str, Any], AnalysisReport]:
+        """:meth:`explain_data` and the static-analysis report it holds."""
         plan, optimized = self.plans(top_k=top_k)
-        return {
+        report = self.check(top_k=top_k)
+        data = {
             "spinql": self.source.strip(),
             "parameters": sorted(self._bindings),
             "pra_plan": plan.describe(),
             "optimized_plan": optimized.describe(),
             "sql": to_sql(optimized),
-            "cost": self._engine.estimate_cost(optimized).to_dict(),
-            "analysis": self.check(top_k=top_k).to_dict(),
+            "analysis": report.to_dict(),
         }
+        return data, report
 
     def explain(self, *, top_k: int | None = None) -> str:
-        data = self.explain_data(top_k=top_k)
+        data, report = self._explain_data(top_k)
         sections = ["SpinQL program:", data["spinql"], ""]
         if data["parameters"]:
             sections += ["Parameters: " + ", ".join(data["parameters"]), ""]
         sections += ["PRA plan:", data["pra_plan"]]
         sections += ["", "Optimized PRA plan:", data["optimized_plan"]]
         sections += ["", "SQL translation:", data["sql"]]
-        sections += [
-            "",
-            "Cost estimate:",
-            "\n".join(data["cost"]["plan"])
-            + f"\nestimated: {data['cost']['estimated_ms']:.3f} ms",
-        ]
-        sections += ["", "Static analysis:", self.check(top_k=top_k).render()]
+        sections += ["", "Static analysis:", report.render()]
         return "\n".join(sections)
 
 

@@ -339,7 +339,8 @@ class StrategyExecutor:
         cache, or computed and stored; return the blocks the cache served.
 
         Every hit enters the record first, so a miss reuses what the cache
-        holds below it.
+        holds below it.  A computed subplan enters the record too: an executor
+        that scatters evaluates a rewritten plan, which enters nothing.
         """
         cache = self.store.database.cache
         hits: dict[str, Any] = {}
@@ -351,7 +352,14 @@ class StrategyExecutor:
         for key in reads:
             plan = lowered.stored[key]
             entry = record.get(id(plan))
-            bindings[key] = entry.output if entry else self._compute(plan, None, record)
+            if entry is None:
+                started = time.perf_counter()
+                output = self._compute(plan, None, record)
+                entry = record.get(id(plan)) or Evaluated(
+                    output, started, time.perf_counter() - started
+                )
+                record[id(plan)] = entry
+            bindings[key] = entry.output
             if key not in hits:
                 tables = scan_tables(plan)
                 cache.put(key, bindings[key], dependencies=tables, still_valid=still_valid)

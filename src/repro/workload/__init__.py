@@ -1,6 +1,6 @@
-"""The workload subsystem: logging, replay, cost modelling, result caching.
+"""The workload subsystem: logging, replay, result caching.
 
-The ROADMAP's "workload-aware engine" item in four cooperating parts —
+The ROADMAP's "workload-aware engine" item in three cooperating parts —
 each usable on its own, designed to feed each other:
 
 * :mod:`repro.workload.log` — a bounded, lock-guarded ring buffer of
@@ -15,11 +15,6 @@ each usable on its own, designed to feed each other:
   arrival.  A fixed seed yields a byte-identical schedule
   (:meth:`~repro.workload.replay.Schedule.schedule_hash`), so load tests
   are reproducible; reports carry throughput and p50/p95/p99.
-* :mod:`repro.workload.cost` — a per-operator cost model: cardinality
-  estimates from catalog metadata, per-kernel coefficients fitted from
-  logged latencies (:meth:`~repro.workload.cost.CostModel.calibrate`).
-  ``explain`` surfaces the estimate and every logged record carries the
-  plan's ``cost_units``; the model steers no plan choice.
 * :mod:`repro.workload.cache` — the key of the result cache
   (``Engine.result_cache``, a :class:`~repro.relational.cache.VersionedLRU`
   keyed by plan fingerprint and bound parameters, storing on the first
@@ -31,7 +26,6 @@ stability policy in :mod:`repro`.
 """
 
 from repro.workload.cache import binding_fingerprint
-from repro.workload.cost import CostEstimate, CostModel
 from repro.workload.log import (
     WorkloadLog,
     WorkloadRecord,
@@ -52,8 +46,6 @@ from repro.workload.replay import (
 )
 
 __all__ = [
-    "CostEstimate",
-    "CostModel",
     "EngineTarget",
     "HttpTarget",
     "LoadReport",

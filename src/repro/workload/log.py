@@ -4,8 +4,7 @@ Every executed query — SpinQL/builder plans, keyword searches, strategy
 runs, serving-router requests — appends one :class:`WorkloadRecord` to the
 engine's :class:`WorkloadLog`.  The log is the observability substrate the
 rest of :mod:`repro.workload` feeds on: the replay harness rebuilds request
-templates from the ``request`` payloads, and the cost model fits its
-per-operator coefficients to the ``cost_units``/``latency_ms`` pairs.
+templates from the ``request`` payloads.
 
 Design constraints (RL006 enforces the first two repo-wide):
 
@@ -32,7 +31,9 @@ from typing import Any, IO
 
 #: the shape every record serialises to; see the stability note in ``repro``.
 #: v2 (additive, 1.8): ``collapsed`` — "leader"/"follower" under the 1.8–4.x
-#: in-flight request collapsing; 5.0 removed collapsing and leaves it ``None``
+#: in-flight request collapsing; 5.0 removed collapsing and leaves it ``None``.
+#: ``cost_units`` held a plan's per-operator cost-model units before 8.0,
+#: which removed the cost model and leaves it ``{}``
 RECORD_SCHEMA_VERSION = 2
 
 DEFAULT_CAPACITY = 2048

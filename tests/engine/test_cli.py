@@ -93,7 +93,8 @@ class TestSpinQLCommands:
         code, out = run_cli(capsys, "explain", SPINQL, "--json")
         assert code == 0
         payload = json.loads(out)
-        assert {"spinql", "pra_plan", "optimized_plan", "sql"} <= set(payload)
+        assert {"spinql", "pra_plan", "optimized_plan", "sql", "analysis"} <= set(payload)
+        assert "cost" not in payload
 
 
 class TestTopK:

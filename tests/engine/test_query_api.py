@@ -152,6 +152,19 @@ class TestExplain:
         assert "Optimized PRA plan:" in report
         assert "SQL translation:" in report
 
+    def test_spinql_explain_verifies_once(self, engine, monkeypatch):
+        calls = []
+        verify = engine._verify_plan
+
+        def counting(plan, **kwargs):
+            calls.append(plan)
+            return verify(plan, **kwargs)
+
+        monkeypatch.setattr(engine, "_verify_plan", counting)
+        report = engine.spinql('docs = SELECT [$2="description"] (triples);').explain()
+        assert "Static analysis:" in report
+        assert len(calls) == 1
+
     def test_optimized_plan_fuses_selections(self, engine):
         report = engine.spinql(
             'a = SELECT [$3="toy"] (SELECT [$2="category"] (triples));'

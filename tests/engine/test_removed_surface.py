@@ -1,10 +1,12 @@
-"""What 4.0, 5.0, 6.0 and 7.0 removed stays removed: one statistics path,
-one plan rewriter, no request collapsing, no result-cache admission policy,
-a sharded engine that serves the layout it was opened with, and strategies
-evaluated as one plan, not block by block."""
+"""What 4.0 to 8.0 removed stays removed: one statistics path, one plan
+rewriter, no request collapsing, no result-cache admission policy, a sharded
+engine that serves the layout it was opened with, strategies evaluated as one
+plan, not block by block, and no cost model."""
 
 import argparse
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +30,9 @@ def engine():
 
 
 def test_version():
-    assert repro.__version__ == "7.0.0"
+    assert repro.__version__ == "8.0.0"
+    pyproject = (Path(__file__).resolve().parents[2] / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "(.*)"$', pyproject, re.M) == ["8.0.0"]
 
 
 def test_search_has_no_pipeline_option(engine):
@@ -124,3 +128,16 @@ def test_strategies_have_no_block_by_block_evaluation(engine):
     assert not fields & {"local", "runnable", "stored"}
     assert not hasattr(StrategyExecutor, "_stored") and not hasattr(StrategyExecutor, "_evaluate")
     assert lowered.step("rank_bm25").plan is not None
+
+
+def test_engine_has_no_cost_model(engine):
+    with pytest.raises(TypeError):
+        Engine(cost_model=None)
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.workload.cost")
+    assert not hasattr(workload, "CostModel") and not hasattr(workload, "CostEstimate")
+    for name in ("cost_model", "estimate_cost", "calibrate_cost_model"):
+        assert not hasattr(engine, name)
+    query = engine.spinql('out = SELECT [$2="description"] (triples);')
+    assert "Cost estimate" not in query.explain()
+    assert "cost" not in query.explain_data()

@@ -8,6 +8,7 @@ from repro.engine import Engine
 from repro.errors import PRAError
 from repro.ir.ranking import BM25Model
 from repro.pra.plan import PraProject
+from repro.pra.relation import ProbabilisticRelation
 from repro.strategy.blocks import Block, Port, PortKind
 from repro.strategy.graph import StrategyGraph
 from repro.strategy.library import (
@@ -148,3 +149,21 @@ def test_a_block_that_feeds_two_blocks_ranks_once(engine, monkeypatch):
     assert run.result.num_rows > 0
     assert set(run.block_timings) == set(graph.block_names())
     assert run.block_outputs["rank"].num_rows > 0
+
+
+def _block_rows(run) -> dict:
+    """Each block's output as sorted rows (ids and probabilities), or as is."""
+    return {
+        name: sorted(output.rows()) if isinstance(output, ProbabilisticRelation) else output
+        for name, output in run.block_outputs.items()
+    }
+
+
+def test_a_sharded_request_returns_every_block_output(engine, tmp_path):
+    local = [_block_rows(engine.strategy("auction", query=QUERY).execute()) for _ in range(2)]
+    assert len(local[0]) == len(engine.strategy("auction").graph.block_names())
+    with Engine.open_sharded(engine.save(tmp_path / "snap", shards=2)) as sharded:
+        assert sharded.executor_info()["executor"] == "sharded"
+        # the first request computes the stored subplans, the second is served them
+        for expected in local:
+            assert _block_rows(sharded.strategy("auction", query=QUERY).execute()) == expected

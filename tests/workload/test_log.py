@@ -99,6 +99,8 @@ class TestJsonlRoundtrip:
             {"some_future_field": 42},
             # a v2 line from a router that still collapsed requests (before 5.0)
             {"kind": "serve", "v": 2, "collapsed": "follower"},
+            # a v2 line from an engine that still estimated plan costs (before 8.0)
+            {"v": 2, "cost_units": {"scan": 8.0, "select": 8.0}},
         ],
     )
     def test_unknown_and_old_fields_load_and_summarize(self, tmp_path, extra):
@@ -110,6 +112,7 @@ class TestJsonlRoundtrip:
         assert len(loaded) == 1
         assert loaded[0].fingerprint == "plan::x"
         assert loaded[0].collapsed == extra.get("collapsed")
+        assert loaded[0].cost_units == extra.get("cost_units", {})
         summary = summarize(loaded)
         assert summary["records"] == 1
         assert summary["collapsed"]["followers"] == (1 if "collapsed" in extra else 0)
@@ -168,7 +171,7 @@ class TestEngineWiring:
         assert entry.rows_out == 1
         assert entry.latency_ms > 0
         assert entry.request == {"kind": "spinql", "source": TRAVERSE}
-        assert entry.cost_units  # the estimator ran over the executed plan
+        assert entry.cost_units == {}  # kept in the schema, never set since 8.0
 
     def test_result_cache_statuses_progress(self, engine):
         for _ in range(3):
