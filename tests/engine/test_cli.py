@@ -96,6 +96,14 @@ class TestSpinQLCommands:
         assert {"spinql", "pra_plan", "optimized_plan", "sql", "analysis"} <= set(payload)
         assert "cost" not in payload
 
+    def test_explain_json_is_the_explain_data(self, capsys):
+        from repro.engine import Engine
+
+        code, out = run_cli(capsys, "explain", SPINQL, "--json", "--top-k", "3")
+        assert code == 0
+        expected = Engine().spinql(SPINQL).explain_data(top_k=3)
+        assert json.loads(out) == {"command": "explain", **expected}
+
 
 class TestTopK:
     """``--top-k`` is accepted by every subcommand."""

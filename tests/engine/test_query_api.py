@@ -165,6 +165,31 @@ class TestExplain:
         assert "Static analysis:" in report
         assert len(calls) == 1
 
+    def test_spinql_explain_data_has_exactly_its_sections(self, engine):
+        data = engine.spinql(
+            "toys = TRAVERSE ['category'] (seeds);", seeds=["product1"]
+        ).explain_data()
+        assert set(data) == {
+            "spinql", "parameters", "pra_plan", "optimized_plan", "sql", "analysis"
+        }
+        assert data["parameters"] == ["seeds"]
+
+    def test_spinql_explain_renders_the_report_it_returns(self, engine):
+        query = engine.spinql('docs = SELECT [$2="description"] (triples);')
+        report = query.check()
+        assert query.explain_data()["analysis"] == report.to_dict()
+        text = query.explain()
+        assert text.endswith("Static analysis:\n" + report.render())
+        assert text.index("SQL translation:") < text.index("Static analysis:")
+
+    def test_builder_explain_has_no_cost_section(self, engine):
+        report = engine.table("triples").where(property="category").explain()
+        headings = [line for line in report.splitlines() if line.endswith(":")]
+        assert headings[-4:] == [
+            "PRA plan:", "Optimized PRA plan:", "SQL translation:", "Static analysis:"
+        ]
+        assert "Cost estimate" not in report
+
     def test_optimized_plan_fuses_selections(self, engine):
         report = engine.spinql(
             'a = SELECT [$3="toy"] (SELECT [$2="category"] (triples));'

@@ -9,6 +9,7 @@ from repro.errors import PRAError
 from repro.ir.ranking import BM25Model
 from repro.pra.plan import PraProject
 from repro.pra.relation import ProbabilisticRelation
+from repro.serving import ServingConfig
 from repro.strategy.blocks import Block, Port, PortKind
 from repro.strategy.graph import StrategyGraph
 from repro.strategy.library import (
@@ -167,3 +168,27 @@ def test_a_sharded_request_returns_every_block_output(engine, tmp_path):
         # the first request computes the stored subplans, the second is served them
         for expected in local:
             assert _block_rows(sharded.strategy("auction", query=QUERY).execute()) == expected
+
+
+@pytest.mark.parametrize(
+    ("executor", "strategy"), [("sharded", "toy"), ("pool", "auction"), ("pool", "toy")]
+)
+def test_every_block_output_on_the_first_scattered_request(engine, tmp_path, executor, strategy):
+    local = _block_rows(engine.strategy(strategy, query=QUERY).execute())
+    config = {"config": ServingConfig(workers=2)} if executor == "pool" else {}
+    path = engine.save(tmp_path / "snap", shards=2)
+    with Engine.open_sharded(path, executor=executor, **config) as scattered:
+        assert scattered.executor_info()["executor"] == executor
+        first = scattered.strategy(strategy, query=QUERY).execute()
+        assert first.memoized_blocks == []
+        assert _block_rows(first) == local
+
+
+def test_a_sharded_request_times_the_subplans_it_computes(engine, tmp_path):
+    with Engine.open_sharded(engine.save(tmp_path / "snap", shards=2)) as sharded:
+        first, second = (sharded.strategy("auction", query=QUERY).execute() for _ in range(2))
+    stored = second.memoized_blocks
+    assert stored and first.memoized_blocks == []
+    # computed on the first request, served from the materialization cache on the second
+    assert all(first.block_timings[name] > 0 for name in stored)
+    assert all(second.block_timings[name] == 0 for name in stored)

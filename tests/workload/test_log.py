@@ -118,6 +118,25 @@ class TestJsonlRoundtrip:
         assert summary["collapsed"]["followers"] == (1 if "collapsed" in extra else 0)
 
 
+    def test_old_cost_units_survive_a_reexport(self, tmp_path):
+        old = WorkloadRecord(
+            seq=1, kind="plan", fingerprint="plan::x", latency_ms=1.0,
+            cost_units={"scan": 8.0, "select": 8.0},
+        )
+        source = tmp_path / "old.jsonl"
+        source.write_text(json.dumps(old.to_dict()) + "\n")
+        log = WorkloadLog(sink=tmp_path / "copy.jsonl")
+        for entry in load_records(source):
+            log.record(
+                entry.kind, entry.fingerprint, entry.latency_ms, cost_units=entry.cost_units
+            )
+        log.close()
+        (line,) = (tmp_path / "copy.jsonl").read_text().splitlines()
+        assert json.loads(line)["v"] == RECORD_SCHEMA_VERSION == 2
+        (copied,) = load_records(tmp_path / "copy.jsonl")
+        assert copied.cost_units == {"scan": 8.0, "select": 8.0}
+
+
 class TestSummaries:
     def _records(self):
         return [
@@ -172,6 +191,25 @@ class TestEngineWiring:
         assert entry.latency_ms > 0
         assert entry.request == {"kind": "spinql", "source": TRAVERSE}
         assert entry.cost_units == {}  # kept in the schema, never set since 8.0
+
+    @pytest.mark.parametrize("kind", ["spinql", "builder", "search", "strategy"])
+    def test_no_record_carries_cost_units(self, engine, tmp_path, kind):
+        engine.store.register_docs_view(
+            "docs", filter_property="type", filter_value="lot",
+            text_property="material",
+        )
+        if kind == "spinql":
+            engine.spinql(TRAVERSE, seeds=["lot1"]).execute()
+        elif kind == "builder":
+            engine.table("triples").where(property="material").execute()
+        elif kind == "search":
+            engine.search("docs", "oak").execute()
+        else:
+            engine.strategy("toy", query="oak").execute()
+        records = engine.workload_log.snapshot()
+        assert records and all(entry.cost_units == {} for entry in records)
+        exported = load_records(engine.workload_log.export(tmp_path / "log.jsonl"))
+        assert [entry.cost_units for entry in exported] == [{}] * len(records)
 
     def test_result_cache_statuses_progress(self, engine):
         for _ in range(3):
