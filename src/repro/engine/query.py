@@ -104,7 +104,7 @@ def result_pairs(result: Any, k: int | None = None) -> list[tuple[Any, float]]:
     from repro.strategy.executor import StrategyRun
 
     if isinstance(result, StrategyRun):
-        return result.top(k if k is not None else result.result.num_rows)
+        return result.top(k)
     if isinstance(result, SearchResult):
         return result.top(k if k is not None else len(result.ranked))
     if isinstance(result, ProbabilisticRelation):

@@ -58,7 +58,8 @@ def project(
 
     Duplicate value-tuples produced by the projection are merged into a single
     output tuple whose probability is the disjunction of the duplicates'
-    probabilities under ``assumption``.
+    probabilities under ``assumption``.  When every value-tuple is one row,
+    nothing is sorted: each probability is its one-row reduction.
     """
     for name in columns:
         if name == PROBABILITY_COLUMN:
@@ -73,7 +74,16 @@ def project(
 
     codes, representatives = group_codes(projected, projected.schema.names)
     num_groups = len(representatives)
-    if num_groups and projected.num_rows:
+    if num_groups == projected.num_rows:
+        # one row per group (``representatives`` is every row): a one-row
+        # ``reduceat`` segment is the row's own value
+        if assumption is Assumption.INDEPENDENT:
+            merged = 1.0 - (1.0 - probabilities)
+        elif assumption is Assumption.DISJOINT:
+            merged = np.minimum(probabilities, 1.0)
+        else:
+            merged = probabilities
+    else:
         order, starts = group_segments(codes, num_groups)
         sorted_probabilities = probabilities[order]
         if assumption is Assumption.INDEPENDENT:
@@ -82,8 +92,6 @@ def project(
             merged = np.minimum(np.add.reduceat(sorted_probabilities, starts), 1.0)
         else:
             merged = np.maximum.reduceat(sorted_probabilities, starts)
-    else:
-        merged = np.empty(0, dtype=np.float64)
 
     values = projected.take(representatives)
     column = Column(merged.astype(np.float64), DataType.FLOAT)
@@ -145,6 +153,8 @@ def unite(
     equal when their values are equal in Python, also across sides whose
     column types differ (``1`` is ``1.0``, ``"1"`` is not ``1``); the output
     takes the left side's schema, holding each tuple's first-seen values.
+    When neither side repeats a tuple, a tuple has at most its left row and
+    then its right row, and the fold is one combination, without a sort.
     """
     if len(left.value_columns) != len(right.value_columns):
         raise PRAError(
@@ -163,7 +173,18 @@ def unite(
         )
     probabilities = np.concatenate([left.probabilities(), right.probabilities()])
     merged = probabilities[representatives]
-    if len(representatives) < len(codes):
+    num_left = left.num_rows
+    right_codes = codes[num_left:]
+    if np.array_equal(codes[:num_left], np.arange(num_left)) and (
+        np.bincount(right_codes, minlength=1).max() <= 1
+    ):
+        # neither side repeats a tuple; codes are numbered first-seen, so the
+        # left rows are groups 0 .. num_left - 1 and a right row coded below
+        # that is the second and last occurrence of its left row's tuple
+        folded = right_codes < num_left
+        groups = right_codes[folded]
+        merged[groups] = _combine_or(assumption, merged[groups], probabilities[num_left:][folded])
+    else:
         order, starts = group_segments(codes, len(representatives))
         sizes = np.diff(np.append(starts, len(codes)))
         # round n folds every group's n-th occurrence into its running value:
@@ -172,18 +193,22 @@ def unite(
         occurrence = 1
         while len(active):
             nth = probabilities[order[starts[active] + occurrence]]
-            if assumption is Assumption.INDEPENDENT:
-                merged[active] = 1.0 - (1.0 - merged[active]) * (1.0 - nth)
-            elif assumption is Assumption.DISJOINT:
-                merged[active] = np.minimum(merged[active] + nth, 1.0)
-            else:
-                merged[active] = np.maximum(merged[active], nth)
+            merged[active] = _combine_or(assumption, merged[active], nth)
             occurrence += 1
             active = active[sizes[active] > occurrence]
     column = Column(merged, DataType.FLOAT)
     return ProbabilisticRelation(
         values.take(representatives).with_column(PROBABILITY_COLUMN, column), validate=False
     )
+
+
+def _combine_or(assumption: Assumption, running: np.ndarray, nth: np.ndarray) -> np.ndarray:
+    """:meth:`Assumption.combine_or` of two probability arrays, element-wise."""
+    if assumption is Assumption.INDEPENDENT:
+        return 1.0 - (1.0 - running) * (1.0 - nth)
+    if assumption is Assumption.DISJOINT:
+        return np.minimum(running + nth, 1.0)
+    return np.maximum(running, nth)
 
 
 def _pooled_values(left: Relation, right: Relation) -> Relation:

@@ -110,15 +110,18 @@ class Column:
     A STRING column caches codes only over a dictionary of ``str`` values,
     so the order of its codes is the order of its strings; a STRING column
     holding other values is re-coded on every :meth:`factorize` call.
+    :meth:`code_order` caches the column's own sort by code, which no
+    derived column carries.
     """
 
-    __slots__ = ("_dtype", "_values", "_codes", "_dictionary")
+    __slots__ = ("_dtype", "_values", "_codes", "_dictionary", "_code_order")
 
     def __init__(self, values: Iterable[Any] | np.ndarray, dtype: DataType):
         self._dtype = dtype
         self._values = _coerce_array(values, dtype)
         self._codes: np.ndarray | None = None
         self._dictionary: np.ndarray | None = None
+        self._code_order: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction ----------------------------------------------------
 
@@ -257,6 +260,20 @@ class Column:
         self._dictionary = dictionary
         self._codes = codes.astype(np.int64, copy=False).reshape(-1)
         return self._codes, self._dictionary
+
+    def code_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, codes[order])``: the stable sort of :meth:`factorize`'s codes.
+
+        Cached on the column (read-only arrays), so a join whose build side is
+        a kept column, such as a stored subplan's, sorts it once.
+        """
+        if self._code_order is None:
+            codes = self.factorize()[0]
+            order = np.argsort(codes, kind="stable")
+            sorted_codes = codes[order]
+            order.flags.writeable = sorted_codes.flags.writeable = False
+            self._code_order = (order, sorted_codes)
+        return self._code_order
 
     def _derive(self, values: np.ndarray, selector: Any) -> "Column":
         """Build a derived column, carrying the factorization cache along."""

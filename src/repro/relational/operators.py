@@ -169,15 +169,24 @@ def hash_join_indices(
     positions into ``right``.  For a left outer join, unmatched left rows are
     emitted with a right index of ``-1``.  Output pairs are ordered by left
     row, then by right row within each left row.
+
+    The build side is the right keys' codes, stably sorted.  A single key
+    column coded against the left key's dictionary object keeps that sort
+    (:meth:`~repro.relational.column.Column.code_order`), so joining against
+    a kept relation, such as a stored subplan, sorts its key once.
     """
     if len(left_keys) != len(right_keys) or not left_keys:
         raise PlanError("join requires at least one (left, right) key pair")
-    codes = key_codes(
-        [left.column(name) for name in left_keys], [right.column(name) for name in right_keys]
-    )
-    left_codes, right_codes = codes[: left.num_rows], codes[left.num_rows :]
-    order = np.argsort(right_codes, kind="stable")
-    sorted_codes = right_codes[order]
+    left_columns = [left.column(name) for name in left_keys]
+    right_columns = [right.column(name) for name in right_keys]
+    if len(left_keys) == 1 and _share_coding(left_columns[0], right_columns[0]):
+        left_codes = left_columns[0].factorize()[0]
+        order, sorted_codes = right_columns[0].code_order()
+    else:
+        codes = key_codes(left_columns, right_columns)
+        left_codes, right_codes = codes[: left.num_rows], codes[left.num_rows :]
+        order = np.argsort(right_codes, kind="stable")
+        sorted_codes = right_codes[order]
     starts = np.searchsorted(sorted_codes, left_codes, side="left")
     ends = np.searchsorted(sorted_codes, left_codes, side="right")
     counts = ends - starts
@@ -196,6 +205,11 @@ def hash_join_indices(
     offsets = np.arange(total, dtype=np.int64) - np.repeat(output_starts, counts)
     right_out = order[np.repeat(starts, counts) + offsets]
     return left_out, right_out.astype(np.int64, copy=False)
+
+
+def _share_coding(left: Column, right: Column) -> bool:
+    """Whether both columns hold cached codes over one dictionary object."""
+    return left.coded and right.coded and left.factorize()[1] is right.factorize()[1]
 
 
 def _take_or_null(column: Column, indices: np.ndarray) -> Column:

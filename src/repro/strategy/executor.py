@@ -57,7 +57,8 @@ class StrategyRun:
     """The outcome of one strategy execution."""
 
     query: str
-    result: ProbabilisticRelation
+    #: the result block's output as evaluated, unranked (see :attr:`result`)
+    output: ProbabilisticRelation
     block_outputs: dict[str, Any] = field(default_factory=dict)
     #: each block's own time, its inputs' excluded (0.0 when it did not run)
     block_timings: dict[str, float] = field(default_factory=dict)
@@ -65,9 +66,20 @@ class StrategyRun:
     #: blocks whose output came from the materialization cache instead of running
     memoized_blocks: list[str] = field(default_factory=list)
 
-    def top(self, k: int) -> list[tuple[str, float]]:
-        """Return the top-k ``(node, probability)`` pairs of the result."""
-        ranked = self.result.top(k)
+    @cached_property
+    def result(self) -> ProbabilisticRelation:
+        """The output ranked by probability (ties by value), on first read and kept."""
+        return self.output.sorted_by_probability()
+
+    def top(self, k: int | None = None) -> list[tuple[str, float]]:
+        """The top-k ``(node, probability)`` pairs of the result (``None``: all).
+
+        Until :attr:`result` is read, only the rows tied with the k-th are sorted.
+        """
+        if k is None or k >= self.output.num_rows or "result" in self.__dict__:
+            ranked = self.result if k is None else self.result.top(k)
+        else:
+            ranked = self.output.top(k)
         nodes = ranked.relation.column(ranked.value_columns[0]).to_list()
         probabilities = ranked.probabilities()
         return [(node, float(p)) for node, p in zip(nodes, probabilities)]
@@ -237,8 +249,10 @@ class StrategyExecutor:
                 plan = _substitute(block.to_plan(inputs, storage), plans)
                 remainder, names = _split_stored(plan, stored, done)
                 if not names:
+                    # equal plans are one stored object, which a hit records
                     remainder = _stored(plan, stored)
                     key = remainder.name
+                    plan = stored[key]
             read = plan_parameters(remainder) & stored.keys()
             reads = tuple(sorted(read.union(*(step.reads for step in above))))
             upstream = frozenset([name]).union(*(step.upstream for step in above))
@@ -319,7 +333,7 @@ class StrategyExecutor:
         outputs[target.name] = result
         return StrategyRun(
             query=query,
-            result=result.sorted_by_probability(),
+            output=result,
             block_outputs=outputs,
             block_timings=timings,
             elapsed_seconds=elapsed,

@@ -220,7 +220,7 @@ class EngineTarget:
             run = self.engine.strategy(request["name"], query=request.get("query", ""))
             if top_k is not None:
                 return {"ok": True, "results": run.top(top_k)}
-            return {"ok": True, "rows": run.execute().result.num_rows}
+            return {"ok": True, "rows": run.execute().output.num_rows}
         return {"ok": False, "error": f"unknown request kind {kind!r}"}
 
 

@@ -314,6 +314,11 @@ def unite_tuples(left: Sequence[Row], right: Sequence[Row], assumption: Assumpti
     return [values + (p,) for values, p in merge_rows(pairs, assumption)]
 
 
+def top_tuples(rows: Sequence[Row], k: int) -> list[Row]:
+    """TOP k: probability descending, ties by values ascending."""
+    return sorted(rows, key=lambda row: (-row[-1], row[:-1]))[:k]
+
+
 @dataclass
 class BM25Index:
     """A BM25 index in plain Python: per-document term counts and lengths,

@@ -22,7 +22,7 @@ from repro.pra.plan import PraRank, PraScan
 from repro.strategy import StrategyExecutor
 from repro.strategy.blocks import Block, Port, PortKind
 from repro.strategy.graph import StrategyGraph
-from repro.strategy.library import SelectByTypeBlock
+from repro.strategy.library import MixBlock, SelectByTypeBlock
 from repro.strategy.prebuilt import (
     build_auction_strategy,
     build_expanded_auction_strategy,
@@ -204,6 +204,26 @@ class TestCustomBlocks:
         cold, warm = executor.run(graph), executor.run(graph)
         assert (cold.memoized_blocks, warm.memoized_blocks) == ([], ["toys"])
         assert warm.result.num_rows == 4
+
+    def test_blocks_with_equal_plans_keep_their_outputs_on_a_hit(self, toy_store):
+        graph = StrategyGraph()
+        graph.add_block("a", SelectByTypeBlock("product"))
+        graph.add_block("b", SelectByTypeBlock("product"))
+        graph.add_block("mix", MixBlock([0.5, 0.5]))
+        graph.connect("a", "mix", port="ranked_0")
+        graph.connect("b", "mix", port="ranked_1")
+        executor = StrategyExecutor(toy_store)
+        lowered = executor.lower(graph)
+        cold, warm = executor.run(lowered), executor.run(lowered)
+        assert warm.memoized_blocks == ["a", "b", "mix"]
+        for run in (cold, warm):
+            assert sorted(run.block_outputs) == ["a", "b", "mix"]
+            assert _relation_bits(run.block_outputs["b"]) == _relation_bits(
+                run.block_outputs["a"]
+            )
+            assert run.block_outputs["a"].num_rows == 4
+        # the hit records the one stored object, which both blocks now name
+        assert lowered.step("a").plan is lowered.step("b").plan
 
 
 class TestCheckAndExplain:
