@@ -21,7 +21,8 @@ import sys
 
 import numpy as np
 
-from repro import Engine, KeywordSearchEngine
+from repro import Engine
+from repro.ir.search import KeywordSearchEngine
 from repro.ir.statistics import RelationalStatisticsBuilder
 from repro.workloads import generate_product_triples
 

@@ -10,7 +10,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="8.0.0",
+    version="9.0.0",
     description=(
         "Industrial-strength Information Retrieval on Databases: a reproduction of "
         "Cornacchia et al., EDBT 2017"

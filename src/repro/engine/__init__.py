@@ -52,17 +52,16 @@ many.
 **Concurrency guarantees.**  One ``Engine`` may be shared by many threads:
 the plan cache and the materialization cache are lock-guarded (counters
 never lose updates, inserts are atomic), evaluation itself is read-only, and
-``query.execute_many(batches, max_workers=N)`` /
-``engine.execute_many(query, batches, max_workers=N)`` fan evaluation out on
-a ``ThreadPoolExecutor`` after compiling once — results always return in
+``query.execute_many(batches, max_workers=N)`` fans evaluation out on a
+``ThreadPoolExecutor`` after compiling once — results always return in
 batch order, so concurrent execution is observationally identical to serial.
 Data loading (``load_triples``, ``create_table``) is *not* designed to run
 concurrently with queries; quiesce queries before reloading.
 
-This facade is the repository's public API.  The underlying layers
-(:mod:`repro.spinql`, :mod:`repro.pra`, :mod:`repro.ir`,
-:mod:`repro.strategy`, :mod:`repro.triples`) remain importable and supported
-for advanced use; see the deprecation policy in :mod:`repro`.
+This facade, with :mod:`repro.storage`, is the repository's public API.
+The underlying layers (:mod:`repro.spinql`, :mod:`repro.pra`,
+:mod:`repro.ir`, :mod:`repro.strategy`, :mod:`repro.triples`) stay
+importable from their own packages; see the policy in :mod:`repro`.
 """
 
 from __future__ import annotations
@@ -740,21 +739,6 @@ class Engine:
             bindings=bindings,
             partitioned=shard_map.is_partitioned if shard_map is not None else None,
         )
-
-    def execute_many(
-        self,
-        query: Query,
-        param_batches: Iterable[Mapping[str, Any]],
-        *,
-        max_workers: int | None = None,
-    ) -> list[Any]:
-        """Execute ``query`` once per parameter set, optionally on a thread pool.
-
-        Compilation and optimization run once; with ``max_workers`` greater
-        than one the evaluations run concurrently.  Results always come back
-        in batch order, identical to serial execution.
-        """
-        return query.execute_many(param_batches, max_workers=max_workers)
 
     # -- shared pipeline ---------------------------------------------------------------
 

@@ -22,7 +22,6 @@ from repro.ir.inverted_index import InvertedIndex
 from repro.ir.query_expansion import CompoundExpander, QueryExpander, SynonymExpander
 from repro.ir.ranking import BM25Model, BooleanModel, LanguageModel, RankingModel, TfIdfModel
 from repro.ir.search import KeywordSearchEngine, SearchResult
-from repro.ir.snippets import Snippet, SnippetGenerator
 from repro.ir.statistics import CollectionStatistics, RelationalStatisticsBuilder, build_statistics
 
 __all__ = [
@@ -37,8 +36,6 @@ __all__ = [
     "RankingModel",
     "RelationalStatisticsBuilder",
     "SearchResult",
-    "Snippet",
-    "SnippetGenerator",
     "SynonymExpander",
     "TfIdfModel",
     "build_statistics",

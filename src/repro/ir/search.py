@@ -212,10 +212,6 @@ class KeywordSearchEngine:
             )
         ]
 
-    def search_terms(self, terms: Sequence[str], *, top_k: int | None = None) -> RankedList:
-        """Rank already-analyzed terms (used by the strategy compiler)."""
-        return self.model.rank(self.statistics, terms, top_k=top_k)
-
     def describe(self) -> dict[str, Any]:
         """Return a description of the engine configuration."""
         return {

@@ -33,7 +33,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -185,21 +184,6 @@ class CollectionStatistics:
         """Total number of occurrences of ``term`` in the collection."""
         _, frequencies = self.postings_for(term)
         return int(frequencies.sum())
-
-    # -- persistence -------------------------------------------------------------
-
-    def save(self, path: str | Path) -> Path:
-        """Serialize the statistics (postings as concatenated doc/tf arrays)."""
-        from repro.storage.index_io import save_statistics
-
-        return save_statistics(self, path)
-
-    @classmethod
-    def open(cls, path: str | Path, *, mmap: bool = True) -> "CollectionStatistics":
-        """Open a statistics snapshot; posting arrays come back as memmap slices."""
-        from repro.storage.index_io import open_statistics
-
-        return open_statistics(path, mmap=mmap)
 
 
 def _term_column(offsets: np.ndarray) -> np.ndarray:
@@ -359,10 +343,6 @@ class ShardCollectionStatistics(CollectionStatistics):
     @property
     def num_docs(self) -> int:  # type: ignore[override]
         return self.global_statistics.num_docs
-
-    @property
-    def local_num_docs(self) -> int:
-        return len(self.doc_ids)
 
     @property
     def accumulator_size(self) -> int:  # type: ignore[override]

@@ -8,17 +8,12 @@ on-demand materialization cache of Section 2.2.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
-from pathlib import Path
-from typing import Any
-
 from repro.relational.algebra import LogicalPlan, Scan
 from repro.relational.cache import VersionedLRU
 from repro.relational.catalog import Catalog
 from repro.relational.functions import FunctionRegistry, default_registry
 from repro.relational.operators import Executor
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
 
 
 class Database:
@@ -43,32 +38,6 @@ class Database:
         """Register a base table; invalidates cache entries that depend on it."""
         self.catalog.create_table(name, relation, replace=replace)
         self.cache.invalidate_table(name)
-
-    def create_table_from_rows(
-        self,
-        name: str,
-        schema: Schema,
-        rows: Iterable[Sequence[Any]],
-        *,
-        replace: bool = False,
-    ) -> Relation:
-        """Convenience: build a relation from rows and register it."""
-        relation = Relation.from_rows(schema, rows)
-        self.create_table(name, relation, replace=replace)
-        return relation
-
-    def create_table_from_dicts(
-        self,
-        name: str,
-        schema: Schema,
-        rows: Iterable[Mapping[str, Any]],
-        *,
-        replace: bool = False,
-    ) -> Relation:
-        """Convenience: build a relation from row dictionaries and register it."""
-        relation = Relation.from_dicts(schema, rows)
-        self.create_table(name, relation, replace=replace)
-        return relation
 
     def drop_table(self, name: str) -> None:
         self.catalog.drop_table(name)
@@ -135,35 +104,9 @@ class Database:
             stack.extend(node.children())
         return frozenset(seen)
 
-    def materialize_view(self, name: str) -> Relation:
-        """Force materialisation of a view into the cache and return its contents."""
-        plan = Scan(name)
-        return self.execute(plan, use_cache=True)
-
     def query(self, name: str) -> Relation:
         """Execute ``SELECT * FROM name`` (table or view)."""
         return self.execute(Scan(name))
-
-    # -- persistence --------------------------------------------------------------------
-
-    def save(self, path: str | Path) -> Path:
-        """Snapshot every base table into the directory ``path`` (see :mod:`repro.storage`)."""
-        from repro.storage.snapshot import save_database
-
-        return save_database(self, path)
-
-    @classmethod
-    def open(
-        cls, path: str | Path, *, mmap: bool = True, lazy: bool = True, **kwargs: Any
-    ) -> "Database":
-        """Open a database snapshot written by :meth:`save`.
-
-        Tables hydrate lazily on first scan (memmap-backed, zero-copy for
-        numeric columns); ``kwargs`` are forwarded to the constructor.
-        """
-        from repro.storage.snapshot import open_database
-
-        return open_database(path, database=cls(**kwargs), mmap=mmap, lazy=lazy)
 
     # -- maintenance --------------------------------------------------------------------
 

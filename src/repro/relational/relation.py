@@ -68,12 +68,6 @@ class Relation:
         return cls(schema, columns)
 
     @classmethod
-    def from_columns(cls, columns: Mapping[str, Column]) -> "Relation":
-        """Build a relation from a mapping of column name to :class:`Column`."""
-        schema = Schema([Field(name, column.dtype) for name, column in columns.items()])
-        return cls(schema, list(columns.values()))
-
-    @classmethod
     def empty(cls, schema: Schema) -> "Relation":
         """Return a zero-row relation with the given schema."""
         return cls(schema, [Column.empty(field.dtype) for field in schema])

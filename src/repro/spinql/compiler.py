@@ -37,7 +37,6 @@ from repro.pra.plan import (
 from repro.pra.relation import ProbabilisticRelation
 from repro.relational.expressions import BinaryOp, Expression, Literal
 from repro.spinql.ast import (
-    Assignment,
     BooleanExpr,
     Comparison,
     JoinCondition,
@@ -106,9 +105,6 @@ class SpinQLCompiler:
             compiled.plans[statement.name] = plan
             compiled.order.append(statement.name)
         return compiled
-
-    def compile_statement(self, statement: Assignment, compiled: CompiledScript) -> PraPlan:
-        return self.compile_expression(statement.expression, compiled)
 
     # -- expressions ----------------------------------------------------------------------
 

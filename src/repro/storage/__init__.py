@@ -10,13 +10,14 @@ never copied.
 Entry points, lowest layer first:
 
 * :func:`save_relation` / :func:`open_relation` — one table;
-* :meth:`Database.save` / :meth:`Database.open` — every base table, with
+* :func:`save_database` / :func:`open_database` — every base table, with
   lazy per-table hydration through the catalog;
-* :meth:`CollectionStatistics.save` / :meth:`CollectionStatistics.open` —
-  the packed postings (term offsets, document indices, frequencies),
-  adopted as memmaps;
-* :meth:`TripleStore.save` / :meth:`TripleStore.open` — the triple source
-  plus the storage-strategy layout (partition tables live in the database);
+* :func:`save_statistics` / :func:`open_statistics` — the packed
+  collection-statistics postings (term offsets, document indices,
+  frequencies), adopted as memmaps;
+* :func:`save_triple_store` / :func:`restore_triple_store` — the triple
+  source plus the storage-strategy layout (partition tables live in the
+  database);
 * :meth:`Engine.save` / :meth:`Engine.open` — all of the above plus
   analyzer/ranking configuration, compiled SpinQL sources (recompiled on
   open to warm the plan cache) and warm collection statistics;

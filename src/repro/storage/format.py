@@ -82,8 +82,8 @@ def read_manifest(directory: Path, expected_kind: str) -> dict[str, Any]:
         raise SnapshotVersionError(
             f"snapshot format version {version!r} does not match this library's "
             f"version {FORMAT_VERSION}; rebuild the snapshot from source data with "
-            "Database.save()/Engine.save(), or upgrade/downgrade the library to "
-            "the version that wrote it",
+            "Engine.save() or a repro.storage save function, or upgrade/downgrade "
+            "the library to the version that wrote it",
             str(path),
         )
     kind = manifest.get("kind")

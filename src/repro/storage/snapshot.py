@@ -174,13 +174,15 @@ def save_triple_store(store: "TripleStore", path: str | Path) -> Path:
     """Snapshot the triple source relation and the storage-strategy layout.
 
     The partition tables themselves live in the store's database and are
-    covered by :func:`save_database`; this records how to interpret them.
+    covered by :func:`save_database`; this records how to interpret them,
+    loading the store first so that those tables exist.
     Unlike the partition tables (which the type-agnostic layouts stringify),
     the source relation keeps a type tag per object, so re-partitioning
     after a round-trip sees the original typed values.
     """
     from repro.relational.column import Column
 
+    store.ensure_loaded()
     directory = Path(path)
     triples = store._triples
     schema = Schema(

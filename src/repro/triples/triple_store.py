@@ -6,8 +6,9 @@ The store keeps them in the relational engine through a pluggable
 
 * pattern matching (``match``) returning probabilistic relations (plans
   read the store through the layout's ``pattern_plan`` instead),
-* registration of SQL-level views such as the paper's ``docs`` view that
-  joins category filtering with description extraction.
+* the paper's ``docs`` sub-collection (``docs_relation``), which joins
+  category filtering with description extraction; ``register_docs_view``
+  stores it as a table, not a view.
 """
 
 from __future__ import annotations
@@ -15,18 +16,14 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
 from repro.errors import TripleStoreError
 from repro.pra.assumptions import Assumption
 from repro.pra.evaluator import PRAEvaluator
 from repro.pra.plan import PraJoin, PraProject
-from repro.pra.relation import PROBABILITY_COLUMN, ProbabilisticRelation
-from repro.relational.column import DataType
+from repro.pra.relation import ProbabilisticRelation
 from repro.relational.database import Database
-from repro.relational.relation import Relation
-from repro.relational.schema import Field, Schema
 from repro.triples.partitioning import SingleTableStorage, StorageStrategy
 
 #: well-known property used to type resources, as in ``(lot23, type, lot)``
@@ -44,16 +41,6 @@ class Triple:
 
     def as_row(self) -> tuple[str, str, Any, float]:
         return (self.subject, self.property, self.object, self.probability)
-
-
-TRIPLE_SCHEMA = Schema(
-    [
-        Field("subject", DataType.STRING),
-        Field("property", DataType.STRING),
-        Field("object", DataType.STRING),
-        Field(PROBABILITY_COLUMN, DataType.FLOAT),
-    ]
-)
 
 
 class TripleStore:
@@ -196,34 +183,6 @@ class TripleStore:
         """Return all triples matching the given (possibly wildcarded) pattern."""
         self.ensure_loaded()
         return self.storage.match(self.database, subject, property_name, obj)
-
-    # -- persistence ---------------------------------------------------------------------
-
-    def save(self, path: str | Path) -> Path:
-        """Snapshot the triple source plus storage layout (see :mod:`repro.storage`).
-
-        The partition tables themselves belong to :attr:`database`; snapshot
-        that too (or use :meth:`repro.engine.Engine.save`, which does both).
-        """
-        from repro.storage.snapshot import save_triple_store
-
-        self.ensure_loaded()
-        return save_triple_store(self, path)
-
-    @classmethod
-    def open(cls, path: str | Path, database: Database, *, mmap: bool = True) -> "TripleStore":
-        """Rebuild a store over a ``database`` opened from the same snapshot."""
-        from repro.storage.snapshot import restore_triple_store
-
-        return restore_triple_store(path, database, mmap=mmap)
-
-    # -- relational integration ----------------------------------------------------------------
-
-    def as_relation(self) -> Relation:
-        """Return every triple as a single ``(subject, property, object, p)`` relation."""
-        rows = [triple.as_row() for triple in self._triples]
-        normalised = [(s, p, str(o), prob) for s, p, o, prob in rows]
-        return Relation.from_rows(TRIPLE_SCHEMA, normalised)
 
     def docs_relation(
         self,

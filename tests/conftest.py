@@ -20,16 +20,18 @@ def docs_database() -> Database:
     """A database holding the small docs collection used in the IR tests."""
     db = Database()
     schema = Schema([Field("docID", DataType.INT), Field("data", DataType.STRING)])
-    db.create_table_from_rows(
+    db.create_table(
         "docs",
-        schema,
-        [
-            (1, "a book about history"),
-            (2, "a cake recipe book"),
-            (3, "history of cakes and baking"),
-            (4, "trains and railways of the world"),
-            (5, "the history of model trains"),
-        ],
+        Relation.from_rows(
+            schema,
+            [
+                (1, "a book about history"),
+                (2, "a cake recipe book"),
+                (3, "history of cakes and baking"),
+                (4, "trains and railways of the world"),
+                (5, "the history of model trains"),
+            ],
+        ),
     )
     return db
 

@@ -245,14 +245,6 @@ class TestConcurrentBatches:
             _result_key(result) for result in serial
         ]
 
-    def test_engine_execute_many_delegates(self, engine):
-        query = engine.spinql(TRAVERSE, seeds=[])
-        batches = [{"seeds": seeds} for seeds in SEED_SETS]
-        results = engine.execute_many(query, batches, max_workers=2)
-        assert [_result_key(result) for result in results] == [
-            _result_key(query.execute(seeds=batch["seeds"])) for batch in batches
-        ]
-
     def test_top_many_concurrent_equals_serial(self, engine):
         query = engine.traverse("hasAuction")
         batches = [{"seeds": seeds} for seeds in SEED_SETS * 2]

@@ -1,7 +1,8 @@
-"""What 4.0 to 8.0 removed stays removed: one statistics path, one plan
+"""What 4.0 to 9.0 removed stays removed: one statistics path, one plan
 rewriter, no request collapsing, no result-cache admission policy, a sharded
 engine that serves the layout it was opened with, strategies evaluated as one
-plan, not block by block, and no cost model."""
+plan, not block by block, no cost model, and no library surface that only
+its own tests called."""
 
 import argparse
 import importlib
@@ -15,11 +16,15 @@ from repro import serving, workload
 from repro.cli import build_parser
 from repro.engine import Engine, connect
 from repro.ir.search import KeywordSearchEngine
+from repro.ir.statistics import CollectionStatistics, ShardCollectionStatistics
 from repro.relational import algebra
 from repro.relational.cache import VersionedLRU
 from repro.relational.database import Database
+from repro.relational.relation import Relation
 from repro.serving import Router, ServingConfig, WorkerPool
+from repro.spinql.compiler import SpinQLCompiler
 from repro.storage.shards import read_shard_map
+from repro.triples.triple_store import TripleStore
 
 
 @pytest.fixture
@@ -30,9 +35,11 @@ def engine():
 
 
 def test_version():
-    assert repro.__version__ == "8.0.0"
-    pyproject = (Path(__file__).resolve().parents[2] / "pyproject.toml").read_text()
-    assert re.findall(r'^version = "(.*)"$', pyproject, re.M) == ["8.0.0"]
+    assert repro.__version__ == "9.0.0"
+    root = Path(__file__).resolve().parents[2]
+    pyproject = (root / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "(.*)"$', pyproject, re.M) == ["9.0.0"]
+    assert re.findall(r'version="(.*)"', (root / "setup.py").read_text()) == ["9.0.0"]
 
 
 def test_search_has_no_pipeline_option(engine):
@@ -141,3 +148,42 @@ def test_engine_has_no_cost_model(engine):
     query = engine.spinql('out = SELECT [$2="description"] (triples);')
     assert "Cost estimate" not in query.explain()
     assert "cost" not in query.explain_data()
+
+
+def test_repro_exports_only_the_facade():
+    facade = "Engine Query SearchQuery SpinQLQuery StrategyQuery TableQuery connect"
+    errors = "EngineError ReproError"
+    assert sorted(repro.__all__) == sorted(f"{facade} {errors} __version__".split())
+    layers = (
+        "Database KeywordSearchEngine ProbabilisticRelation Relation StrategyExecutor "
+        "StrategyGraph TripleStore build_auction_strategy build_toy_strategy"
+    )
+    for name in layers.split():
+        assert not hasattr(repro, name), name
+
+
+def test_modules_only_their_tests_called_are_gone():
+    for module in ("repro.relational.csvio", "repro.ir.snippets"):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+    ir = importlib.import_module("repro.ir")
+    assert not hasattr(ir, "Snippet") and not hasattr(ir, "SnippetGenerator")
+
+
+def test_layer_persistence_is_the_storage_functions():
+    for layer in (Database, TripleStore, CollectionStatistics):
+        assert not hasattr(layer, "save") and not hasattr(layer, "open")
+    assert not hasattr(Engine, "execute_many")
+
+
+def test_helpers_only_their_tests_called_are_gone():
+    for owner, names in (
+        (Database, ("create_table_from_rows", "create_table_from_dicts", "materialize_view")),
+        (TripleStore, ("as_relation",)),
+        (KeywordSearchEngine, ("search_terms",)),
+        (SpinQLCompiler, ("compile_statement",)),
+        (ShardCollectionStatistics, ("local_num_docs",)),
+        (Relation, ("from_columns",)),
+    ):
+        for name in names:
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"

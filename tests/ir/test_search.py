@@ -91,11 +91,6 @@ class TestSearchEngine:
         assert "train" in result.expanded_terms
         assert len(result.ranked) > 0
 
-    def test_search_terms_bypasses_analysis(self, docs_database):
-        engine = KeywordSearchEngine(docs_database, "docs")
-        ranked = engine.search_terms(["histori"])
-        assert len(ranked) > 0
-
     def test_describe(self, docs_database):
         engine = KeywordSearchEngine(docs_database, "docs")
         description = engine.describe()

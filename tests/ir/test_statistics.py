@@ -122,7 +122,7 @@ class TestRelationalBuilder:
     def db(self):
         database = Database()
         schema = Schema([Field("docID", DataType.INT), Field("data", DataType.STRING)])
-        database.create_table_from_rows("docs", schema, DOCS)
+        database.create_table("docs", Relation.from_rows(schema, DOCS))
         return database
 
     def test_matches_fast_builder(self, db):
@@ -133,7 +133,7 @@ class TestRelationalBuilder:
         rows = [(1, "a chair"), (2, ""), (3, "?!"), (4, "chairs and tables")]
         database = Database()
         schema = Schema([Field("docID", DataType.INT), Field("data", DataType.STRING)])
-        database.create_table_from_rows("docs", schema, rows)
+        database.create_table("docs", Relation.from_rows(schema, rows))
         statistics = RelationalStatisticsBuilder(database, "docs").materialize()
         assert statistics.num_docs == 4
         assert statistics.doc_lengths.tolist() == [2, 0, 0, 3]

@@ -26,6 +26,7 @@ from repro.pra.relation import ProbabilisticRelation
 from repro.relational.column import DataType
 from repro.relational.database import Database
 from repro.relational.expressions import Literal
+from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
 
 
@@ -39,23 +40,25 @@ def db():
             Field("object", DataType.STRING),
         ]
     )
-    database.create_table_from_rows(
+    database.create_table(
         "triples",
-        schema,
-        [
-            ("product1", "category", "toy"),
-            ("product1", "description", "wooden train set"),
-            ("product2", "category", "book"),
-            ("product2", "description", "history of trains"),
-            ("product3", "category", "toy"),
-            ("product3", "description", "plastic toy car"),
-        ],
+        Relation.from_rows(
+            schema,
+            [
+                ("product1", "category", "toy"),
+                ("product1", "description", "wooden train set"),
+                ("product2", "category", "book"),
+                ("product2", "description", "history of trains"),
+                ("product3", "category", "toy"),
+                ("product3", "description", "plastic toy car"),
+            ],
+        ),
     )
     prob_schema = Schema(
         [Field("node", DataType.STRING), Field("p", DataType.FLOAT)]
     )
-    database.create_table_from_rows(
-        "ranked_nodes", prob_schema, [("product1", 0.8), ("product3", 0.4)]
+    database.create_table(
+        "ranked_nodes", Relation.from_rows(prob_schema, [("product1", 0.8), ("product3", 0.4)])
     )
     return database
 

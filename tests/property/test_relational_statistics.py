@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.ir.statistics import RelationalStatisticsBuilder, build_statistics
 from repro.relational.column import DataType
 from repro.relational.database import Database
+from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
 from repro.text.analyzers import StandardAnalyzer
 from tests.statistics_equality import assert_statistics_equal
@@ -83,7 +84,7 @@ def test_view_chain_equals_build_statistics(collection, language):
     id_type, rows = collection
     database = Database()
     schema = Schema([Field("docID", id_type), Field("data", DataType.STRING)])
-    database.create_table_from_rows("docs", schema, rows)
+    database.create_table("docs", Relation.from_rows(schema, rows))
 
     relational = RelationalStatisticsBuilder(database, "docs", language=language).materialize()
     direct = build_statistics(rows, StandardAnalyzer(language))

@@ -210,13 +210,11 @@ class TestDatabase:
         db.execute(plan, use_cache=False)
         assert db.cache.statistics.lookups == 0
 
-    def test_query_and_materialize_view(self):
+    def test_query_of_a_view_is_cached(self):
         db = Database()
         db.create_table("t", small_relation())
         db.create_view("only_one", Select(Scan("t"), col("id").eq(lit(1))))
         assert db.query("only_one").num_rows == 1
-        materialized = db.materialize_view("only_one")
-        assert materialized.num_rows == 1
         assert Scan("only_one").fingerprint() in db.cache
 
     def test_clear_cache(self):
@@ -242,10 +240,10 @@ class TestDatabase:
         assert db.table_names() == []
         assert db.view_names() == []
 
-    def test_create_table_from_dicts(self):
+    def test_create_table_of_a_relation_from_dicts(self):
         db = Database()
         schema = Schema.of(a=DataType.INT)
-        db.create_table_from_dicts("t", schema, [{"a": 1}, {"a": 2}])
+        db.create_table("t", Relation.from_dicts(schema, [{"a": 1}, {"a": 2}]))
         assert db.table("t").num_rows == 2
 
     def test_result_computed_across_a_table_replace_is_not_cached(self):

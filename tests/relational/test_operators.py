@@ -35,22 +35,22 @@ def db():
             Field("price", DataType.INT),
         ]
     )
-    database.create_table_from_rows(
+    database.create_table(
         "products",
-        products,
-        [
-            (1, "toy", 10),
-            (2, "book", 20),
-            (3, "toy", 30),
-            (4, "game", 40),
-            (5, "toy", 50),
-        ],
+        Relation.from_rows(
+            products,
+            [
+                (1, "toy", 10),
+                (2, "book", 20),
+                (3, "toy", 30),
+                (4, "game", 40),
+                (5, "toy", 50),
+            ],
+        ),
     )
     orders = Schema([Field("order_id", DataType.INT), Field("product_id", DataType.INT)])
-    database.create_table_from_rows(
-        "orders",
-        orders,
-        [(100, 1), (101, 1), (102, 3), (103, 9)],
+    database.create_table(
+        "orders", Relation.from_rows(orders, [(100, 1), (101, 1), (102, 3), (103, 9)])
     )
     return database
 

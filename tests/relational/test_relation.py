@@ -30,12 +30,6 @@ class TestConstruction:
         relation = Relation.from_dicts(schema, [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}])
         assert list(relation.rows()) == [(1, "x"), (2, "y")]
 
-    def test_from_columns(self):
-        relation = Relation.from_columns(
-            {"a": Column([1, 2], DataType.INT), "b": Column(["x", "y"], DataType.STRING)}
-        )
-        assert relation.schema.names == ["a", "b"]
-
     def test_empty(self):
         relation = Relation.empty(Schema.of(a=DataType.INT))
         assert relation.num_rows == 0

@@ -1,8 +1,4 @@
-"""Unit tests for SQL generation and CSV import/export."""
-
-import io
-
-import pytest
+"""Unit tests for SQL generation."""
 
 from repro.relational.algebra import (
     Aggregate,
@@ -20,10 +16,9 @@ from repro.relational.algebra import (
     Values,
 )
 from repro.relational.column import DataType
-from repro.relational.csvio import read_csv, write_csv
 from repro.relational.expressions import col, lit
 from repro.relational.relation import Relation
-from repro.relational.schema import Field, Schema
+from repro.relational.schema import Schema
 from repro.relational.sqlgen import to_sql, view_definition
 
 
@@ -80,47 +75,3 @@ class TestSqlGeneration:
         assert text.startswith("CREATE VIEW docs AS")
         assert text.endswith(";")
 
-
-class TestCsvIO:
-    def test_roundtrip_via_string_buffers(self):
-        schema = Schema(
-            [
-                Field("id", DataType.INT),
-                Field("name", DataType.STRING),
-                Field("score", DataType.FLOAT),
-            ]
-        )
-        relation = Relation.from_rows(schema, [(1, "a", 0.5), (2, "b", 1.5)])
-        buffer = io.StringIO()
-        write_csv(relation, buffer)
-        buffer.seek(0)
-        loaded = read_csv(buffer, schema)
-        assert loaded == relation
-
-    def test_read_without_header(self):
-        schema = Schema.of(a=DataType.INT, b=DataType.STRING)
-        buffer = io.StringIO("1,x\n2,y\n")
-        relation = read_csv(buffer, schema, has_header=False)
-        assert relation.num_rows == 2
-
-    def test_header_arity_mismatch(self):
-        from repro.errors import SchemaError
-
-        schema = Schema.of(a=DataType.INT)
-        buffer = io.StringIO("a,b\n1,2\n")
-        with pytest.raises(SchemaError):
-            read_csv(buffer, schema)
-
-    def test_bool_parsing(self):
-        schema = Schema.of(flag=DataType.BOOL)
-        buffer = io.StringIO("flag\ntrue\n0\nYES\n")
-        relation = read_csv(buffer, schema)
-        assert relation.column("flag").to_list() == [True, False, True]
-
-    def test_file_roundtrip(self, tmp_path):
-        schema = Schema.of(a=DataType.INT, b=DataType.STRING)
-        relation = Relation.from_rows(schema, [(1, "hello"), (2, "world")])
-        path = tmp_path / "data.csv"
-        write_csv(relation, path)
-        loaded = read_csv(path, schema)
-        assert loaded == relation

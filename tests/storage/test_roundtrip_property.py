@@ -18,7 +18,7 @@ from repro.relational.database import Database
 from repro.relational.expressions import col, lit
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
-from repro.storage import open_relation, save_relation
+from repro.storage import open_database, open_relation, save_database, save_relation
 
 _NAMES = st.lists(
     st.text(
@@ -130,8 +130,8 @@ def test_queries_on_snapshot_match_in_memory(tmp_path_factory, rows) -> None:
     in_memory.create_table("t", relation)
 
     directory = tmp_path_factory.mktemp("dbquery")
-    in_memory.save(directory / "db")
-    reopened = Database.open(directory / "db", cache_enabled=False)
+    save_database(in_memory, directory / "db")
+    reopened = open_database(directory / "db", database=Database(cache_enabled=False))
 
     for plan in _query_plans():
         expected = in_memory.execute(plan)
@@ -142,8 +142,8 @@ def test_queries_on_snapshot_match_in_memory(tmp_path_factory, rows) -> None:
 
 def test_empty_database_round_trips(tmp_path) -> None:
     database = Database()
-    database.save(tmp_path / "db")
-    reopened = Database.open(tmp_path / "db")
+    save_database(database, tmp_path / "db")
+    reopened = open_database(tmp_path / "db")
     assert reopened.table_names() == []
 
 

@@ -15,8 +15,14 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
 from repro.storage import (
     FORMAT_VERSION,
+    open_database,
     open_relation,
+    open_statistics,
+    restore_triple_store,
+    save_database,
     save_relation,
+    save_statistics,
+    save_triple_store,
 )
 from repro.triples.partitioning import (
     PropertyPartitionedStorage,
@@ -47,9 +53,9 @@ def _sample_relation() -> Relation:
 def test_database_open_is_lazy_and_hydrates_on_scan(tmp_path):
     database = Database()
     database.create_table("items", _sample_relation())
-    database.save(tmp_path / "db")
+    save_database(database, tmp_path / "db")
 
-    reopened = Database.open(tmp_path / "db")
+    reopened = open_database(tmp_path / "db")
     assert reopened.table_names() == ["items"]
     assert not reopened.catalog.is_hydrated("items")
     assert reopened.table("items") == _sample_relation()
@@ -73,8 +79,8 @@ def test_snapshot_numeric_columns_are_memmapped(tmp_path):
 def test_create_table_replaces_lazy_table(tmp_path):
     database = Database()
     database.create_table("items", _sample_relation())
-    database.save(tmp_path / "db")
-    reopened = Database.open(tmp_path / "db")
+    save_database(database, tmp_path / "db")
+    reopened = open_database(tmp_path / "db")
     replacement = _sample_relation().head(1)
     reopened.create_table("items", replacement, replace=True)
     assert reopened.table("items") == replacement
@@ -104,7 +110,7 @@ def test_version_mismatch_mentions_rebuild_or_upgrade(tmp_path):
 def test_wrong_kind_is_rejected(tmp_path):
     save_relation(_sample_relation(), tmp_path / "rel")
     with pytest.raises(StorageError):
-        Database.open(tmp_path / "rel")
+        open_database(tmp_path / "rel")
 
 
 def test_engine_open_missing_directory_raises_engine_error(tmp_path):
@@ -133,8 +139,8 @@ def test_engine_open_version_mismatch_propagates(tmp_path):
 
 def test_statistics_round_trip(tmp_path):
     statistics = build_statistics(DOCS)
-    statistics.save(tmp_path / "stats")
-    reopened = statistics.open(tmp_path / "stats")
+    save_statistics(statistics, tmp_path / "stats")
+    reopened = open_statistics(tmp_path / "stats")
 
     assert reopened.num_docs == statistics.num_docs
     assert reopened.doc_ids == statistics.doc_ids
@@ -152,8 +158,8 @@ def test_statistics_round_trip(tmp_path):
 
 def test_opened_statistics_postings_are_views_of_the_mapped_buffers(tmp_path):
     statistics = build_statistics(DOCS)
-    statistics.save(tmp_path / "stats")
-    reopened = statistics.open(tmp_path / "stats")
+    save_statistics(statistics, tmp_path / "stats")
+    reopened = open_statistics(tmp_path / "stats")
 
     assert isinstance(reopened.doc_indices, np.memmap)
     assert isinstance(reopened.frequencies, np.memmap)
@@ -166,8 +172,8 @@ def test_opened_statistics_postings_are_views_of_the_mapped_buffers(tmp_path):
 
 def test_statistics_arrays_match_after_round_trip(tmp_path):
     statistics = build_statistics(DOCS)
-    statistics.save(tmp_path / "stats")
-    reopened = statistics.open(tmp_path / "stats")
+    save_statistics(statistics, tmp_path / "stats")
+    reopened = open_statistics(tmp_path / "stats")
     assert_statistics_equal(reopened, statistics)
 
 
@@ -187,10 +193,10 @@ def test_lazy_hydration_is_thread_safe(tmp_path):
 
     database = Database()
     database.create_table("items", _sample_relation())
-    database.save(tmp_path / "db")
+    save_database(database, tmp_path / "db")
 
     for _ in range(20):
-        reopened = Database.open(tmp_path / "db")
+        reopened = open_database(tmp_path / "db")
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda _: reopened.table("items"), range(8)))
         assert all(result is results[0] for result in results)
@@ -204,10 +210,10 @@ def test_numpy_scalar_objects_keep_their_types(tmp_path):
     store.add("a", "ratio", np.float64(0.5))
     store.add("a", "flag", np.bool_(True))
     store.load()
-    store.save(tmp_path / "store")
-    store.database.save(tmp_path / "db")
+    save_triple_store(store, tmp_path / "store")
+    save_database(store.database, tmp_path / "db")
 
-    reopened = TripleStore.open(tmp_path / "store", Database.open(tmp_path / "db"))
+    reopened = restore_triple_store(tmp_path / "store", open_database(tmp_path / "db"))
     objects = {triple.property: triple.object for triple in reopened._triples}
     assert objects["count"] == 42 and isinstance(objects["count"], int)
     assert objects["ratio"] == 0.5 and isinstance(objects["ratio"], float)
@@ -305,11 +311,11 @@ def test_typed_objects_survive_round_trip_and_reload(tmp_path):
     store.add("lot1", "weight", 2.5)
     store.add("lot1", "name", "clock")
     store.load()
-    store.save(tmp_path / "store")
-    store.database.save(tmp_path / "db")
+    save_triple_store(store, tmp_path / "store")
+    save_database(store.database, tmp_path / "db")
 
-    database = Database.open(tmp_path / "db")
-    reopened = TripleStore.open(tmp_path / "store", database)
+    database = open_database(tmp_path / "db")
+    reopened = restore_triple_store(tmp_path / "store", database)
     assert reopened.match(property_name="price", obj=42).relation.num_rows == 1
 
     # adding a triple re-runs storage.load() over the hydrated list; the
@@ -328,11 +334,11 @@ def test_triple_store_round_trip_reuses_partitions(tmp_path, storage_factory):
     store = TripleStore(storage=storage_factory())
     store.add_all(TRIPLES)
     store.load()
-    store.save(tmp_path / "store")
-    store.database.save(tmp_path / "db")
+    save_triple_store(store, tmp_path / "store")
+    save_database(store.database, tmp_path / "db")
 
-    database = Database.open(tmp_path / "db")
-    reopened = TripleStore.open(tmp_path / "store", database)
+    database = open_database(tmp_path / "db")
+    reopened = restore_triple_store(tmp_path / "store", database)
 
     assert reopened.storage.name == store.storage.name
     assert reopened.match(property_name="type").relation == store.match(
@@ -341,3 +347,15 @@ def test_triple_store_round_trip_reuses_partitions(tmp_path, storage_factory):
     assert reopened.match(subject="lot2").relation == store.match(subject="lot2").relation
     assert reopened.num_triples == store.num_triples
     assert reopened.properties() == store.properties()
+
+
+def test_saving_an_unloaded_store_loads_it_first(tmp_path):
+    store = TripleStore()
+    store.add_all(TRIPLES)
+    save_triple_store(store, tmp_path / "store")
+    save_database(store.database, tmp_path / "db")
+
+    reopened = restore_triple_store(tmp_path / "store", open_database(tmp_path / "db"))
+    assert reopened.match(property_name="type").relation == store.match(
+        property_name="type"
+    ).relation

@@ -82,11 +82,6 @@ class TestMatching:
 
 
 class TestRelationalIntegration:
-    def test_as_relation(self, toy_store):
-        relation = toy_store.as_relation()
-        assert relation.schema.names == ["subject", "property", "object", "p"]
-        assert relation.num_rows == toy_store.num_triples
-
     def test_register_docs_view(self, toy_store):
         toy_store.register_docs_view(
             "docs",
