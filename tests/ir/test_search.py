@@ -91,6 +91,14 @@ class TestSearchEngine:
         assert "train" in result.expanded_terms
         assert len(result.ranked) > 0
 
+    def test_query_is_analysed_like_the_documents(self, docs_database):
+        engine = KeywordSearchEngine(docs_database, "docs")
+        inflected = engine.search("HISTORIES")
+        assert inflected.query_terms == ["histori"]
+        plain = engine.search("history").ranked
+        assert inflected.ranked.doc_ids == plain.doc_ids
+        assert inflected.ranked.scores.tolist() == plain.scores.tolist()
+
     def test_describe(self, docs_database):
         engine = KeywordSearchEngine(docs_database, "docs")
         description = engine.describe()
